@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 tensors.
 
-The op set is deliberately small: matrix product, elementwise arithmetic,
-relu, exp, row-stable log-softmax, row gathering and summation. That is
-enough to express an MLP classifier, a cross-entropy objective and the
-pairwise posterior-alignment losses built on top of it, while staying easy
-to verify with finite differences.
+The op set is deliberately small: matrix product, elementwise add, sub,
+mul and scale, relu, row-stable log-softmax and a sum to a scalar. That is
+enough to express an MLP classifier, while staying easy to verify with
+finite differences. The losses, whose gradients have a closed form, record
+themselves as one node each through :func:`emit`, with an analytic backward.
 
 A ``Graph`` is a tape rebuilt for every forward pass. Tensors created
 through :meth:`Graph.param` are differentiable leaves; plain ``Tensor``
@@ -27,11 +27,9 @@ __all__ = [
     "as_tensor",
     "matmul",
     "relu",
-    "exp",
     "log_softmax",
-    "gather_rows",
-    "row_sum",
     "sum_all",
+    "emit",
     "backward",
     "grad_check",
 ]
@@ -186,8 +184,12 @@ def _graph_of(*tensors: Tensor) -> Graph | None:
     return graph
 
 
-def _emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray,
-          backward_fn: Callable | None) -> Tensor:
+def emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray,
+         backward_fn: Callable | None) -> Tensor:
+    """Record one op: its 2-D ``value`` and ``backward_fn(upstream)``, which
+    returns one gradient per graph-attached input, in input order. With no
+    attached input the result is a constant and ``backward_fn`` never runs.
+    """
     graph = _graph_of(*inputs)
     if graph is None:
         return Tensor(value)
@@ -218,7 +220,7 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
         return _add(b, a)
     else:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
-    return _emit("add", (a, b), value, back)
+    return emit("add", (a, b), value, back)
 
 
 def _sub(a: Tensor, b: Tensor) -> Tensor:
@@ -233,7 +235,7 @@ def _sub(a: Tensor, b: Tensor) -> Tensor:
             parts.append(-up)
         return tuple(parts)
 
-    return _emit("sub", (a, b), a.data - b.data, back)
+    return emit("sub", (a, b), a.data - b.data, back)
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
@@ -248,14 +250,14 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
             parts.append(up * a.data)
         return tuple(parts)
 
-    return _emit("mul", (a, b), a.data * b.data, back)
+    return emit("mul", (a, b), a.data * b.data, back)
 
 
 def _scale(a: Tensor, c: float) -> Tensor:
     def back(up):
         return (up * c,)
 
-    return _emit("scale", (a,), a.data * c, back)
+    return emit("scale", (a,), a.data * c, back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -273,7 +275,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             parts.append(a_data.T @ up)
         return tuple(parts)
 
-    return _emit("matmul", (a, b), a_data @ b_data, back)
+    return emit("matmul", (a, b), a_data @ b_data, back)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -284,17 +286,7 @@ def relu(x: Tensor) -> Tensor:
     def back(up):
         return (up * mask,)
 
-    return _emit("relu", (x,), np.where(mask, x.data, 0.0), back)
-
-
-def exp(x: Tensor) -> Tensor:
-    x = _coerce(x)
-    value = np.exp(x.data)
-
-    def back(up):
-        return (up * value,)
-
-    return _emit("exp", (x,), value, back)
+    return emit("relu", (x,), np.where(mask, x.data, 0.0), back)
 
 
 def log_softmax(logits: Tensor) -> Tensor:
@@ -313,36 +305,7 @@ def log_softmax(logits: Tensor) -> Tensor:
     def back(up):
         return (up - probs * up.sum(axis=1, keepdims=True),)
 
-    return _emit("log_softmax", (logits,), value, back)
-
-
-def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows by index; backward scatter-adds into the source rows."""
-    x = _coerce(x)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows takes a 1-D index vector")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeError("gather_rows index out of range")
-    src_shape = x.shape
-
-    def back(up):
-        grad = np.zeros(src_shape)
-        np.add.at(grad, idx, up)
-        return (grad,)
-
-    return _emit("gather_rows", (x,), x.data[idx], back)
-
-
-def row_sum(x: Tensor) -> Tensor:
-    """Sum each row: (m, n) -> (m, 1)."""
-    x = _coerce(x)
-    n_cols = x.shape[1]
-
-    def back(up):
-        return (np.repeat(up, n_cols, axis=1),)
-
-    return _emit("row_sum", (x,), x.data.sum(axis=1, keepdims=True), back)
+    return emit("log_softmax", (logits,), value, back)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -353,7 +316,7 @@ def sum_all(x: Tensor) -> Tensor:
     def back(up):
         return (np.full(shape, up[0, 0]),)
 
-    return _emit("sum_all", (x,), x.data.sum().reshape(1, 1), back)
+    return emit("sum_all", (x,), x.data.sum().reshape(1, 1), back)
 
 
 def backward(loss: Tensor) -> dict[int, np.ndarray]:

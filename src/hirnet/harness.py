@@ -32,7 +32,6 @@ from .losses import (
     cross_entropy,
     domain_mmd_penalty,
     pairwise_kl,
-    same_class_pairs,
 )
 from .models import MlpSpec, ModelParams, forward, init_params, predict, save_checkpoint
 from .optim import adam_step, init_adam
@@ -104,7 +103,7 @@ class ExperimentConfig:
             raise ConfigError("per_class_per_domain must be >= 1")
         n_domains = len(self.suite.angles)
         if self.held_out != "all":
-            if not isinstance(self.held_out, int):
+            if isinstance(self.held_out, bool) or not isinstance(self.held_out, int):
                 raise ConfigError('held_out must be a domain index or "all"')
             if not 0 <= self.held_out < n_domains:
                 raise ConfigError(f"held_out index {self.held_out} out of range [0, {n_domains})")
@@ -190,13 +189,10 @@ def _batch_breakdown(config: ExperimentConfig, z: ad.Tensor, log_probs: ad.Tenso
         return LossBreakdown(classification, None, classification, 0.0, 0)
     if config.loss_kind == "mmd":
         penalty = domain_mmd_penalty(z, labels.domains)
-        n_doms = np.unique(labels.domains).size
-        pair_count = n_doms * (n_doms - 1) // 2
     else:  # ccsa
         penalty = class_conditional_align(z, labels.labels, labels.domains)
-        pair_count = same_class_pairs(labels, cross_domain_only=True)[0].size
     combined = classification + penalty * config.alpha
-    return LossBreakdown(classification, penalty, combined, config.alpha, int(pair_count))
+    return LossBreakdown(classification, penalty, combined, config.alpha, 0)
 
 
 def _domain_attributions(log_probs: np.ndarray, labels, n_domains: int):

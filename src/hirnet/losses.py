@@ -3,9 +3,11 @@ and the two feature-alignment baselines (RBF-kernel MMD and same-class
 cross-domain distance).
 
 All functions accept plain arrays or graph-attached tensors; losses built
-on attached tensors are differentiable through the recording graph. The
-posterior-alignment loss works on log-space posteriors throughout, so no
-probability clamping is ever needed.
+on attached tensors are differentiable through the recording graph. Each
+loss is one node (``autodiff.emit``) with an analytic backward: the pair
+sums of HIR, MMD and CCSA are evaluated in closed form, never pair by pair
+on the tape. The posterior-alignment loss works on log-space posteriors
+throughout, so no probability clamping is ever needed.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ class BatchLabels:
 class LossBreakdown:
     """One objective evaluation: L = classification + alpha * hir.
 
-    ``hir`` is None when the alignment term was never constructed
+    ``hir`` is the alignment term (the feature penalty for the MMD and CCSA
+    baselines). It is None when the term was never constructed
     (alpha == 0), in which case ``combined`` is the classification tensor
-    itself. ``pair_count`` is the number of KL terms summed.
+    itself. ``pair_count`` is the number of KL terms summed (0 without one).
     """
 
     classification: Tensor
@@ -114,21 +117,17 @@ def cross_entropy(log_probs, labels) -> Tensor:
         raise ContractError(f"label out of range [0, {m})")
     onehot = np.zeros((n, m))
     onehot[np.arange(n), y] = 1.0
-    return ad.sum_all(log_probs * ad.tensor(onehot)) * (-1.0 / n)
+    scale = -1.0 / n
+    value = np.array([[(log_probs.data * onehot).sum() * scale]])
+    return ad.emit("cross_entropy", (log_probs,), value, lambda up: (onehot * (up[0, 0] * scale),))
 
 
-def same_class_pairs(labels, domains: np.ndarray | None = None,
-                     cross_domain_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def same_class_pairs(labels) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), i < j in batch order, with equal class labels.
 
-    With ``cross_domain_only`` the pair must also span two different
-    domains. Classes with fewer than two samples contribute no pairs.
+    Classes with fewer than two samples contribute no pairs.
     """
-    y, doms = _label_info(labels)
-    if domains is not None:
-        doms = np.asarray(domains, dtype=np.int64).reshape(-1)
-    if cross_domain_only and doms is None:
-        raise ContractError("cross_domain_only needs domain indices")
+    y, _ = _label_info(labels)
     firsts, seconds = [], []
     for c in np.unique(y):
         idx = np.flatnonzero(y == c)
@@ -139,42 +138,69 @@ def same_class_pairs(labels, domains: np.ndarray | None = None,
         seconds.append(idx[ju])
     if not firsts:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    i_idx = np.concatenate(firsts)
-    j_idx = np.concatenate(seconds)
-    if cross_domain_only:
-        keep = doms[i_idx] != doms[j_idx]
-        i_idx, j_idx = i_idx[keep], j_idx[keep]
-    return i_idx, j_idx
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+def _groups(*keys: np.ndarray) -> list[np.ndarray]:
+    """Row indices, in batch order, of each distinct combination of the keys.
+
+    Each key is replaced by its dense rank (< n), so the mixed-radix code in
+    base n is distinct per combination.
+    """
+    code = np.zeros(len(keys[0]), dtype=np.int64)
+    for key in keys:
+        code = code * len(key) + np.unique(key, return_inverse=True)[1].reshape(-1)
+    return [np.flatnonzero(code == g) for g in np.unique(code)]
+
+
+def _pair_sums(groups, p: np.ndarray, lp: np.ndarray):
+    """Per row, within its group: the sum of p over earlier rows, the sum of
+    lp over later rows and the number of later rows (an (n, 1) column)."""
+    earlier, later, n_later = np.zeros_like(p), np.zeros_like(lp), np.zeros((len(p), 1))
+    for idx in groups:
+        earlier[idx[1:]] = np.cumsum(p[idx[:-1]], axis=0)
+        later[idx[:-1]] = np.cumsum(lp[idx[:0:-1]], axis=0)[::-1]
+        n_later[idx, 0] = np.arange(idx.size - 1, -1, -1)
+    return earlier, later, n_later
 
 
 def hir_kl(log_probs, labels, cross_domain_only: bool = False,
-           normalize: bool = False, symmetric: bool = False) -> tuple[Tensor, int]:
+           normalize: bool = False) -> tuple[Tensor, int]:
     """Posterior-alignment loss: summed KL divergence over same-class pairs.
 
     For every same-class ordered pair (i, j) with i earlier in the batch,
     adds KL(p_i || p_j) = sum_k p_i[k] * (log p_i[k] - log p_j[k]) with
-    p = exp(log_probs), one direction per pair. Each class is handled
-    separately and the per-class sums are added. Returns the loss and the
+    p = exp(log_probs), one direction per pair. Returns the loss and the
     number of KL terms.
 
-    ``symmetric`` additionally sums the reverse direction of every pair
-    (doubling the term count); ``normalize`` divides by the term count so
-    the scale is decoupled from batch size; ``cross_domain_only`` drops
-    pairs drawn from a single domain.
+    One tape node, O(n m): the sum is sum_i p_i . (c_i log p_i - S_i), S_i
+    summing log p_j over the c_i later same-class rows; its gradient in
+    log p is p o (c log p - S + c) - P, P_i summing p_j over the earlier ones.
+
+    ``normalize`` divides by the term count so the scale is decoupled from
+    batch size; ``cross_domain_only`` drops pairs drawn from a single
+    domain, by subtracting the same sums taken per (class, domain).
     """
     log_probs = ad.as_tensor(log_probs)
-    i_idx, j_idx = same_class_pairs(labels, cross_domain_only=cross_domain_only)
-    if symmetric:
-        i_idx, j_idx = np.concatenate([i_idx, j_idx]), np.concatenate([j_idx, i_idx])
-    pair_count = int(i_idx.size)
+    y, doms = _label_info(labels)
+    if cross_domain_only and doms is None:
+        raise ContractError("cross_domain_only needs domain indices")
+    lp = log_probs.data
+    p = np.exp(lp)
+    earlier_p, later_lp, n_later = _pair_sums(_groups(y), p, lp)
+    if cross_domain_only:
+        cell_p, cell_lp, cell_n = _pair_sums(_groups(y, doms), p, lp)
+        earlier_p, later_lp, n_later = earlier_p - cell_p, later_lp - cell_lp, n_later - cell_n
+    pair_count = int(n_later.sum())
     if pair_count == 0:
         return ad.tensor(0.0), 0
-    lp_i = ad.gather_rows(log_probs, i_idx)
-    lp_j = ad.gather_rows(log_probs, j_idx)
-    total = ad.sum_all(ad.exp(lp_i) * (lp_i - lp_j))
-    if normalize:
-        total = total * (1.0 / pair_count)
-    return total, pair_count
+    scale = 1.0 / pair_count if normalize else 1.0
+    value = np.array([[np.sum(p * (n_later * lp - later_lp)) * scale]])
+
+    def back(up):
+        return ((up[0, 0] * scale) * (p * (n_later * lp - later_lp + n_later) - earlier_p),)
+
+    return ad.emit("hir_kl", (log_probs,), value, back), pair_count
 
 
 def pairwise_kl(log_probs, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,26 +237,45 @@ def combined_loss(log_probs, labels, alpha: float, cross_domain_only: bool = Fal
     return LossBreakdown(classification, hir, combined, alpha, pair_count)
 
 
+def _sq_dists(z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between every two rows of z, clipped at 0."""
+    sq = np.sum(z * z, axis=1)
+    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * (z @ z.T), 0.0)
+
+
+def _mmd_sum(parts: tuple[Tensor, ...], domains: np.ndarray, bandwidth: float) -> Tensor:
+    """Mean squared RBF MMD over the domain pairs of the stacked rows z of
+    ``parts``, as one node: sum_ij W_ij K_ij, K_ij = exp(gamma |z_i - z_j|^2)
+    with gamma = -1 / (2 bandwidth^2). W is the mean over domain pairs a < b
+    of (u_a - u_b)(u_a - u_b)^T, u_a being domain a's row indicator over its
+    size. The gradient is 4 gamma (diag((W o K) 1) z - (W o K) z).
+    """
+    if bandwidth <= 0:
+        raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
+    _, inverse, sizes = np.unique(domains, return_inverse=True, return_counts=True)
+    w = 1.0 / sizes[inverse]
+    same = inverse[:, None] == inverse[None, :]
+    weights = np.outer(w, w) * (sizes.size * same - 1.0) / (sizes.size * (sizes.size - 1) / 2)
+    z = np.vstack([t.data for t in parts])
+    gamma = -1.0 / (2.0 * bandwidth * bandwidth)
+    wk = weights * np.exp(gamma * _sq_dists(z))
+
+    def back(up):
+        grad = (4.0 * gamma * up[0, 0]) * (wk.sum(axis=1, keepdims=True) * z - wk @ z)
+        rows = np.split(grad, np.cumsum([t.shape[0] for t in parts[:-1]]))
+        return tuple(g for t, g in zip(parts, rows) if t.graph is not None)
+
+    return ad.emit("mmd", parts, np.array([[wk.sum()]]), back)
+
+
 def mmd_rbf(z_a, z_b, bandwidth: float) -> Tensor:
     """Biased (V-statistic) squared MMD with a Gaussian kernel.
 
     mean k(a, a') + mean k(b, b') - 2 mean k(a, b), where
-    k(u, v) = exp(-||u - v||^2 / (2 * bandwidth^2)).
+    k(u, v) = exp(-||u - v||^2 / (2 * bandwidth^2)), as one tape node.
     """
-    if bandwidth <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
     z_a, z_b = ad.as_tensor(z_a), ad.as_tensor(z_b)
-    gamma = -1.0 / (2.0 * bandwidth * bandwidth)
-
-    def block_mean(u: Tensor, v: Tensor) -> Tensor:
-        p, q = u.shape[0], v.shape[0]
-        rows = ad.gather_rows(u, np.repeat(np.arange(p), q))
-        cols = ad.gather_rows(v, np.tile(np.arange(q), p))
-        diff = rows - cols
-        sq_dist = ad.row_sum(diff * diff)
-        return ad.sum_all(ad.exp(sq_dist * gamma)) * (1.0 / (p * q))
-
-    return block_mean(z_a, z_a) + block_mean(z_b, z_b) + block_mean(z_a, z_b) * (-2.0)
+    return _mmd_sum((z_a, z_b), np.repeat([0, 1], [z_a.shape[0], z_b.shape[0]]), bandwidth)
 
 
 def median_bandwidth(z, fallback: float = 1.0) -> float:
@@ -239,23 +284,42 @@ def median_bandwidth(z, fallback: float = 1.0) -> float:
     n = arr.shape[0]
     if n < 2:
         return fallback
-    sq = np.sum(arr * arr, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (arr @ arr.T), 0.0)
-    med = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    med = float(np.median(np.sqrt(_sq_dists(arr)[np.triu_indices(n, k=1)])))
     return med if med > 0 else fallback
+
+
+def _spread(groups, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: its group's size (an (n, 1) column) and its offset from the group mean."""
+    sizes, offsets = np.zeros((len(z), 1)), np.zeros_like(z)
+    for idx in groups:
+        sizes[idx], offsets[idx] = idx.size, z[idx] - z[idx].mean(axis=0)
+    return sizes, offsets
 
 
 def class_conditional_align(z, labels, domains=None) -> Tensor:
     """Mean squared distance between same-class rows from different domains.
 
-    Zero when the batch has no cross-domain same-class pair.
+    Zero when the batch has no cross-domain same-class pair. Within n rows,
+    sum_{i<j} ||z_i - z_j||^2 = n sum_i ||z_i - mean||^2; the cross-domain
+    sum is that of each class less that of each (class, domain) cell.
     """
     z = ad.as_tensor(z)
-    i_idx, j_idx = same_class_pairs(labels, domains=domains, cross_domain_only=True)
-    if i_idx.size == 0:
+    y, doms = _label_info(labels)
+    if domains is not None:
+        doms = np.asarray(domains, dtype=np.int64).reshape(-1)
+    if doms is None:
+        raise ContractError("class_conditional_align needs domain indices")
+    class_n, class_dev = _spread(_groups(y), z.data)
+    cell_n, cell_dev = _spread(_groups(y, doms), z.data)
+    pair_count = int((class_n - cell_n).sum()) // 2
+    if pair_count == 0:
         return ad.tensor(0.0)
-    diff = ad.gather_rows(z, i_idx) - ad.gather_rows(z, j_idx)
-    return ad.sum_all(diff * diff) * (1.0 / i_idx.size)
+    total = np.sum(class_n * class_dev * class_dev) - np.sum(cell_n * cell_dev * cell_dev)
+
+    def back(up):
+        return ((2.0 * up[0, 0] / pair_count) * (class_n * class_dev - cell_n * cell_dev),)
+
+    return ad.emit("ccsa", (z,), np.array([[total / pair_count]]), back)
 
 
 def domain_mmd_penalty(z, domains, bandwidth: float | None = None) -> Tensor:
@@ -271,16 +335,6 @@ def domain_mmd_penalty(z, domains, bandwidth: float | None = None) -> Tensor:
         raise ContractError("one domain index per z row required")
     if bandwidth is None:
         bandwidth = median_bandwidth(z.data)
-    present = np.unique(doms)
-    terms = []
-    for a_pos, a in enumerate(present):
-        for b in present[a_pos + 1:]:
-            terms.append(mmd_rbf(ad.gather_rows(z, np.flatnonzero(doms == a)),
-                                 ad.gather_rows(z, np.flatnonzero(doms == b)),
-                                 bandwidth))
-    if not terms:
+    if np.unique(doms).size < 2:
         return ad.tensor(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
+    return _mmd_sum((z,), doms, bandwidth)

@@ -134,27 +134,33 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint; a missing line or non-numeric value is a ContractError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ContractError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
-    sizes = [int(tok) for tok in lines[1].split()[1:]]
     params = ModelParams()
-    cursor = 2
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        head = lines[cursor].split()
-        if head[0] != "W" or (int(head[1]), int(head[2])) != (fan_in, fan_out):
-            raise ContractError(f"checkpoint layer header mismatch at line {cursor + 1}")
-        cursor += 1
-        w = np.array([[float(v) for v in lines[cursor + r].split()] for r in range(fan_in)])
-        cursor += fan_in
-        if not lines[cursor].startswith("b "):
-            raise ContractError(f"checkpoint bias header missing at line {cursor + 1}")
-        cursor += 1
-        b = np.array([[float(v) for v in lines[cursor].split()]])
-        cursor += 1
-        if w.shape != (fan_in, fan_out) or b.shape != (1, fan_out):
-            raise ContractError("checkpoint value block has wrong shape")
-        params.weights.append(w)
-        params.biases.append(b)
+    try:
+        sizes = [int(tok) for tok in lines[1].split()[1:]]
+        cursor = 2
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            head = lines[cursor].split()
+            if head[0] != "W" or (int(head[1]), int(head[2])) != (fan_in, fan_out):
+                raise ContractError(f"checkpoint layer header mismatch at line {cursor + 1}")
+            cursor += 1
+            w = np.array([[float(v) for v in lines[cursor + r].split()] for r in range(fan_in)])
+            cursor += fan_in
+            if not lines[cursor].startswith("b "):
+                raise ContractError(f"checkpoint bias header missing at line {cursor + 1}")
+            cursor += 1
+            b = np.array([[float(v) for v in lines[cursor].split()]])
+            cursor += 1
+            if w.shape != (fan_in, fan_out) or b.shape != (1, fan_out):
+                raise ContractError("checkpoint value block has wrong shape")
+            params.weights.append(w)
+            params.biases.append(b)
+    except (IndexError, ValueError) as exc:
+        raise ContractError(f"truncated or malformed checkpoint {path}: {exc}") from exc
+    if not params.weights:
+        raise ContractError(f"checkpoint has no layers: {path}")
     return params

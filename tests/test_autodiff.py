@@ -163,16 +163,13 @@ class TestGradCheck:
 
 OPS = {
     "add": lambda g, ts: ad.sum_all((ts[0] + ts[1]) * (ts[0] + ts[1])),
-    "add_bias_row": lambda g, ts: ad.sum_all(ad.exp(ts[0] + ts[1])),
+    "add_bias_row": lambda g, ts: ad.sum_all((ts[0] + ts[1]) * (ts[0] + ts[1])),
     "sub": lambda g, ts: ad.sum_all((ts[0] - ts[1]) * (ts[0] - ts[1])),
     "mul": lambda g, ts: ad.sum_all(ts[0] * ts[1] * 0.5),
     "scale": lambda g, ts: ad.sum_all(ts[0] * 3.7),
     "matmul": lambda g, ts: ad.sum_all(ad.matmul(ts[0], ts[1]) * ad.matmul(ts[0], ts[1])),
     "relu": lambda g, ts: ad.sum_all(ad.relu(ts[0]) * ad.relu(ts[0])),
-    "exp": lambda g, ts: ad.sum_all(ad.exp(ts[0])),
     "log_softmax": lambda g, ts: ad.sum_all(ad.log_softmax(ts[0]) * ad.log_softmax(ts[0])),
-    "gather_rows": lambda g, ts: ad.sum_all(ad.gather_rows(ts[0], [2, 0, 2]) * 2.0),
-    "row_sum": lambda g, ts: ad.sum_all(ad.row_sum(ts[0]) * ad.row_sum(ts[0])),
 }
 
 
@@ -189,6 +186,38 @@ def test_every_op_passes_grad_check(name):
     else:
         params = [a]
     assert ad.grad_check(OPS[name], params, step=1e-5) < 1e-4
+
+
+def cube_sum(x: ad.Tensor) -> ad.Tensor:
+    """sum(x^3) recorded as one node through the public entry point."""
+    value = np.array([[np.sum(x.data ** 3)]])
+    return ad.emit("cube_sum", (x,), value, lambda up: (3.0 * up[0, 0] * x.data ** 2,))
+
+
+class TestEmit:
+    def test_custom_node_passes_grad_check(self):
+        x = np.random.default_rng(4).normal(size=(3, 2))
+        assert ad.grad_check(lambda g, ts: cube_sum(ts[0] * 2.0), [x]) < 1e-4
+
+    def test_records_one_node(self):
+        g = ad.Graph()
+        x = g.param([[1.0, 2.0]])
+        before = len(g)
+        loss = cube_sum(x)
+        assert len(g) == before + 1
+        np.testing.assert_array_equal(g.backward(loss)[x.node_id], [[3.0, 12.0]])
+
+    def test_constant_inputs_give_a_constant(self):
+        out = cube_sum(ad.tensor([[2.0]]))
+        assert out.graph is None and out.item() == 8.0
+
+    def test_constant_input_gets_no_gradient(self):
+        g = ad.Graph()
+        x = g.param([[1.0, 2.0]])
+        c = ad.tensor([[5.0, 5.0]])
+        loss = ad.emit("dot", (c, x), np.array([[np.sum(c.data * x.data)]]),
+                       lambda up: (up[0, 0] * c.data,))
+        np.testing.assert_array_equal(g.backward(loss)[x.node_id], [[5.0, 5.0]])
 
 
 def test_tensors_require_two_dims():

@@ -57,6 +57,12 @@ class TestRunCommand:
         cfg_path = write_config(tmp_path, {**small_config(), "gpu": True})
         assert main(["run", "--config", cfg_path]) == 2
 
+    def test_boolean_held_out_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, small_config(held_out=True))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_all_runs_failed_exits_3(self, tmp_path, capsys):
         raw = small_config(optimizer=OptimizerConfig(lr=1e200).to_dict(), epochs=3)
         cfg_path = write_config(tmp_path, raw)
@@ -121,6 +127,23 @@ class TestDiagCommand:
         manifest = tmp_path / "suite.json"
         save_manifest(SuiteSpec(), manifest)
         assert main(["diag", "--checkpoint", str(bogus), "--suite", str(manifest)]) == 2
+
+    @pytest.mark.parametrize("damage", ["truncate", "garble"])
+    def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, damage):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
+        lines = ckpt.read_text().splitlines()
+        if damage == "truncate":
+            lines = lines[:4]
+        else:
+            lines[3] = "0.25 not-a-number " + lines[3]
+        ckpt.write_text("\n".join(lines) + "\n")
+        manifest = tmp_path / "suite.json"
+        save_manifest(SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)), manifest)
+        code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
+                     "--out", str(tmp_path / "diag")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         params = init_params(MlpSpec((3, 4, 2), seed=0))

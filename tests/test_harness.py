@@ -107,6 +107,14 @@ class TestConfig:
     def test_held_out_all_expands(self):
         assert tiny_config(held_out="all").held_out_indices() == [0, 1, 2]
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_held_out_rejected(self, flag):
+        # bool is an int subclass; True would otherwise run as domain 1.
+        with pytest.raises(ConfigError):
+            tiny_config(held_out=flag)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({**tiny_config().to_dict(), "held_out": flag})
+
 
 class TestTrain:
     def test_traces_have_one_series_per_training_domain(self):
@@ -178,6 +186,29 @@ class TestTrain:
             outcome = run_single(cfg, 1, 0)
             results[alpha] = outcome.accuracy
         assert abs(results[0.0] - results[1e-12]) < 0.1
+
+
+@pytest.mark.parametrize("loss_kind", ["hir", "mmd", "ccsa"])
+def test_step_tape_length_does_not_grow_with_batch_size(loss_kind, monkeypatch):
+    """Each penalty is one tape node, so the pair count never reaches the tape."""
+    original = ad.Graph.backward
+
+    def tape_lengths(per_class_per_domain: int) -> set[int]:
+        seen = []
+
+        def spy(graph, loss):
+            seen.append(len(graph))
+            return original(graph, loss)
+
+        monkeypatch.setattr(ad.Graph, "backward", spy)
+        cfg = tiny_config(loss_kind=loss_kind, alpha=0.1, epochs=1,
+                          per_class_per_domain=per_class_per_domain)
+        train(init_params(MlpSpec((2, 8, 2), seed=0)), cfg.suite.build().drop(1), cfg)
+        return set(seen)
+
+    # 4 parameters, 5 forward nodes, log_softmax, cross-entropy, the penalty,
+    # its alpha scaling and the sum.
+    assert tape_lengths(2) == tape_lengths(10) == {14}
 
 
 class TestEvaluate:

@@ -92,6 +92,12 @@ class TestCrossEntropy:
             lambda g, ts: cross_entropy(ad.log_softmax(ts[0]), y), [logits])
         assert err < 1e-4
 
+    def test_gradient_with_respect_to_log_probs(self):
+        rng = np.random.default_rng(32)
+        lp = random_log_posteriors(rng, 6, 4)
+        y = rng.integers(0, 4, size=6)
+        assert ad.grad_check(lambda g, ts: cross_entropy(ts[0], y) * 3.0, [lp]) < 1e-4
+
 
 class TestHirKl:
     def test_identical_posteriors_zero(self):
@@ -174,17 +180,6 @@ class TestHirKl:
         loss, _ = hir_kl(lp_rows, y)
         assert abs(loss.item()) < 1e-9
 
-    def test_symmetrized_value_is_permutation_invariant(self):
-        rng = np.random.default_rng(4)
-        lp = random_log_posteriors(rng, 9, 3)
-        y = rng.integers(0, 2, size=9)
-        base_sym, base_count = hir_kl(lp, y, symmetric=True)
-        for _ in range(5):
-            perm = rng.permutation(9)
-            loss, count = hir_kl(lp[perm], y[perm], symmetric=True)
-            assert count == base_count
-            assert loss.item() == pytest.approx(base_sym.item(), abs=1e-10)
-
     def test_asymmetric_invariant_to_cross_class_permutation(self):
         # Swapping samples of different classes keeps all pair directions.
         rng = np.random.default_rng(5)
@@ -208,6 +203,33 @@ class TestHirKl:
         err = ad.grad_check(
             lambda g, ts: hir_kl(ad.log_softmax(ts[0]), y)[0], [logits])
         assert err < 1e-4
+
+    @pytest.mark.parametrize("cross_domain_only,normalize",
+                             [(True, False), (False, True), (True, True)])
+    def test_gradient_of_options(self, cross_domain_only, normalize):
+        rng = np.random.default_rng(23)
+        logits = rng.normal(size=(12, 3))
+        labels = BatchLabels(rng.integers(0, 2, size=12), rng.integers(0, 3, size=12))
+        err = ad.grad_check(
+            lambda g, ts: hir_kl(ad.log_softmax(ts[0]), labels, cross_domain_only=cross_domain_only,
+                                 normalize=normalize)[0], [logits])
+        assert err < 1e-4
+
+    def test_gradient_with_respect_to_log_probs(self):
+        # The node's own backward, without log_softmax's projection in front.
+        rng = np.random.default_rng(24)
+        lp = random_log_posteriors(rng, 9, 4)
+        labels = BatchLabels(rng.integers(0, 3, size=9), rng.integers(0, 2, size=9))
+        err = ad.grad_check(
+            lambda g, ts: hir_kl(ts[0], labels, cross_domain_only=True)[0], [lp])
+        assert err < 1e-4
+
+    def test_records_one_tape_node(self):
+        g = ad.Graph()
+        lp = ad.log_softmax(g.param(np.random.default_rng(25).normal(size=(30, 3))))
+        before = len(g)
+        hir_kl(lp, np.zeros(30, dtype=int))
+        assert len(g) == before + 1
 
 
 class TestPairwiseKl:
@@ -303,6 +325,13 @@ class TestMmd:
         err = ad.grad_check(lambda g, ts: mmd_rbf(ts[0], ts[1], 0.9), [a, b])
         assert err < 1e-4
 
+    def test_gradient_with_one_constant_side(self):
+        rng = np.random.default_rng(30)
+        a = rng.normal(size=(4, 2))
+        b = rng.normal(size=(5, 2))
+        err = ad.grad_check(lambda g, ts: mmd_rbf(ad.tensor(a), ts[0], 0.9), [b])
+        assert err < 1e-4
+
 
 class TestClassConditionalAlign:
     def test_coinciding_pairs_zero(self):
@@ -340,6 +369,19 @@ class TestClassConditionalAlign:
             lambda g, ts: class_conditional_align(ts[0], labels, domains), [z])
         assert err < 1e-4
 
+    def test_gradient_with_uneven_cells(self):
+        rng = np.random.default_rng(26)
+        z = rng.normal(size=(11, 3))
+        labels = np.array([0, 0, 0, 1, 1, 0, 1, 2, 0, 1, 1])
+        domains = np.array([0, 0, 1, 1, 1, 2, 0, 2, 0, 1, 2])
+        err = ad.grad_check(
+            lambda g, ts: class_conditional_align(ts[0], BatchLabels(labels, domains)), [z])
+        assert err < 1e-4
+
+    def test_needs_domains(self):
+        with pytest.raises(ContractError):
+            class_conditional_align(np.zeros((2, 2)), [0, 0])
+
 
 class TestDomainMmdPenalty:
     def test_mean_over_domain_pairs(self):
@@ -355,6 +397,33 @@ class TestDomainMmdPenalty:
     def test_single_domain_zero(self):
         z = np.random.default_rng(21).normal(size=(4, 2))
         assert domain_mmd_penalty(z, [0, 0, 0, 0], bandwidth=1.0).item() == 0.0
+
+    def test_matches_pair_oracle_with_unequal_domains(self):
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            sizes = rng.integers(1, 9, size=int(rng.integers(2, 6)))
+            domains = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+            z = rng.normal(scale=1.5, size=(domains.size, 3))
+            bw = float(rng.uniform(0.3, 2.0))
+            parts = [naive_mmd(z[domains == a], z[domains == b], bw)
+                     for a in range(sizes.size) for b in range(a + 1, sizes.size)]
+            got = domain_mmd_penalty(z, domains, bandwidth=bw).item()
+            assert got == pytest.approx(np.mean(parts), abs=1e-10)
+
+    def test_gradient_with_unequal_domains_and_a_single_row(self):
+        rng = np.random.default_rng(28)
+        z = rng.normal(size=(8, 2))
+        domains = np.array([0, 1, 0, 2, 0, 1, 0, 0])  # domain 2 has one row
+        err = ad.grad_check(lambda g, ts: domain_mmd_penalty(ts[0], domains, bandwidth=0.8),
+                            [z])
+        assert err < 1e-4
+
+    def test_records_one_tape_node(self):
+        g = ad.Graph()
+        z = g.param(np.random.default_rng(29).normal(size=(40, 4))) * 1.0
+        before = len(g)
+        domain_mmd_penalty(z, np.arange(40) % 4)
+        assert len(g) == before + 1
 
 
 class TestMedianBandwidth:

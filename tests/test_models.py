@@ -145,6 +145,26 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("keep", [1, 2, 4, 6])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(MlpSpec((2, 3, 2), seed=2)), path)
+        path.write_text("\n".join(path.read_text().splitlines()[:keep]) + "\n")
+        with pytest.raises(ContractError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line,text", [(1, "layer_sizes 2 x 2"), (2, "W 2 three"),
+                                           (3, "0.5 abc 1.0"), (3, "0.5 1.0"),
+                                           (1, "layer_sizes 2")])
+    def test_garbled_file_rejected(self, tmp_path, line, text):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(MlpSpec((2, 3, 2), seed=2)), path)
+        lines = path.read_text().splitlines()
+        lines[line] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError):
+            load_checkpoint(path)
+
     def test_predictions_survive_round_trip(self, tmp_path):
         params = init_params(MlpSpec((2, 6, 3), seed=13))
         x = np.random.default_rng(8).normal(size=(10, 2))
