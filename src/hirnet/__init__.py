@@ -12,13 +12,10 @@ from .data import (
     DomainDataset,
     DomainSuite,
     PriorShiftSpec,
-    Sample,
     SuiteSpec,
     apply_prior_shift,
     gen_rotated_suite,
     stratified_batches,
-    stratified_folds,
-    train_test_split,
 )
 from .diagnostics import (
     DiagnosticsBundle,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_int, check_real
 from .losses import BatchLabels
 
 DEFAULT_ANGLES = (0.0, 15.0, 30.0, 45.0, 60.0, 75.0)
@@ -27,15 +27,6 @@ GENERATOR_KINDS = ("moons", "gaussians")
 _MOONS_CENTER = np.array([0.5, 0.25])
 _GAUSSIAN_RADIUS = 2.0
 _GAUSSIAN_SPREAD = 0.35
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One labeled point; ``base_id`` identifies its pre-rotation origin."""
-
-    x: np.ndarray
-    y: int
-    base_id: int
 
 
 @dataclass
@@ -55,9 +46,6 @@ class DomainDataset:
 
     def __len__(self) -> int:
         return self.y.size
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.x[i], int(self.y[i]), int(self.base_id[i]))
 
     def subset(self, indices) -> "DomainDataset":
         idx = np.asarray(indices, dtype=np.intp)
@@ -216,10 +204,11 @@ def apply_prior_shift(suite: DomainSuite, spec: PriorShiftSpec, seed: int = 0) -
     return DomainSuite(shifted, list(suite.domain_params), suite.class_count)
 
 
-def _cycled(order: np.ndarray, start: int, count: int) -> np.ndarray:
-    """``count`` entries of ``order`` starting at ``start``, wrapping around."""
-    reps = np.arange(start, start + count) % order.size
-    return order[reps]
+def _last_rows(dataset: DomainDataset, cls: int, ids: np.ndarray) -> np.ndarray:
+    """Row of each (base_id, ``cls``) in ``ids``; a repeated pair resolves to its last row."""
+    rows = np.flatnonzero(dataset.y == cls)[::-1]
+    keys, first = np.unique(dataset.base_id[rows], return_index=True)
+    return rows[first[np.searchsorted(keys, ids)]]
 
 
 def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
@@ -233,102 +222,59 @@ def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
     shuffled samples (each sample reused at most once more than any other
     over the epoch); empty cells contribute nothing and raise a warning.
     Deterministic given ``seed``. Yields (x, BatchLabels) pairs.
+
+    Each call plans its whole epoch up front: it makes every random draw,
+    gathers each domain's rows for all batches with one fancy index, and
+    then yields slices. All batches of one call share one label layout
+    (domain-major, then class, ``per_class_per_domain`` rows per cell) and
+    the same read-only ``labels`` and ``domains`` arrays.
     """
-    if per_class_per_domain < 1:
-        raise ConfigError("per_class_per_domain must be >= 1")
-    k = per_class_per_domain
+    k = check_int("per_class_per_domain", per_class_per_domain, 1)
     rng = np.random.default_rng(seed)
     n_domains, m = len(suite), suite.class_count
 
+    # (domain, class, shuffled draw order): row indices, or base_ids if paired.
+    cells: list[tuple[int, int, np.ndarray]] = []
     if paired:
         usable: dict[int, np.ndarray] = {}
         for c in range(m):
             common = None
             for dataset in suite.domains:
-                ids = set(dataset.base_id[dataset.y == c].tolist())
-                common = ids if common is None else (common & ids)
-            common = np.array(sorted(common), dtype=np.int64) if common else np.empty(0, np.int64)
-            if common.size == 0:
+                ids = np.unique(dataset.base_id[dataset.y == c])
+                common = ids if common is None else np.intersect1d(common, ids, assume_unique=True)
+            if common is None or common.size == 0:
                 warnings.warn(f"paired sampling: class {c} has no base_id common to all domains")
             else:
                 usable[c] = common[rng.permutation(common.size)]
-        if not usable:
-            return
-        lookup = [{(int(b), int(cc)): i for i, (b, cc) in enumerate(zip(ds.base_id, ds.y))}
-                  for ds in suite.domains]
-        n_batches = max(int(np.ceil(ids.size / k)) for ids in usable.values())
-        for b in range(n_batches):
-            xs, ys, doms, pids = [], [], [], []
-            chosen = {c: _cycled(ids, b * k, k) for c, ids in usable.items()}
-            for d, dataset in enumerate(suite.domains):
-                for c, ids in chosen.items():
-                    rows = [lookup[d][(int(bid), c)] for bid in ids]
-                    xs.append(dataset.x[rows])
-                    ys.append(np.full(k, c, dtype=np.int64))
-                    doms.append(np.full(k, d, dtype=np.int64))
-                    pids.append(ids)
-            yield np.vstack(xs), BatchLabels(np.concatenate(ys), np.concatenate(doms),
-                                             np.concatenate(pids))
-        return
-
-    orders: dict[tuple[int, int], np.ndarray] = {}
-    for d, dataset in enumerate(suite.domains):
-        for c in range(m):
-            idx = np.flatnonzero(dataset.y == c)
-            if idx.size == 0:
-                warnings.warn(f"empty cell: domain {d} has no samples of class {c}")
-            else:
-                orders[(d, c)] = idx[rng.permutation(idx.size)]
-    if not orders:
-        return
-    n_batches = max(int(np.ceil(order.size / k)) for order in orders.values())
-    for b in range(n_batches):
-        xs, ys, doms = [], [], []
+        cells = [(d, c, ids) for d in range(n_domains) for c, ids in usable.items()]
+    else:
         for d, dataset in enumerate(suite.domains):
             for c in range(m):
-                order = orders.get((d, c))
-                if order is None:
-                    continue
-                rows = _cycled(order, b * k, k)
-                xs.append(dataset.x[rows])
-                ys.append(np.full(k, c, dtype=np.int64))
-                doms.append(np.full(k, d, dtype=np.int64))
-        yield np.vstack(xs), BatchLabels(np.concatenate(ys), np.concatenate(doms))
-
-
-def stratified_folds(dataset: DomainDataset, n_folds: int, seed: int = 0) -> list[DomainDataset]:
-    """Partition into folds whose per-class counts differ by at most one."""
-    if n_folds < 1:
-        raise ConfigError("n_folds must be >= 1")
-    counts = np.bincount(dataset.y)
-    smallest = counts[counts > 0].min()
-    if n_folds > smallest:
-        raise ConfigError(f"n_folds={n_folds} exceeds smallest class count {smallest}")
-    rng = np.random.default_rng(seed)
-    fold_members: list[list[np.ndarray]] = [[] for _ in range(n_folds)]
-    for c in np.unique(dataset.y):
-        idx = np.flatnonzero(dataset.y == c)
-        order = idx[rng.permutation(idx.size)]
-        for f in range(n_folds):
-            fold_members[f].append(order[f::n_folds])
-    return [dataset.subset(np.sort(np.concatenate(members))) for members in fold_members]
-
-
-def train_test_split(dataset: DomainDataset, train_fraction: float,
-                     seed: int = 0) -> tuple[DomainDataset, DomainDataset]:
-    """Class-stratified random split; deterministic given seed."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
-    for c in np.unique(dataset.y):
-        idx = np.flatnonzero(dataset.y == c)
-        order = idx[rng.permutation(idx.size)]
-        n_train = int(round(train_fraction * idx.size))
-        train_idx.append(order[:n_train])
-        test_idx.append(order[n_train:])
-    return (dataset.subset(np.sort(np.concatenate(train_idx))),
-            dataset.subset(np.sort(np.concatenate(test_idx))))
+                idx = np.flatnonzero(dataset.y == c)
+                if idx.size == 0:
+                    warnings.warn(f"empty cell: domain {d} has no samples of class {c}")
+                else:
+                    cells.append((d, c, idx[rng.permutation(idx.size)]))
+    if not cells:
+        return
+    n_batches = max(-(-order.size // k) for _, _, order in cells)
+    take = np.arange(n_batches * k).reshape(n_batches, k)
+    xs, pair_ids = [], []
+    for d, dataset in enumerate(suite.domains):
+        drawn = [(c, order[take % order.size]) for dd, c, order in cells if dd == d]
+        if not drawn:
+            continue
+        if paired:
+            pair_ids.extend(ids for _, ids in drawn)
+            drawn = [(c, _last_rows(dataset, c, ids)) for c, ids in drawn]
+        xs.append(dataset.x[np.hstack([rows for _, rows in drawn])])
+    x = np.concatenate(xs, axis=1)
+    pids = np.hstack(pair_ids) if paired else None
+    labels = np.repeat(np.array([c for _, c, _ in cells], dtype=np.int64), k)
+    domains = np.repeat(np.array([d for d, _, _ in cells], dtype=np.int64), k)
+    labels.flags.writeable = domains.flags.writeable = False
+    for b in range(n_batches):
+        yield x[b], BatchLabels(labels, domains, None if pids is None else pids[b])
 
 
 def suite_to_csv(suite: DomainSuite, path) -> None:
@@ -387,6 +333,18 @@ class SuiteSpec:
     prior_shift: list[list[float]] | None = None
     prior_shift_seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in GENERATOR_KINDS:
+            raise ConfigError(f"unknown generator kind {self.kind!r}")
+        if not isinstance(self.angles, (list, tuple)):
+            raise ConfigError(f"angles must be a list of numbers, got {self.angles!r}")
+        self.angles = tuple(check_real("angles", a) for a in self.angles)
+        self.n_per_class = check_int("n_per_class", self.n_per_class, 1)
+        self.noise_sd = check_real("noise_sd", self.noise_sd, 0.0)
+        self.seed = check_int("seed", self.seed, 0)
+        self.class_count = check_int("class_count", self.class_count, 2)
+        self.prior_shift_seed = check_int("prior_shift_seed", self.prior_shift_seed, 0)
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -405,10 +363,7 @@ class SuiteSpec:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown suite fields: {sorted(unknown)}")
-        spec = cls(**raw)
-        if spec.kind not in GENERATOR_KINDS:
-            raise ConfigError(f"unknown generator kind {spec.kind!r}")
-        return spec
+        return cls(**raw)
 
     def build(self) -> DomainSuite:
         suite = gen_rotated_suite(self.kind, self.n_per_class, self.angles,
@@ -427,7 +382,4 @@ def save_manifest(spec: SuiteSpec, path) -> None:
 
 def load_manifest(path) -> SuiteSpec:
     with open(path) as fh:
-        raw = json.load(fh)
-    if "angles" in raw:
-        raw["angles"] = tuple(raw["angles"])
-    return SuiteSpec.from_dict(raw)
+        return SuiteSpec.from_dict(json.load(fh))

@@ -9,6 +9,11 @@ loss) are marked failed and the remaining runs continue.
 Loss kinds: "agg" is cross-entropy only; "hir" adds the pairwise
 posterior-alignment term weighted by alpha; "mmd" and "ccsa" add the
 corresponding feature-alignment penalty on the latent z instead.
+
+A training step is one forward pass, one tape backward and one Adam step on
+a batch of the epoch that ``stratified_batches`` plans up front. The
+per-domain attribution traces are computed once per epoch, from the
+epoch's stacked detached log-probs, never pair by pair inside a step.
 """
 
 from __future__ import annotations
@@ -24,28 +29,22 @@ import numpy as np
 from . import autodiff as ad
 from . import diagnostics as diag
 from .data import DomainDataset, DomainSuite, SuiteSpec, stratified_batches
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_int, check_ints, check_real
 from .losses import (
     LossBreakdown,
     class_conditional_align,
     combined_loss,
     cross_entropy,
     domain_mmd_penalty,
-    pairwise_kl,
 )
 from .models import MlpSpec, ModelParams, forward, init_params, predict, save_checkpoint
 from .optim import adam_step, init_adam
 
 LOSS_KINDS = ("agg", "hir", "mmd", "ccsa")
 
-# Published protocol defaults for the two experiment families this engine
-# mirrors: rotated ordered domains and the unordered four-dataset setting.
+# Published protocol defaults for the rotated ordered-domain experiments.
 ROTATED_LR = 1e-3
 ROTATED_ALPHA = 1e-3
-VLCS_LR = 1e-4
-VLCS_ALPHA = 1e-6
-VLCS_FOLDS = 80
-VLCS_TRAIN_FRACTION = 0.7
 
 
 class TrainingDiverged(RuntimeError):
@@ -58,6 +57,10 @@ class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("lr", "beta1", "beta2", "eps"):
+            object.__setattr__(self, name, check_real(f"optimizer {name}", getattr(self, name)))
 
     def to_dict(self) -> dict:
         return {"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps}
@@ -89,18 +92,20 @@ class ExperimentConfig:
     collect_diagnostics: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        checked = {
+            "hidden_sizes": check_ints("hidden_sizes", self.hidden_sizes, 1),
+            "seeds": check_ints("seeds", self.seeds, 0),
+            "alpha": check_real("alpha", self.alpha, 0.0),
+            "epochs": check_int("epochs", self.epochs, 1),
+            "per_class_per_domain": check_int("per_class_per_domain",
+                                              self.per_class_per_domain, 1),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.per_class_per_domain < 1:
-            raise ConfigError("per_class_per_domain must be >= 1")
         n_domains = len(self.suite.angles)
         if self.held_out != "all":
             if isinstance(self.held_out, bool) or not isinstance(self.held_out, int):
@@ -137,16 +142,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(raw)
         if "suite" in kwargs:
-            suite_raw = dict(kwargs["suite"])
-            if "angles" in suite_raw:
-                suite_raw["angles"] = tuple(suite_raw["angles"])
-            kwargs["suite"] = SuiteSpec.from_dict(suite_raw)
+            kwargs["suite"] = SuiteSpec.from_dict(dict(kwargs["suite"]))
         if "optimizer" in kwargs:
             kwargs["optimizer"] = OptimizerConfig.from_dict(kwargs["optimizer"])
-        if "hidden_sizes" in kwargs:
-            kwargs["hidden_sizes"] = tuple(kwargs["hidden_sizes"])
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
         return cls(**kwargs)
 
 
@@ -157,7 +155,9 @@ class TrainTraces:
     ``per_domain_kl[e][d]`` is the mean posterior KL over same-class pairs
     involving training domain d during epoch e, the quantity that separates
     paired from unpaired runs. ``per_domain_l_c`` is the mean cross-entropy
-    restricted to each domain's batch rows.
+    restricted to each domain's batch rows. Both are batch means averaged
+    over the epoch, computed in one pass at the end of it; a domain with no
+    rows, or no pairs, gets 0.
     """
 
     domain_params: list[float]
@@ -195,21 +195,39 @@ def _batch_breakdown(config: ExperimentConfig, z: ad.Tensor, log_probs: ad.Tenso
     return LossBreakdown(classification, penalty, combined, config.alpha, 0)
 
 
-def _domain_attributions(log_probs: np.ndarray, labels, n_domains: int):
-    """Detached per-domain mean cross-entropy and mean pairwise posterior KL."""
+def _epoch_attributions(log_probs: np.ndarray, labels, n_domains: int):
+    """Per-domain mean cross-entropy and mean same-class posterior KL over an
+    epoch, from its detached (batches, n, m) log-probs and shared layout.
+
+    KL(p_i || p_j) = h_i - p_i . log p_j with h_i = p_i . log p_i, so the
+    epoch's sums K_ij over batches come from one matmul over the stacked
+    (batch, class) axis. With M the same-class i < j mask and U the
+    row-to-domain indicator, U^T (M o K) U sums them by the domains of both
+    ends; a domain's pairs are its row plus its column less the pairs with
+    both ends in it. Since every batch has the same layout, the epoch mean
+    of the batch means is the epoch's sum divided by the per-batch count
+    times the number of batches. A domain with no rows or no pairs gets 0.
+    """
     y, doms = labels.labels, labels.domains
-    true_lp = log_probs[np.arange(y.size), y]
-    ce = np.zeros(n_domains)
-    kl = np.zeros(n_domains)
-    i_idx, j_idx, kl_values = pairwise_kl(log_probs, labels)
-    for d in range(n_domains):
-        rows = doms == d
-        if rows.any():
-            ce[d] = -true_lp[rows].mean()
-        touching = rows[i_idx] | rows[j_idx]
-        if touching.any():
-            kl[d] = kl_values[touching].mean()
-    return ce, kl
+    n_batches, n, _ = log_probs.shape
+    member = (doms[:, None] == np.arange(n_domains)).astype(np.float64)
+    true_lp = log_probs[:, np.arange(n), y].sum(axis=0)
+    ce = _safe_mean(-(true_lp @ member), member.sum(axis=0) * n_batches)
+    p_rows = np.exp(log_probs).transpose(1, 0, 2).reshape(n, -1)
+    lp_rows = log_probs.transpose(1, 0, 2).reshape(n, -1)
+    kl = (p_rows * lp_rows).sum(axis=1)[:, None] - p_rows @ lp_rows.T
+    same_class = np.triu(y[:, None] == y[None, :], k=1).astype(np.float64)
+
+    def touching(pair_values):
+        by_domains = member.T @ pair_values @ member
+        return by_domains.sum(axis=1) + by_domains.sum(axis=0) - np.diag(by_domains)
+
+    kl_d = _safe_mean(touching(same_class * kl), touching(same_class) * n_batches)
+    return ce, kl_d
+
+
+def _safe_mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
+    return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
 def train(params: ModelParams, train_suite: DomainSuite, config: ExperimentConfig,
@@ -228,10 +246,7 @@ def train(params: ModelParams, train_suite: DomainSuite, config: ExperimentConfi
     traces = TrainTraces(domain_params=list(train_suite.domain_params))
     n_domains = len(train_suite)
     for epoch in range(config.epochs):
-        epoch_lc, epoch_lh = [], []
-        dom_ce = np.zeros(n_domains)
-        dom_kl = np.zeros(n_domains)
-        n_batches = 0
+        epoch_lc, epoch_lh, epoch_lp = [], [], []
         for x, labels in stratified_batches(train_suite, config.per_class_per_domain,
                                             paired=config.paired, seed=[batch_seed, epoch]):
             graph = ad.Graph()
@@ -248,16 +263,15 @@ def train(params: ModelParams, train_suite: DomainSuite, config: ExperimentConfi
                 raise TrainingDiverged(str(exc)) from exc
             epoch_lc.append(breakdown.classification_value)
             epoch_lh.append(breakdown.hir_value)
-            ce_d, kl_d = _domain_attributions(log_probs.data, labels, n_domains)
-            dom_ce += ce_d
-            dom_kl += kl_d
-            n_batches += 1
-        if n_batches == 0:
+            epoch_lp.append(log_probs.data)
+        if not epoch_lp:
             raise ConfigError("sampler produced no batches; check cell sizes")
         traces.l_c.append(float(np.mean(epoch_lc)))
         traces.l_h.append(float(np.mean(epoch_lh)))
-        traces.per_domain_l_c.append((dom_ce / n_batches).tolist())
-        traces.per_domain_kl.append((dom_kl / n_batches).tolist())
+        # Every batch of the epoch has the last batch's label layout.
+        dom_ce, dom_kl = _epoch_attributions(np.stack(epoch_lp), labels, n_domains)
+        traces.per_domain_l_c.append(dom_ce.tolist())
+        traces.per_domain_kl.append(dom_kl.tolist())
     return params, traces
 
 

@@ -63,6 +63,26 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"epochs": 2.5},
+        {"alpha": "x"},
+        {"per_class_per_domain": 2.5},
+        {"seeds": [1.7]},
+        {"seeds": [True]},
+        {"alpha": float("nan")},
+        {"suite_field": {"noise_sd": "nan"}},
+        {"suite_field": {"n_per_class": 10.5}},
+    ], ids=["epochs-float", "alpha-string", "per-cell-float", "seed-float", "seed-bool",
+            "alpha-nan", "noise-string", "n-per-class-float"])
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, overrides):
+        raw = small_config()
+        raw["suite"].update(overrides.pop("suite_field", {}))
+        raw.update(overrides)
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_all_runs_failed_exits_3(self, tmp_path, capsys):
         raw = small_config(optimizer=OptimizerConfig(lr=1e200).to_dict(), epochs=3)
         cfg_path = write_config(tmp_path, raw)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,89 @@ from hirnet.data import (
     rotate,
     save_manifest,
     stratified_batches,
-    stratified_folds,
     suite_from_csv,
     suite_to_csv,
-    train_test_split,
 )
 from hirnet.errors import ConfigError
+from hirnet.losses import BatchLabels
+
+
+def _cycled(order, start, count):
+    return order[np.arange(start, start + count) % order.size]
+
+
+def per_batch_stratified_batches(suite, k, paired=False, seed=0):
+    """Reference sampler: the batch-by-batch loop the planned sampler replaced."""
+    rng = np.random.default_rng(seed)
+    m = suite.class_count
+    if paired:
+        usable = {}
+        for c in range(m):
+            common = None
+            for dataset in suite.domains:
+                ids = set(dataset.base_id[dataset.y == c].tolist())
+                common = ids if common is None else (common & ids)
+            common = np.array(sorted(common), dtype=np.int64) if common else np.empty(0, np.int64)
+            if common.size == 0:
+                warnings.warn(f"paired sampling: class {c} has no base_id common to all domains")
+            else:
+                usable[c] = common[rng.permutation(common.size)]
+        if not usable:
+            return
+        lookup = [{(int(b), int(cc)): i for i, (b, cc) in enumerate(zip(ds.base_id, ds.y))}
+                  for ds in suite.domains]
+        n_batches = max(int(np.ceil(ids.size / k)) for ids in usable.values())
+        for b in range(n_batches):
+            xs, ys, doms, pids = [], [], [], []
+            chosen = {c: _cycled(ids, b * k, k) for c, ids in usable.items()}
+            for d, dataset in enumerate(suite.domains):
+                for c, ids in chosen.items():
+                    rows = [lookup[d][(int(bid), c)] for bid in ids]
+                    xs.append(dataset.x[rows])
+                    ys.append(np.full(k, c, dtype=np.int64))
+                    doms.append(np.full(k, d, dtype=np.int64))
+                    pids.append(ids)
+            yield np.vstack(xs), BatchLabels(np.concatenate(ys), np.concatenate(doms),
+                                             np.concatenate(pids))
+        return
+    orders = {}
+    for d, dataset in enumerate(suite.domains):
+        for c in range(m):
+            idx = np.flatnonzero(dataset.y == c)
+            if idx.size == 0:
+                warnings.warn(f"empty cell: domain {d} has no samples of class {c}")
+            else:
+                orders[(d, c)] = idx[rng.permutation(idx.size)]
+    if not orders:
+        return
+    n_batches = max(int(np.ceil(order.size / k)) for order in orders.values())
+    for b in range(n_batches):
+        xs, ys, doms = [], [], []
+        for d, dataset in enumerate(suite.domains):
+            for c in range(m):
+                order = orders.get((d, c))
+                if order is None:
+                    continue
+                xs.append(dataset.x[_cycled(order, b * k, k)])
+                ys.append(np.full(k, c, dtype=np.int64))
+                doms.append(np.full(k, d, dtype=np.int64))
+        yield np.vstack(xs), BatchLabels(np.concatenate(ys), np.concatenate(doms))
+
+
+def batch_bytes(batches):
+    return [(x.shape, x.tobytes(), labels.labels.tobytes(), labels.domains.tobytes(),
+             None if labels.pair_id is None else labels.pair_id.tobytes())
+            for x, labels in batches]
+
+
+def with_repeated_pair(suite):
+    """Domain 0 gains a second row for three (base_id, class) pairs it already has."""
+    ds = suite.domains[0]
+    extra = np.array([1, 4, 7])
+    suite.domains[0] = DomainDataset(np.vstack([ds.x, ds.x[extra] + 10.0]),
+                                     np.concatenate([ds.y, ds.y[extra]]),
+                                     np.concatenate([ds.base_id, ds.base_id[extra]]))
+    return suite
 
 
 def cell_base_ids(suite, x, labels, domain, cls):
@@ -220,68 +299,59 @@ class TestStratifiedBatches:
             assert la.domains.tobytes() == lb.domains.tobytes()
 
 
-class TestStratifiedFolds:
-    def test_single_fold_is_dataset(self):
-        suite = gen_rotated_suite("moons", 25, angles=[0.0], seed=19)
-        folds = stratified_folds(suite.domains[0], 1, seed=0)
-        assert len(folds) == 1
-        assert len(folds[0]) == 50
+class TestPlannedSamplerMatchesPerBatchLoop:
+    """The planned epoch makes the same draws and yields bitwise-equal batches."""
 
-    def test_eighty_fold_counting_oracle(self):
-        # 100 samples x 5 classes into 80 folds: per class 20 folds of 2 and
-        # 60 folds of 1, so fold sizes lie in [5, 10] and every fold has >= 1
-        # of each class.
-        suite = gen_rotated_suite("gaussians", 100, angles=[0.0], seed=20, class_count=5)
-        ds = suite.domains[0]
-        folds = stratified_folds(ds, 80, seed=1)
-        assert len(folds) == 80
-        sizes = [len(f) for f in folds]
-        assert min(sizes) >= 5 and max(sizes) <= 10
-        assert sum(sizes) == len(ds)
-        for f in folds:
-            counts = f.class_counts(5)
-            assert np.all(counts >= 1)
-            assert counts.max() - counts.min() <= 1
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("k", [1, 5, 7, 45])  # 45 exceeds every 40-row cell: cycling
+    def test_bitwise_equal(self, paired, k):
+        suite = gen_rotated_suite("gaussians", 40, angles=[0.0, 20.0, 40.0], seed=31,
+                                  class_count=3)
+        new = list(stratified_batches(suite, k, paired=paired, seed=[8, k]))
+        old = list(per_batch_stratified_batches(suite, k, paired=paired, seed=[8, k]))
+        assert len(new) == len(old) == -(-40 // k)
+        assert batch_bytes(new) == batch_bytes(old)
 
-    def test_folds_partition_dataset(self):
-        suite = gen_rotated_suite("moons", 33, angles=[0.0], seed=21)
-        ds = suite.domains[0]
-        folds = stratified_folds(ds, 7, seed=2)
-        gathered = np.sort(np.concatenate([f.base_id for f in folds]))
-        np.testing.assert_array_equal(gathered, np.sort(ds.base_id))
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_uneven_cells_after_prior_shift(self, paired):
+        suite = apply_prior_shift(
+            gen_rotated_suite("gaussians", 30, angles=[0.0, 20.0, 40.0], seed=32, class_count=3),
+            PriorShiftSpec([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5], [0.4, 0.4, 0.2]]), seed=3)
+        new = list(stratified_batches(suite, 4, paired=paired, seed=9))
+        old = list(per_batch_stratified_batches(suite, 4, paired=paired, seed=9))
+        assert batch_bytes(new) == batch_bytes(old)
 
-    def test_too_many_folds_rejected(self):
-        suite = gen_rotated_suite("moons", 5, angles=[0.0], seed=22)
-        with pytest.raises(ConfigError):
-            stratified_folds(suite.domains[0], 6, seed=0)
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_empty_cell_warns_the_same(self, paired):
+        suite = apply_prior_shift(gen_rotated_suite("moons", 30, angles=[0.0, 20.0], seed=17),
+                                  PriorShiftSpec([[1.0, 0.0], [0.5, 0.5]]), seed=4)
+        match = "no base_id common" if paired else "empty cell"
+        with pytest.warns(UserWarning, match=match) as new_warnings:
+            new = list(stratified_batches(suite, 3, paired=paired, seed=5))
+        with pytest.warns(UserWarning, match=match) as old_warnings:
+            old = list(per_batch_stratified_batches(suite, 3, paired=paired, seed=5))
+        assert [str(w.message) for w in new_warnings] == [str(w.message) for w in old_warnings]
+        assert new and batch_bytes(new) == batch_bytes(old)
 
+    def test_repeated_pair_resolves_to_its_last_row(self):
+        suite = with_repeated_pair(gen_rotated_suite("moons", 12, angles=[0.0, 30.0], seed=33))
+        new = list(stratified_batches(suite, 3, paired=True, seed=6))
+        old = list(per_batch_stratified_batches(suite, 3, paired=True, seed=6))
+        assert batch_bytes(new) == batch_bytes(old)
+        assert any((x > 5.0).any() for x, _ in new)  # the shifted duplicates are drawn
 
-class TestTrainTestSplit:
-    def test_seventy_thirty_per_class(self):
-        suite = gen_rotated_suite("moons", 100, angles=[0.0], seed=23)
-        train, test = train_test_split(suite.domains[0], 0.7, seed=0)
-        np.testing.assert_array_equal(train.class_counts(2), [70, 70])
-        np.testing.assert_array_equal(test.class_counts(2), [30, 30])
-
-    def test_union_and_disjointness(self):
-        suite = gen_rotated_suite("moons", 41, angles=[0.0], seed=24)
-        ds = suite.domains[0]
-        train, test = train_test_split(ds, 0.7, seed=1)
-        together = np.sort(np.concatenate([train.base_id, test.base_id]))
-        np.testing.assert_array_equal(together, np.sort(ds.base_id))
-        assert not set(train.base_id) & set(test.base_id)
-
-    def test_different_seeds_differ(self):
-        suite = gen_rotated_suite("moons", 50, angles=[0.0], seed=25)
-        a, _ = train_test_split(suite.domains[0], 0.7, seed=0)
-        b, _ = train_test_split(suite.domains[0], 0.7, seed=1)
-        assert set(a.base_id) != set(b.base_id)
-
-    def test_bad_fraction(self):
-        suite = gen_rotated_suite("moons", 10, angles=[0.0], seed=26)
-        for frac in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ConfigError):
-                train_test_split(suite.domains[0], frac, seed=0)
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_batches_share_one_layout(self, paired):
+        suite = gen_rotated_suite("moons", 25, angles=[0.0, 20.0, 40.0], seed=34)
+        batches = list(stratified_batches(suite, 4, paired=paired, seed=7))
+        first = batches[0][1]
+        for _, labels in batches:
+            assert np.shares_memory(labels.labels, first.labels)
+            assert np.shares_memory(labels.domains, first.domains)
+        np.testing.assert_array_equal(first.domains, np.repeat([0, 1, 2], 8))
+        np.testing.assert_array_equal(first.labels, np.tile(np.repeat([0, 1], 4), 3))
+        with pytest.raises(ValueError):
+            first.labels[0] = 1  # shared by every batch, so read-only
 
 
 class TestCsvRoundTrip:
@@ -316,6 +386,15 @@ class TestManifest:
         for da, db in zip(a.domains, b.domains):
             assert da.x.tobytes() == db.x.tobytes()
 
+    @pytest.mark.parametrize("overrides", [
+        {"n_per_class": True}, {"n_per_class": 0}, {"noise_sd": -0.1}, {"noise_sd": "0.1"},
+        {"seed": -1}, {"seed": 1.0}, {"class_count": 1}, {"angles": (0.0, float("nan"))},
+        {"angles": 30.0}, {"prior_shift_seed": 0.5}, {"kind": "spirals"},
+    ])
+    def test_mistyped_values_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            SuiteSpec(**overrides)
+
     def test_unknown_fields_rejected(self, tmp_path):
         path = tmp_path / "suite.json"
         path.write_text('{"kind": "moons", "n_per_class": 5, "bogus": 1}')
@@ -330,9 +409,3 @@ def test_suite_drop_removes_domain():
     assert 30.0 not in reduced.domain_params
     assert suite.domain_params[2] == 30.0
 
-
-def test_sample_accessor():
-    ds = DomainDataset(np.array([[1.0, 2.0]]), np.array([1]), np.array([7]))
-    s = ds.sample(0)
-    assert s.y == 1 and s.base_id == 7
-    np.testing.assert_array_equal(s.x, [1.0, 2.0])

@@ -1,20 +1,19 @@
 import copy
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from hirnet import autodiff as ad
+from hirnet import harness
+from hirnet import losses
 from hirnet.data import DomainDataset, DomainSuite, SuiteSpec, gen_rotated_suite, stratified_batches
 from hirnet.errors import ConfigError
 from hirnet.harness import (
     ROTATED_ALPHA,
     ROTATED_LR,
-    VLCS_ALPHA,
-    VLCS_FOLDS,
-    VLCS_LR,
-    VLCS_TRAIN_FRACTION,
     ExperimentConfig,
     OptimizerConfig,
     TrainingDiverged,
@@ -27,7 +26,7 @@ from hirnet.harness import (
     write_report_json,
     write_trace_csv,
 )
-from hirnet.losses import combined_loss, cross_entropy
+from hirnet.losses import combined_loss, cross_entropy, pairwise_kl
 from hirnet.models import MlpSpec, ModelParams, forward, init_params
 from hirnet.optim import adam_step, init_adam
 
@@ -61,10 +60,6 @@ class TestProtocolDefaults:
     def test_published_settings(self):
         assert ROTATED_LR == 1e-3
         assert ROTATED_ALPHA == 1e-3
-        assert VLCS_LR == 1e-4
-        assert VLCS_ALPHA == 1e-6
-        assert VLCS_FOLDS == 80
-        assert VLCS_TRAIN_FRACTION == 0.7
         assert OptimizerConfig().lr == ROTATED_LR
         assert ExperimentConfig().alpha == ROTATED_ALPHA
         assert ExperimentConfig().epochs == 300
@@ -103,6 +98,19 @@ class TestConfig:
             tiny_config(held_out=7)
         with pytest.raises(ConfigError):
             tiny_config(epochs=0)
+
+    @pytest.mark.parametrize("overrides", [
+        {"hidden_sizes": (2.5,)}, {"hidden_sizes": 8}, {"seeds": (-1,)}, {"seeds": "12"},
+        {"epochs": True}, {"alpha": float("inf")},
+    ])
+    def test_mistyped_values_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            tiny_config(**overrides)
+
+    @pytest.mark.parametrize("overrides", [{"lr": "x"}, {"eps": float("nan")}, {"beta1": None}])
+    def test_mistyped_optimizer_values_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            OptimizerConfig(**overrides)
 
     def test_held_out_all_expands(self):
         assert tiny_config(held_out="all").held_out_indices() == [0, 1, 2]
@@ -209,6 +217,104 @@ def test_step_tape_length_does_not_grow_with_batch_size(loss_kind, monkeypatch):
     # 4 parameters, 5 forward nodes, log_softmax, cross-entropy, the penalty,
     # its alpha scaling and the sum.
     assert tape_lengths(2) == tape_lengths(10) == {14}
+
+
+def per_batch_attributions(log_probs, labels, n_domains):
+    """Reference: one batch's per-domain mean cross-entropy and mean KL over
+    the same-class pairs touching each domain, by pair enumeration."""
+    y, doms = labels.labels, labels.domains
+    true_lp = log_probs[np.arange(y.size), y]
+    ce = np.zeros(n_domains)
+    kl = np.zeros(n_domains)
+    i_idx, j_idx, kl_values = pairwise_kl(log_probs, labels)
+    for d in range(n_domains):
+        rows = doms == d
+        if rows.any():
+            ce[d] = -true_lp[rows].mean()
+        touching = rows[i_idx] | rows[j_idx]
+        if touching.any():
+            kl[d] = kl_values[touching].mean()
+    return ce, kl
+
+
+def train_with_oracle(monkeypatch, suite, cfg):
+    """Train, recording each batch's labels and detached log-probs, and
+    return the traces with the per-batch reference averaged per epoch."""
+    epochs = []
+    sampler, log_softmax = harness.stratified_batches, ad.log_softmax
+
+    def recording_sampler(*args, **kwargs):
+        epochs.append([])
+        for x, labels in sampler(*args, **kwargs):
+            epochs[-1].append([labels, None])
+            yield x, labels
+
+    def recording_log_softmax(logits):
+        out = log_softmax(logits)
+        epochs[-1][-1][1] = out.data
+        return out
+
+    monkeypatch.setattr(harness, "stratified_batches", recording_sampler)
+    monkeypatch.setattr(ad, "log_softmax", recording_log_softmax)
+    _, traces = train(init_params(MlpSpec((2, 8, suite.class_count), seed=4)), suite, cfg,
+                      batch_seed=5)
+    expected_ce, expected_kl = [], []
+    for batches in epochs:
+        per_batch = [per_batch_attributions(lp, labels, len(suite)) for labels, lp in batches]
+        expected_ce.append(np.mean([ce for ce, _ in per_batch], axis=0))
+        expected_kl.append(np.mean([kl for _, kl in per_batch], axis=0))
+    return traces, np.array(expected_ce), np.array(expected_kl)
+
+
+class TestEpochAttributions:
+    """The per-epoch pass matches per-batch pair enumeration within 1e-12."""
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_matches_pair_enumeration(self, monkeypatch, paired):
+        cfg = tiny_config(paired=paired, epochs=3, alpha=0.1)
+        traces, ce, kl = train_with_oracle(monkeypatch, cfg.suite.build().drop(1), cfg)
+        np.testing.assert_allclose(traces.per_domain_l_c, ce, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(traces.per_domain_kl, kl, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_empty_cell_after_prior_shift(self, monkeypatch, paired):
+        suite_spec = SuiteSpec(kind="gaussians", n_per_class=15, angles=(0.0, 20.0, 40.0),
+                               seed=6, class_count=3,
+                               prior_shift=[[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.4, 0.3, 0.3]])
+        cfg = tiny_config(suite=suite_spec, paired=paired, epochs=2, per_class_per_domain=3)
+        with pytest.warns(UserWarning):
+            traces, ce, kl = train_with_oracle(monkeypatch, suite_spec.build(), cfg)
+        np.testing.assert_allclose(traces.per_domain_l_c, ce, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(traces.per_domain_kl, kl, rtol=1e-12, atol=0)
+
+    def test_domain_without_pairs_is_exactly_zero(self, monkeypatch):
+        # One row per cell: domain 0 holds the only class-1 row, so no
+        # same-class pair touches it; domains 1 and 2 share one class-0 pair.
+        suite_spec = SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 20.0, 40.0), seed=7,
+                               prior_shift=[[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        cfg = tiny_config(suite=suite_spec, loss_kind="agg", epochs=2, per_class_per_domain=1)
+        with pytest.warns(UserWarning, match="empty cell"):
+            traces, ce, kl = train_with_oracle(monkeypatch, suite_spec.build(), cfg)
+        assert all(row[0] == 0.0 for row in traces.per_domain_kl)
+        assert all(row[1] > 0.0 and row[2] > 0.0 for row in traces.per_domain_kl)
+        np.testing.assert_allclose(traces.per_domain_l_c, ce, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(traces.per_domain_kl, kl, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
+def test_training_step_enumerates_no_pairs(loss_kind, monkeypatch):
+    """Per-step pair enumeration must not come back into training."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pair enumeration in a training step")
+
+    for name, module in list(sys.modules.items()):
+        if name == "hirnet" or name.startswith("hirnet."):
+            for attr in ("pairwise_kl", "same_class_pairs"):
+                if getattr(module, attr, None) is getattr(losses, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    cfg = tiny_config(loss_kind=loss_kind, alpha=0.1, paired=True, epochs=2)
+    _, traces = train(init_params(MlpSpec((2, 8, 2), seed=0)), cfg.suite.build().drop(1), cfg)
+    assert len(traces.per_domain_kl) == 2
 
 
 class TestEvaluate:
