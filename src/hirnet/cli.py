@@ -6,32 +6,23 @@ checkpoints. ``hirnet sweep`` repeats the run over a list of alpha values
 and emits one combined accuracy CSV. ``hirnet diag`` probes a saved
 checkpoint against a suite manifest and writes the diagnostics files.
 
-Exit codes: 0 success, 2 configuration error, 3 every run failed.
+Exit codes: 0 success, 2 configuration error, 3 every run failed. Exit 2
+covers every malformed input: a config or suite manifest that is missing,
+not valid JSON, of the wrong shape or with a bad value, and a bad flag or
+checkpoint; it prints ``config error: ...`` instead of a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import diagnostics as diag
 from . import harness
-from .data import load_manifest, stratified_batches
-from .errors import ConfigError, ContractError
+from .data import SuiteSpec, stratified_batches
+from .errors import ConfigError, ContractError, check_int, check_real
 from .models import load_checkpoint
-
-
-def _load_config(path: str) -> harness.ExperimentConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return harness.ExperimentConfig.from_dict(raw)
 
 
 def _write_run_outputs(report: harness.RunReport, out_dir: str) -> None:
@@ -46,7 +37,7 @@ def _write_run_outputs(report: harness.RunReport, out_dir: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = harness.ExperimentConfig.read(args.config)
     report = harness.run_experiment(config)
     _write_run_outputs(report, args.out)
     print(f"wrote {args.out}/report.json ({len(report.runs)} runs, "
@@ -55,7 +46,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = harness.ExperimentConfig.read(args.config)
     try:
         alphas = [float(tok) for tok in args.alpha.split(",") if tok]
     except ValueError as exc:
@@ -74,19 +65,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    check_int("--probe-size", args.probe_size, 1)
+    check_int("--seed", args.seed, 0)
+    if args.bandwidth is not None:
+        check_real("--bandwidth", args.bandwidth)
     try:
         params = load_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
         raise ConfigError(f"checkpoint not found: {args.checkpoint}") from exc
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        suite_spec = load_manifest(args.suite)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"suite manifest not found: {args.suite}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"suite manifest is not valid JSON: {exc}") from exc
-    suite = suite_spec.build()
+    suite = SuiteSpec.read(args.suite).build()
     if suite.feature_dim != params.layer_sizes[0]:
         raise ConfigError(f"checkpoint expects {params.layer_sizes[0]}-dim inputs, "
                           f"suite provides {suite.feature_dim}")

@@ -10,13 +10,12 @@ paired batches and the paired-prediction diagnostics possible.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_int, check_real
+from .errors import ConfigError, ContractError, JsonConfig, check_int, check_real
 from .losses import BatchLabels
 
 DEFAULT_ANGLES = (0.0, 15.0, 30.0, 45.0, 60.0, 75.0)
@@ -277,51 +276,8 @@ def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
         yield x[b], BatchLabels(labels, domains, None if pids is None else pids[b])
 
 
-def suite_to_csv(suite: DomainSuite, path) -> None:
-    """Write every sample as ``base_id,domain,y,x0,x1,...`` rows.
-
-    Floats use 17 significant digits so a round trip is value-exact.
-    """
-    dim = suite.feature_dim
-    header = "base_id,domain,y," + ",".join(f"x{i}" for i in range(dim))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for d, dataset in enumerate(suite.domains):
-            for i in range(len(dataset)):
-                coords = ",".join(f"{v:.17g}" for v in dataset.x[i])
-                fh.write(f"{dataset.base_id[i]},{d},{dataset.y[i]},{coords}\n")
-
-
-def suite_from_csv(path, domain_params: list[float] | None = None) -> DomainSuite:
-    """Rebuild a suite from :func:`suite_to_csv` output.
-
-    Domain parameters are not stored in the CSV; pass them explicitly or
-    the domain indices are used as placeholders.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[:3] != ["base_id", "domain", "y"]:
-            raise ContractError(f"unexpected CSV header in {path}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    by_domain: dict[int, list[list[str]]] = {}
-    for row in rows:
-        by_domain.setdefault(int(row[1]), []).append(row)
-    order = sorted(by_domain)
-    domains = []
-    for d in order:
-        chunk = by_domain[d]
-        domains.append(DomainDataset(
-            np.array([[float(v) for v in r[3:]] for r in chunk]),
-            np.array([int(r[2]) for r in chunk]),
-            np.array([int(r[0]) for r in chunk]),
-        ))
-    params = list(domain_params) if domain_params is not None else [float(d) for d in order]
-    class_count = int(max(ds.y.max() for ds in domains)) + 1
-    return DomainSuite(domains, params, class_count)
-
-
 @dataclass
-class SuiteSpec:
+class SuiteSpec(JsonConfig):
     """Everything needed to regenerate a suite deterministically."""
 
     kind: str = "moons"
@@ -336,34 +292,22 @@ class SuiteSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
-        if not isinstance(self.angles, (list, tuple)):
-            raise ConfigError(f"angles must be a list of numbers, got {self.angles!r}")
+        if not isinstance(self.angles, (list, tuple)) or not self.angles:
+            raise ConfigError(f"angles must be a non-empty list of numbers, got {self.angles!r}")
         self.angles = tuple(check_real("angles", a) for a in self.angles)
         self.n_per_class = check_int("n_per_class", self.n_per_class, 1)
         self.noise_sd = check_real("noise_sd", self.noise_sd, 0.0)
         self.seed = check_int("seed", self.seed, 0)
         self.class_count = check_int("class_count", self.class_count, 2)
         self.prior_shift_seed = check_int("prior_shift_seed", self.prior_shift_seed, 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_per_class": self.n_per_class,
-            "angles": list(self.angles),
-            "noise_sd": self.noise_sd,
-            "seed": self.seed,
-            "class_count": self.class_count,
-            "prior_shift": self.prior_shift,
-            "prior_shift_seed": self.prior_shift_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SuiteSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown suite fields: {sorted(unknown)}")
-        return cls(**raw)
+        if self.prior_shift is not None:
+            rows = self.prior_shift
+            if (not isinstance(rows, (list, tuple))
+                    or not all(isinstance(row, (list, tuple)) for row in rows)
+                    or len({len(row) for row in rows}) > 1):
+                raise ConfigError(f"prior_shift must be a (domains x classes) matrix, got {rows!r}")
+            self.prior_shift = [[check_real("prior_shift", p, 0.0) for p in row] for row in rows]
+            PriorShiftSpec(self.prior_shift)  # a matrix whose rows sum to 1
 
     def build(self) -> DomainSuite:
         suite = gen_rotated_suite(self.kind, self.n_per_class, self.angles,
@@ -373,13 +317,3 @@ class SuiteSpec:
                                       self.prior_shift_seed)
         return suite
 
-
-def save_manifest(spec: SuiteSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_manifest(path) -> SuiteSpec:
-    with open(path) as fh:
-        return SuiteSpec.from_dict(json.load(fh))

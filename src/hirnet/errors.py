@@ -1,9 +1,12 @@
-"""Shared exception types and the checks that raise them on config values."""
+"""Shared exception types, the checks that raise them on config values, and
+the one JSON codec that every config file goes through (:class:`JsonConfig`)."""
 
 from __future__ import annotations
 
-import math
+import dataclasses
+import json
 import numbers
+import sys
 
 
 class ShapeError(ValueError):
@@ -30,7 +33,7 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
 def check_real(name: str, value, minimum: float | None = None) -> float:
     """``value`` as a float if it is a finite number (not a bool) of at least ``minimum``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):  # NaN, inf, or an int too big for a float
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
@@ -42,3 +45,65 @@ def check_ints(name: str, values, minimum: int | None = None) -> tuple[int, ...]
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{name} must be a list of integers, got {values!r}")
     return tuple(check_int(name, v, minimum) for v in values)
+
+
+def check_bool(name: str, value) -> bool:
+    """``value`` if it is ``True`` or ``False``; JSON ``"no"`` or ``1`` is not a flag."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _plain(value):
+    """``value`` as JSON data: nested configs become objects, tuples lists."""
+    if isinstance(value, JsonConfig):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+class JsonConfig:
+    """Base of the config dataclasses: their one JSON codec, driven by the fields.
+
+    A field whose ``default_factory`` is itself a ``JsonConfig`` is a nested
+    config and is read and written as a nested object. Value checks stay in
+    each dataclass's ``__post_init__``; the codec only checks the shape.
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls, raw):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{cls.__name__} must be a JSON object, got {raw!r}")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(fields)
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+        kwargs = {}
+        for name, value in raw.items():
+            nested = fields[name].default_factory
+            if isinstance(nested, type) and issubclass(nested, JsonConfig):
+                value = nested.from_dict(value)
+            kwargs[name] = value
+        return cls(**kwargs)
+
+    @classmethod
+    def read(cls, path):
+        """Load a config file; an unreadable or malformed one is a ``ConfigError``."""
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {cls.__name__} file {path}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{cls.__name__} file {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(raw)
+
+    def write(self, path) -> None:
+        """Sorted keys, two-space indent and a trailing newline: the manifest format."""
+        with open(path, "w") as fh:
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")

@@ -29,7 +29,15 @@ import numpy as np
 from . import autodiff as ad
 from . import diagnostics as diag
 from .data import DomainDataset, DomainSuite, SuiteSpec, stratified_batches
-from .errors import ConfigError, ContractError, check_int, check_ints, check_real
+from .errors import (
+    ConfigError,
+    ContractError,
+    JsonConfig,
+    check_bool,
+    check_int,
+    check_ints,
+    check_real,
+)
 from .losses import (
     LossBreakdown,
     class_conditional_align,
@@ -52,7 +60,7 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(JsonConfig):
     lr: float = ROTATED_LR
     beta1: float = 0.9
     beta2: float = 0.999
@@ -62,19 +70,9 @@ class OptimizerConfig:
         for name in ("lr", "beta1", "beta2", "eps"):
             object.__setattr__(self, name, check_real(f"optimizer {name}", getattr(self, name)))
 
-    def to_dict(self) -> dict:
-        return {"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "OptimizerConfig":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown optimizer fields: {sorted(unknown)}")
-        return cls(**raw)
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonConfig):
     """Everything a run depends on; serializes 1:1 to the JSON config file."""
 
     suite: SuiteSpec = field(default_factory=SuiteSpec)
@@ -99,6 +97,8 @@ class ExperimentConfig:
             "epochs": check_int("epochs", self.epochs, 1),
             "per_class_per_domain": check_int("per_class_per_domain",
                                               self.per_class_per_domain, 1),
+            **{name: check_bool(name, getattr(self, name)) for name in (
+                "normalize_hir", "cross_domain_only", "paired", "collect_diagnostics")},
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
@@ -117,35 +117,6 @@ class ExperimentConfig:
         if self.held_out == "all":
             return list(range(len(self.suite.angles)))
         return [self.held_out]
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite.to_dict(),
-            "hidden_sizes": list(self.hidden_sizes),
-            "loss_kind": self.loss_kind,
-            "alpha": self.alpha,
-            "normalize_hir": self.normalize_hir,
-            "cross_domain_only": self.cross_domain_only,
-            "paired": self.paired,
-            "optimizer": self.optimizer.to_dict(),
-            "epochs": self.epochs,
-            "per_class_per_domain": self.per_class_per_domain,
-            "seeds": list(self.seeds),
-            "held_out": self.held_out,
-            "collect_diagnostics": self.collect_diagnostics,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(raw)
-        if "suite" in kwargs:
-            kwargs["suite"] = SuiteSpec.from_dict(dict(kwargs["suite"]))
-        if "optimizer" in kwargs:
-            kwargs["optimizer"] = OptimizerConfig.from_dict(kwargs["optimizer"])
-        return cls(**kwargs)
 
 
 @dataclass

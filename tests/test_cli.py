@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hirnet.cli import main
-from hirnet.data import SuiteSpec, save_manifest
+from hirnet.data import SuiteSpec
 from hirnet.harness import ExperimentConfig, OptimizerConfig
 from hirnet.models import MlpSpec, init_params, save_checkpoint
 
@@ -72,12 +72,31 @@ class TestRunCommand:
         {"alpha": float("nan")},
         {"suite_field": {"noise_sd": "nan"}},
         {"suite_field": {"n_per_class": 10.5}},
+        {"suite": 5},
+        {"suite": [1]},
+        {"optimizer": 3},
+        {"suite_field": {"prior_shift": [["a", 1], [1, 0], [0.5, 0.5]]}},
+        {"suite_field": {"prior_shift": [[1.0], [1, 0], [0.5, 0.5]]}},
+        {"suite_field": {"prior_shift": [[float("nan"), 1], [1, 0], [0.5, 0.5]]}},
+        {"paired": "no"},
+        {"collect_diagnostics": "no"},
+        {"normalize_hir": 1},
+        {"suite_field": {"angles": []}, "held_out": "all"},
+        5,
+        None,
+        "abc",
     ], ids=["epochs-float", "alpha-string", "per-cell-float", "seed-float", "seed-bool",
-            "alpha-nan", "noise-string", "n-per-class-float"])
+            "alpha-nan", "noise-string", "n-per-class-float", "suite-number", "suite-list",
+            "optimizer-number", "prior-shift-string", "prior-shift-ragged", "prior-shift-nan",
+            "paired-string", "diagnostics-string", "normalize-number", "no-angles",
+            "config-number", "config-null", "config-string"])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, overrides):
-        raw = small_config()
-        raw["suite"].update(overrides.pop("suite_field", {}))
-        raw.update(overrides)
+        raw = overrides
+        if isinstance(overrides, dict):
+            overrides = dict(overrides)
+            raw = small_config()
+            raw["suite"].update(overrides.pop("suite_field", {}))
+            raw.update(overrides)
         cfg_path = write_config(tmp_path, raw)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
@@ -121,8 +140,8 @@ class TestDiagCommand:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(params, ckpt)
         manifest = tmp_path / "suite.json"
-        save_manifest(SuiteSpec(kind="moons", n_per_class=20, angles=(0.0, 30.0),
-                                noise_sd=0.05, seed=2), manifest)
+        SuiteSpec(kind="moons", n_per_class=20, angles=(0.0, 30.0),
+                                noise_sd=0.05, seed=2).write(manifest)
         out = tmp_path / "diag"
         code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(out)])
@@ -137,7 +156,7 @@ class TestDiagCommand:
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "suite.json"
-        save_manifest(SuiteSpec(), manifest)
+        SuiteSpec().write(manifest)
         assert main(["diag", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--suite", str(manifest)]) == 2
 
@@ -145,7 +164,7 @@ class TestDiagCommand:
         bogus = tmp_path / "bogus.ckpt"
         bogus.write_text("not a checkpoint\n")
         manifest = tmp_path / "suite.json"
-        save_manifest(SuiteSpec(), manifest)
+        SuiteSpec().write(manifest)
         assert main(["diag", "--checkpoint", str(bogus), "--suite", str(manifest)]) == 2
 
     @pytest.mark.parametrize("damage", ["truncate", "garble"])
@@ -159,7 +178,7 @@ class TestDiagCommand:
             lines[3] = "0.25 not-a-number " + lines[3]
         ckpt.write_text("\n".join(lines) + "\n")
         manifest = tmp_path / "suite.json"
-        save_manifest(SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)), manifest)
+        SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
         code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(tmp_path / "diag")])
         assert code == 2
@@ -170,5 +189,40 @@ class TestDiagCommand:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(params, ckpt)
         manifest = tmp_path / "suite.json"
-        save_manifest(SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)), manifest)
+        SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
         assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest)]) == 2
+
+    @pytest.mark.parametrize("text", ["5", "null", '{"angles": []}', '{"angles": [0, 30]',
+                                      '{"prior_shift": [["a", 1], [1, 0]], "angles": [0, 30]}'],
+                             ids=["number", "null", "no-angles", "invalid-json", "prior-shift-string"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, text):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
+        manifest = tmp_path / "suite.json"
+        manifest.write_text(text)
+        code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
+                     "--out", str(tmp_path / "diag")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "diag").exists()
+
+    def test_missing_manifest_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
+        assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(tmp_path / "no.json")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--probe-size", "-1"], ["--probe-size", "0"],
+                                      ["--seed", "-1"], ["--bandwidth", "nan"]],
+                             ids=["probe-size-negative", "probe-size-zero", "seed-negative",
+                                  "bandwidth-nan"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, flag):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
+        manifest = tmp_path / "suite.json"
+        SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
+        code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
+                     "--out", str(tmp_path / "diag"), *flag])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "diag").exists()

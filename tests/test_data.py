@@ -11,12 +11,8 @@ from hirnet.data import (
     SuiteSpec,
     apply_prior_shift,
     gen_rotated_suite,
-    load_manifest,
     rotate,
-    save_manifest,
     stratified_batches,
-    suite_from_csv,
-    suite_to_csv,
 )
 from hirnet.errors import ConfigError
 from hirnet.losses import BatchLabels
@@ -354,33 +350,45 @@ class TestPlannedSamplerMatchesPerBatchLoop:
             first.labels[0] = 1  # shared by every batch, so read-only
 
 
-class TestCsvRoundTrip:
-    def test_values_survive_exactly(self, tmp_path):
-        suite = gen_rotated_suite("moons", 20, angles=[0.0, 45.0], seed=27)
-        path = tmp_path / "suite.csv"
-        suite_to_csv(suite, path)
-        loaded = suite_from_csv(path, domain_params=suite.domain_params)
-        assert loaded.class_count == 2
-        for orig, back in zip(suite.domains, loaded.domains):
-            assert orig.x.tobytes() == back.x.tobytes()
-            np.testing.assert_array_equal(orig.y, back.y)
-            np.testing.assert_array_equal(orig.base_id, back.base_id)
+def manifest_spec():
+    return SuiteSpec(kind="moons", n_per_class=50, angles=(0.0, 30.0), noise_sd=0.05, seed=99,
+                     prior_shift=[[0.8, 0.2], [0.2, 0.8]], prior_shift_seed=4)
 
-    def test_header_format(self, tmp_path):
-        suite = gen_rotated_suite("moons", 3, angles=[0.0], seed=28)
-        path = tmp_path / "suite.csv"
-        suite_to_csv(suite, path)
-        assert path.read_text().splitlines()[0] == "base_id,domain,y,x0,x1"
+
+# What the manifest writer has always produced for manifest_spec():
+# sorted keys, two-space indent, trailing newline.
+MANIFEST_BYTES = b"""\
+{
+  "angles": [
+    0.0,
+    30.0
+  ],
+  "class_count": 3,
+  "kind": "moons",
+  "n_per_class": 50,
+  "noise_sd": 0.05,
+  "prior_shift": [
+    [
+      0.8,
+      0.2
+    ],
+    [
+      0.2,
+      0.8
+    ]
+  ],
+  "prior_shift_seed": 4,
+  "seed": 99
+}
+"""
 
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        spec = SuiteSpec(kind="moons", n_per_class=50, angles=(0.0, 30.0),
-                         noise_sd=0.05, seed=99,
-                         prior_shift=[[0.8, 0.2], [0.2, 0.8]], prior_shift_seed=4)
+        spec = manifest_spec()
         path = tmp_path / "suite.json"
-        save_manifest(spec, path)
-        loaded = load_manifest(path)
+        spec.write(path)
+        loaded = SuiteSpec.read(path)
         assert loaded == spec
         a, b = spec.build(), loaded.build()
         for da, db in zip(a.domains, b.domains):
@@ -389,7 +397,11 @@ class TestManifest:
     @pytest.mark.parametrize("overrides", [
         {"n_per_class": True}, {"n_per_class": 0}, {"noise_sd": -0.1}, {"noise_sd": "0.1"},
         {"seed": -1}, {"seed": 1.0}, {"class_count": 1}, {"angles": (0.0, float("nan"))},
-        {"angles": 30.0}, {"prior_shift_seed": 0.5}, {"kind": "spirals"},
+        {"angles": 30.0}, {"angles": ()}, {"prior_shift_seed": 0.5}, {"kind": "spirals"},
+        {"prior_shift": [["a", 1], [1, 0]]}, {"prior_shift": [[1.0], [0.5, 0.5]]},
+        {"prior_shift": [[float("nan"), 1.0], [1.0, 0.0]]}, {"prior_shift": [[True, 0], [0, 1]]},
+        {"prior_shift": [[1.5, -0.5], [0.5, 0.5]]}, {"prior_shift": [[0.5, 0.4], [0.5, 0.5]]},
+        {"prior_shift": [1.0, 0.0]}, {"prior_shift": []}, {"prior_shift": "0.5"},
     ])
     def test_mistyped_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -399,7 +411,13 @@ class TestManifest:
         path = tmp_path / "suite.json"
         path.write_text('{"kind": "moons", "n_per_class": 5, "bogus": 1}')
         with pytest.raises(ConfigError):
-            load_manifest(path)
+            SuiteSpec.read(path)
+
+    def test_written_bytes(self, tmp_path):
+        spec = manifest_spec()
+        path = tmp_path / "suite.json"
+        spec.write(path)
+        assert path.read_bytes() == MANIFEST_BYTES
 
 
 def test_suite_drop_removes_domain():

@@ -101,7 +101,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides", [
         {"hidden_sizes": (2.5,)}, {"hidden_sizes": 8}, {"seeds": (-1,)}, {"seeds": "12"},
-        {"epochs": True}, {"alpha": float("inf")},
+        {"epochs": True}, {"alpha": float("inf")}, {"alpha": 10**400},
+        {"paired": "no"}, {"normalize_hir": 1}, {"collect_diagnostics": None},
     ])
     def test_mistyped_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
