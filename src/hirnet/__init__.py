@@ -4,7 +4,8 @@ Learns classifiers over ordered synthetic domains while aligning per-class
 posterior predictions across domains (a pairwise asymmetric KL penalty),
 alongside feature-alignment baselines, with a hold-one-domain-out harness
 and invariance diagnostics. Built on a small self-contained reverse-mode
-autodiff core over 2-D float64 tensors.
+autodiff core over float64 matrices, or stacks of them that train several
+seeds in one pass.
 """
 
 from .autodiff import Graph, Tensor, backward, grad_check, log_softmax, matmul, relu

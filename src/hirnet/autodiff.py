@@ -1,15 +1,24 @@
-"""Reverse-mode automatic differentiation over dense 2-D float64 tensors.
+"""Reverse-mode automatic differentiation over dense float64 matrices, or
+stacks of matrices with one matrix per run.
 
-The op set is deliberately small: matrix product, elementwise add, sub,
-mul and scale, relu, row-stable log-softmax and a sum to a scalar. That is
+A tensor is a matrix ``(rows, cols)`` or a stack ``(runs, rows, cols)``.
+Every op acts on the last two axes, so each run of a stack computes exactly
+what it would alone. Operands have one shape, except that a bias row
+broadcasts over the rows of its matrix. The op set is
+deliberately small: matrix product, elementwise add, sub, mul and scale,
+relu, row-stable log-softmax and a sum to one scalar per matrix. That is
 enough to express an MLP classifier, while staying easy to verify with
 finite differences. The losses, whose gradients have a closed form, record
 themselves as one node each through :func:`emit`, with an analytic backward.
 
 A ``Graph`` is a tape rebuilt for every forward pass. Tensors created
 through :meth:`Graph.param` are differentiable leaves; plain ``Tensor``
-values act as constants. ``backward`` may run once per tape; a second call
-is a :class:`ContractError` so silent gradient accumulation cannot happen.
+values act as constants. A loss holds one scalar per run, shape ``(1, 1)``
+or ``(runs, 1, 1)``; ``backward`` seeds each with one, so every run gets
+the gradient of its own loss. ``backward`` may run once per tape; a second
+call is a :class:`ContractError` so silent gradient accumulation cannot
+happen, and it releases the tape's closures, so a step's tape is freed as
+soon as its tensors are.
 """
 
 from __future__ import annotations
@@ -41,13 +50,13 @@ def _as_array(values) -> np.ndarray:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
         a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise ShapeError(f"tensors are 2-D, got ndim={a.ndim}")
+    if a.ndim > 3:
+        raise ShapeError(f"tensors are matrices or stacks of them, got ndim={a.ndim}")
     return a
 
 
 class Tensor:
-    """A 2-D float64 value, optionally recorded on a computation graph."""
+    """A float64 matrix or stack of matrices, optionally recorded on a graph."""
 
     __slots__ = ("data", "graph", "node_id")
 
@@ -57,13 +66,13 @@ class Tensor:
         self.node_id = node_id
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
-        return float(self.data[0, 0])
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
         tag = f", node_id={self.node_id}" if self.node_id is not None else ""
@@ -114,7 +123,7 @@ class Graph:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._param_ids: list[int] = []
-        self._param_shapes: dict[int, tuple[int, int]] = {}
+        self._param_shapes: dict[int, tuple[int, ...]] = {}
         self._consumed = False
 
     def __len__(self) -> int:
@@ -140,20 +149,21 @@ class Graph:
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
         """Propagate d(loss)/d(node) through the tape, reverse order.
 
+        ``loss`` holds one scalar per run, and each is seeded with one.
         Returns gradients keyed by node_id for every node that received one;
         every parameter leaf is present (zeros if the loss never used it).
-        Runs at most once per graph.
+        Runs at most once per graph, and drops the tape's closures when done.
         """
         if loss.graph is not self or loss.node_id is None:
             raise ContractError("loss tensor was not produced on this graph")
-        if loss.data.shape != (1, 1):
-            raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        if loss.data.shape[-2:] != (1, 1):
+            raise ContractError(f"backward needs one scalar per run, got shape {loss.data.shape}")
         if self._consumed:
             raise ContractError("backward already ran on this graph; rebuild the graph")
         self._consumed = True
 
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
-        grads[loss.node_id] = np.ones((1, 1))
+        grads[loss.node_id] = np.ones(loss.data.shape)
         for node_id in range(loss.node_id, -1, -1):
             upstream = grads[node_id]
             node = self._nodes[node_id]
@@ -166,6 +176,10 @@ class Graph:
                     grads[parent_id] = contribution.copy()
                 else:
                     grads[parent_id] += contribution
+        # Closures hold tensors, which hold this graph: without this, every
+        # step's tape would wait for the cyclic garbage collector.
+        for node in self._nodes:
+            node.backward_fn = None
         out = {i: g for i, g in enumerate(grads) if g is not None}
         for pid in self._param_ids:
             out.setdefault(pid, np.zeros(self._param_shapes[pid]))
@@ -186,9 +200,10 @@ def _graph_of(*tensors: Tensor) -> Graph | None:
 
 def emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray,
          backward_fn: Callable | None) -> Tensor:
-    """Record one op: its 2-D ``value`` and ``backward_fn(upstream)``, which
-    returns one gradient per graph-attached input, in input order. With no
-    attached input the result is a constant and ``backward_fn`` never runs.
+    """Record one op: its ``value`` and ``backward_fn(upstream)``, which
+    returns one gradient per graph-attached input, in input order and of
+    that input's shape. With no attached input the result is a constant and
+    ``backward_fn`` never runs.
     """
     graph = _graph_of(*inputs)
     if graph is None:
@@ -205,7 +220,7 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
         def back(up):
             return tuple(up for t in (a, b) if t.graph is not None)
 
-    elif b.shape == (1, a.shape[1]):
+    elif b.shape == a.shape[:-2] + (1, a.shape[-1]):
         value = a.data + b.data  # row-broadcast bias
 
         def back(up):
@@ -213,10 +228,10 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
             if a.graph is not None:
                 parts.append(up)
             if b.graph is not None:
-                parts.append(up.sum(axis=0, keepdims=True))
+                parts.append(up.sum(axis=-2, keepdims=True))
             return tuple(parts)
 
-    elif a.shape == (1, b.shape[1]):
+    elif a.shape == b.shape[:-2] + (1, b.shape[-1]):
         return _add(b, a)
     else:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
@@ -261,18 +276,19 @@ def _scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; inner dimensions must agree."""
+    """Matrix product of two matrices, or run by run of two equal-length
+    stacks; inner dimensions must agree."""
     a, b = _coerce(a), _coerce(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul shapes do not match: {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
 
     def back(up):
         parts = []
         if a.graph is not None:
-            parts.append(up @ b_data.T)
+            parts.append(up @ b_data.swapaxes(-1, -2))
         if b.graph is not None:
-            parts.append(a_data.T @ up)
+            parts.append(a_data.swapaxes(-1, -2) @ up)
         return tuple(parts)
 
     return emit("matmul", (a, b), a_data @ b_data, back)
@@ -290,33 +306,34 @@ def relu(x: Tensor) -> Tensor:
 
 
 def log_softmax(logits: Tensor) -> Tensor:
-    """Row-wise log-softmax, max-subtracted so any finite input is safe.
+    """Row-wise log-softmax (over the last axis), max-subtracted so any
+    finite input is safe.
 
     Rows of exp(output) sum to 1. The subtracted max cancels algebraically,
     so the map stays smooth and finite-difference checkable everywhere.
     """
     logits = _coerce(logits)
-    if logits.shape[1] < 2:
+    if logits.shape[-1] < 2:
         raise ShapeError("log_softmax needs at least 2 columns")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    value = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    value = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     probs = np.exp(value)
 
     def back(up):
-        return (up - probs * up.sum(axis=1, keepdims=True),)
+        return (up - probs * up.sum(axis=-1, keepdims=True),)
 
     return emit("log_softmax", (logits,), value, back)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    """Sum every entry to a 1x1 scalar."""
+    """Sum every entry of each matrix to a 1x1 scalar, one per run of a stack."""
     x = _coerce(x)
     shape = x.shape
 
     def back(up):
-        return (np.full(shape, up[0, 0]),)
+        return (np.broadcast_to(up, shape),)
 
-    return emit("sum_all", (x,), x.data.sum().reshape(1, 1), back)
+    return emit("sum_all", (x,), x.data.sum(axis=(-2, -1), keepdims=True), back)
 
 
 def backward(loss: Tensor) -> dict[int, np.ndarray]:

@@ -226,7 +226,9 @@ def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
     gathers each domain's rows for all batches with one fancy index, and
     then yields slices. All batches of one call share one label layout
     (domain-major, then class, ``per_class_per_domain`` rows per cell) and
-    the same read-only ``labels`` and ``domains`` arrays.
+    the same read-only ``labels`` and ``domains`` arrays. The layout and the
+    batch count depend on the suite and the draw size, not on ``seed``, so
+    runs with different seeds can stack their batches.
     """
     k = check_int("per_class_per_domain", per_class_per_domain, 1)
     rng = np.random.default_rng(seed)

@@ -1,19 +1,22 @@
 """Hold-one-domain-out experiment runner.
 
-For each held-out domain and each seed, the runner rebuilds the suite,
-drops the held-out domain from training entirely, trains the configured
-objective, evaluates accuracy on the held-out domain, and aggregates
+For each held-out domain, the runner rebuilds the suite, drops the
+held-out domain from training entirely, trains the configured objective
+once per seed, evaluates accuracy on the held-out domain, and aggregates
 mean and standard deviation across seeds. Runs that diverge (non-finite
-loss) are marked failed and the remaining runs continue.
+loss or gradient) are marked failed and the remaining runs continue.
 
 Loss kinds: "agg" is cross-entropy only; "hir" adds the pairwise
 posterior-alignment term weighted by alpha; "mmd" and "ccsa" add the
 corresponding feature-alignment penalty on the latent z instead.
 
-A training step is one forward pass, one tape backward and one Adam step on
-a batch of the epoch that ``stratified_batches`` plans up front. The
-per-domain attribution traces are computed once per epoch, from the
-epoch's stacked detached log-probs, never pair by pair inside a step.
+All seeds of one held-out domain train together: their parameters are
+stacked on a leading run axis, so one training step serves every seed. It is
+one forward pass, one tape backward and one Adam step, on each seed's own
+batch of the epoch that ``stratified_batches`` plans up front. Every seed
+gets the same bits as it would training alone. The per-domain attribution
+traces are computed once per epoch, from the epoch's stacked detached
+log-probs, never pair by pair inside a step.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .losses import (
     domain_mmd_penalty,
 )
 from .models import MlpSpec, ModelParams, forward, init_params, predict, save_checkpoint
-from .optim import adam_step, init_adam
+from .optim import NonFiniteGradient, adam_step, init_adam
 
 LOSS_KINDS = ("agg", "hir", "mmd", "ccsa")
 
@@ -201,49 +204,114 @@ def _safe_mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def train(params: ModelParams, train_suite: DomainSuite, config: ExperimentConfig,
-          batch_seed: int = 0) -> tuple[ModelParams, TrainTraces]:
-    """Train ``params`` in place over the configured epoch budget.
+def _write_back(stack: ModelParams, row: int, params: ModelParams) -> None:
+    for dst, src in zip(params.arrays(), stack.arrays()):
+        dst[...] = src[row]
 
-    Raises :class:`TrainingDiverged` on a non-finite loss or gradient.
+
+def train_runs(runs: list[ModelParams], train_suite: DomainSuite, config: ExperimentConfig,
+               batch_seeds) -> list[TrainTraces | TrainingDiverged]:
+    """Train every run in ``runs`` on ``train_suite`` together, each in place.
+
+    The runs' parameters are stacked on a leading run axis, so each step is
+    one forward pass, one tape backward and one Adam step for all of them.
+    Run r draws its batches from ``batch_seeds[r]``, and every run gets the
+    same bits as it would alone. A run whose loss or gradient turns
+    non-finite leaves the stack with the :class:`TrainingDiverged` it would
+    raise alone, its parameters at their last finite values; the others go
+    on. Returns each run's traces, or its failure.
     """
     if len(train_suite) == 0:
         raise ConfigError("training suite is empty")
     if len(train_suite) < 2:
         warnings.warn("single training domain: cross-domain alignment terms are vacuous")
-    arrays = params.arrays()
-    opt = init_adam(arrays, lr=config.optimizer.lr, beta1=config.optimizer.beta1,
-                    beta2=config.optimizer.beta2, eps=config.optimizer.eps)
-    traces = TrainTraces(domain_params=list(train_suite.domain_params))
     n_domains = len(train_suite)
+    results: list[TrainTraces | TrainingDiverged] = [
+        TrainTraces(domain_params=list(train_suite.domain_params)) for _ in runs]
+    alive = list(range(len(runs)))  # the run on each row of the stack
+    stack = ModelParams([np.stack(ws) for ws in zip(*(p.weights for p in runs))],
+                        [np.stack(bs) for bs in zip(*(p.biases for p in runs))])
+    opt = init_adam(stack.arrays(), lr=config.optimizer.lr, beta1=config.optimizer.beta1,
+                    beta2=config.optimizer.beta2, eps=config.optimizer.eps)
+
+    def drop(messages: dict[int, str]) -> list[int]:
+        """Fail the runs on the given rows and take them off every stack;
+        returns the rows that stay."""
+        nonlocal alive, stack, xs
+        for row, message in messages.items():
+            results[alive[row]] = TrainingDiverged(message)
+            _write_back(stack, row, runs[alive[row]])
+        keep = [row for row in range(len(alive)) if row not in messages]
+        alive = [alive[row] for row in keep]
+        stack = ModelParams([w[keep] for w in stack.weights], [b[keep] for b in stack.biases])
+        for values in (opt.m, opt.v, epoch_lc, epoch_lh, epoch_lp):
+            values[:] = [v[keep] for v in values]
+        xs = xs[:, keep]
+        return keep
+
     for epoch in range(config.epochs):
+        planned = [list(stratified_batches(train_suite, config.per_class_per_domain,
+                                           paired=config.paired, seed=[batch_seeds[run], epoch]))
+                   for run in alive]
+        if not planned[0]:
+            raise ConfigError("sampler produced no batches; check cell sizes")
+        # Every batch of every run has the same label layout.
+        labels = planned[0][0][1]
+        xs = np.stack([np.stack([x for x, _ in batches]) for batches in planned], axis=1)
         epoch_lc, epoch_lh, epoch_lp = [], [], []
-        for x, labels in stratified_batches(train_suite, config.per_class_per_domain,
-                                            paired=config.paired, seed=[batch_seed, epoch]):
+        for b in range(len(xs)):
             graph = ad.Graph()
-            z, logits = forward(params, x, graph)
+            z, logits = forward(stack, xs[b], graph)
             log_probs = ad.log_softmax(logits)
             breakdown = _batch_breakdown(config, z, log_probs, labels)
-            loss_value = breakdown.combined.item()
-            if not np.isfinite(loss_value):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            grads = graph.backward(breakdown.combined)
-            try:
-                adam_step(opt, arrays, [grads[i] for i in graph.param_ids])
-            except ContractError as exc:
-                raise TrainingDiverged(str(exc)) from exc
-            epoch_lc.append(breakdown.classification_value)
-            epoch_lh.append(breakdown.hir_value)
+            epoch_lc.append(breakdown.classification.data)
+            if breakdown.hir is not None:
+                epoch_lh.append(breakdown.hir.data)
             epoch_lp.append(log_probs.data)
-        if not epoch_lp:
-            raise ConfigError("sampler produced no batches; check cell sizes")
-        traces.l_c.append(float(np.mean(epoch_lc)))
-        traces.l_h.append(float(np.mean(epoch_lh)))
-        # Every batch of the epoch has the last batch's label layout.
-        dom_ce, dom_kl = _epoch_attributions(np.stack(epoch_lp), labels, n_domains)
-        traces.per_domain_l_c.append(dom_ce.tolist())
-        traces.per_domain_kl.append(dom_kl.tolist())
-    return params, traces
+            finite = np.isfinite(breakdown.combined.data.reshape(-1))
+            keep = None
+            if not finite.all():
+                keep = drop({int(row): f"non-finite loss at epoch {epoch}"
+                             for row in np.flatnonzero(~finite)})
+                if not alive:
+                    return results
+            grads = graph.backward(breakdown.combined)
+            grads = [grads[i] if keep is None else grads[i][keep] for i in graph.param_ids]
+            try:
+                adam_step(opt, stack.arrays(), grads)
+            except NonFiniteGradient as exc:
+                keep = drop(exc.messages)
+                if not alive:
+                    return results
+                adam_step(opt, stack.arrays(), [g[keep] for g in grads])
+        # Each run's step values lie along one contiguous row, reduced in
+        # the order its own list of steps would be.
+        l_c = np.concatenate(epoch_lc, axis=-1).mean(axis=-1)
+        l_h = np.concatenate(epoch_lh, axis=-1).mean(axis=-1) if epoch_lh else np.zeros_like(l_c)
+        log_probs_by_run = np.stack(epoch_lp, axis=1)
+        for row, run in enumerate(alive):
+            traces = results[run]
+            traces.l_c.append(float(l_c[row, 0]))
+            traces.l_h.append(float(l_h[row, 0]))
+            dom_ce, dom_kl = _epoch_attributions(log_probs_by_run[row], labels, n_domains)
+            traces.per_domain_l_c.append(dom_ce.tolist())
+            traces.per_domain_kl.append(dom_kl.tolist())
+    for row, run in enumerate(alive):
+        _write_back(stack, row, runs[run])
+    return results
+
+
+def train(params: ModelParams, train_suite: DomainSuite, config: ExperimentConfig,
+          batch_seed: int = 0) -> tuple[ModelParams, TrainTraces]:
+    """Train ``params`` in place over the configured epoch budget: the
+    one-run case of :func:`train_runs`.
+
+    Raises :class:`TrainingDiverged` on a non-finite loss or gradient.
+    """
+    [result] = train_runs([params], train_suite, config, [batch_seed])
+    if isinstance(result, TrainingDiverged):
+        raise result
+    return params, result
 
 
 def evaluate(params: ModelParams, dataset: DomainDataset) -> float:
@@ -255,6 +323,9 @@ def evaluate(params: ModelParams, dataset: DomainDataset) -> float:
 
 @dataclass
 class RunOutcome:
+    """One (held-out, seed) run. ``wall_clock_s`` is its share of the
+    held-out cell's time, as :func:`run_single` sets it."""
+
     held_out: int
     held_out_param: float
     seed: int
@@ -301,49 +372,61 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def run_single(config: ExperimentConfig, held_out: int, seed: int) -> RunOutcome:
-    """One (held-out domain, seed) training run; never raises on divergence."""
+def run_single(config: ExperimentConfig, held_out: int, seeds) -> list[RunOutcome]:
+    """Every seed's run of one held-out domain, trained together by
+    :func:`train_runs`; one outcome per seed, in order. Never raises on
+    divergence.
+
+    An outcome's ``wall_clock_s`` is its share of the cell: the time to
+    build the suite and train the stack, split evenly over the seeds, plus
+    its own evaluation and diagnostics.
+    """
     start = time.perf_counter()
     suite = config.suite.build()
-    train_suite = suite.drop(held_out)
-    spec = MlpSpec((suite.feature_dim, *config.hidden_sizes, suite.class_count),
-                   seed=derive_seed(seed, held_out, 0))
-    params = init_params(spec)
-    try:
-        params, traces = train(params, train_suite, config,
-                               batch_seed=derive_seed(seed, held_out, 1))
+    layer_sizes = (suite.feature_dim, *config.hidden_sizes, suite.class_count)
+    runs = [init_params(MlpSpec(layer_sizes, seed=derive_seed(seed, held_out, 0)))
+            for seed in seeds]
+    results = train_runs(runs, suite.drop(held_out), config,
+                         [derive_seed(seed, held_out, 1) for seed in seeds])
+    shared_s = (time.perf_counter() - start) / len(runs)
+    held_out_param = suite.domain_params[held_out]
+    outcomes = []
+    for seed, params, result in zip(seeds, runs, results):
+        start = time.perf_counter()
+        if isinstance(result, TrainingDiverged):
+            outcomes.append(RunOutcome(held_out, held_out_param, seed, None, True, str(result),
+                                       None, None, None, shared_s))
+            continue
         accuracy = evaluate(params, suite.domains[held_out])
         bundle = None
         if config.collect_diagnostics:
             bundle = diag.bundle_to_jsonable(diag.collect_bundle(
                 params, suite, per_class_per_domain=1, seed=derive_seed(seed, held_out, 2)))
-        return RunOutcome(held_out, suite.domain_params[held_out], seed, accuracy,
-                          False, None, traces, bundle, params,
-                          time.perf_counter() - start)
-    except TrainingDiverged as exc:
-        return RunOutcome(held_out, suite.domain_params[held_out], seed, None,
-                          True, str(exc), None, None, None,
-                          time.perf_counter() - start)
+        outcomes.append(RunOutcome(held_out, held_out_param, seed, accuracy, False, None, result,
+                                   bundle, params, shared_s + time.perf_counter() - start))
+    return outcomes
 
 
-def _run_single_job(args) -> RunOutcome:
+def _run_single_job(args) -> list[RunOutcome]:
     return run_single(*args)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """All (held-out, seed) runs plus per-domain aggregate accuracy.
 
-    The HIRNET_WORKERS environment variable bounds parallel runs
-    (default 1); results are identical regardless of worker count.
+    Each held-out domain is one job, which trains all its seeds together.
+    The HIRNET_WORKERS environment variable bounds parallel jobs (default
+    1); results are identical regardless of worker count.
     """
     start = time.perf_counter()
-    jobs = [(config, ho, seed) for ho in config.held_out_indices() for seed in config.seeds]
+    jobs = [(config, ho, config.seeds) for ho in config.held_out_indices()]
     workers = max(1, int(os.environ.get("HIRNET_WORKERS", "1")))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_single_job, jobs))
+            cells = list(pool.map(_run_single_job, jobs))
     else:
-        outcomes = [run_single(*job) for job in jobs]
+        cells = [run_single(*job) for job in jobs]
+    outcomes = [outcome for cell in cells for outcome in cell]
     aggregates = {}
     for ho in config.held_out_indices():
         accs = [r.accuracy for r in outcomes if r.held_out == ho and not r.failed]

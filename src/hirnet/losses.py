@@ -3,7 +3,9 @@ and the two feature-alignment baselines (RBF-kernel MMD and same-class
 cross-domain distance).
 
 All functions accept plain arrays or graph-attached tensors; losses built
-on attached tensors are differentiable through the recording graph. Each
+on attached tensors are differentiable through the recording graph. Rows
+are a matrix (one run) or a stack of matrices (one per run) that share one
+label layout, and every loss gives one value per run. Each
 loss is one node (``autodiff.emit``) with an analytic backward: the pair
 sums of HIR, MMD and CCSA are evaluated in closed form, never pair by pair
 on the tape. The posterior-alignment loss works on log-space posteriors
@@ -100,6 +102,16 @@ def _label_info(labels) -> tuple[np.ndarray, np.ndarray | None]:
     return np.asarray(labels, dtype=np.int64).reshape(-1), None
 
 
+def _per_run(values: np.ndarray) -> np.ndarray:
+    """Sum over each matrix: one (1, 1) scalar per run."""
+    return values.sum(axis=(-2, -1), keepdims=True)
+
+
+def _zero(rows: Tensor) -> Tensor:
+    """A constant zero loss with one value per run of ``rows``."""
+    return ad.tensor(np.zeros(rows.shape[:-2] + (1, 1)))
+
+
 def cross_entropy(log_probs, labels) -> Tensor:
     """Mean negative log-probability of the true class.
 
@@ -108,7 +120,7 @@ def cross_entropy(log_probs, labels) -> Tensor:
     """
     log_probs = ad.as_tensor(log_probs)
     y, _ = _label_info(labels)
-    n, m = log_probs.shape
+    n, m = log_probs.shape[-2:]
     if y.size != n:
         raise ContractError(f"{y.size} labels for {n} rows")
     if n < 1:
@@ -118,8 +130,8 @@ def cross_entropy(log_probs, labels) -> Tensor:
     onehot = np.zeros((n, m))
     onehot[np.arange(n), y] = 1.0
     scale = -1.0 / n
-    value = np.array([[(log_probs.data * onehot).sum() * scale]])
-    return ad.emit("cross_entropy", (log_probs,), value, lambda up: (onehot * (up[0, 0] * scale),))
+    value = _per_run(log_probs.data * onehot) * scale
+    return ad.emit("cross_entropy", (log_probs,), value, lambda up: (onehot * (up * scale),))
 
 
 def same_class_pairs(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -156,10 +168,11 @@ def _groups(*keys: np.ndarray) -> list[np.ndarray]:
 def _pair_sums(groups, p: np.ndarray, lp: np.ndarray):
     """Per row, within its group: the sum of p over earlier rows, the sum of
     lp over later rows and the number of later rows (an (n, 1) column)."""
-    earlier, later, n_later = np.zeros_like(p), np.zeros_like(lp), np.zeros((len(p), 1))
+    earlier, later = np.zeros_like(p), np.zeros_like(lp)
+    n_later = np.zeros((p.shape[-2], 1))
     for idx in groups:
-        earlier[idx[1:]] = np.cumsum(p[idx[:-1]], axis=0)
-        later[idx[:-1]] = np.cumsum(lp[idx[:0:-1]], axis=0)[::-1]
+        earlier[..., idx[1:], :] = np.cumsum(p[..., idx[:-1], :], axis=-2)
+        later[..., idx[:-1], :] = np.cumsum(lp[..., idx[:0:-1], :], axis=-2)[..., ::-1, :]
         n_later[idx, 0] = np.arange(idx.size - 1, -1, -1)
     return earlier, later, n_later
 
@@ -171,7 +184,8 @@ def hir_kl(log_probs, labels, cross_domain_only: bool = False,
     For every same-class ordered pair (i, j) with i earlier in the batch,
     adds KL(p_i || p_j) = sum_k p_i[k] * (log p_i[k] - log p_j[k]) with
     p = exp(log_probs), one direction per pair. Returns the loss and the
-    number of KL terms.
+    number of KL terms, which the shared label layout makes the same for
+    every run.
 
     One tape node, O(n m): the sum is sum_i p_i . (c_i log p_i - S_i), S_i
     summing log p_j over the c_i later same-class rows; its gradient in
@@ -193,12 +207,12 @@ def hir_kl(log_probs, labels, cross_domain_only: bool = False,
         earlier_p, later_lp, n_later = earlier_p - cell_p, later_lp - cell_lp, n_later - cell_n
     pair_count = int(n_later.sum())
     if pair_count == 0:
-        return ad.tensor(0.0), 0
+        return _zero(log_probs), 0
     scale = 1.0 / pair_count if normalize else 1.0
-    value = np.array([[np.sum(p * (n_later * lp - later_lp)) * scale]])
+    value = _per_run(p * (n_later * lp - later_lp)) * scale
 
     def back(up):
-        return ((up[0, 0] * scale) * (p * (n_later * lp - later_lp + n_later) - earlier_p),)
+        return ((up * scale) * (p * (n_later * lp - later_lp + n_later) - earlier_p),)
 
     return ad.emit("hir_kl", (log_probs,), value, back), pair_count
 
@@ -239,8 +253,10 @@ def combined_loss(log_probs, labels, alpha: float, cross_domain_only: bool = Fal
 
 def _sq_dists(z: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between every two rows of z, clipped at 0."""
-    sq = np.sum(z * z, axis=1)
-    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * (z @ z.T), 0.0)
+    sq = np.sum(z * z, axis=-1)
+    dists = sq[..., :, None] + sq[..., None, :]
+    dists -= 2.0 * (z @ z.swapaxes(-1, -2))
+    return np.maximum(dists, 0.0, out=dists)
 
 
 def _mmd_sum(parts: tuple[Tensor, ...], domains: np.ndarray, bandwidth: float) -> Tensor:
@@ -249,23 +265,30 @@ def _mmd_sum(parts: tuple[Tensor, ...], domains: np.ndarray, bandwidth: float) -
     with gamma = -1 / (2 bandwidth^2). W is the mean over domain pairs a < b
     of (u_a - u_b)(u_a - u_b)^T, u_a being domain a's row indicator over its
     size. The gradient is 4 gamma (diag((W o K) 1) z - (W o K) z).
+    ``bandwidth`` is one value, or one per run of a stack; each must give a
+    finite gamma.
     """
-    if bandwidth <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
+    z = np.concatenate([t.data for t in parts], axis=-2)
+    bandwidth = np.asarray(bandwidth, dtype=np.float64).reshape(-1, 1, 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        gamma = -1.0 / (2.0 * bandwidth * bandwidth)
+    if not np.all((bandwidth > 0) & np.isfinite(gamma)):
+        raise ConfigError(f"bandwidth must be positive with a finite 1 / (2 bandwidth^2), "
+                          f"got {bandwidth.reshape(-1).tolist()}")
+    if z.ndim == 2:
+        gamma = gamma[0]
     _, inverse, sizes = np.unique(domains, return_inverse=True, return_counts=True)
     w = 1.0 / sizes[inverse]
     same = inverse[:, None] == inverse[None, :]
     weights = np.outer(w, w) * (sizes.size * same - 1.0) / (sizes.size * (sizes.size - 1) / 2)
-    z = np.vstack([t.data for t in parts])
-    gamma = -1.0 / (2.0 * bandwidth * bandwidth)
     wk = weights * np.exp(gamma * _sq_dists(z))
 
     def back(up):
-        grad = (4.0 * gamma * up[0, 0]) * (wk.sum(axis=1, keepdims=True) * z - wk @ z)
-        rows = np.split(grad, np.cumsum([t.shape[0] for t in parts[:-1]]))
+        grad = (4.0 * gamma * up) * (wk.sum(axis=-1, keepdims=True) * z - wk @ z)
+        rows = np.split(grad, np.cumsum([t.shape[-2] for t in parts[:-1]]), axis=-2)
         return tuple(g for t, g in zip(parts, rows) if t.graph is not None)
 
-    return ad.emit("mmd", parts, np.array([[wk.sum()]]), back)
+    return ad.emit("mmd", parts, _per_run(wk), back)
 
 
 def mmd_rbf(z_a, z_b, bandwidth: float) -> Tensor:
@@ -275,24 +298,31 @@ def mmd_rbf(z_a, z_b, bandwidth: float) -> Tensor:
     k(u, v) = exp(-||u - v||^2 / (2 * bandwidth^2)), as one tape node.
     """
     z_a, z_b = ad.as_tensor(z_a), ad.as_tensor(z_b)
-    return _mmd_sum((z_a, z_b), np.repeat([0, 1], [z_a.shape[0], z_b.shape[0]]), bandwidth)
+    return _mmd_sum((z_a, z_b), np.repeat([0, 1], [z_a.shape[-2], z_b.shape[-2]]), bandwidth)
 
 
-def median_bandwidth(z, fallback: float = 1.0) -> float:
-    """Median pairwise Euclidean distance; ``fallback`` if it degenerates."""
+def median_bandwidth(z, fallback: float = 1.0):
+    """Median pairwise Euclidean distance; ``fallback`` if it degenerates.
+
+    A float for a matrix of rows, one value per run for a stack of them.
+    """
     arr = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
-    n = arr.shape[0]
-    if n < 2:
-        return fallback
-    med = float(np.median(np.sqrt(_sq_dists(arr)[np.triu_indices(n, k=1)])))
-    return med if med > 0 else fallback
+    n = arr.shape[-2]
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    medians = []
+    for dists in _sq_dists(arr).reshape(-1, n, n):
+        pairs = dists[upper]
+        med = float(np.median(np.sqrt(pairs, out=pairs), overwrite_input=True)) if n > 1 else 0.0
+        medians.append(med if med > 0 else fallback)
+    return medians[0] if arr.ndim == 2 else np.array(medians)
 
 
 def _spread(groups, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: its group's size (an (n, 1) column) and its offset from the group mean."""
-    sizes, offsets = np.zeros((len(z), 1)), np.zeros_like(z)
+    sizes, offsets = np.zeros((z.shape[-2], 1)), np.zeros_like(z)
     for idx in groups:
-        sizes[idx], offsets[idx] = idx.size, z[idx] - z[idx].mean(axis=0)
+        cell = z[..., idx, :]
+        sizes[idx], offsets[..., idx, :] = idx.size, cell - cell.mean(axis=-2, keepdims=True)
     return sizes, offsets
 
 
@@ -313,28 +343,28 @@ def class_conditional_align(z, labels, domains=None) -> Tensor:
     cell_n, cell_dev = _spread(_groups(y, doms), z.data)
     pair_count = int((class_n - cell_n).sum()) // 2
     if pair_count == 0:
-        return ad.tensor(0.0)
-    total = np.sum(class_n * class_dev * class_dev) - np.sum(cell_n * cell_dev * cell_dev)
+        return _zero(z)
+    total = _per_run(class_n * class_dev * class_dev) - _per_run(cell_n * cell_dev * cell_dev)
 
     def back(up):
-        return ((2.0 * up[0, 0] / pair_count) * (class_n * class_dev - cell_n * cell_dev),)
+        return ((2.0 * up / pair_count) * (class_n * class_dev - cell_n * cell_dev),)
 
-    return ad.emit("ccsa", (z,), np.array([[total / pair_count]]), back)
+    return ad.emit("ccsa", (z,), total / pair_count, back)
 
 
 def domain_mmd_penalty(z, domains, bandwidth: float | None = None) -> Tensor:
     """Mean RBF MMD between the z-rows of every pair of domains in the batch.
 
     Bandwidth defaults to the median pairwise-distance heuristic over the
-    whole batch, computed on detached values (it is a constant of the loss,
-    not differentiated).
+    whole batch, per run, computed on detached values (it is a constant of
+    the loss, not differentiated).
     """
     z = ad.as_tensor(z)
     doms = np.asarray(domains, dtype=np.int64).reshape(-1)
-    if doms.size != z.shape[0]:
+    if doms.size != z.shape[-2]:
         raise ContractError("one domain index per z row required")
     if bandwidth is None:
         bandwidth = median_bandwidth(z.data)
     if np.unique(doms).size < 2:
-        return ad.tensor(0.0)
+        return _zero(z)
     return _mmd_sum((z,), doms, bandwidth)

@@ -44,14 +44,18 @@ class MlpSpec:
 
 @dataclass
 class ModelParams:
-    """Per-layer weight matrices and bias rows (bias as 1 x width)."""
+    """Per-layer weight matrices and bias rows (bias as 1 x width).
+
+    For several runs trained together, each array is instead a stack with
+    one matrix or row per run on a leading axis.
+    """
 
     weights: list[np.ndarray] = field(default_factory=list)
     biases: list[np.ndarray] = field(default_factory=list)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
+        return tuple([self.weights[0].shape[-2]] + [w.shape[-1] for w in self.weights])
 
     def arrays(self) -> list[np.ndarray]:
         """Flat parameter list in the canonical W0, b0, W1, b1, ... order."""
@@ -78,15 +82,16 @@ def init_params(spec: MlpSpec) -> ModelParams:
 def forward(params: ModelParams, x, graph: ad.Graph | None = None) -> tuple[ad.Tensor, ad.Tensor]:
     """Run the network on a batch of row vectors; returns (z, logits).
 
+    For stacked params, ``x`` is a stack of batches, one per run, and each
+    run's batch goes through that run's network.
     With a graph, each parameter is bound as a differentiable leaf in
     ``params.arrays()`` order, so ``graph.param_ids`` lines up with it.
     Without a graph the pass is a plain value computation.
     """
     x_arr = np.asarray(x, dtype=np.float64)
-    if x_arr.ndim != 2 or x_arr.shape[1] != params.weights[0].shape[0]:
-        raise ShapeError(
-            f"input shape {x_arr.shape} does not match input dim {params.weights[0].shape[0]}"
-        )
+    w0 = params.weights[0]
+    if x_arr.ndim != w0.ndim or x_arr.shape[:-2] + x_arr.shape[-1:] != w0.shape[:-1]:
+        raise ShapeError(f"input shape {x_arr.shape} does not match first weights {w0.shape}")
     if graph is None:
         bound = [(ad.tensor(w), ad.tensor(b)) for w, b in zip(params.weights, params.biases)]
     else:

@@ -2,7 +2,9 @@
 
 Update rule per step: m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2,
 theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with the usual
-1/(1-b^t) bias corrections. Parameters are updated in place.
+1/(1-b^t) bias corrections. Parameters are updated in place. The update
+is elementwise, so parameters stacked with one matrix per run on a leading
+axis step every run at once, each exactly as it would step alone.
 """
 
 from __future__ import annotations
@@ -12,6 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
+
+
+class NonFiniteGradient(ContractError):
+    """Some gradients are not finite. ``messages`` maps each run with one
+    (its index on the leading axis, 0 without one) to a message naming its
+    first such parameter index."""
+
+    def __init__(self, first_index: dict[int, int]):
+        self.messages = {run: f"non-finite gradient at parameter index {i}"
+                         for run, i in first_index.items()}
+        super().__init__("; ".join(self.messages.values()))
 
 
 @dataclass
@@ -36,14 +49,23 @@ def init_adam(params: list[np.ndarray], lr: float = 1e-3, beta1: float = 0.9,
 
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray]) -> tuple[list[np.ndarray], AdamState]:
-    """Apply one update. Mutates ``params`` and ``state``; returns both."""
+    """Apply one update. Mutates ``params`` and ``state``; returns both.
+
+    Raises :class:`NonFiniteGradient`, naming every run with a non-finite
+    gradient, before it changes anything.
+    """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ContractError("parameter, gradient and moment counts must match")
+    first_index: dict[int, int] = {}
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.shape:
             raise ContractError(f"grad shape {g.shape} != param shape {p.shape} at index {i}")
-        if not np.all(np.isfinite(g)):
-            raise ContractError(f"non-finite gradient at parameter index {i}")
+        finite = np.isfinite(g)
+        if not finite.all():
+            for run in np.flatnonzero(~finite.all(axis=(-2, -1))):
+                first_index.setdefault(int(run), i)
+    if first_index:
+        raise NonFiniteGradient(first_index)
     state.t += 1
     correct1 = 1.0 - state.beta1 ** state.t
     correct2 = 1.0 - state.beta2 ** state.t

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -175,17 +178,63 @@ OPS = {
 
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_every_op_passes_grad_check(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    params = op_params(name, np.random.default_rng(hash(name) % 2**32))
+    assert ad.grad_check(OPS[name], params, step=1e-5) < 1e-4
+
+
+def op_params(name: str, rng) -> list[np.ndarray]:
     a = rng.normal(size=(3, 4))
     if name == "add_bias_row":
-        params = [a, rng.normal(size=(1, 4))]
-    elif name == "matmul":
-        params = [a, rng.normal(size=(4, 2))]
-    elif name in ("add", "sub", "mul"):
-        params = [a, rng.normal(size=(3, 4))]
-    else:
-        params = [a]
-    assert ad.grad_check(OPS[name], params, step=1e-5) < 1e-4
+        return [a, rng.normal(size=(1, 4))]
+    if name == "matmul":
+        return [a, rng.normal(size=(4, 2))]
+    if name in ("add", "sub", "mul"):
+        return [a, rng.normal(size=(3, 4))]
+    return [a]
+
+
+def value_and_grads(name: str, params: list[np.ndarray]):
+    g = ad.Graph()
+    leaves = [g.param(p) for p in params]
+    loss = OPS[name](g, leaves)
+    grads = g.backward(loss)
+    return loss.data, [grads[leaf.node_id] for leaf in leaves]
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_every_op_acts_run_by_run_on_a_stack(name):
+    rng = np.random.default_rng(hash(name) % 2**32)
+    solo = [op_params(name, rng) for _ in range(3)]
+    stacked_value, stacked_grads = value_and_grads(name, [np.stack(p) for p in zip(*solo)])
+    assert stacked_value.shape == (3, 1, 1)
+    for run, params in enumerate(solo):
+        value, grads = value_and_grads(name, params)
+        np.testing.assert_array_equal(stacked_value[run], value)
+        for stacked_grad, grad in zip(stacked_grads, grads):
+            np.testing.assert_array_equal(stacked_grad[run], grad)
+
+
+def test_matmul_needs_stacks_of_one_length():
+    with pytest.raises(ShapeError):
+        ad.matmul(ad.tensor(np.ones((2, 3, 4))), ad.tensor(np.ones((3, 4, 2))))
+    with pytest.raises(ShapeError):
+        ad.matmul(ad.tensor(np.ones((3, 4))), ad.tensor(np.ones((2, 4, 2))))
+
+
+def test_backward_frees_the_tape_without_the_cyclic_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = ad.Graph()
+        w = g.param(np.ones((3, 2)))
+        loss = ad.sum_all(ad.log_softmax(ad.relu(ad.matmul(ad.tensor(np.ones((4, 3))), w))))
+        g.backward(loss)
+        tape = weakref.ref(g)
+        del g, w, loss
+        assert tape() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def cube_sum(x: ad.Tensor) -> ad.Tensor:
@@ -220,9 +269,10 @@ class TestEmit:
         np.testing.assert_array_equal(g.backward(loss)[x.node_id], [[5.0, 5.0]])
 
 
-def test_tensors_require_two_dims():
+def test_tensors_are_matrices_or_stacks_of_them():
+    assert ad.tensor(np.zeros((2, 3, 4))).shape == (2, 3, 4)
     with pytest.raises(ShapeError):
-        ad.tensor(np.zeros((2, 2, 2)))
+        ad.tensor(np.zeros((2, 2, 2, 2)))
 
 
 def test_scalar_item():

@@ -213,9 +213,10 @@ class TestDiagCommand:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--probe-size", "-1"], ["--probe-size", "0"],
-                                      ["--seed", "-1"], ["--bandwidth", "nan"]],
+                                      ["--seed", "-1"], ["--bandwidth", "nan"],
+                                      ["--bandwidth", "1e-160"], ["--bandwidth", "1e-300"]],
                              ids=["probe-size-negative", "probe-size-zero", "seed-negative",
-                                  "bandwidth-nan"])
+                                  "bandwidth-nan", "bandwidth-1e-160", "bandwidth-1e-300"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, flag):
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)

@@ -192,7 +192,7 @@ class TestTrain:
         results = {}
         for alpha, kind in ((0.0, "hir"), (1e-12, "hir")):
             cfg = tiny_config(loss_kind=kind, alpha=alpha, epochs=5)
-            outcome = run_single(cfg, 1, 0)
+            [outcome] = run_single(cfg, 1, (0,))
             results[alpha] = outcome.accuracy
         assert abs(results[0.0] - results[1e-12]) < 0.1
 
@@ -202,7 +202,7 @@ def test_step_tape_length_does_not_grow_with_batch_size(loss_kind, monkeypatch):
     """Each penalty is one tape node, so the pair count never reaches the tape."""
     original = ad.Graph.backward
 
-    def tape_lengths(per_class_per_domain: int) -> set[int]:
+    def tape_lengths(per_class_per_domain: int, n_runs: int) -> set[int]:
         seen = []
 
         def spy(graph, loss):
@@ -212,12 +212,13 @@ def test_step_tape_length_does_not_grow_with_batch_size(loss_kind, monkeypatch):
         monkeypatch.setattr(ad.Graph, "backward", spy)
         cfg = tiny_config(loss_kind=loss_kind, alpha=0.1, epochs=1,
                           per_class_per_domain=per_class_per_domain)
-        train(init_params(MlpSpec((2, 8, 2), seed=0)), cfg.suite.build().drop(1), cfg)
+        runs = [init_params(MlpSpec((2, 8, 2), seed=s)) for s in range(n_runs)]
+        harness.train_runs(runs, cfg.suite.build().drop(1), cfg, list(range(n_runs)))
         return set(seen)
 
     # 4 parameters, 5 forward nodes, log_softmax, cross-entropy, the penalty,
-    # its alpha scaling and the sum.
-    assert tape_lengths(2) == tape_lengths(10) == {14}
+    # its alpha scaling and the sum, however many runs share the tape.
+    assert tape_lengths(2, 1) == tape_lengths(10, 1) == tape_lengths(10, 3) == {14}
 
 
 def per_batch_attributions(log_probs, labels, n_domains):
@@ -244,15 +245,17 @@ def train_with_oracle(monkeypatch, suite, cfg):
     epochs = []
     sampler, log_softmax = harness.stratified_batches, ad.log_softmax
 
+    # An epoch's batches are all drawn before its first step, and its
+    # log_softmax calls come in batch order; the one run is row 0 of the stack.
     def recording_sampler(*args, **kwargs):
-        epochs.append([])
+        epochs.append(([], []))
         for x, labels in sampler(*args, **kwargs):
-            epochs[-1].append([labels, None])
+            epochs[-1][0].append(labels)
             yield x, labels
 
     def recording_log_softmax(logits):
         out = log_softmax(logits)
-        epochs[-1][-1][1] = out.data
+        epochs[-1][1].append(out.data[0])
         return out
 
     monkeypatch.setattr(harness, "stratified_batches", recording_sampler)
@@ -260,8 +263,10 @@ def train_with_oracle(monkeypatch, suite, cfg):
     _, traces = train(init_params(MlpSpec((2, 8, suite.class_count), seed=4)), suite, cfg,
                       batch_seed=5)
     expected_ce, expected_kl = [], []
-    for batches in epochs:
-        per_batch = [per_batch_attributions(lp, labels, len(suite)) for labels, lp in batches]
+    for batch_labels, batch_lps in epochs:
+        assert len(batch_labels) == len(batch_lps)
+        per_batch = [per_batch_attributions(lp, labels, len(suite))
+                     for labels, lp in zip(batch_labels, batch_lps)]
         expected_ce.append(np.mean([ce for ce, _ in per_batch], axis=0))
         expected_kl.append(np.mean([kl for _, kl in per_batch], axis=0))
     return traces, np.array(expected_ce), np.array(expected_kl)
@@ -316,6 +321,88 @@ def test_training_step_enumerates_no_pairs(loss_kind, monkeypatch):
     cfg = tiny_config(loss_kind=loss_kind, alpha=0.1, paired=True, epochs=2)
     _, traces = train(init_params(MlpSpec((2, 8, 2), seed=0)), cfg.suite.build().drop(1), cfg)
     assert len(traces.per_domain_kl) == 2
+
+
+PRIOR_SHIFT_SUITE = SuiteSpec(kind="gaussians", n_per_class=15, angles=(0.0, 20.0, 40.0), seed=6,
+                              class_count=3, prior_shift=[[0.5, 0.5, 0.0], [0.2, 0.3, 0.5],
+                                                          [0.4, 0.3, 0.3]])
+STACK_CASES = {
+    **{f"{kind}-{'paired' if paired else 'unpaired'}": dict(loss_kind=kind, paired=paired,
+                                                           alpha=0.0 if kind == "agg" else 0.1)
+       for kind in ("agg", "hir", "mmd", "ccsa") for paired in (False, True)},
+    "hir-cross-domain-normalized": dict(loss_kind="hir", alpha=0.1, cross_domain_only=True,
+                                        normalize_hir=True),
+    "hir-prior-shift-empty-cell": dict(loss_kind="hir", alpha=0.1, suite=PRIOR_SHIFT_SUITE,
+                                       per_class_per_domain=3),
+}
+
+
+def three_runs(class_count: int) -> list[ModelParams]:
+    return [init_params(MlpSpec((2, 8, class_count), seed=s)) for s in range(3)]
+
+
+def same_bytes(a: ModelParams, b: ModelParams) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.arrays(), b.arrays()))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+class TestStackedRuns:
+    """Runs trained together on one stack give the bits of each run alone."""
+
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_each_run_of_a_stack_is_its_solo_run(self, case):
+        cfg = tiny_config(epochs=3, **STACK_CASES[case])
+        suite = cfg.suite.build()
+        train_suite = suite.drop(1)
+        solo = three_runs(suite.class_count)
+        solo_traces = [train(p, train_suite, cfg, batch_seed=10 + s)[1]
+                       for s, p in enumerate(solo)]
+        stacked = three_runs(suite.class_count)
+        stacked_traces = harness.train_runs(stacked, train_suite, cfg, [10, 11, 12])
+        for alone, together, alone_traces, together_traces in zip(
+                solo, stacked, solo_traces, stacked_traces):
+            assert same_bytes(alone, together)
+            assert together_traces.to_dict() == alone_traces.to_dict()
+            assert evaluate(together, suite.domains[1]) == evaluate(alone, suite.domains[1])
+
+    @pytest.mark.parametrize("cause,message", [
+        ("loss", "non-finite loss at epoch 0"),
+        ("gradient", "non-finite gradient at parameter index 0"),
+    ])
+    def test_diverging_run_fails_as_alone_and_the_others_go_on(self, cause, message):
+        cfg = tiny_config(loss_kind="hir", alpha=0.1, epochs=3)
+        train_suite = cfg.suite.build().drop(1)
+
+        def runs():
+            out = three_runs(2)
+            if cause == "loss":
+                for w in out[1].weights:
+                    w *= 1e160
+            else:  # the loss stays finite, the HIR gradient overflows
+                out[1].weights[1][:] = 0.0
+                out[1].weights[1][0] = [1e308, -1e308]
+            return out
+
+        solo = runs()
+        with pytest.raises(TrainingDiverged, match=f"^{message}$"):
+            train(solo[1], train_suite, cfg, batch_seed=11)
+        solo_traces = {s: train(solo[s], train_suite, cfg, batch_seed=10 + s)[1] for s in (0, 2)}
+        stacked = runs()
+        results = harness.train_runs(stacked, train_suite, cfg, [10, 11, 12])
+        assert isinstance(results[1], TrainingDiverged) and str(results[1]) == message
+        assert same_bytes(stacked[1], solo[1])  # its last finite values
+        for s in (0, 2):
+            assert same_bytes(stacked[s], solo[s])
+            assert results[s].to_dict() == solo_traces[s].to_dict()
+
+    def test_run_single_gives_one_outcome_per_seed(self):
+        cfg = tiny_config(seeds=(3, 1, 2), collect_diagnostics=True, epochs=2)
+        outcomes = run_single(cfg, 1, cfg.seeds)
+        assert [o.seed for o in outcomes] == [3, 1, 2]
+        for outcome in outcomes:
+            [alone] = run_single(cfg, 1, (outcome.seed,))
+            assert strip_wall_clock(outcome.to_dict()) == strip_wall_clock(alone.to_dict())
+            assert same_bytes(outcome.final_params, alone.final_params)
 
 
 class TestEvaluate:
@@ -386,7 +473,7 @@ class TestRunExperiment:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_worker_count_does_not_change_results(self):
-        cfg = tiny_config(seeds=(0, 1), epochs=2)
+        cfg = tiny_config(held_out="all", seeds=(0, 1, 2), epochs=2)
         sequential = strip_wall_clock(run_experiment(cfg).to_dict())
         os.environ["HIRNET_WORKERS"] = "2"
         try:

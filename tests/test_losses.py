@@ -318,6 +318,17 @@ class TestMmd:
         with pytest.raises(ConfigError):
             mmd_rbf(np.ones((2, 2)), np.ones((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("bandwidth", [1e-160, 1e-300])
+    def test_positive_bandwidth_with_an_infinite_gamma_rejected(self, bandwidth):
+        # 1 / (2 bandwidth^2) overflows: no kernel value would be finite.
+        with pytest.raises(ConfigError):
+            mmd_rbf(np.ones((2, 2)), np.ones((2, 2)), bandwidth)
+
+    def test_bad_bandwidth_of_one_run_rejects_the_stack(self):
+        z = np.random.default_rng(31).normal(size=(3, 6, 2))
+        with pytest.raises(ConfigError):
+            domain_mmd_penalty(z, np.arange(6) % 2, bandwidth=np.array([1.0, 1e-200, 1.0]))
+
     def test_gradient(self):
         rng = np.random.default_rng(16)
         a = rng.normal(size=(4, 2))
@@ -437,6 +448,64 @@ class TestMedianBandwidth:
     def test_degenerate_falls_back(self):
         assert median_bandwidth(np.zeros((5, 2))) == 1.0
         assert median_bandwidth(np.zeros((1, 2))) == 1.0
+        np.testing.assert_array_equal(median_bandwidth(np.zeros((2, 1, 2))), [1.0, 1.0])
+
+    @pytest.mark.parametrize("n", [50, 1200, 1201])
+    def test_bitwise_equal_to_the_index_pair_formula(self, n):
+        z = np.random.default_rng(n).normal(size=(n, 32))
+        sq = np.sum(z * z, axis=1)
+        dists = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (z @ z.T), 0.0)
+        expected = float(np.median(np.sqrt(dists[np.triu_indices(n, k=1)])))
+        assert median_bandwidth(z) == expected
+
+    def test_stack_gives_each_matrix_its_own_median(self):
+        z = np.random.default_rng(33).normal(size=(3, 40, 4))
+        z[1] = 0.0
+        expected = [median_bandwidth(matrix) for matrix in z]
+        assert expected[1] == 1.0
+        np.testing.assert_array_equal(median_bandwidth(z), expected)
+
+
+STACKED_LOSSES = {
+    "cross_entropy": lambda lp, z, labels: cross_entropy(lp, labels),
+    "hir_kl": lambda lp, z, labels: hir_kl(lp, labels)[0],
+    "hir_kl_cross_domain_normalized": lambda lp, z, labels: hir_kl(
+        lp, labels, cross_domain_only=True, normalize=True)[0],
+    "ccsa": lambda lp, z, labels: class_conditional_align(z, labels),
+    "domain_mmd_median_bandwidth": lambda lp, z, labels: domain_mmd_penalty(z, labels.domains),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_LOSSES))
+def test_loss_of_a_stack_is_each_run_alone(name):
+    """A stack of runs sharing one label layout: one value per run, and each
+    run's value and gradients are those of the run alone, bit for bit."""
+    rng = np.random.default_rng(34)
+    labels = BatchLabels(rng.integers(0, 3, size=14), rng.integers(0, 3, size=14))
+    logits, z = rng.normal(size=(3, 14, 3)), rng.normal(size=(3, 14, 4))
+
+    def value_and_grads(logits, z):
+        g = ad.Graph()
+        leaves = g.param(logits), g.param(z)
+        loss = STACKED_LOSSES[name](ad.log_softmax(leaves[0]), leaves[1] * 1.0, labels)
+        grads = g.backward(loss)
+        return loss.data, [grads[leaf.node_id] for leaf in leaves]
+
+    stacked_value, stacked_grads = value_and_grads(logits, z)
+    assert stacked_value.shape == (3, 1, 1)
+    for run in range(3):
+        value, grads = value_and_grads(logits[run], z[run])
+        assert stacked_value[run].tobytes() == value.tobytes()
+        for stacked_grad, grad in zip(stacked_grads, grads):
+            assert stacked_grad[run].tobytes() == grad.tobytes()
+
+
+def test_loss_without_pairs_is_zero_per_run():
+    lp = ad.log_softmax(ad.tensor(np.zeros((2, 3, 2))))
+    labels = BatchLabels([0, 1, 0], [0, 0, 0])
+    assert hir_kl(lp, [0, 1, 2])[0].shape == (2, 1, 1)
+    assert class_conditional_align(np.zeros((2, 3, 2)), labels).shape == (2, 1, 1)
+    assert domain_mmd_penalty(np.zeros((2, 3, 2)), labels.domains).shape == (2, 1, 1)
 
 
 class TestBatchLabels:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hirnet.errors import ContractError
-from hirnet.optim import AdamState, adam_step, init_adam
+from hirnet.optim import AdamState, NonFiniteGradient, adam_step, init_adam
 
 
 def test_first_step_moves_by_lr_times_sign():
@@ -83,6 +83,37 @@ def test_nan_gradient_rejected():
     state = init_adam(params)
     with pytest.raises(ContractError):
         adam_step(state, params, [np.array([[np.nan, 0.0]])])
+
+
+def test_nan_gradient_names_each_run_of_a_stack_and_changes_nothing():
+    params = [np.zeros((3, 2, 2)), np.zeros((3, 1, 2))]
+    grads = [np.ones((3, 2, 2)), np.ones((3, 1, 2))]
+    grads[0][1, 0, 1] = np.nan
+    grads[1][1, 0, 0] = np.inf
+    grads[1][2, 0, 1] = -np.inf
+    state = init_adam(params)
+    with pytest.raises(NonFiniteGradient) as caught:
+        adam_step(state, params, grads)
+    assert caught.value.messages == {1: "non-finite gradient at parameter index 0",
+                                     2: "non-finite gradient at parameter index 1"}
+    assert state.t == 0
+    assert all(not p.any() for p in params + state.m + state.v)
+
+
+def test_stacked_step_equals_each_run_alone():
+    rng = np.random.default_rng(12)
+    solo = [[rng.normal(size=(2, 3)), rng.normal(size=(1, 3))] for _ in range(3)]
+    grads = [[rng.normal(size=p.shape) for p in params] for params in solo]
+    stacked = [np.stack(p) for p in zip(*solo)]
+    stacked_state = init_adam(stacked, lr=1e-2)
+    states = [init_adam(params, lr=1e-2) for params in solo]
+    for _ in range(3):
+        adam_step(stacked_state, stacked, [np.stack(g) for g in zip(*grads)])
+        for params, state, g in zip(solo, states, grads):
+            adam_step(state, params, g)
+    for run, params in enumerate(solo):
+        for stacked_p, p in zip(stacked, params):
+            assert stacked_p[run].tobytes() == p.tobytes()
 
 
 def test_default_hyperparameters():
