@@ -210,6 +210,58 @@ def _last_rows(dataset: DomainDataset, cls: int, ids: np.ndarray) -> np.ndarray:
     return rows[first[np.searchsorted(keys, ids)]]
 
 
+def _cells(suite: DomainSuite, paired: bool) -> tuple[list[tuple[int, int, int]], list[np.ndarray]]:
+    """Every non-empty (domain, class) cell of a batch, in layout order, and
+    the pools their rows are drawn from, in draw order.
+
+    Each cell is (domain, class, index of its pool). A pool is the cell's
+    row indices, or, if paired, the base_ids of the class common to all
+    domains, which the class's cells share. Warns about each cell or class
+    left out.
+    """
+    cells: list[tuple[int, int, int]] = []
+    pools: list[np.ndarray] = []
+    if paired:
+        usable: dict[int, int] = {}
+        for c in range(suite.class_count):
+            common = None
+            for dataset in suite.domains:
+                ids = np.unique(dataset.base_id[dataset.y == c])
+                common = ids if common is None else np.intersect1d(common, ids, assume_unique=True)
+            if common is None or common.size == 0:
+                warnings.warn(f"paired sampling: class {c} has no base_id common to all domains")
+            else:
+                usable[c] = len(pools)
+                pools.append(common)
+        cells = [(d, c, pool) for d in range(len(suite)) for c, pool in usable.items()]
+    else:
+        for d, dataset in enumerate(suite.domains):
+            for c in range(suite.class_count):
+                idx = np.flatnonzero(dataset.y == c)
+                if idx.size == 0:
+                    warnings.warn(f"empty cell: domain {d} has no samples of class {c}")
+                else:
+                    cells.append((d, c, len(pools)))
+                    pools.append(idx)
+    return cells, pools
+
+
+def _layout(cells, pools, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    labels = np.repeat(np.array([c for _, c, _ in cells], dtype=np.int64), k)
+    domains = np.repeat(np.array([d for d, _, _ in cells], dtype=np.int64), k)
+    labels.flags.writeable = domains.flags.writeable = False
+    return labels, domains, max((-(-pool.size // k) for pool in pools), default=0)
+
+
+def batch_layout(suite: DomainSuite, per_class_per_domain: int,
+                 paired: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+    """The read-only ``labels`` and ``domains`` arrays shared by every batch
+    that :func:`stratified_batches` draws from ``suite``, and the number of
+    batches per epoch, whatever the seed. Warns as the sampler does."""
+    k = check_int("per_class_per_domain", per_class_per_domain, 1)
+    return _layout(*_cells(suite, paired), k)
+
+
 def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
                        paired: bool = False, seed=0):
     """One epoch of batches, each with ``per_class_per_domain`` samples from
@@ -227,42 +279,21 @@ def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
     then yields slices. All batches of one call share one label layout
     (domain-major, then class, ``per_class_per_domain`` rows per cell) and
     the same read-only ``labels`` and ``domains`` arrays. The layout and the
-    batch count depend on the suite and the draw size, not on ``seed``, so
-    runs with different seeds can stack their batches.
+    batch count depend on the suite and the draw size, not on ``seed``
+    (:func:`batch_layout` gives them), so runs with different seeds, or on
+    suites of the same layout, can stack their batches.
     """
     k = check_int("per_class_per_domain", per_class_per_domain, 1)
     rng = np.random.default_rng(seed)
-    n_domains, m = len(suite), suite.class_count
-
-    # (domain, class, shuffled draw order): row indices, or base_ids if paired.
-    cells: list[tuple[int, int, np.ndarray]] = []
-    if paired:
-        usable: dict[int, np.ndarray] = {}
-        for c in range(m):
-            common = None
-            for dataset in suite.domains:
-                ids = np.unique(dataset.base_id[dataset.y == c])
-                common = ids if common is None else np.intersect1d(common, ids, assume_unique=True)
-            if common is None or common.size == 0:
-                warnings.warn(f"paired sampling: class {c} has no base_id common to all domains")
-            else:
-                usable[c] = common[rng.permutation(common.size)]
-        cells = [(d, c, ids) for d in range(n_domains) for c, ids in usable.items()]
-    else:
-        for d, dataset in enumerate(suite.domains):
-            for c in range(m):
-                idx = np.flatnonzero(dataset.y == c)
-                if idx.size == 0:
-                    warnings.warn(f"empty cell: domain {d} has no samples of class {c}")
-                else:
-                    cells.append((d, c, idx[rng.permutation(idx.size)]))
+    cells, pools = _cells(suite, paired)
     if not cells:
         return
-    n_batches = max(-(-order.size // k) for _, _, order in cells)
+    labels, domains, n_batches = _layout(cells, pools, k)
+    orders = [pool[rng.permutation(pool.size)] for pool in pools]
     take = np.arange(n_batches * k).reshape(n_batches, k)
     xs, pair_ids = [], []
     for d, dataset in enumerate(suite.domains):
-        drawn = [(c, order[take % order.size]) for dd, c, order in cells if dd == d]
+        drawn = [(c, orders[p][take % orders[p].size]) for dd, c, p in cells if dd == d]
         if not drawn:
             continue
         if paired:
@@ -271,9 +302,6 @@ def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
         xs.append(dataset.x[np.hstack([rows for _, rows in drawn])])
     x = np.concatenate(xs, axis=1)
     pids = np.hstack(pair_ids) if paired else None
-    labels = np.repeat(np.array([c for _, c, _ in cells], dtype=np.int64), k)
-    domains = np.repeat(np.array([d for d, _, _ in cells], dtype=np.int64), k)
-    labels.flags.writeable = domains.flags.writeable = False
     for b in range(n_batches):
         yield x[b], BatchLabels(labels, domains, None if pids is None else pids[b])
 

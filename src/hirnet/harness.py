@@ -1,26 +1,32 @@
 """Hold-one-domain-out experiment runner.
 
-For each held-out domain, the runner rebuilds the suite, drops the
-held-out domain from training entirely, trains the configured objective
-once per seed, evaluates accuracy on the held-out domain, and aggregates
-mean and standard deviation across seeds. Runs that diverge (non-finite
-loss or gradient) are marked failed and the remaining runs continue.
+The runner builds the suite once. For each held-out domain and seed it
+trains the configured objective on the suite less that domain, evaluates
+accuracy on the held-out domain, and aggregates mean and standard deviation
+across seeds. Runs that diverge (non-finite loss or gradient) are marked
+failed and the remaining runs continue.
 
 Loss kinds: "agg" is cross-entropy only; "hir" adds the pairwise
 posterior-alignment term weighted by alpha; "mmd" and "ccsa" add the
 corresponding feature-alignment penalty on the latent z instead.
 
-All seeds of one held-out domain train together: their parameters are
-stacked on a leading run axis, so one training step serves every seed. It is
-one forward pass, one tape backward and one Adam step, on each seed's own
-batch of the epoch that ``stratified_batches`` plans up front. Every seed
-gets the same bits as it would training alone. The per-domain attribution
-traces are computed once per epoch, from the epoch's stacked detached
-log-probs, never pair by pair inside a step.
+Runs train in groups, one per batch layout: the labels, domains and batch
+count that ``batch_layout`` gives for a run's training suite. Held-out
+domains of a rotated suite all share one layout, so every run of such a
+config is in one group; a prior-shift suite can give several. A group's
+parameters are stacked on a leading run axis, so one training step serves
+every run in it. It is one forward pass, one tape backward and one Adam
+step, on each run's own batch of the epoch that ``stratified_batches``
+plans up front from that run's suite and seed. Every run gets the same bits
+as it would training alone. HIRNET_WORKERS splits a group into contiguous
+chunks, one stack per worker process. The per-domain attribution traces are
+computed once per epoch, from the epoch's stacked detached log-probs, never
+pair by pair inside a step.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 import warnings
@@ -31,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import diagnostics as diag
-from .data import DomainDataset, DomainSuite, SuiteSpec, stratified_batches
+from .data import DomainDataset, DomainSuite, SuiteSpec, batch_layout, stratified_batches
 from .errors import (
     ConfigError,
     ContractError,
@@ -209,25 +215,30 @@ def _write_back(stack: ModelParams, row: int, params: ModelParams) -> None:
         dst[...] = src[row]
 
 
-def train_runs(runs: list[ModelParams], train_suite: DomainSuite, config: ExperimentConfig,
+def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config: ExperimentConfig,
                batch_seeds) -> list[TrainTraces | TrainingDiverged]:
-    """Train every run in ``runs`` on ``train_suite`` together, each in place.
+    """Train every run in ``runs`` together, each in place: run r on
+    ``train_suites[r]``, drawing its batches from ``batch_seeds[r]``.
 
     The runs' parameters are stacked on a leading run axis, so each step is
     one forward pass, one tape backward and one Adam step for all of them.
-    Run r draws its batches from ``batch_seeds[r]``, and every run gets the
-    same bits as it would alone. A run whose loss or gradient turns
-    non-finite leaves the stack with the :class:`TrainingDiverged` it would
-    raise alone, its parameters at their last finite values; the others go
-    on. Returns each run's traces, or its failure.
+    That needs one batch layout: every suite must give the labels, domains
+    and batch count of the first (:func:`~hirnet.data.batch_layout`), which
+    is checked every epoch. Every run gets the same bits as it would alone.
+    A run whose loss or gradient turns non-finite leaves the stack with the
+    :class:`TrainingDiverged` it would raise alone, its parameters at their
+    last finite values; the others go on. Returns each run's traces, or its
+    failure.
     """
-    if len(train_suite) == 0:
+    if any(len(suite) == 0 for suite in train_suites):
         raise ConfigError("training suite is empty")
-    if len(train_suite) < 2:
+    n_domains = len(train_suites[0])
+    if any(len(suite) != n_domains for suite in train_suites):
+        raise ContractError("runs of one stack must train on the same number of domains")
+    if n_domains < 2:
         warnings.warn("single training domain: cross-domain alignment terms are vacuous")
-    n_domains = len(train_suite)
     results: list[TrainTraces | TrainingDiverged] = [
-        TrainTraces(domain_params=list(train_suite.domain_params)) for _ in runs]
+        TrainTraces(domain_params=list(suite.domain_params)) for suite in train_suites]
     alive = list(range(len(runs)))  # the run on each row of the stack
     stack = ModelParams([np.stack(ws) for ws in zip(*(p.weights for p in runs))],
                         [np.stack(bs) for bs in zip(*(p.biases for p in runs))])
@@ -249,41 +260,50 @@ def train_runs(runs: list[ModelParams], train_suite: DomainSuite, config: Experi
         xs = xs[:, keep]
         return keep
 
+    labels = None  # the stack's layout, from its first run's first epoch
     for epoch in range(config.epochs):
-        planned = [list(stratified_batches(train_suite, config.per_class_per_domain,
+        planned = [list(stratified_batches(train_suites[run], config.per_class_per_domain,
                                            paired=config.paired, seed=[batch_seeds[run], epoch]))
                    for run in alive]
-        if not planned[0]:
-            raise ConfigError("sampler produced no batches; check cell sizes")
-        # Every batch of every run has the same label layout.
-        labels = planned[0][0][1]
+        if labels is None:
+            if not planned[0]:
+                raise ConfigError("sampler produced no batches; check cell sizes")
+            labels, n_batches = planned[0][0][1], len(planned[0])
+        for batches in planned:
+            if len(batches) != n_batches or not (
+                    np.array_equal(batches[0][1].labels, labels.labels)
+                    and np.array_equal(batches[0][1].domains, labels.domains)):
+                raise ContractError("runs of one stack must share one batch layout")
         xs = np.stack([np.stack([x for x, _ in batches]) for batches in planned], axis=1)
+        del planned
         epoch_lc, epoch_lh, epoch_lp = [], [], []
-        for b in range(len(xs)):
-            graph = ad.Graph()
-            z, logits = forward(stack, xs[b], graph)
-            log_probs = ad.log_softmax(logits)
-            breakdown = _batch_breakdown(config, z, log_probs, labels)
-            epoch_lc.append(breakdown.classification.data)
-            if breakdown.hir is not None:
-                epoch_lh.append(breakdown.hir.data)
-            epoch_lp.append(log_probs.data)
-            finite = np.isfinite(breakdown.combined.data.reshape(-1))
-            keep = None
-            if not finite.all():
-                keep = drop({int(row): f"non-finite loss at epoch {epoch}"
-                             for row in np.flatnonzero(~finite)})
-                if not alive:
-                    return results
-            grads = graph.backward(breakdown.combined)
-            grads = [grads[i] if keep is None else grads[i][keep] for i in graph.param_ids]
-            try:
-                adam_step(opt, stack.arrays(), grads)
-            except NonFiniteGradient as exc:
-                keep = drop(exc.messages)
-                if not alive:
-                    return results
-                adam_step(opt, stack.arrays(), [g[keep] for g in grads])
+        # A diverging run overflows before the checks below catch it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(n_batches):
+                graph = ad.Graph()
+                z, logits = forward(stack, xs[b], graph)
+                log_probs = ad.log_softmax(logits)
+                breakdown = _batch_breakdown(config, z, log_probs, labels)
+                epoch_lc.append(breakdown.classification.data)
+                if breakdown.hir is not None:
+                    epoch_lh.append(breakdown.hir.data)
+                epoch_lp.append(log_probs.data)
+                finite = np.isfinite(breakdown.combined.data.reshape(-1))
+                keep = None
+                if not finite.all():
+                    keep = drop({int(row): f"non-finite loss at epoch {epoch}"
+                                 for row in np.flatnonzero(~finite)})
+                    if not alive:
+                        return results
+                grads = graph.backward(breakdown.combined)
+                grads = [grads[i] if keep is None else grads[i][keep] for i in graph.param_ids]
+                try:
+                    adam_step(opt, stack.arrays(), grads)
+                except NonFiniteGradient as exc:
+                    keep = drop(exc.messages)
+                    if not alive:
+                        return results
+                    adam_step(opt, stack.arrays(), [g[keep] for g in grads])
         # Each run's step values lie along one contiguous row, reduced in
         # the order its own list of steps would be.
         l_c = np.concatenate(epoch_lc, axis=-1).mean(axis=-1)
@@ -296,6 +316,8 @@ def train_runs(runs: list[ModelParams], train_suite: DomainSuite, config: Experi
             dom_ce, dom_kl = _epoch_attributions(log_probs_by_run[row], labels, n_domains)
             traces.per_domain_l_c.append(dom_ce.tolist())
             traces.per_domain_kl.append(dom_kl.tolist())
+        # Free the epoch's copies before the next epoch plans its own.
+        del xs, epoch_lp, log_probs_by_run
     for row, run in enumerate(alive):
         _write_back(stack, row, runs[run])
     return results
@@ -308,7 +330,7 @@ def train(params: ModelParams, train_suite: DomainSuite, config: ExperimentConfi
 
     Raises :class:`TrainingDiverged` on a non-finite loss or gradient.
     """
-    [result] = train_runs([params], train_suite, config, [batch_seed])
+    [result] = train_runs([params], [train_suite], config, [batch_seed])
     if isinstance(result, TrainingDiverged):
         raise result
     return params, result
@@ -323,8 +345,9 @@ def evaluate(params: ModelParams, dataset: DomainDataset) -> float:
 
 @dataclass
 class RunOutcome:
-    """One (held-out, seed) run. ``wall_clock_s`` is its share of the
-    held-out cell's time, as :func:`run_single` sets it."""
+    """One (held-out, seed) run. ``wall_clock_s`` is its share of its
+    stack's training time plus its own evaluation and diagnostics, as
+    :func:`run_single` sets it."""
 
     held_out: int
     held_out_param: float
@@ -372,30 +395,24 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def run_single(config: ExperimentConfig, held_out: int, seeds) -> list[RunOutcome]:
-    """Every seed's run of one held-out domain, trained together by
-    :func:`train_runs`; one outcome per seed, in order. Never raises on
-    divergence.
+def run_single(config: ExperimentConfig, suite: DomainSuite, held_out: int, trained,
+               train_s: float) -> list[RunOutcome]:
+    """The outcomes of one held-out domain's runs, one per ``(seed, params,
+    result)`` of ``trained`` and in its order: each run's seed, its trained
+    parameters and its :func:`train_runs` result. A run that did not
+    diverge is evaluated on the held-out domain of ``suite`` and, if the
+    config asks, probed. Never raises on divergence.
 
-    An outcome's ``wall_clock_s`` is its share of the cell: the time to
-    build the suite and train the stack, split evenly over the seeds, plus
-    its own evaluation and diagnostics.
+    An outcome's ``wall_clock_s`` is ``train_s``, its share of its stack's
+    training time, plus its own evaluation and diagnostics.
     """
-    start = time.perf_counter()
-    suite = config.suite.build()
-    layer_sizes = (suite.feature_dim, *config.hidden_sizes, suite.class_count)
-    runs = [init_params(MlpSpec(layer_sizes, seed=derive_seed(seed, held_out, 0)))
-            for seed in seeds]
-    results = train_runs(runs, suite.drop(held_out), config,
-                         [derive_seed(seed, held_out, 1) for seed in seeds])
-    shared_s = (time.perf_counter() - start) / len(runs)
     held_out_param = suite.domain_params[held_out]
     outcomes = []
-    for seed, params, result in zip(seeds, runs, results):
+    for seed, params, result in trained:
         start = time.perf_counter()
         if isinstance(result, TrainingDiverged):
             outcomes.append(RunOutcome(held_out, held_out_param, seed, None, True, str(result),
-                                       None, None, None, shared_s))
+                                       None, None, None, train_s))
             continue
         accuracy = evaluate(params, suite.domains[held_out])
         bundle = None
@@ -403,30 +420,76 @@ def run_single(config: ExperimentConfig, held_out: int, seeds) -> list[RunOutcom
             bundle = diag.bundle_to_jsonable(diag.collect_bundle(
                 params, suite, per_class_per_domain=1, seed=derive_seed(seed, held_out, 2)))
         outcomes.append(RunOutcome(held_out, held_out_param, seed, accuracy, False, None, result,
-                                   bundle, params, shared_s + time.perf_counter() - start))
+                                   bundle, params, train_s + time.perf_counter() - start))
     return outcomes
 
 
-def _run_single_job(args) -> list[RunOutcome]:
-    return run_single(*args)
+def _run_rows(config: ExperimentConfig, suite: DomainSuite, rows) -> list[RunOutcome]:
+    """Train the (held-out, seed) ``rows``, which share one batch layout, as
+    one stack, then build each held-out domain's outcomes with
+    :func:`run_single`; one outcome per row, in order."""
+    start = time.perf_counter()
+    layer_sizes = (suite.feature_dim, *config.hidden_sizes, suite.class_count)
+    runs = [init_params(MlpSpec(layer_sizes, seed=derive_seed(seed, ho, 0))) for ho, seed in rows]
+    results = train_runs(runs, [suite.drop(ho) for ho, _ in rows], config,
+                         [derive_seed(seed, ho, 1) for ho, seed in rows])
+    train_s = (time.perf_counter() - start) / len(rows)
+    outcomes = []
+    for ho, cell in itertools.groupby(zip(rows, runs, results), key=lambda item: item[0][0]):
+        outcomes += run_single(config, suite, ho,
+                               [(seed, params, result) for (_, seed), params, result in cell],
+                               train_s)
+    return outcomes
+
+
+def _worker_count() -> int:
+    """The HIRNET_WORKERS environment variable, 1 when unset."""
+    raw = os.environ.get("HIRNET_WORKERS", "1")
+    try:
+        raw = int(raw)
+    except ValueError:
+        pass  # check_int names the bad value
+    return check_int("HIRNET_WORKERS", raw, 1)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """All (held-out, seed) runs plus per-domain aggregate accuracy.
 
-    Each held-out domain is one job, which trains all its seeds together.
-    The HIRNET_WORKERS environment variable bounds parallel jobs (default
-    1); results are identical regardless of worker count.
+    The suite is built once. Every run's training suite is the suite less
+    its held-out domain, and runs whose training suites give one batch
+    layout (:func:`~hirnet.data.batch_layout`: labels, domains and batch
+    count) form a group; on a rotated suite that is every run. Each group
+    trains as one stack, then :func:`run_single` evaluates each held-out
+    domain's runs. A run's ``wall_clock_s`` is its share of its stack's
+    training time plus its own evaluation and diagnostics.
+
+    The HIRNET_WORKERS environment variable (default 1) splits each group's
+    rows into that many contiguous chunks, one job and one stack each, and
+    runs the jobs in a pool of at most that many processes. Results are
+    identical whatever the worker count.
     """
     start = time.perf_counter()
-    jobs = [(config, ho, config.seeds) for ho in config.held_out_indices()]
-    workers = max(1, int(os.environ.get("HIRNET_WORKERS", "1")))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_single_job, jobs))
+    workers = _worker_count()
+    suite = config.suite.build()
+    rows = [(ho, seed) for ho in config.held_out_indices() for seed in config.seeds]
+    groups: dict[tuple, list[int]] = {}  # layout key: indices into rows
+    n_seeds = len(config.seeds)
+    for h, ho in enumerate(config.held_out_indices()):
+        labels, domains, n_batches = batch_layout(suite.drop(ho), config.per_class_per_domain,
+                                                  config.paired)
+        groups.setdefault((labels.tobytes(), domains.tobytes(), n_batches), []).extend(
+            range(h * n_seeds, (h + 1) * n_seeds))
+    chunks = [chunk.tolist() for members in groups.values()
+              for chunk in np.array_split(members, min(workers, len(members)))]
+    jobs = [[rows[i] for i in chunk] for chunk in chunks]
+    processes = min(workers, len(jobs))
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            done = list(pool.map(_run_rows, [config] * len(jobs), [suite] * len(jobs), jobs))
     else:
-        cells = [run_single(*job) for job in jobs]
-    outcomes = [outcome for cell in cells for outcome in cell]
+        done = [_run_rows(config, suite, job) for job in jobs]
+    by_row = dict(zip(itertools.chain(*chunks), itertools.chain(*done)))
+    outcomes = [by_row[i] for i in range(len(rows))]
     aggregates = {}
     for ho in config.held_out_indices():
         accs = [r.accuracy for r in outcomes if r.held_out == ho and not r.failed]

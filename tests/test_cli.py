@@ -102,6 +102,14 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("workers", ["abc", "2.5", "0", "-3"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setenv("HIRNET_WORKERS", workers)
+        cfg_path = write_config(tmp_path, small_config())
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: HIRNET_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_all_runs_failed_exits_3(self, tmp_path, capsys):
         raw = small_config(optimizer=OptimizerConfig(lr=1e200).to_dict(), epochs=3)
         cfg_path = write_config(tmp_path, raw)

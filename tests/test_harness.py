@@ -1,7 +1,7 @@
-import copy
 import json
-import os
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +9,22 @@ import pytest
 from hirnet import autodiff as ad
 from hirnet import harness
 from hirnet import losses
-from hirnet.data import DomainDataset, DomainSuite, SuiteSpec, gen_rotated_suite, stratified_batches
-from hirnet.errors import ConfigError
+from hirnet.data import (
+    DomainDataset,
+    DomainSuite,
+    SuiteSpec,
+    batch_layout,
+    gen_rotated_suite,
+    stratified_batches,
+)
+from hirnet.errors import ConfigError, ContractError
 from hirnet.harness import (
     ROTATED_ALPHA,
     ROTATED_LR,
     ExperimentConfig,
     OptimizerConfig,
     TrainingDiverged,
+    derive_seed,
     evaluate,
     run_experiment,
     run_single,
@@ -192,7 +200,9 @@ class TestTrain:
         results = {}
         for alpha, kind in ((0.0, "hir"), (1e-12, "hir")):
             cfg = tiny_config(loss_kind=kind, alpha=alpha, epochs=5)
-            [outcome] = run_single(cfg, 1, (0,))
+            suite = cfg.suite.build()
+            params, traces = train(init_params(MlpSpec((2, 8, 2), seed=0)), suite.drop(1), cfg)
+            [outcome] = run_single(cfg, suite, 1, [(0, params, traces)], 0.0)
             results[alpha] = outcome.accuracy
         assert abs(results[0.0] - results[1e-12]) < 0.1
 
@@ -213,7 +223,7 @@ def test_step_tape_length_does_not_grow_with_batch_size(loss_kind, monkeypatch):
         cfg = tiny_config(loss_kind=loss_kind, alpha=0.1, epochs=1,
                           per_class_per_domain=per_class_per_domain)
         runs = [init_params(MlpSpec((2, 8, 2), seed=s)) for s in range(n_runs)]
-        harness.train_runs(runs, cfg.suite.build().drop(1), cfg, list(range(n_runs)))
+        harness.train_runs(runs, [cfg.suite.build().drop(1)] * n_runs, cfg, list(range(n_runs)))
         return set(seen)
 
     # 4 parameters, 5 forward nodes, log_softmax, cross-entropy, the penalty,
@@ -345,6 +355,11 @@ def same_bytes(a: ModelParams, b: ModelParams) -> bool:
     return all(x.tobytes() == y.tobytes() for x, y in zip(a.arrays(), b.arrays()))
 
 
+def layout_key(suite, cfg):
+    labels, domains, n_batches = batch_layout(suite, cfg.per_class_per_domain, cfg.paired)
+    return labels.tobytes(), domains.tobytes(), n_batches
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
 class TestStackedRuns:
     """Runs trained together on one stack give the bits of each run alone."""
@@ -353,17 +368,31 @@ class TestStackedRuns:
     def test_each_run_of_a_stack_is_its_solo_run(self, case):
         cfg = tiny_config(epochs=3, **STACK_CASES[case])
         suite = cfg.suite.build()
-        train_suite = suite.drop(1)
+        # Runs held out on different domains share a stack when their
+        # training suites share domain 1's layout.
+        cells = [ho for ho in range(len(suite))
+                 if layout_key(suite.drop(ho), cfg) == layout_key(suite.drop(1), cfg)]
+        held_out = [cells[s % len(cells)] for s in range(3)]
+        assert len(set(held_out)) > 1
         solo = three_runs(suite.class_count)
-        solo_traces = [train(p, train_suite, cfg, batch_seed=10 + s)[1]
-                       for s, p in enumerate(solo)]
+        solo_traces = [train(p, suite.drop(ho), cfg, batch_seed=10 + s)[1]
+                       for s, (p, ho) in enumerate(zip(solo, held_out))]
         stacked = three_runs(suite.class_count)
-        stacked_traces = harness.train_runs(stacked, train_suite, cfg, [10, 11, 12])
-        for alone, together, alone_traces, together_traces in zip(
-                solo, stacked, solo_traces, stacked_traces):
+        stacked_traces = harness.train_runs(stacked, [suite.drop(ho) for ho in held_out], cfg,
+                                            [10, 11, 12])
+        for alone, together, alone_traces, together_traces, ho in zip(
+                solo, stacked, solo_traces, stacked_traces, held_out):
             assert same_bytes(alone, together)
             assert together_traces.to_dict() == alone_traces.to_dict()
-            assert evaluate(together, suite.domains[1]) == evaluate(alone, suite.domains[1])
+            assert evaluate(together, suite.domains[ho]) == evaluate(alone, suite.domains[ho])
+
+    def test_runs_of_two_layouts_do_not_stack(self):
+        cfg = tiny_config(loss_kind="hir", alpha=0.1, suite=PRIOR_SHIFT_SUITE,
+                          per_class_per_domain=3)
+        suite = cfg.suite.build()
+        assert layout_key(suite.drop(0), cfg) != layout_key(suite.drop(1), cfg)
+        with pytest.raises(ContractError, match="one batch layout"):
+            harness.train_runs(three_runs(3)[:2], [suite.drop(0), suite.drop(1)], cfg, [10, 11])
 
     @pytest.mark.parametrize("cause,message", [
         ("loss", "non-finite loss at epoch 0"),
@@ -388,7 +417,7 @@ class TestStackedRuns:
             train(solo[1], train_suite, cfg, batch_seed=11)
         solo_traces = {s: train(solo[s], train_suite, cfg, batch_seed=10 + s)[1] for s in (0, 2)}
         stacked = runs()
-        results = harness.train_runs(stacked, train_suite, cfg, [10, 11, 12])
+        results = harness.train_runs(stacked, [train_suite] * 3, cfg, [10, 11, 12])
         assert isinstance(results[1], TrainingDiverged) and str(results[1]) == message
         assert same_bytes(stacked[1], solo[1])  # its last finite values
         for s in (0, 2):
@@ -397,10 +426,39 @@ class TestStackedRuns:
 
     def test_run_single_gives_one_outcome_per_seed(self):
         cfg = tiny_config(seeds=(3, 1, 2), collect_diagnostics=True, epochs=2)
-        outcomes = run_single(cfg, 1, cfg.seeds)
+        suite = cfg.suite.build()
+        trained = []
+        for seed in cfg.seeds:
+            params = init_params(MlpSpec((2, 8, 2), seed=derive_seed(seed, 1, 0)))
+            _, traces = train(params, suite.drop(1), cfg, batch_seed=derive_seed(seed, 1, 1))
+            trained.append((seed, params, traces))
+        outcomes = run_single(cfg, suite, 1, trained, 0.0)
         assert [o.seed for o in outcomes] == [3, 1, 2]
-        for outcome in outcomes:
-            [alone] = run_single(cfg, 1, (outcome.seed,))
+        stacked = run_experiment(cfg).runs
+        for outcome, together in zip(outcomes, stacked):
+            assert strip_wall_clock(outcome.to_dict()) == strip_wall_clock(together.to_dict())
+            assert same_bytes(outcome.final_params, together.final_params)
+
+    def test_cells_of_two_layouts_train_as_two_stacks(self, monkeypatch):
+        cfg = tiny_config(loss_kind="hir", alpha=0.1, suite=PRIOR_SHIFT_SUITE,
+                          per_class_per_domain=3, held_out="all", seeds=(0, 1),
+                          collect_diagnostics=True)
+        stack_sizes = []
+        train_runs = harness.train_runs
+
+        def recording_train_runs(runs, *args):
+            stack_sizes.append(len(runs))
+            return train_runs(runs, *args)
+
+        monkeypatch.setattr(harness, "train_runs", recording_train_runs)
+        report = run_experiment(cfg)
+        # Held out 0, the other two domains keep every cell; held out 1 or 2,
+        # domain 0 lacks class 2 and both suites give one layout.
+        assert stack_sizes == [2, 4]
+        monkeypatch.setattr(harness, "train_runs", train_runs)
+        for outcome in report.runs:
+            [alone] = run_experiment(replace(cfg, held_out=outcome.held_out,
+                                             seeds=(outcome.seed,))).runs
             assert strip_wall_clock(outcome.to_dict()) == strip_wall_clock(alone.to_dict())
             assert same_bytes(outcome.final_params, alone.final_params)
 
@@ -451,7 +509,11 @@ class TestRunExperiment:
 
     def test_failed_runs_marked_and_others_continue(self):
         cfg = tiny_config(optimizer=OptimizerConfig(lr=1e200), seeds=(0, 1))
-        report = run_experiment(cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_experiment(cfg)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert [r.failure for r in report.runs] == ["non-finite loss at epoch 0"] * 2
         assert all(r.failed for r in report.runs)
         assert all(r.accuracy is None for r in report.runs)
         assert report.aggregates["1"]["mean_accuracy"] is None
@@ -472,14 +534,38 @@ class TestRunExperiment:
         b = strip_wall_clock(run_experiment(cfg).to_dict())
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_worker_count_does_not_change_results(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_does_not_change_results(self, workers, monkeypatch):
+        # 9 rows in one stack: 2 workers split held-out domain 1 between chunks.
         cfg = tiny_config(held_out="all", seeds=(0, 1, 2), epochs=2)
         sequential = strip_wall_clock(run_experiment(cfg).to_dict())
-        os.environ["HIRNET_WORKERS"] = "2"
-        try:
-            parallel = strip_wall_clock(run_experiment(cfg).to_dict())
-        finally:
-            del os.environ["HIRNET_WORKERS"]
+        monkeypatch.setenv("HIRNET_WORKERS", str(workers))
+        parallel = strip_wall_clock(run_experiment(cfg).to_dict())
+        assert json.dumps(sequential, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+    def test_pool_is_no_larger_than_the_rows(self, monkeypatch):
+        class InlinePool:
+            """Records the pool size and runs the jobs in this process."""
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = tiny_config(held_out="all", seeds=(0, 1), epochs=2)
+        sequential = strip_wall_clock(run_experiment(cfg).to_dict())
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("HIRNET_WORKERS", "500")
+        parallel = strip_wall_clock(run_experiment(cfg).to_dict())
+        assert InlinePool.sizes == [6]
         assert json.dumps(sequential, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
     def test_mmd_and_ccsa_kinds_run(self):
