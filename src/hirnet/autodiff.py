@@ -7,9 +7,11 @@ what it would alone. Operands have one shape, except that a bias row
 broadcasts over the rows of its matrix. The op set is
 deliberately small: matrix product, elementwise add, sub, mul and scale,
 relu, row-stable log-softmax and a sum to one scalar per matrix. That is
-enough to express an MLP classifier, while staying easy to verify with
-finite differences. The losses, whose gradients have a closed form, record
-themselves as one node each through :func:`emit`, with an analytic backward.
+enough to express an MLP classifier, and to check the training path against
+it with finite differences. Training records larger ops through
+:func:`emit`, each one node with an analytic backward: the network as two
+(``models.network``) and each loss as one; the small ops serve the
+acceptance gradient check and the tests.
 
 A ``Graph`` is a tape rebuilt for every forward pass. Tensors created
 through :meth:`Graph.param` are differentiable leaves; plain ``Tensor``
@@ -36,6 +38,7 @@ __all__ = [
     "as_tensor",
     "matmul",
     "relu",
+    "relu_values",
     "log_softmax",
     "sum_all",
     "emit",
@@ -294,15 +297,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return emit("matmul", (a, b), a_data @ b_data, back)
 
 
+def relu_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(0, x) with +0.0 for x <= 0 and NaN: bitwise
+    ``np.where(x > 0, x, 0.0)``. ``fmax`` alone keeps -0.0 on some layouts
+    and sizes; adding +0.0 turns -0.0 into +0.0 and leaves the rest."""
+    out = np.fmax(x, 0.0, out=out)
+    out += 0.0
+    return out
+
+
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); gradient is masked where x <= 0."""
     x = _coerce(x)
-    mask = x.data > 0
+    value = relu_values(x.data)
 
     def back(up):
-        return (up * mask,)
+        return (up * (value > 0),)
 
-    return emit("relu", (x,), np.where(mask, x.data, 0.0), back)
+    return emit("relu", (x,), value, back)
 
 
 def log_softmax(logits: Tensor) -> Tensor:

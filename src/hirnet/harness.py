@@ -175,9 +175,12 @@ def _batch_breakdown(config: ExperimentConfig, z: ad.Tensor, log_probs: ad.Tenso
     return LossBreakdown(classification, penalty, combined, config.alpha, 0)
 
 
-def _epoch_attributions(log_probs: np.ndarray, labels, n_domains: int):
+def _epoch_attributions(log_probs: np.ndarray, y: np.ndarray, member: np.ndarray,
+                        same_class: np.ndarray):
     """Per-domain mean cross-entropy and mean same-class posterior KL over an
-    epoch, from its detached (batches, n, m) log-probs and shared layout.
+    epoch, from its detached (batches, n, m) log-probs and the shared
+    layout's labels ``y``, row-to-domain indicator U and same-class i < j
+    mask M.
 
     KL(p_i || p_j) = h_i - p_i . log p_j with h_i = p_i . log p_i, so the
     epoch's sums K_ij over batches come from one matmul over the stacked
@@ -188,15 +191,12 @@ def _epoch_attributions(log_probs: np.ndarray, labels, n_domains: int):
     of the batch means is the epoch's sum divided by the per-batch count
     times the number of batches. A domain with no rows or no pairs gets 0.
     """
-    y, doms = labels.labels, labels.domains
     n_batches, n, _ = log_probs.shape
-    member = (doms[:, None] == np.arange(n_domains)).astype(np.float64)
     true_lp = log_probs[:, np.arange(n), y].sum(axis=0)
     ce = _safe_mean(-(true_lp @ member), member.sum(axis=0) * n_batches)
     p_rows = np.exp(log_probs).transpose(1, 0, 2).reshape(n, -1)
     lp_rows = log_probs.transpose(1, 0, 2).reshape(n, -1)
     kl = (p_rows * lp_rows).sum(axis=1)[:, None] - p_rows @ lp_rows.T
-    same_class = np.triu(y[:, None] == y[None, :], k=1).astype(np.float64)
 
     def touching(pair_values):
         by_domains = member.T @ pair_values @ member
@@ -269,6 +269,9 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
             if not planned[0]:
                 raise ConfigError("sampler produced no batches; check cell sizes")
             labels, n_batches = planned[0][0][1], len(planned[0])
+            y = labels.labels  # the layout's attribution masks, U and M
+            masks = ((labels.domains[:, None] == np.arange(n_domains)).astype(np.float64),
+                     np.triu(y[:, None] == y[None, :], k=1).astype(np.float64))
         for batches in planned:
             if len(batches) != n_batches or not (
                     np.array_equal(batches[0][1].labels, labels.labels)
@@ -313,7 +316,7 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
             traces = results[run]
             traces.l_c.append(float(l_c[row, 0]))
             traces.l_h.append(float(l_h[row, 0]))
-            dom_ce, dom_kl = _epoch_attributions(log_probs_by_run[row], labels, n_domains)
+            dom_ce, dom_kl = _epoch_attributions(log_probs_by_run[row], y, *masks)
             traces.per_domain_l_c.append(dom_ce.tolist())
             traces.per_domain_kl.append(dom_kl.tolist())
         # Free the epoch's copies before the next epoch plans its own.

@@ -259,16 +259,20 @@ def _sq_dists(z: np.ndarray) -> np.ndarray:
     return np.maximum(dists, 0.0, out=dists)
 
 
-def _mmd_sum(parts: tuple[Tensor, ...], domains: np.ndarray, bandwidth: float) -> Tensor:
+def _mmd_sum(parts: tuple[Tensor, ...], domains: np.ndarray, bandwidth=None) -> Tensor:
     """Mean squared RBF MMD over the domain pairs of the stacked rows z of
     ``parts``, as one node: sum_ij W_ij K_ij, K_ij = exp(gamma |z_i - z_j|^2)
     with gamma = -1 / (2 bandwidth^2). W is the mean over domain pairs a < b
     of (u_a - u_b)(u_a - u_b)^T, u_a being domain a's row indicator over its
     size. The gradient is 4 gamma (diag((W o K) 1) z - (W o K) z).
     ``bandwidth`` is one value, or one per run of a stack; each must give a
-    finite gamma.
+    finite gamma. ``None`` takes :func:`median_bandwidth` of z, per run,
+    from the same squared distances as the kernel.
     """
     z = np.concatenate([t.data for t in parts], axis=-2)
+    sq_dists = _sq_dists(z)
+    if bandwidth is None:
+        bandwidth = _median_distance(sq_dists)
     bandwidth = np.asarray(bandwidth, dtype=np.float64).reshape(-1, 1, 1)
     with np.errstate(divide="ignore", over="ignore"):
         gamma = -1.0 / (2.0 * bandwidth * bandwidth)
@@ -281,7 +285,7 @@ def _mmd_sum(parts: tuple[Tensor, ...], domains: np.ndarray, bandwidth: float) -
     w = 1.0 / sizes[inverse]
     same = inverse[:, None] == inverse[None, :]
     weights = np.outer(w, w) * (sizes.size * same - 1.0) / (sizes.size * (sizes.size - 1) / 2)
-    wk = weights * np.exp(gamma * _sq_dists(z))
+    wk = weights * np.exp(gamma * sq_dists)
 
     def back(up):
         grad = (4.0 * gamma * up) * (wk.sum(axis=-1, keepdims=True) * z - wk @ z)
@@ -307,14 +311,20 @@ def median_bandwidth(z, fallback: float = 1.0):
     A float for a matrix of rows, one value per run for a stack of them.
     """
     arr = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
-    n = arr.shape[-2]
+    return _median_distance(_sq_dists(arr), fallback)
+
+
+def _median_distance(sq_dists: np.ndarray, fallback: float = 1.0):
+    """:func:`median_bandwidth` from the rows' squared distances, which it
+    leaves as they are: it takes the pairs out as a copy."""
+    n = sq_dists.shape[-1]
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     medians = []
-    for dists in _sq_dists(arr).reshape(-1, n, n):
+    for dists in sq_dists.reshape(-1, n, n):
         pairs = dists[upper]
         med = float(np.median(np.sqrt(pairs, out=pairs), overwrite_input=True)) if n > 1 else 0.0
         medians.append(med if med > 0 else fallback)
-    return medians[0] if arr.ndim == 2 else np.array(medians)
+    return medians[0] if sq_dists.ndim == 2 else np.array(medians)
 
 
 def _spread(groups, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,14 +367,12 @@ def domain_mmd_penalty(z, domains, bandwidth: float | None = None) -> Tensor:
 
     Bandwidth defaults to the median pairwise-distance heuristic over the
     whole batch, per run, computed on detached values (it is a constant of
-    the loss, not differentiated).
+    the loss, not differentiated), from the kernel's squared distances.
     """
     z = ad.as_tensor(z)
     doms = np.asarray(domains, dtype=np.int64).reshape(-1)
     if doms.size != z.shape[-2]:
         raise ContractError("one domain index per z row required")
-    if bandwidth is None:
-        bandwidth = median_bandwidth(z.data)
-    if np.unique(doms).size < 2:
+    if np.all(doms == doms[:1]):  # fewer than two domains
         return _zero(z)
     return _mmd_sum((z,), doms, bandwidth)

@@ -4,6 +4,12 @@ The latent vector ``z`` is the activation entering the final affine layer
 (the input itself if there are no hidden layers). Feature-alignment
 penalties and the representation diagnostics attach to ``z``; the
 posterior-alignment loss attaches to ``log_softmax(logits)``.
+
+On a tape the network is two nodes with analytic backwards (see
+:func:`network`): the body, every hidden layer from the input to ``z``, and
+the head, ``z`` to the logits. A penalty on ``z`` and the head both add
+into ``z``'s gradient, so the tape needs no op with two outputs. Evaluation
+and the diagnostics run the same numpy code without a tape.
 """
 
 from __future__ import annotations
@@ -85,30 +91,53 @@ def forward(params: ModelParams, x, graph: ad.Graph | None = None) -> tuple[ad.T
     For stacked params, ``x`` is a stack of batches, one per run, and each
     run's batch goes through that run's network.
     With a graph, each parameter is bound as a differentiable leaf in
-    ``params.arrays()`` order, so ``graph.param_ids`` lines up with it.
+    ``params.arrays()`` order, so ``graph.param_ids`` lines up with it, and
+    :func:`network` records the pass as two nodes.
     Without a graph the pass is a plain value computation.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     w0 = params.weights[0]
     if x_arr.ndim != w0.ndim or x_arr.shape[:-2] + x_arr.shape[-1:] != w0.shape[:-1]:
         raise ShapeError(f"input shape {x_arr.shape} does not match first weights {w0.shape}")
-    if graph is None:
-        bound = [(ad.tensor(w), ad.tensor(b)) for w, b in zip(params.weights, params.biases)]
-    else:
-        bound = []
-        for w, b in zip(params.weights, params.biases):
-            bound.append((graph.param(w), graph.param(b)))
+    bind = ad.tensor if graph is None else graph.param
+    return network(x_arr, [bind(a) for a in params.arrays()])
 
-    h = ad.tensor(x_arr)
-    z = h
-    for i, (w, b) in enumerate(bound):
-        pre = ad.matmul(h, w) + b
-        if i < len(bound) - 1:
-            h = ad.relu(pre)
-            z = h
-        else:
-            logits = pre
-    return z, logits
+
+def network(x: np.ndarray, leaves: list[ad.Tensor]) -> tuple[ad.Tensor, ad.Tensor]:
+    """The MLP on the batch ``x`` from its parameter ``leaves`` (W0, b0, W1,
+    b1, ...), as two tape nodes; returns (z, logits).
+
+    The body takes every hidden layer, h = relu(h W + b), from x to z; the
+    head takes z to the logits. Both backwards apply the chain rule of
+    matmul, bias add and relu in the order the op-by-op tape would, so the
+    gradients carry its bits. With no hidden layer, z is x, a constant.
+    """
+    *hidden, w_out, b_out = leaves
+    acts = [x]  # each hidden layer's input, then z
+    for w, b in zip(hidden[::2], hidden[1::2]):
+        pre = acts[-1] @ w.data
+        pre += b.data
+        acts.append(ad.relu_values(pre, out=pre))
+
+    def body_back(up):
+        grads = []
+        for layer in range(len(acts) - 1, 0, -1):
+            up = up * (acts[layer] > 0)
+            grads += [up.sum(axis=-2, keepdims=True), acts[layer - 1].swapaxes(-1, -2) @ up]
+            if layer > 1:
+                up = up @ hidden[2 * layer - 2].data.swapaxes(-1, -2)
+        return tuple(g for t, g in zip(hidden, reversed(grads)) if t.graph is not None)
+
+    z = ad.emit("mlp_body", hidden, acts[-1], body_back) if hidden else ad.tensor(x)
+    logits = z.data @ w_out.data
+    logits += b_out.data
+
+    def head_back(up):
+        grads = (up @ w_out.data.swapaxes(-1, -2) if z.graph is not None else None,
+                 z.data.swapaxes(-1, -2) @ up, up.sum(axis=-2, keepdims=True))
+        return tuple(g for t, g in zip((z, w_out, b_out), grads) if t.graph is not None)
+
+    return z, ad.emit("mlp_head", (z, w_out, b_out), logits, head_back)
 
 
 def predict_logits(params: ModelParams, x) -> np.ndarray:

@@ -42,6 +42,33 @@ class TestMatmul:
             ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
 
 
+RELU_EDGES = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308,
+              -2.2e-308, 1e-310, -1e-310, 1.0, -1.5, 1.7976931348623157e308, -3e300]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "reversed"])
+def test_relu_is_bitwise_the_where_formula(layout):
+    """fmax plus +0.0 gives np.where's bits, NaN and -0.0 included, on every
+    memory layout and size (fmax alone keeps -0.0 on some of them); the
+    gradient mask agrees too."""
+    for cols in range(1, 40):
+        for fill in (RELU_EDGES, [-0.0]):
+            base = np.resize(np.array(fill), (4, 3 * cols))
+            x = {"contiguous": base, "strided": base[::2, ::3],
+                 "reversed": base[::-1, ::-1]}[layout]
+            expected = np.where(x > 0, x, 0.0)
+            assert ad.relu_values(x).tobytes() == expected.tobytes()
+            copy = x.copy()
+            assert ad.relu_values(copy, out=copy).tobytes() == expected.tobytes()
+            g = ad.Graph()
+            leaf = g.param(x)
+            out = ad.relu(leaf)
+            assert out.data.tobytes() == expected.tobytes()
+            with np.errstate(over="ignore"):
+                grads = g.backward(ad.sum_all(out))
+            assert grads[leaf.node_id].tobytes() == (np.ones(x.shape) * (x > 0)).tobytes()
+
+
 class TestRelu:
     def test_sign_cases(self):
         out = ad.relu(ad.tensor([[-1.0, 0.0, 2.0]]))

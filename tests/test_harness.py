@@ -226,9 +226,83 @@ def test_step_tape_length_does_not_grow_with_batch_size(loss_kind, monkeypatch):
         harness.train_runs(runs, [cfg.suite.build().drop(1)] * n_runs, cfg, list(range(n_runs)))
         return set(seen)
 
-    # 4 parameters, 5 forward nodes, log_softmax, cross-entropy, the penalty,
-    # its alpha scaling and the sum, however many runs share the tape.
-    assert tape_lengths(2, 1) == tape_lengths(10, 1) == tape_lengths(10, 3) == {14}
+    # 4 parameters, the network's body and head, log_softmax, cross-entropy,
+    # the penalty, its alpha scaling and the sum, however many runs share the tape.
+    assert tape_lengths(2, 1) == tape_lengths(10, 1) == tape_lengths(10, 3) == {11}
+
+
+def op_chain_forward(params, x, graph=None):
+    """The network as one tape node per matmul, bias add and np.where relu."""
+    bind = ad.tensor if graph is None else graph.param
+    bound = [(bind(w), bind(b)) for w, b in zip(params.weights, params.biases)]
+    h = z = ad.tensor(np.asarray(x, dtype=np.float64))
+    for i, (w, b) in enumerate(bound):
+        pre = ad.matmul(h, w) + b
+        if i == len(bound) - 1:
+            return z, pre
+        mask = pre.data > 0
+        h = z = ad.emit("relu", (pre,), np.where(mask, pre.data, 0.0),
+                        lambda up, mask=mask: (up * mask,))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("hidden", [(), (8,), (6, 4)])
+@pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
+def test_two_node_network_trains_as_the_op_chain(loss_kind, hidden, monkeypatch):
+    """A stack of 3 trained on the two-node network gets the bits it gets
+    from one tape node per op."""
+    cfg = tiny_config(loss_kind=loss_kind, alpha=0.0 if loss_kind == "agg" else 0.1, epochs=2,
+                      hidden_sizes=hidden)
+    suite = cfg.suite.build().drop(1)
+
+    def trained():
+        runs = [init_params(MlpSpec((2, *hidden, 2), seed=s)) for s in range(3)]
+        return runs, harness.train_runs(runs, [suite] * 3, cfg, [10, 11, 12])
+
+    runs, results = trained()
+    monkeypatch.setattr(harness, "forward", op_chain_forward)
+    expected_runs, expected_results = trained()
+    for got, expected, result, expected_result in zip(runs, expected_runs, results,
+                                                      expected_results):
+        assert same_bytes(got, expected)
+        assert result.to_dict() == expected_result.to_dict()
+
+
+def test_gradient_failure_names_the_first_non_finite_array(monkeypatch):
+    """A run whose gradient turns non-finite fails with the message naming
+    its first such array, as it would alone; the other runs go on."""
+    cfg = tiny_config(loss_kind="hir", alpha=0.1, epochs=2, hidden_sizes=(6, 4))
+    suite = cfg.suite.build().drop(1)
+    poison = {0: (5, 3), 2: (1,)}  # run: arrays whose gradient is NaN at the third step
+    backward = ad.Graph.backward
+
+    def train_poisoned(run_ids):
+        steps = []
+
+        def poisoned(graph, loss):
+            grads = backward(graph, loss)
+            steps.append(len(steps))
+            for row, run in enumerate(run_ids):
+                for k in poison.get(run, ()) if len(steps) == 3 else ():
+                    grads[graph.param_ids[k]][row].flat[-1] = np.nan
+            return grads
+
+        monkeypatch.setattr(ad.Graph, "backward", poisoned)
+        runs = [init_params(MlpSpec((2, 6, 4, 2), seed=s)) for s in run_ids]
+        return runs, harness.train_runs(runs, [suite] * len(runs), cfg,
+                                        [10 + s for s in run_ids])
+
+    stacked, results = train_poisoned([0, 1, 2])
+    assert str(results[0]) == "non-finite gradient at parameter index 3"
+    assert str(results[2]) == "non-finite gradient at parameter index 1"
+    assert not isinstance(results[1], TrainingDiverged)
+    for run in range(3):
+        [alone], [result] = train_poisoned([run])
+        assert same_bytes(stacked[run], alone)
+        if run == 1:
+            assert result.to_dict() == results[run].to_dict()
+        else:
+            assert str(result) == str(results[run])
 
 
 def per_batch_attributions(log_probs, labels, n_domains):

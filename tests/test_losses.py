@@ -500,6 +500,43 @@ def test_loss_of_a_stack_is_each_run_alone(name):
             assert stacked_grad[run].tobytes() == grad.tobytes()
 
 
+def separate_distances_mmd(z, domains):
+    """The median-bandwidth MMD penalty with the median and the kernel each
+    taking their own distance matrix, the kernel's from a concatenated copy
+    of z: value and gradient in z, seeded with one per run."""
+    sq_dists = lambda a: np.maximum(  # noqa: E731
+        np.sum(a * a, axis=-1)[..., :, None] + np.sum(a * a, axis=-1)[..., None, :]
+        - 2.0 * (a @ a.swapaxes(-1, -2)), 0.0)
+    bandwidth = np.asarray(median_bandwidth(z)).reshape(-1, 1, 1)
+    zc = np.concatenate([z], axis=-2)
+    gamma = -1.0 / (2.0 * bandwidth * bandwidth)
+    gamma = gamma[0] if z.ndim == 2 else gamma
+    _, inverse, sizes = np.unique(domains, return_inverse=True, return_counts=True)
+    w = 1.0 / sizes[inverse]
+    same = inverse[:, None] == inverse[None, :]
+    weights = np.outer(w, w) * (sizes.size * same - 1.0) / (sizes.size * (sizes.size - 1) / 2)
+    wk = weights * np.exp(gamma * sq_dists(zc))
+    up = np.ones(z.shape[:-2] + (1, 1))
+    grad = (4.0 * gamma * up) * (wk.sum(axis=-1, keepdims=True) * zc - wk @ zc)
+    return wk.sum(axis=(-2, -1), keepdims=True), grad
+
+
+@pytest.mark.parametrize("shape", [(30, 4), (3, 30, 4), (1, 60, 32)])
+def test_shared_distances_give_the_separate_distances_bits(shape):
+    """The median and the kernel share one distance matrix; the penalty
+    keeps the bits of computing it twice."""
+    rng = np.random.default_rng(41)
+    z = rng.normal(size=shape)
+    domains = np.arange(shape[-2]) % 3
+    g = ad.Graph()
+    leaf = g.param(z)
+    loss = domain_mmd_penalty(leaf, domains)
+    grad = g.backward(loss)[leaf.node_id]
+    expected_value, expected_grad = separate_distances_mmd(z, domains)
+    assert loss.data.tobytes() == expected_value.tobytes()
+    assert grad.tobytes() == expected_grad.tobytes()
+
+
 def test_loss_without_pairs_is_zero_per_run():
     lp = ad.log_softmax(ad.tensor(np.zeros((2, 3, 2))))
     labels = BatchLabels([0, 1, 0], [0, 0, 0])

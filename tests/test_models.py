@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hirnet import autodiff as ad
 from hirnet.errors import ConfigError, ContractError, ShapeError
-from hirnet.losses import combined_loss
+from hirnet.losses import combined_loss, domain_mmd_penalty
 from hirnet.models import (
     MlpSpec,
     ModelParams,
     forward,
     init_params,
     load_checkpoint,
+    network,
     predict,
     save_checkpoint,
 )
@@ -104,18 +107,43 @@ class TestForward:
             forward(params, np.zeros((3, 5)))
 
     def test_gradient_through_forward(self):
-        params = init_params(MlpSpec((2, 4, 3), seed=11))
+        """grad_check reaches the body and head nodes that forward records,
+        for 0, 1 and 2 hidden layers, on a matrix and on a stack of 3, with
+        a penalty on z so the body's gradient sums two paths."""
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(6, 2))
-        y = rng.integers(0, 3, size=6)
+        for hidden, runs in itertools.product([(), (4,), (5, 4)], [None, 3]):
+            lead = () if runs is None else (runs,)
+            arrays = [rng.normal(scale=0.8, size=lead + a.shape)
+                      for a in init_params(MlpSpec((2, *hidden, 3), seed=11)).arrays()]
+            x = rng.normal(size=lead + (6, 2))
+            y = rng.integers(0, 3, size=6)
 
-        def f(graph, ts):
-            rebuilt = ModelParams([ts[0].data, ts[2].data], [ts[1].data, ts[3].data])
-            h = ad.relu(ad.matmul(ad.tensor(x), ts[0]) + ts[1])
-            logits = ad.matmul(h, ts[2]) + ts[3]
-            return combined_loss(ad.log_softmax(logits), y, 1e-3).combined
+            def f(graph, ts):
+                z, logits = network(x, ts)
+                assert len(graph) == len(ts) + (2 if hidden else 1)
+                penalty = domain_mmd_penalty(z, np.arange(6) % 2, bandwidth=1.5)
+                loss = combined_loss(ad.log_softmax(logits), y, 1e-1).combined + penalty * 0.5
+                if runs is None:
+                    return loss
+                # One scalar for a stack: the sum of its runs' losses.
+                return ad.emit("runs", (loss,), loss.data.sum(axis=0),
+                               lambda up: (np.broadcast_to(up, loss.shape),))
 
-        assert ad.grad_check(f, params.arrays(), step=1e-5) < 1e-4
+            assert ad.grad_check(f, arrays, step=1e-5) < 1e-4, (hidden, runs)
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 4)])
+    def test_forward_records_the_network_after_its_leaves(self, hidden):
+        params = init_params(MlpSpec((2, *hidden, 3), seed=1))
+        x = np.random.default_rng(3).normal(size=(5, 2))
+        graph = ad.Graph()
+        z, logits = forward(params, x, graph)
+        leaves = [ad.tensor(a) for a in params.arrays()]
+        z_alone, logits_alone = network(x, leaves)
+        assert len(graph) == len(leaves) + (2 if hidden else 1)
+        assert logits.node_id == len(graph) - 1
+        assert (z.node_id is None) == (not hidden)
+        assert z.data.tobytes() == z_alone.data.tobytes()
+        assert logits.data.tobytes() == logits_alone.data.tobytes()
 
     def test_graph_binding_order_matches_arrays(self):
         params = init_params(MlpSpec((2, 3, 2), seed=1))
