@@ -210,56 +210,80 @@ def _last_rows(dataset: DomainDataset, cls: int, ids: np.ndarray) -> np.ndarray:
     return rows[first[np.searchsorted(keys, ids)]]
 
 
-def _cells(suite: DomainSuite, paired: bool) -> tuple[list[tuple[int, int, int]], list[np.ndarray]]:
-    """Every non-empty (domain, class) cell of a batch, in layout order, and
-    the pools their rows are drawn from, in draw order.
+def _join(vectors) -> np.ndarray:
+    """The index vectors end to end; none give an empty vector."""
+    return np.concatenate([np.empty(0, dtype=np.intp), *vectors])
 
-    Each cell is (domain, class, index of its pool). A pool is the cell's
-    row indices, or, if paired, the base_ids of the class common to all
-    domains, which the class's cells share. Warns about each cell or class
-    left out.
+
+class BatchPlan:
+    """The seed-free part of the epochs :func:`stratified_batches` draws from
+    ``suite``, derived once.
+
+    A batch takes ``per_class_per_domain`` rows from each non-empty (domain,
+    class) cell, domain-major, then class, so all batches share the read-only
+    ``labels`` and ``domains``; an epoch has ``n_batches``. A cell draws from
+    a pool: its rows, or, if paired, its class's base_ids common to all
+    domains. The gather map holds each cell's source row per pool position,
+    paired ids resolved here, once. Plans with equal ``layout_key`` draw
+    epochs that stack. Warns about each cell or class left out.
     """
-    cells: list[tuple[int, int, int]] = []
-    pools: list[np.ndarray] = []
-    if paired:
-        usable: dict[int, int] = {}
-        for c in range(suite.class_count):
-            common = None
-            for dataset in suite.domains:
-                ids = np.unique(dataset.base_id[dataset.y == c])
-                common = ids if common is None else np.intersect1d(common, ids, assume_unique=True)
-            if common is None or common.size == 0:
-                warnings.warn(f"paired sampling: class {c} has no base_id common to all domains")
-            else:
-                usable[c] = len(pools)
-                pools.append(common)
-        cells = [(d, c, pool) for d in range(len(suite)) for c, pool in usable.items()]
-    else:
-        for d, dataset in enumerate(suite.domains):
+
+    def __init__(self, suite: DomainSuite, per_class_per_domain: int, paired: bool = False):
+        k = check_int("per_class_per_domain", per_class_per_domain, 1)
+        cells: list[tuple[int, int, int]] = []  # (domain, class, index of its pool)
+        pools: list[np.ndarray] = []
+        if paired:
             for c in range(suite.class_count):
-                idx = np.flatnonzero(dataset.y == c)
-                if idx.size == 0:
-                    warnings.warn(f"empty cell: domain {d} has no samples of class {c}")
+                common = None
+                for dataset in suite.domains:
+                    ids = np.unique(dataset.base_id[dataset.y == c])
+                    common = ids if common is None else np.intersect1d(common, ids, assume_unique=True)
+                if common is None or common.size == 0:
+                    warnings.warn(f"paired sampling: class {c} has no base_id common to all domains")
                 else:
-                    cells.append((d, c, len(pools)))
-                    pools.append(idx)
-    return cells, pools
+                    cells += [(d, c, len(pools)) for d in range(len(suite))]
+                    pools.append(common)
+            cells.sort()  # domain-major
+        else:
+            for d, dataset in enumerate(suite.domains):
+                for c in range(suite.class_count):
+                    idx = np.flatnonzero(dataset.y == c)
+                    if idx.size == 0:
+                        warnings.warn(f"empty cell: domain {d} has no samples of class {c}")
+                    else:
+                        cells.append((d, c, len(pools)))
+                        pools.append(idx)
+        self.labels = np.repeat(np.array([c for _, c, _ in cells], dtype=np.int64), k)
+        self.domains = np.repeat(np.array([d for d, _, _ in cells], dtype=np.int64), k)
+        self.labels.flags.writeable = self.domains.flags.writeable = False
+        sizes = np.array([pool.size for pool in pools], dtype=np.intp)
+        self.n_batches = int((-(-sizes // k)).max(initial=0))
+        self._sizes = sizes.tolist()
+        cell_pool = np.array([p for _, _, p in cells], dtype=np.intp)
+        cell_sizes, slot_pool = sizes[cell_pool], np.repeat(cell_pool, k)
+        # Slot s of batch b takes entry (b k + s mod k) mod size of its pool's
+        # permutation, so a pool smaller than the epoch's draws cycles.
+        cycled = np.arange(self.n_batches)[:, None] * k + np.arange(slot_pool.size) % k
+        self._take = (np.cumsum(sizes) - sizes)[slot_pool] + cycled % sizes[slot_pool]
+        self._cell_start = np.repeat(np.cumsum(cell_sizes) - cell_sizes, k)
+        first_row = np.cumsum([0] + [len(dataset) for dataset in suite.domains])
+        rows = _join(first_row[d] + (_last_rows(suite.domains[d], c, pools[p]) if paired
+                                     else pools[p]) for d, c, p in cells)
+        self._x = np.concatenate([dataset.x for dataset in suite.domains])[rows]
+        self._ids = _join(pools[p] for _, _, p in cells) if paired else None
 
+    @property
+    def layout_key(self) -> tuple:
+        """``labels``, ``domains`` and ``n_batches`` as one hashable key."""
+        return self.labels.tobytes(), self.domains.tobytes(), self.n_batches
 
-def _layout(cells, pools, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    labels = np.repeat(np.array([c for _, c, _ in cells], dtype=np.int64), k)
-    domains = np.repeat(np.array([d for d, _, _ in cells], dtype=np.int64), k)
-    labels.flags.writeable = domains.flags.writeable = False
-    return labels, domains, max((-(-pool.size // k) for pool in pools), default=0)
-
-
-def batch_layout(suite: DomainSuite, per_class_per_domain: int,
-                 paired: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
-    """The read-only ``labels`` and ``domains`` arrays shared by every batch
-    that :func:`stratified_batches` draws from ``suite``, and the number of
-    batches per epoch, whatever the seed. Warns as the sampler does."""
-    k = check_int("per_class_per_domain", per_class_per_domain, 1)
-    return _layout(*_cells(suite, paired), k)
+    def draw(self, seed) -> tuple[np.ndarray, np.ndarray | None]:
+        """One epoch: its ``(n_batches, n, d)`` rows and, when paired, its
+        ``(n_batches, n)`` pair ids. The draws are ``default_rng(seed)``'s
+        permutations of each pool in turn; the rows are one gather."""
+        rng = np.random.default_rng(seed)
+        index = self._cell_start + _join(rng.permutation(size) for size in self._sizes)[self._take]
+        return self._x[index], None if self._ids is None else self._ids[index]
 
 
 def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
@@ -274,36 +298,16 @@ def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
     over the epoch); empty cells contribute nothing and raise a warning.
     Deterministic given ``seed``. Yields (x, BatchLabels) pairs.
 
-    Each call plans its whole epoch up front: it makes every random draw,
-    gathers each domain's rows for all batches with one fancy index, and
-    then yields slices. All batches of one call share one label layout
-    (domain-major, then class, ``per_class_per_domain`` rows per cell) and
-    the same read-only ``labels`` and ``domains`` arrays. The layout and the
-    batch count depend on the suite and the draw size, not on ``seed``
-    (:func:`batch_layout` gives them), so runs with different seeds, or on
-    suites of the same layout, can stack their batches.
+    A thin generator over ``BatchPlan(...).draw(seed)``: every batch shares
+    the plan's read-only ``labels`` and ``domains``, which depend on the
+    suite and the draw size, not on ``seed``. Code that draws many epochs
+    of one suite builds its :class:`BatchPlan` once instead.
     """
-    k = check_int("per_class_per_domain", per_class_per_domain, 1)
-    rng = np.random.default_rng(seed)
-    cells, pools = _cells(suite, paired)
-    if not cells:
-        return
-    labels, domains, n_batches = _layout(cells, pools, k)
-    orders = [pool[rng.permutation(pool.size)] for pool in pools]
-    take = np.arange(n_batches * k).reshape(n_batches, k)
-    xs, pair_ids = [], []
-    for d, dataset in enumerate(suite.domains):
-        drawn = [(c, orders[p][take % orders[p].size]) for dd, c, p in cells if dd == d]
-        if not drawn:
-            continue
-        if paired:
-            pair_ids.extend(ids for _, ids in drawn)
-            drawn = [(c, _last_rows(dataset, c, ids)) for c, ids in drawn]
-        xs.append(dataset.x[np.hstack([rows for _, rows in drawn])])
-    x = np.concatenate(xs, axis=1)
-    pids = np.hstack(pair_ids) if paired else None
-    for b in range(n_batches):
-        yield x[b], BatchLabels(labels, domains, None if pids is None else pids[b])
+    plan = BatchPlan(suite, per_class_per_domain, paired)
+    x, pair_ids = plan.draw(seed)
+    for b in range(plan.n_batches):
+        yield x[b], BatchLabels(plan.labels, plan.domains,
+                                None if pair_ids is None else pair_ids[b])
 
 
 @dataclass

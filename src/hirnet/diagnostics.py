@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .data import DomainSuite, stratified_batches
+from .data import BatchPlan, DomainSuite, stratified_batches
 from .errors import ContractError
 from .losses import BatchLabels, hir_kl, median_bandwidth, mmd_rbf, pairwise_kl
 
@@ -130,21 +130,18 @@ def posterior_kl_matrix(params: models.ModelParams, x, labels: BatchLabels) -> n
 
 def _mean_batch_kl(params: models.ModelParams, suite: DomainSuite, per_class_per_domain: int,
                    paired: bool, seed: int, salt: int, n_batches: int) -> float:
-    """Mean hir_kl over ``n_batches`` sampled batches, spanning epochs as needed."""
+    """Mean hir_kl over ``n_batches`` sampled batches, spanning epochs as
+    needed; each epoch's share one layout, so they are one stacked pass."""
+    plan = BatchPlan(suite, per_class_per_domain, paired)
+    if plan.n_batches == 0:
+        raise DiagnosticUnavailableError("sampler produced no batches")
+    labels = BatchLabels(plan.labels, plan.domains)
     values: list[float] = []
-    epoch = 0
-    while len(values) < n_batches:
-        before = len(values)
-        for x, labels in stratified_batches(suite, per_class_per_domain, paired=paired,
-                                            seed=[seed, salt, epoch]):
-            log_probs = models.log_posteriors(params, x)
-            loss, _ = hir_kl(log_probs, labels)
-            values.append(loss.item())
-            if len(values) >= n_batches:
-                break
-        if len(values) == before:
-            raise DiagnosticUnavailableError("sampler produced no batches")
-        epoch += 1
+    for epoch in range(-(-n_batches // plan.n_batches)):
+        x = plan.draw([seed, salt, epoch])[0][:n_batches - len(values)]
+        log_probs = models.log_posteriors(params, x.reshape(-1, x.shape[-1]))
+        loss, _ = hir_kl(log_probs.reshape(x.shape[:2] + log_probs.shape[-1:]), labels)
+        values += loss.data.reshape(-1).tolist()
     return float(np.mean(values))
 
 

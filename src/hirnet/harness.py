@@ -11,17 +11,17 @@ posterior-alignment term weighted by alpha; "mmd" and "ccsa" add the
 corresponding feature-alignment penalty on the latent z instead.
 
 Runs train in groups, one per batch layout: the labels, domains and batch
-count that ``batch_layout`` gives for a run's training suite. Held-out
-domains of a rotated suite all share one layout, so every run of such a
-config is in one group; a prior-shift suite can give several. A group's
-parameters are stacked on a leading run axis, so one training step serves
-every run in it. It is one forward pass, one tape backward and one Adam
-step, on each run's own batch of the epoch that ``stratified_batches``
-plans up front from that run's suite and seed. Every run gets the same bits
-as it would training alone. HIRNET_WORKERS splits a group into contiguous
-chunks, one stack per worker process. The per-domain attribution traces are
-computed once per epoch, from the epoch's stacked detached log-probs, never
-pair by pair inside a step.
+count of the ``BatchPlan`` of a run's training suite. Held-out domains of a
+rotated suite all share one layout, so every run of such a config is in one
+group; a prior-shift suite can give several. A group's parameters are
+stacked on a leading run axis, so one training step serves every run in it:
+one forward pass, one tape backward and one Adam step, on each run's own
+batch of the epoch its plan draws from its seed. Plans, and the stack's
+``BatchLabels`` with the layout fields the losses read, are built once per
+call. Every run gets the same bits as it would training alone.
+HIRNET_WORKERS splits a group into contiguous chunks, one stack per worker
+process. The per-domain attribution traces are computed once per epoch,
+from the epoch's stacked detached log-probs, never pair by pair in a step.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import diagnostics as diag
-from .data import DomainDataset, DomainSuite, SuiteSpec, batch_layout, stratified_batches
+# stratified_batches stays bound here for perfbench's test_uninstall_restores_every_original.
+from .data import BatchPlan, DomainDataset, DomainSuite, SuiteSpec, stratified_batches  # noqa: F401
 from .errors import (
     ConfigError,
     ContractError,
@@ -48,6 +49,7 @@ from .errors import (
     check_real,
 )
 from .losses import (
+    BatchLabels,
     LossBreakdown,
     class_conditional_align,
     combined_loss,
@@ -168,9 +170,9 @@ def _batch_breakdown(config: ExperimentConfig, z: ad.Tensor, log_probs: ad.Tenso
     if config.alpha == 0:
         return LossBreakdown(classification, None, classification, 0.0, 0)
     if config.loss_kind == "mmd":
-        penalty = domain_mmd_penalty(z, labels.domains)
+        penalty = domain_mmd_penalty(z, labels)
     else:  # ccsa
-        penalty = class_conditional_align(z, labels.labels, labels.domains)
+        penalty = class_conditional_align(z, labels)
     combined = classification + penalty * config.alpha
     return LossBreakdown(classification, penalty, combined, config.alpha, 0)
 
@@ -222,9 +224,11 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
 
     The runs' parameters are stacked on a leading run axis, so each step is
     one forward pass, one tape backward and one Adam step for all of them.
-    That needs one batch layout: every suite must give the labels, domains
-    and batch count of the first (:func:`~hirnet.data.batch_layout`), which
-    is checked every epoch. Every run gets the same bits as it would alone.
+    That needs one batch layout: the call builds each run's
+    :class:`~hirnet.data.BatchPlan` and one ``BatchLabels`` for all steps,
+    after checking once that every plan has the first's layout. Each epoch,
+    run r's plan draws from ``[batch_seeds[r], epoch]``. Every run gets the
+    same bits as it would alone.
     A run whose loss or gradient turns non-finite leaves the stack with the
     :class:`TrainingDiverged` it would raise alone, its parameters at their
     last finite values; the others go on. Returns each run's traces, or its
@@ -237,6 +241,16 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
         raise ContractError("runs of one stack must train on the same number of domains")
     if n_domains < 2:
         warnings.warn("single training domain: cross-domain alignment terms are vacuous")
+    plans = [BatchPlan(suite, config.per_class_per_domain, config.paired) for suite in train_suites]
+    n_batches = plans[0].n_batches
+    if n_batches == 0:
+        raise ConfigError("sampler produced no batches; check cell sizes")
+    if any(plan.layout_key != plans[0].layout_key for plan in plans):
+        raise ContractError("runs of one stack must share one batch layout")
+    labels = BatchLabels(plans[0].labels, plans[0].domains)
+    y = labels.labels  # the layout's attribution masks, U and M
+    masks = ((labels.domains[:, None] == np.arange(n_domains)).astype(np.float64),
+             np.triu(y[:, None] == y[None, :], k=1).astype(np.float64))
     results: list[TrainTraces | TrainingDiverged] = [
         TrainTraces(domain_params=list(suite.domain_params)) for suite in train_suites]
     alive = list(range(len(runs)))  # the run on each row of the stack
@@ -260,25 +274,8 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
         xs = xs[:, keep]
         return keep
 
-    labels = None  # the stack's layout, from its first run's first epoch
     for epoch in range(config.epochs):
-        planned = [list(stratified_batches(train_suites[run], config.per_class_per_domain,
-                                           paired=config.paired, seed=[batch_seeds[run], epoch]))
-                   for run in alive]
-        if labels is None:
-            if not planned[0]:
-                raise ConfigError("sampler produced no batches; check cell sizes")
-            labels, n_batches = planned[0][0][1], len(planned[0])
-            y = labels.labels  # the layout's attribution masks, U and M
-            masks = ((labels.domains[:, None] == np.arange(n_domains)).astype(np.float64),
-                     np.triu(y[:, None] == y[None, :], k=1).astype(np.float64))
-        for batches in planned:
-            if len(batches) != n_batches or not (
-                    np.array_equal(batches[0][1].labels, labels.labels)
-                    and np.array_equal(batches[0][1].domains, labels.domains)):
-                raise ContractError("runs of one stack must share one batch layout")
-        xs = np.stack([np.stack([x for x, _ in batches]) for batches in planned], axis=1)
-        del planned
+        xs = np.stack([plans[run].draw([batch_seeds[run], epoch])[0] for run in alive], axis=1)
         epoch_lc, epoch_lh, epoch_lp = [], [], []
         # A diverging run overflows before the checks below catch it.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -319,7 +316,7 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
             dom_ce, dom_kl = _epoch_attributions(log_probs_by_run[row], y, *masks)
             traces.per_domain_l_c.append(dom_ce.tolist())
             traces.per_domain_kl.append(dom_kl.tolist())
-        # Free the epoch's copies before the next epoch plans its own.
+        # Free the epoch's copies before the next epoch draws its own.
         del xs, epoch_lp, log_probs_by_run
     for row, run in enumerate(alive):
         _write_back(stack, row, runs[run])
@@ -460,10 +457,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     The suite is built once. Every run's training suite is the suite less
     its held-out domain, and runs whose training suites give one batch
-    layout (:func:`~hirnet.data.batch_layout`: labels, domains and batch
-    count) form a group; on a rotated suite that is every run. Each group
-    trains as one stack, then :func:`run_single` evaluates each held-out
-    domain's runs. A run's ``wall_clock_s`` is its share of its stack's
+    layout (its :class:`~hirnet.data.BatchPlan`'s ``layout_key``: labels,
+    domains and batch count) form a group; on a rotated suite that is every
+    run. Each group trains as one stack, then :func:`run_single` evaluates
+    each held-out domain's runs. A run's ``wall_clock_s`` is its share of its stack's
     training time plus its own evaluation and diagnostics.
 
     The HIRNET_WORKERS environment variable (default 1) splits each group's
@@ -478,10 +475,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     groups: dict[tuple, list[int]] = {}  # layout key: indices into rows
     n_seeds = len(config.seeds)
     for h, ho in enumerate(config.held_out_indices()):
-        labels, domains, n_batches = batch_layout(suite.drop(ho), config.per_class_per_domain,
-                                                  config.paired)
-        groups.setdefault((labels.tobytes(), domains.tobytes(), n_batches), []).extend(
-            range(h * n_seeds, (h + 1) * n_seeds))
+        plan = BatchPlan(suite.drop(ho), config.per_class_per_domain, config.paired)
+        groups.setdefault(plan.layout_key, []).extend(range(h * n_seeds, (h + 1) * n_seeds))
     chunks = [chunk.tolist() for members in groups.values()
               for chunk in np.array_split(members, min(workers, len(members)))]
     jobs = [[rows[i] for i in chunk] for chunk in chunks]

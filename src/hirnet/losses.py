@@ -14,7 +14,7 @@ throughout, so no probability clamping is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,28 +36,37 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchLabels:
     """Per-sample class labels, source-domain indices and optional pair ids.
 
     ``pair_id`` marks paired provenance: rows sharing a pair id are the same
     base point observed under different domains. ``None`` means unpaired.
+
+    Frozen, with read-only arrays: copies of those given, or those given if
+    already read-only and owning their memory, as a
+    :class:`~hirnet.data.BatchPlan`'s layout is. So the layout fields the
+    losses read (:meth:`onehot`, ``class_groups``, ``cell_groups``,
+    ``mmd_weights`` and ``upper``) are computed on first use, read-only,
+    and never stale; a training stack builds one for all its steps.
     """
 
     labels: np.ndarray
     domains: np.ndarray | None = None
     pair_id: np.ndarray | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        if self.domains is not None:
-            self.domains = np.asarray(self.domains, dtype=np.int64).reshape(-1)
-            if self.domains.shape != self.labels.shape:
-                raise ContractError("domains and labels must have the same length")
-        if self.pair_id is not None:
-            self.pair_id = np.asarray(self.pair_id, dtype=np.int64).reshape(-1)
-            if self.pair_id.shape != self.labels.shape:
-                raise ContractError("pair_id and labels must have the same length")
+        for name in ("labels", "domains", "pair_id"):
+            if getattr(self, name) is None:
+                continue
+            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            if arr.ndim != 1 or arr.flags.writeable or arr.base is not None:
+                arr = arr.reshape(-1).copy()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+            if arr.shape != self.labels.shape:
+                raise ContractError(f"{name} and labels must have the same length")
 
     def __len__(self) -> int:
         return self.labels.size
@@ -65,6 +74,48 @@ class BatchLabels:
     @property
     def paired(self) -> bool:
         return self.pair_id is not None
+
+    def _cached(self, key, make):
+        """``make()``, computed on the first call per key, its arrays read-only."""
+        if key not in self._cache:
+            value = self._cache[key] = make()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+        return self._cache[key]
+
+    def onehot(self, m: int) -> np.ndarray:
+        """The (n, m) one-hot of the labels; raises if one is outside [0, m)."""
+        def make():
+            if self.labels.min() < 0 or self.labels.max() >= m:
+                raise ContractError(f"label out of range [0, {m})")
+            return np.eye(m)[self.labels]
+        return self._cached(("onehot", m), make)
+
+    @property
+    def class_groups(self) -> tuple[np.ndarray, ...]:
+        """Row indices of each class, in batch order."""
+        return self._cached("class_groups", lambda: _groups(self.labels))
+
+    @property
+    def cell_groups(self) -> tuple[np.ndarray, ...]:
+        """Row indices of each (class, domain) cell, in batch order."""
+        return self._cached("cell_groups", lambda: _groups(self.labels, self.domains))
+
+    @property
+    def mmd_weights(self) -> np.ndarray:
+        """W of :func:`_mmd_sum`: the mean over domain pairs a < b of
+        (u_a - u_b)(u_a - u_b)^T, u_a being domain a's row indicator over its size."""
+        def make():
+            _, inverse, sizes = np.unique(self.domains, return_inverse=True, return_counts=True)
+            w, same = 1.0 / sizes[inverse], inverse[:, None] == inverse[None, :]
+            pairs = sizes.size * (sizes.size - 1) / 2
+            return np.outer(w, w) * (sizes.size * same - 1.0) / pairs
+        return self._cached("mmd_weights", make)
+
+    @property
+    def upper(self) -> np.ndarray:
+        """The (n, n) i < j mask that :func:`_median_distance` reads pairs with."""
+        return self._cached("upper", lambda: np.triu(np.ones((len(self),) * 2, dtype=bool), k=1))
 
 
 @dataclass
@@ -96,10 +147,11 @@ class LossBreakdown:
         return self.combined.item()
 
 
-def _label_info(labels) -> tuple[np.ndarray, np.ndarray | None]:
-    if isinstance(labels, BatchLabels):
-        return labels.labels, labels.domains
-    return np.asarray(labels, dtype=np.int64).reshape(-1), None
+def _as_labels(labels, domains=None) -> BatchLabels:
+    """``labels`` itself, or a fresh :class:`BatchLabels` over plain arrays or new ``domains``."""
+    if domains is None and isinstance(labels, BatchLabels):
+        return labels
+    return BatchLabels(labels.labels if isinstance(labels, BatchLabels) else labels, domains)
 
 
 def _per_run(values: np.ndarray) -> np.ndarray:
@@ -119,16 +171,13 @@ def cross_entropy(log_probs, labels) -> Tensor:
     the one-hot form of the usual sum reduces to picking one entry per row.
     """
     log_probs = ad.as_tensor(log_probs)
-    y, _ = _label_info(labels)
+    labels = _as_labels(labels)
     n, m = log_probs.shape[-2:]
-    if y.size != n:
-        raise ContractError(f"{y.size} labels for {n} rows")
+    if len(labels) != n:
+        raise ContractError(f"{len(labels)} labels for {n} rows")
     if n < 1:
         raise ContractError("cross_entropy needs at least one sample")
-    if y.min() < 0 or y.max() >= m:
-        raise ContractError(f"label out of range [0, {m})")
-    onehot = np.zeros((n, m))
-    onehot[np.arange(n), y] = 1.0
+    onehot = labels.onehot(m)
     scale = -1.0 / n
     value = _per_run(log_probs.data * onehot) * scale
     return ad.emit("cross_entropy", (log_probs,), value, lambda up: (onehot * (up * scale),))
@@ -139,10 +188,8 @@ def same_class_pairs(labels) -> tuple[np.ndarray, np.ndarray]:
 
     Classes with fewer than two samples contribute no pairs.
     """
-    y, _ = _label_info(labels)
     firsts, seconds = [], []
-    for c in np.unique(y):
-        idx = np.flatnonzero(y == c)
+    for idx in _as_labels(labels).class_groups:
         if idx.size < 2:
             continue
         iu, ju = np.triu_indices(idx.size, k=1)
@@ -153,16 +200,10 @@ def same_class_pairs(labels) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(firsts), np.concatenate(seconds)
 
 
-def _groups(*keys: np.ndarray) -> list[np.ndarray]:
-    """Row indices, in batch order, of each distinct combination of the keys.
-
-    Each key is replaced by its dense rank (< n), so the mixed-radix code in
-    base n is distinct per combination.
-    """
-    code = np.zeros(len(keys[0]), dtype=np.int64)
-    for key in keys:
-        code = code * len(key) + np.unique(key, return_inverse=True)[1].reshape(-1)
-    return [np.flatnonzero(code == g) for g in np.unique(code)]
+def _groups(*keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row indices, in batch order, of each distinct combination of the keys, in sorted order."""
+    rows = np.stack(keys, axis=1)
+    return tuple(np.flatnonzero((rows == key).all(axis=1)) for key in np.unique(rows, axis=0))
 
 
 def _pair_sums(groups, p: np.ndarray, lp: np.ndarray):
@@ -196,14 +237,14 @@ def hir_kl(log_probs, labels, cross_domain_only: bool = False,
     domain, by subtracting the same sums taken per (class, domain).
     """
     log_probs = ad.as_tensor(log_probs)
-    y, doms = _label_info(labels)
-    if cross_domain_only and doms is None:
+    labels = _as_labels(labels)
+    if cross_domain_only and labels.domains is None:
         raise ContractError("cross_domain_only needs domain indices")
     lp = log_probs.data
     p = np.exp(lp)
-    earlier_p, later_lp, n_later = _pair_sums(_groups(y), p, lp)
+    earlier_p, later_lp, n_later = _pair_sums(labels.class_groups, p, lp)
     if cross_domain_only:
-        cell_p, cell_lp, cell_n = _pair_sums(_groups(y, doms), p, lp)
+        cell_p, cell_lp, cell_n = _pair_sums(labels.cell_groups, p, lp)
         earlier_p, later_lp, n_later = earlier_p - cell_p, later_lp - cell_lp, n_later - cell_n
     pair_count = int(n_later.sum())
     if pair_count == 0:
@@ -259,12 +300,11 @@ def _sq_dists(z: np.ndarray) -> np.ndarray:
     return np.maximum(dists, 0.0, out=dists)
 
 
-def _mmd_sum(parts: tuple[Tensor, ...], domains: np.ndarray, bandwidth=None) -> Tensor:
+def _mmd_sum(parts: tuple[Tensor, ...], labels: BatchLabels, bandwidth=None) -> Tensor:
     """Mean squared RBF MMD over the domain pairs of the stacked rows z of
     ``parts``, as one node: sum_ij W_ij K_ij, K_ij = exp(gamma |z_i - z_j|^2)
-    with gamma = -1 / (2 bandwidth^2). W is the mean over domain pairs a < b
-    of (u_a - u_b)(u_a - u_b)^T, u_a being domain a's row indicator over its
-    size. The gradient is 4 gamma (diag((W o K) 1) z - (W o K) z).
+    with gamma = -1 / (2 bandwidth^2) and W the ``mmd_weights`` of the rows'
+    ``labels``. The gradient is 4 gamma (diag((W o K) 1) z - (W o K) z).
     ``bandwidth`` is one value, or one per run of a stack; each must give a
     finite gamma. ``None`` takes :func:`median_bandwidth` of z, per run,
     from the same squared distances as the kernel.
@@ -272,7 +312,7 @@ def _mmd_sum(parts: tuple[Tensor, ...], domains: np.ndarray, bandwidth=None) -> 
     z = np.concatenate([t.data for t in parts], axis=-2)
     sq_dists = _sq_dists(z)
     if bandwidth is None:
-        bandwidth = _median_distance(sq_dists)
+        bandwidth = _median_distance(sq_dists, labels.upper)
     bandwidth = np.asarray(bandwidth, dtype=np.float64).reshape(-1, 1, 1)
     with np.errstate(divide="ignore", over="ignore"):
         gamma = -1.0 / (2.0 * bandwidth * bandwidth)
@@ -281,11 +321,7 @@ def _mmd_sum(parts: tuple[Tensor, ...], domains: np.ndarray, bandwidth=None) -> 
                           f"got {bandwidth.reshape(-1).tolist()}")
     if z.ndim == 2:
         gamma = gamma[0]
-    _, inverse, sizes = np.unique(domains, return_inverse=True, return_counts=True)
-    w = 1.0 / sizes[inverse]
-    same = inverse[:, None] == inverse[None, :]
-    weights = np.outer(w, w) * (sizes.size * same - 1.0) / (sizes.size * (sizes.size - 1) / 2)
-    wk = weights * np.exp(gamma * sq_dists)
+    wk = labels.mmd_weights * np.exp(gamma * sq_dists)
 
     def back(up):
         grad = (4.0 * gamma * up) * (wk.sum(axis=-1, keepdims=True) * z - wk @ z)
@@ -302,7 +338,9 @@ def mmd_rbf(z_a, z_b, bandwidth: float) -> Tensor:
     k(u, v) = exp(-||u - v||^2 / (2 * bandwidth^2)), as one tape node.
     """
     z_a, z_b = ad.as_tensor(z_a), ad.as_tensor(z_b)
-    return _mmd_sum((z_a, z_b), np.repeat([0, 1], [z_a.shape[-2], z_b.shape[-2]]), bandwidth)
+    sizes = [z_a.shape[-2], z_b.shape[-2]]
+    return _mmd_sum((z_a, z_b), BatchLabels(np.zeros(sum(sizes)), np.repeat([0, 1], sizes)),
+                    bandwidth)
 
 
 def median_bandwidth(z, fallback: float = 1.0):
@@ -311,14 +349,14 @@ def median_bandwidth(z, fallback: float = 1.0):
     A float for a matrix of rows, one value per run for a stack of them.
     """
     arr = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
-    return _median_distance(_sq_dists(arr), fallback)
+    return _median_distance(_sq_dists(arr), BatchLabels(np.zeros(arr.shape[-2])).upper, fallback)
 
 
-def _median_distance(sq_dists: np.ndarray, fallback: float = 1.0):
-    """:func:`median_bandwidth` from the rows' squared distances, which it
-    leaves as they are: it takes the pairs out as a copy."""
+def _median_distance(sq_dists: np.ndarray, upper: np.ndarray, fallback: float = 1.0):
+    """:func:`median_bandwidth` from the rows' squared distances and their
+    i < j mask ``upper``. It leaves the distances as they are: it takes the
+    pairs out as a copy."""
     n = sq_dists.shape[-1]
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     medians = []
     for dists in sq_dists.reshape(-1, n, n):
         pairs = dists[upper]
@@ -344,13 +382,11 @@ def class_conditional_align(z, labels, domains=None) -> Tensor:
     sum is that of each class less that of each (class, domain) cell.
     """
     z = ad.as_tensor(z)
-    y, doms = _label_info(labels)
-    if domains is not None:
-        doms = np.asarray(domains, dtype=np.int64).reshape(-1)
-    if doms is None:
+    labels = _as_labels(labels, domains)
+    if labels.domains is None:
         raise ContractError("class_conditional_align needs domain indices")
-    class_n, class_dev = _spread(_groups(y), z.data)
-    cell_n, cell_dev = _spread(_groups(y, doms), z.data)
+    class_n, class_dev = _spread(labels.class_groups, z.data)
+    cell_n, cell_dev = _spread(labels.cell_groups, z.data)
     pair_count = int((class_n - cell_n).sum()) // 2
     if pair_count == 0:
         return _zero(z)
@@ -363,16 +399,19 @@ def class_conditional_align(z, labels, domains=None) -> Tensor:
 
 
 def domain_mmd_penalty(z, domains, bandwidth: float | None = None) -> Tensor:
-    """Mean RBF MMD between the z-rows of every pair of domains in the batch.
+    """Mean RBF MMD between the z-rows of every pair of domains in the batch,
+    given as a :class:`BatchLabels` or plain domain indices.
 
     Bandwidth defaults to the median pairwise-distance heuristic over the
     whole batch, per run, computed on detached values (it is a constant of
     the loss, not differentiated), from the kernel's squared distances.
     """
     z = ad.as_tensor(z)
-    doms = np.asarray(domains, dtype=np.int64).reshape(-1)
-    if doms.size != z.shape[-2]:
+    if not isinstance(domains, BatchLabels):
+        domains = BatchLabels(np.zeros(np.size(domains)), domains)
+    doms = domains.domains
+    if doms is None or doms.size != z.shape[-2]:
         raise ContractError("one domain index per z row required")
     if np.all(doms == doms[:1]):  # fewer than two domains
         return _zero(z)
-    return _mmd_sum((z,), doms, bandwidth)
+    return _mmd_sum((z,), domains, bandwidth)

@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirnet.data import (
     DEFAULT_ANGLES,
+    BatchPlan,
     DomainDataset,
     DomainSuite,
     PriorShiftSpec,
@@ -348,6 +351,39 @@ class TestPlannedSamplerMatchesPerBatchLoop:
         np.testing.assert_array_equal(first.labels, np.tile(np.repeat([0, 1], 4), 3))
         with pytest.raises(ValueError):
             first.labels[0] = 1  # shared by every batch, so read-only
+
+
+@st.composite
+def small_suites(draw):
+    """A few tiny gaussian domains, each with its own class mix; a zero in
+    a mix empties that (domain, class) cell."""
+    n_domains = draw(st.integers(1, 3))
+    class_count = draw(st.integers(2, 3))
+    suite = gen_rotated_suite("gaussians", draw(st.integers(1, 8)),
+                              angles=[20.0 * d for d in range(n_domains)],
+                              seed=draw(st.integers(0, 100)), class_count=class_count)
+    weights = draw(st.lists(st.lists(st.integers(0, 3), min_size=class_count,
+                                     max_size=class_count).filter(any),
+                            min_size=n_domains, max_size=n_domains))
+    probs = np.array(weights, dtype=np.float64)
+    return apply_prior_shift(suite, PriorShiftSpec(probs / probs.sum(axis=1, keepdims=True)),
+                             seed=draw(st.integers(0, 100)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(suite=small_suites(), k=st.integers(1, 4), paired=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_plan_draw_gives_the_per_batch_loop_bytes(suite, k, paired, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        plan = BatchPlan(suite, k, paired)
+        old = list(per_batch_stratified_batches(suite, k, paired=paired, seed=seed))
+    x, pair_ids = plan.draw(seed)
+    assert x.shape[0] == plan.n_batches == len(old)
+    new = [(x[b], BatchLabels(plan.labels, plan.domains,
+                              None if pair_ids is None else pair_ids[b]))
+           for b in range(plan.n_batches)]
+    assert batch_bytes(new) == batch_bytes(old)
 
 
 def manifest_spec():

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from hirnet import diagnostics
 from hirnet.data import DomainDataset, DomainSuite, gen_rotated_suite, stratified_batches
 from hirnet.diagnostics import (
     DiagnosticUnavailableError,
@@ -196,6 +199,33 @@ class TestPairedVsUnpaired:
                                                            n_batches=5)
         assert paired_mean >= 0.0
         assert unpaired_mean >= 0.0
+
+    @pytest.mark.parametrize("per_class_per_domain", [1, 4])
+    def test_stacked_batches_give_the_per_batch_values(self, monkeypatch, per_class_per_domain):
+        # 12 rows per cell: 50 batches span several epochs and end mid-epoch.
+        suite = gen_rotated_suite("moons", 12, angles=[0.0, 25.0, 50.0], seed=29)
+        params = init_params(MlpSpec((2, 6, 2), seed=30))
+        values = []
+
+        def recording_hir_kl(log_probs, labels):
+            loss, count = hir_kl(log_probs, labels)
+            values.extend(loss.data.reshape(-1).tolist())
+            return loss, count
+
+        monkeypatch.setattr(diagnostics, "hir_kl", recording_hir_kl)
+        means = paired_vs_unpaired_kl(params, suite, per_class_per_domain, seed=4)
+        expected = []
+        for paired, salt in [(True, 0), (False, 1)]:
+            per_batch = []
+            for epoch in itertools.count():
+                for x, labels in stratified_batches(suite, per_class_per_domain, paired=paired,
+                                                    seed=[4, salt, epoch]):
+                    per_batch.append(hir_kl(log_posteriors(params, x), labels)[0].item())
+                if len(per_batch) >= 50:
+                    break
+            expected += per_batch[:50]
+        assert values == expected
+        assert means == (np.mean(expected[:50]), np.mean(expected[50:]))
 
 
 class TestCollectBundle:

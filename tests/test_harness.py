@@ -10,10 +10,10 @@ from hirnet import autodiff as ad
 from hirnet import harness
 from hirnet import losses
 from hirnet.data import (
+    BatchPlan,
     DomainDataset,
     DomainSuite,
     SuiteSpec,
-    batch_layout,
     gen_rotated_suite,
     stratified_batches,
 )
@@ -34,7 +34,7 @@ from hirnet.harness import (
     write_report_json,
     write_trace_csv,
 )
-from hirnet.losses import combined_loss, cross_entropy, pairwise_kl
+from hirnet.losses import BatchLabels, combined_loss, cross_entropy, pairwise_kl
 from hirnet.models import MlpSpec, ModelParams, forward, init_params
 from hirnet.optim import adam_step, init_adam
 
@@ -327,22 +327,23 @@ def train_with_oracle(monkeypatch, suite, cfg):
     """Train, recording each batch's labels and detached log-probs, and
     return the traces with the per-batch reference averaged per epoch."""
     epochs = []
-    sampler, log_softmax = harness.stratified_batches, ad.log_softmax
+    draw, log_softmax = BatchPlan.draw, ad.log_softmax
 
     # An epoch's batches are all drawn before its first step, and its
     # log_softmax calls come in batch order; the one run is row 0 of the stack.
-    def recording_sampler(*args, **kwargs):
-        epochs.append(([], []))
-        for x, labels in sampler(*args, **kwargs):
-            epochs[-1][0].append(labels)
-            yield x, labels
+    def recording_draw(plan, seed):
+        x, pair_ids = draw(plan, seed)
+        epochs.append(([BatchLabels(plan.labels, plan.domains,
+                                    None if pair_ids is None else pair_ids[b])
+                        for b in range(plan.n_batches)], []))
+        return x, pair_ids
 
     def recording_log_softmax(logits):
         out = log_softmax(logits)
         epochs[-1][1].append(out.data[0])
         return out
 
-    monkeypatch.setattr(harness, "stratified_batches", recording_sampler)
+    monkeypatch.setattr(BatchPlan, "draw", recording_draw)
     monkeypatch.setattr(ad, "log_softmax", recording_log_softmax)
     _, traces = train(init_params(MlpSpec((2, 8, suite.class_count), seed=4)), suite, cfg,
                       batch_seed=5)
@@ -430,8 +431,8 @@ def same_bytes(a: ModelParams, b: ModelParams) -> bool:
 
 
 def layout_key(suite, cfg):
-    labels, domains, n_batches = batch_layout(suite, cfg.per_class_per_domain, cfg.paired)
-    return labels.tobytes(), domains.tobytes(), n_batches
+    plan = BatchPlan(suite, cfg.per_class_per_domain, cfg.paired)
+    return plan.labels.tobytes(), plan.domains.tobytes(), plan.n_batches
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
@@ -467,6 +468,33 @@ class TestStackedRuns:
         assert layout_key(suite.drop(0), cfg) != layout_key(suite.drop(1), cfg)
         with pytest.raises(ContractError, match="one batch layout"):
             harness.train_runs(three_runs(3)[:2], [suite.drop(0), suite.drop(1)], cfg, [10, 11])
+
+    def test_two_layouts_fail_before_any_step(self, monkeypatch):
+        cfg = tiny_config(loss_kind="hir", alpha=0.1, suite=PRIOR_SHIFT_SUITE,
+                          per_class_per_domain=3)
+        suite = cfg.suite.build()
+        runs = three_runs(3)
+        before = [[a.copy() for a in p.arrays()] for p in runs]
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(harness, "forward", no_step)
+        with pytest.raises(ContractError, match="one batch layout"):
+            harness.train_runs(runs, [suite.drop(1), suite.drop(2), suite.drop(0)], cfg,
+                               [10, 11, 12])
+        for params, arrays in zip(runs, before):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(params.arrays(), arrays))
+
+    def test_empty_cell_warns_once_per_run(self):
+        cfg = tiny_config(loss_kind="agg", alpha=0.0, suite=PRIOR_SHIFT_SUITE,
+                          per_class_per_domain=3, epochs=4)
+        train_suite = cfg.suite.build().drop(1)  # domain 0 lacks class 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            harness.train_runs(three_runs(3)[:2], [train_suite] * 2, cfg, [10, 11])
+        messages = [str(w.message) for w in caught]
+        assert messages == ["empty cell: domain 0 has no samples of class 2"] * 2
 
     @pytest.mark.parametrize("cause,message", [
         ("loss", "non-finite loss at epoch 0"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -555,6 +556,38 @@ class TestBatchLabels:
     def test_paired_flag(self):
         assert BatchLabels([0], [0], [3]).paired
         assert not BatchLabels([0], [0]).paired
+
+    def test_arrays_and_layout_fields_are_read_only(self):
+        y, d, ids = np.array([1, 0, 1, 2, 0, 1]), np.array([0, 0, 1, 1, 2, 2]), np.arange(6)
+        labels = BatchLabels(y, d, ids)
+        y[0] = d[0] = ids[0] = 7  # the caller's arrays were copied
+        assert labels.labels[0] == 1 and labels.domains[0] == 0 and labels.pair_id[0] == 0
+        fields = [labels.onehot(3), *labels.class_groups, *labels.cell_groups,
+                  labels.mmd_weights, labels.upper]
+        for arr in [labels.labels, labels.domains, labels.pair_id, *fields]:
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            labels.labels = np.zeros(6, dtype=np.int64)
+
+    def test_layout_fields_equal_a_fresh_computation(self):
+        rng = np.random.default_rng(3)
+        y, d = rng.integers(0, 3, size=11), rng.integers(1, 4, size=11)
+        labels = BatchLabels(y, d)
+        classes = [np.flatnonzero(y == c).tolist() for c in sorted(set(y))]
+        cells = [np.flatnonzero((y == c) & (d == e)).tolist() for c, e in sorted(set(zip(y, d)))]
+        domains = sorted(set(d))
+        pairs = [(a, b) for a in domains for b in domains if a < b]
+        weights = sum(np.outer(v, v) for v in ((d == a) / np.sum(d == a) - (d == b) / np.sum(d == b)
+                                               for a, b in pairs)) / len(pairs)
+        for _ in range(2):  # the first call computes, the second reads the cache
+            np.testing.assert_array_equal(labels.onehot(4), np.eye(4)[y])
+            assert [g.tolist() for g in labels.class_groups] == classes
+            assert [g.tolist() for g in labels.cell_groups] == cells
+            np.testing.assert_allclose(labels.mmd_weights, weights, rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(labels.upper, np.triu(np.ones((11, 11), bool), k=1))
+        with pytest.raises(ContractError, match="out of range"):
+            labels.onehot(2)
 
 
 def test_same_class_pairs_ordering():
