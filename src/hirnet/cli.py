@@ -76,9 +76,10 @@ def _cmd_diag(args) -> int:
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
     suite = SuiteSpec.read(args.suite).build()
-    if suite.feature_dim != params.layer_sizes[0]:
-        raise ConfigError(f"checkpoint expects {params.layer_sizes[0]}-dim inputs, "
-                          f"suite provides {suite.feature_dim}")
+    expected = params.layer_sizes[0], params.layer_sizes[-1]
+    if (suite.feature_dim, suite.class_count) != expected:
+        raise ConfigError(f"checkpoint expects (input dim, classes) {expected}, "
+                          f"suite provides {(suite.feature_dim, suite.class_count)}")
     bundle = diag.collect_bundle(params, suite, per_class_per_domain=args.per_class_per_domain,
                                  probe_size=args.probe_size, seed=args.seed,
                                  bandwidth=args.bandwidth)

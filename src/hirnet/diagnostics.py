@@ -1,7 +1,8 @@
 """Invariance probes for trained models.
 
 Three complementary views of how a model treats an ordered domain suite:
-how far apart the domains' latent representations sit (RBF-MMD matrices),
+how far apart the domains' latent representations sit (RBF-MMD matrices,
+each read off the block means of one kernel over the pooled latents),
 whether paired points get the same predicted class in every domain
 (prediction agreement), and how divergent same-class posteriors are
 (pairwise KL, paired versus unpaired). All probes are read-only over a
@@ -19,7 +20,8 @@ import numpy as np
 from . import models
 from .data import BatchPlan, DomainSuite, stratified_batches
 from .errors import ContractError
-from .losses import BatchLabels, hir_kl, median_bandwidth, mmd_rbf, pairwise_kl
+# mmd_rbf stays bound here for perfbench's test_uninstall_restores_every_original.
+from .losses import BatchLabels, hir_kl, mmd_rbf, pairwise_kl, rbf_kernel  # noqa: F401
 
 
 class DiagnosticUnavailableError(ContractError):
@@ -44,45 +46,31 @@ class DiagnosticsBundle:
         return float(self.domain_mmd[mask].mean())
 
 
-def _latents_by_domain(params: models.ModelParams, suite: DomainSuite) -> list[np.ndarray]:
-    outs = []
-    for dataset in suite.domains:
-        z, _ = models.forward(params, dataset.x)
-        outs.append(z.data)
-    return outs
-
-
 def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
                             per_class: bool = False, bandwidth: float | None = None):
-    """Pairwise MMD between the domains' latent representations.
+    """Pairwise squared RBF MMD between the domains' latents; returns (matrix, bandwidth).
 
-    Bandwidth defaults to the median-distance heuristic over all domains'
-    latents pooled. With ``per_class`` a (classes, |D|, |D|) stack is
-    returned instead, with NaN entries where a domain is missing the class.
-    Returns (matrix, bandwidth).
-    """
-    latents = _latents_by_domain(params, suite)
-    if bandwidth is None:
-        bandwidth = median_bandwidth(np.vstack(latents))
-    n = len(suite)
-    if not per_class:
-        matrix = np.zeros((n, n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                matrix[a, b] = matrix[b, a] = mmd_rbf(latents[a], latents[b], bandwidth).item()
-        return matrix, bandwidth
-    stack = np.full((suite.class_count, n, n), np.nan)
-    for c in range(suite.class_count):
-        rows = [latents[d][suite.domains[d].y == c] for d in range(n)]
-        for a in range(n):
-            if rows[a].shape[0] == 0:
-                continue
-            stack[c, a, a] = 0.0
-            for b in range(a + 1, n):
-                if rows[b].shape[0] == 0:
-                    continue
-                stack[c, a, b] = stack[c, b, a] = mmd_rbf(rows[a], rows[b], bandwidth).item()
-    return stack, bandwidth
+    One kernel K over the pooled latents, bandwidth by default their median
+    distance; B = U^T K U holds the block means, U being the row-to-group
+    indicator over the group's size, so MMD^2_ab = B_aa + B_bb - 2 B_ab. With ``per_class``
+    a group is a (class, domain) cell, giving a (classes, |D|, |D|) stack, NaN
+    where a domain is missing the class."""
+    n, classes = len(suite), suite.class_count if per_class else 1
+    z, _ = models.forward(params, np.vstack([ds.x for ds in suite.domains]))
+    group = np.repeat(np.arange(n), [ds.y.size for ds in suite.domains])
+    if per_class:
+        group += n * np.concatenate([ds.y for ds in suite.domains])
+    kernel, _, bandwidth = rbf_kernel(z.data, BatchLabels(group), bandwidth)
+    sizes = np.bincount(group, minlength=classes * n)
+    indicator = np.eye(sizes.size)[group] / sizes[group, None]
+    blocks = indicator.T @ kernel @ indicator
+    means = np.diag(blocks)
+    matrix = np.triu(means[:, None] + means - 2.0 * blocks, k=1)
+    matrix += matrix.T
+    matrix[sizes == 0] = matrix[:, sizes == 0] = np.nan
+    cells = np.arange(classes)
+    stack = matrix.reshape(classes, n, classes, n)[cells, :, cells]
+    return (stack if per_class else stack[0]), bandwidth
 
 
 def prediction_agreement(params: models.ModelParams, suite: DomainSuite,

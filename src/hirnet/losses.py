@@ -29,6 +29,7 @@ __all__ = [
     "hir_kl",
     "combined_loss",
     "mmd_rbf",
+    "rbf_kernel",
     "class_conditional_align",
     "domain_mmd_penalty",
     "median_bandwidth",
@@ -300,28 +301,34 @@ def _sq_dists(z: np.ndarray) -> np.ndarray:
     return np.maximum(dists, 0.0, out=dists)
 
 
-def _mmd_sum(parts: tuple[Tensor, ...], labels: BatchLabels, bandwidth=None) -> Tensor:
-    """Mean squared RBF MMD over the domain pairs of the stacked rows z of
-    ``parts``, as one node: sum_ij W_ij K_ij, K_ij = exp(gamma |z_i - z_j|^2)
-    with gamma = -1 / (2 bandwidth^2) and W the ``mmd_weights`` of the rows'
-    ``labels``. The gradient is 4 gamma (diag((W o K) 1) z - (W o K) z).
-    ``bandwidth`` is one value, or one per run of a stack; each must give a
-    finite gamma. ``None`` takes :func:`median_bandwidth` of z, per run,
-    from the same squared distances as the kernel.
-    """
-    z = np.concatenate([t.data for t in parts], axis=-2)
+def rbf_kernel(z: np.ndarray, labels: BatchLabels, bandwidth=None):
+    """(K, gamma, bandwidth) for the Gaussian kernel K_ij = exp(gamma |z_i - z_j|^2)
+    over the rows of z, gamma = -1 / (2 bandwidth^2), with ``exp`` taken in place
+    over the squared distances. ``bandwidth`` is one value, or one per run of a
+    stack, each positive with a finite gamma; ``None`` takes :func:`median_bandwidth`
+    of z, per run, from those distances and the i < j mask ``labels.upper``."""
     sq_dists = _sq_dists(z)
     if bandwidth is None:
         bandwidth = _median_distance(sq_dists, labels.upper)
-    bandwidth = np.asarray(bandwidth, dtype=np.float64).reshape(-1, 1, 1)
+    spread = np.asarray(bandwidth, dtype=np.float64).reshape((-1,) + (1,) * (z.ndim - 1))
     with np.errstate(divide="ignore", over="ignore"):
-        gamma = -1.0 / (2.0 * bandwidth * bandwidth)
-    if not np.all((bandwidth > 0) & np.isfinite(gamma)):
+        gamma = -1.0 / (2.0 * spread * spread)
+    if not np.all((spread > 0) & np.isfinite(gamma)):
         raise ConfigError(f"bandwidth must be positive with a finite 1 / (2 bandwidth^2), "
-                          f"got {bandwidth.reshape(-1).tolist()}")
-    if z.ndim == 2:
-        gamma = gamma[0]
-    wk = labels.mmd_weights * np.exp(gamma * sq_dists)
+                          f"got {spread.reshape(-1).tolist()}")
+    sq_dists *= gamma
+    return np.exp(sq_dists, out=sq_dists), gamma, bandwidth
+
+
+def _mmd_sum(parts: tuple[Tensor, ...], labels: BatchLabels, bandwidth=None) -> Tensor:
+    """Mean squared RBF MMD over the domain pairs of the stacked rows z of
+    ``parts``, as one node: sum_ij W_ij K_ij, with K the :func:`rbf_kernel`
+    of z and W the ``mmd_weights`` of the rows' ``labels``. The gradient is
+    4 gamma (diag((W o K) 1) z - (W o K) z).
+    """
+    z = np.concatenate([t.data for t in parts], axis=-2)
+    wk, gamma, _ = rbf_kernel(z, labels, bandwidth)
+    wk *= labels.mmd_weights
 
     def back(up):
         grad = (4.0 * gamma * up) * (wk.sum(axis=-1, keepdims=True) * z - wk @ z)

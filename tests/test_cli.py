@@ -200,6 +200,17 @@ class TestDiagCommand:
         SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
         assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest)]) == 2
 
+    def test_class_count_mismatch_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=0)), ckpt)
+        manifest = tmp_path / "suite.json"
+        SuiteSpec(kind="gaussians", n_per_class=10, angles=(0.0, 30.0), class_count=4).write(manifest)
+        code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
+                     "--out", str(tmp_path / "diag")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "diag").exists()
+
     @pytest.mark.parametrize("text", ["5", "null", '{"angles": []}', '{"angles": [0, 30]',
                                       '{"prior_shift": [["a", 1], [1, 0]], "angles": [0, 30]}'],
                              ids=["number", "null", "no-angles", "invalid-json", "prior-shift-string"])
@@ -222,9 +233,11 @@ class TestDiagCommand:
 
     @pytest.mark.parametrize("flag", [["--probe-size", "-1"], ["--probe-size", "0"],
                                       ["--seed", "-1"], ["--bandwidth", "nan"],
+                                      ["--bandwidth", "0"], ["--bandwidth", "-1"],
                                       ["--bandwidth", "1e-160"], ["--bandwidth", "1e-300"]],
                              ids=["probe-size-negative", "probe-size-zero", "seed-negative",
-                                  "bandwidth-nan", "bandwidth-1e-160", "bandwidth-1e-300"])
+                                  "bandwidth-nan", "bandwidth-zero", "bandwidth-negative",
+                                  "bandwidth-1e-160", "bandwidth-1e-300"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, flag):
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)

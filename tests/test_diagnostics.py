@@ -1,10 +1,11 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from hirnet import diagnostics
+from hirnet import diagnostics, losses
 from hirnet.data import DomainDataset, DomainSuite, gen_rotated_suite, stratified_batches
 from hirnet.diagnostics import (
     DiagnosticUnavailableError,
@@ -117,10 +118,11 @@ class TestDomainAlignmentMatrix:
         matrix, _ = domain_alignment_matrix(passthrough, suite, bandwidth=1.0)
         assert matrix[0, 1] == pytest.approx(2.0, abs=1e-2)
 
-    def test_matches_recomputation_from_exported_latents(self):
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_matches_recomputation_from_exported_latents(self, per_class):
         suite = gen_rotated_suite("moons", 25, angles=[0.0, 30.0, 60.0], seed=10)
         params = init_params(MlpSpec((2, 5, 2), seed=11))
-        matrix, bw = domain_alignment_matrix(params, suite)
+        matrix, bw = domain_alignment_matrix(params, suite, per_class=per_class)
         latents = [forward(params, ds.x)[0].data for ds in suite.domains]
 
         def recompute(a, b):
@@ -129,10 +131,13 @@ class TestDomainAlignmentMatrix:
             kab = np.exp(-cdist(a, b, "sqeuclidean") / (2 * bw**2)).mean()
             return kaa + kbb - 2 * kab
 
-        for a in range(3):
-            for b in range(a + 1, 3):
-                assert matrix[a, b] == pytest.approx(recompute(latents[a], latents[b]),
-                                                     abs=1e-10)
+        cells = ([(matrix, latents)] if not per_class else
+                 [(matrix[c], [z[ds.y == c] for z, ds in zip(latents, suite.domains)])
+                  for c in range(suite.class_count)])
+        for entries, rows in cells:
+            for a in range(3):
+                for b in range(a + 1, 3):
+                    assert entries[a, b] == pytest.approx(recompute(rows[a], rows[b]), abs=1e-10)
 
     def test_per_class_marks_missing_cells(self):
         suite = gen_rotated_suite("moons", 20, angles=[0.0, 30.0], seed=12)
@@ -240,6 +245,20 @@ class TestCollectBundle:
         present = ~np.isnan(bundle.posterior_kl)
         assert present.any()
         assert bundle.unpaired_kl_mean >= 0.0
+
+    def test_calls_no_mmd_rbf(self, monkeypatch):
+        """The probes read every entry off one kernel, never pair by pair."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mmd_rbf called by a probe")
+
+        original = losses.mmd_rbf
+        for name, module in list(sys.modules.items()):
+            if (name == "hirnet" or name.startswith("hirnet.")) and \
+                    getattr(module, "mmd_rbf", None) is original:
+                monkeypatch.setattr(module, "mmd_rbf", forbidden)
+        suite = gen_rotated_suite("moons", 20, angles=[0.0, 30.0, 60.0], seed=31)
+        bundle = collect_bundle(init_params(MlpSpec((2, 6, 2), seed=32)), suite)
+        assert bundle.domain_mmd.shape == (3, 3) and bundle.class_mmd.shape == (2, 3, 3)
 
 
 def test_trained_model_probe_batch_consistency():

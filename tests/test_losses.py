@@ -315,9 +315,10 @@ class TestMmd:
         b = rng.normal(size=(9, 3))
         assert mmd_rbf(a, b, 1.3).item() == pytest.approx(naive_mmd(a, b, 1.3), abs=1e-10)
 
-    def test_bad_bandwidth(self):
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0])
+    def test_bad_bandwidth(self, bandwidth):
         with pytest.raises(ConfigError):
-            mmd_rbf(np.ones((2, 2)), np.ones((2, 2)), 0.0)
+            mmd_rbf(np.ones((2, 2)), np.ones((2, 2)), bandwidth)
 
     @pytest.mark.parametrize("bandwidth", [1e-160, 1e-300])
     def test_positive_bandwidth_with_an_infinite_gamma_rejected(self, bandwidth):
