@@ -18,6 +18,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import diagnostics as diag
 from . import harness
 from .data import SuiteSpec, stratified_batches
@@ -53,6 +55,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --alpha list: {args.alpha!r}") from exc
     if not alphas:
         raise ConfigError("--alpha list is empty")
+    # Each value is checked, and gets its own report file, before any training.
+    labels = [f"{check_real('--alpha', alpha, 0.0):g}" for alpha in alphas]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"--alpha values must differ as written to file names, got {labels}")
     reports = harness.sweep_alpha(config, alphas)
     os.makedirs(args.out, exist_ok=True)
     for alpha, report in reports.items():
@@ -71,8 +77,8 @@ def _cmd_diag(args) -> int:
         check_real("--bandwidth", args.bandwidth)
     try:
         params = load_checkpoint(args.checkpoint)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {args.checkpoint}: {exc.strerror}") from exc
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
     suite = SuiteSpec.read(args.suite).build()
@@ -80,9 +86,15 @@ def _cmd_diag(args) -> int:
     if (suite.feature_dim, suite.class_count) != expected:
         raise ConfigError(f"checkpoint expects (input dim, classes) {expected}, "
                           f"suite provides {(suite.feature_dim, suite.class_count)}")
-    bundle = diag.collect_bundle(params, suite, per_class_per_domain=args.per_class_per_domain,
-                                 probe_size=args.probe_size, seed=args.seed,
-                                 bandwidth=args.bandwidth)
+    # Finite weights can still overflow on the suite; no output is then written.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            bundle = diag.collect_bundle(params, suite,
+                                         per_class_per_domain=args.per_class_per_domain,
+                                         probe_size=args.probe_size, seed=args.seed,
+                                         bandwidth=args.bandwidth)
+    except FloatingPointError as exc:
+        raise ConfigError(f"checkpoint gives non-finite values on the suite: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     diag.write_domain_mmd_csv(bundle.domain_mmd, suite.domain_params,
                               os.path.join(args.out, "domain_mmd.csv"))

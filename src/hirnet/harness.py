@@ -13,10 +13,11 @@ corresponding feature-alignment penalty on the latent z instead.
 Runs train in groups, one per batch layout: the labels, domains and batch
 count of the ``BatchPlan`` of a run's training suite. Held-out domains of a
 rotated suite all share one layout, so every run of such a config is in one
-group; a prior-shift suite can give several. A group's parameters are
-stacked on a leading run axis, so one training step serves every run in it:
-one forward pass, one tape backward and one Adam step, on each run's own
-batch of the epoch its plan draws from its seed. Plans, and the stack's
+group; a prior-shift suite can give several. A group's parameters are one
+(runs, 1, P) buffer, ``ModelParams.stack``, so one training step serves every
+run in it: one forward pass, one tape backward, and one Adam pass and finite
+check over the buffer, each run on its own batch of the epoch its plan draws
+from its seed. Plans, and the stack's
 ``BatchLabels`` with the layout fields the losses read, are built once per
 call. Every run gets the same bits as it would training alone.
 HIRNET_WORKERS splits a group into contiguous chunks, one stack per worker
@@ -56,7 +57,8 @@ from .losses import (
     cross_entropy,
     domain_mmd_penalty,
 )
-from .models import MlpSpec, ModelParams, forward, init_params, predict, save_checkpoint
+from .models import (MlpSpec, ModelParams, flatten, forward, init_params, predict,
+                     save_checkpoint)
 from .optim import NonFiniteGradient, adam_step, init_adam
 
 LOSS_KINDS = ("agg", "hir", "mmd", "ccsa")
@@ -212,18 +214,13 @@ def _safe_mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def _write_back(stack: ModelParams, row: int, params: ModelParams) -> None:
-    for dst, src in zip(params.arrays(), stack.arrays()):
-        dst[...] = src[row]
-
-
 def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config: ExperimentConfig,
                batch_seeds) -> list[TrainTraces | TrainingDiverged]:
     """Train every run in ``runs`` together, each in place: run r on
     ``train_suites[r]``, drawing its batches from ``batch_seeds[r]``.
 
-    The runs' parameters are stacked on a leading run axis, so each step is
-    one forward pass, one tape backward and one Adam step for all of them.
+    The runs' parameters are stacked into one buffer, so each step is one
+    forward pass, one tape backward and one Adam pass for all of them.
     That needs one batch layout: the call builds each run's
     :class:`~hirnet.data.BatchPlan` and one ``BatchLabels`` for all steps,
     after checking once that every plan has the first's layout. Each epoch,
@@ -254,9 +251,8 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
     results: list[TrainTraces | TrainingDiverged] = [
         TrainTraces(domain_params=list(suite.domain_params)) for suite in train_suites]
     alive = list(range(len(runs)))  # the run on each row of the stack
-    stack = ModelParams([np.stack(ws) for ws in zip(*(p.weights for p in runs))],
-                        [np.stack(bs) for bs in zip(*(p.biases for p in runs))])
-    opt = init_adam(stack.arrays(), lr=config.optimizer.lr, beta1=config.optimizer.beta1,
+    stack = ModelParams.stack(runs)
+    opt = init_adam([stack.flat], lr=config.optimizer.lr, beta1=config.optimizer.beta1,
                     beta2=config.optimizer.beta2, eps=config.optimizer.eps)
 
     def drop(messages: dict[int, str]) -> list[int]:
@@ -265,10 +261,10 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
         nonlocal alive, stack, xs
         for row, message in messages.items():
             results[alive[row]] = TrainingDiverged(message)
-            _write_back(stack, row, runs[alive[row]])
+            stack.write_row(row, runs[alive[row]])
         keep = [row for row in range(len(alive)) if row not in messages]
         alive = [alive[row] for row in keep]
-        stack = ModelParams([w[keep] for w in stack.weights], [b[keep] for b in stack.biases])
+        stack = stack.take(keep)
         for values in (opt.m, opt.v, epoch_lc, epoch_lh, epoch_lp):
             values[:] = [v[keep] for v in values]
         xs = xs[:, keep]
@@ -296,14 +292,17 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
                     if not alive:
                         return results
                 grads = graph.backward(breakdown.combined)
-                grads = [grads[i] if keep is None else grads[i][keep] for i in graph.param_ids]
+                grad = flatten([grads[i] for i in graph.param_ids])
+                grad = grad if keep is None else grad[keep]
                 try:
-                    adam_step(opt, stack.arrays(), grads)
-                except NonFiniteGradient as exc:
-                    keep = drop(exc.messages)
+                    adam_step(opt, [stack.flat], [grad])
+                except NonFiniteGradient as exc:  # name each run's array, as alone
+                    first = {row: stack.array_index(np.argmin(np.isfinite(grad[row, 0])))
+                             for row in exc.messages}
+                    keep = drop(NonFiniteGradient(first).messages)
                     if not alive:
                         return results
-                    adam_step(opt, stack.arrays(), [g[keep] for g in grads])
+                    adam_step(opt, [stack.flat], [grad[keep]])
         # Each run's step values lie along one contiguous row, reduced in
         # the order its own list of steps would be.
         l_c = np.concatenate(epoch_lc, axis=-1).mean(axis=-1)
@@ -319,7 +318,7 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
         # Free the epoch's copies before the next epoch draws its own.
         del xs, epoch_lp, log_probs_by_run
     for row, run in enumerate(alive):
-        _write_back(stack, row, runs[run])
+        stack.write_row(row, runs[run])
     return results
 
 

@@ -52,12 +52,32 @@ class MlpSpec:
 class ModelParams:
     """Per-layer weight matrices and bias rows (bias as 1 x width).
 
-    For several runs trained together, each array is instead a stack with
-    one matrix or row per run on a leading axis.
+    Several runs trained together form a stack (see :meth:`stack`): each
+    array then holds one matrix or row per run on a leading axis, and every
+    array is a view into ``flat``, one (runs, 1, P) buffer holding each
+    run's P parameters in :meth:`arrays` order. An elementwise pass over
+    ``flat``, such as one Adam step, then updates every array of every run.
     """
 
     weights: list[np.ndarray] = field(default_factory=list)
     biases: list[np.ndarray] = field(default_factory=list)
+    flat: np.ndarray | None = None
+
+    @classmethod
+    def stack(cls, runs: list["ModelParams"]) -> "ModelParams":
+        """One stack, over a new buffer, of ``runs``, all of one shape."""
+        return cls._over(flatten([np.stack(a) for a in zip(*(p.arrays() for p in runs))]),
+                         runs[0].layer_sizes)
+
+    @classmethod
+    def _over(cls, flat: np.ndarray, layer_sizes: tuple[int, ...]) -> "ModelParams":
+        params, at = cls(flat=flat), 0
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+            end = at + fan_in * fan_out
+            params.weights.append(flat[:, 0, at:end].reshape(len(flat), fan_in, fan_out))
+            params.biases.append(flat[:, :, end:end + fan_out])
+            at = end + fan_out
+        return params
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -72,6 +92,27 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+
+    def take(self, rows: list[int]) -> "ModelParams":
+        """A new stack of this stack's runs on ``rows``, in that order."""
+        return ModelParams._over(self.flat[rows], self.layer_sizes)
+
+    def write_row(self, row: int, params: "ModelParams") -> None:
+        """Copy this stack's run on ``row`` into the unstacked ``params``."""
+        for dst, src in zip(params.arrays(), self.arrays()):
+            dst[...] = src[row]
+
+    def array_index(self, column: int) -> int:
+        """The index in :meth:`arrays` of the array that holds column
+        ``column`` of ``flat``."""
+        ends = np.cumsum([a[0].size for a in self.arrays()])
+        return int(np.searchsorted(ends, column, side="right"))
+
+
+def flatten(arrays: list[np.ndarray]) -> np.ndarray:
+    """Stacked ``arrays``, one per parameter in :meth:`ModelParams.arrays`
+    order, joined into one (runs, 1, P) array laid out as ``flat``."""
+    return np.concatenate([a.reshape(len(a), 1, -1) for a in arrays], axis=-1)
 
 
 def init_params(spec: MlpSpec) -> ModelParams:
@@ -168,33 +209,41 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a checkpoint; a missing line or non-numeric value is a ContractError."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Read a checkpoint as :func:`save_checkpoint` writes it. Anything else
+    is a ContractError: text that is not UTF-8, a missing, extra or garbled
+    line or token, a layer size below 1, a header that disagrees with the
+    layer sizes, or a non-finite value."""
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"checkpoint is not UTF-8 text: {path}") from exc
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ContractError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
     params = ModelParams()
     try:
-        sizes = [int(tok) for tok in lines[1].split()[1:]]
+        name, *tokens = lines[1].split()
+        sizes = [int(tok) for tok in tokens]
+        if name != "layer_sizes" or len(sizes) < 2 or min(sizes) < 1:
+            raise ContractError(f"checkpoint needs two or more positive layer sizes: {path}")
         cursor = 2
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            head = lines[cursor].split()
-            if head[0] != "W" or (int(head[1]), int(head[2])) != (fan_in, fan_out):
+            if lines[cursor].split() != ["W", str(fan_in), str(fan_out)]:
                 raise ContractError(f"checkpoint layer header mismatch at line {cursor + 1}")
-            cursor += 1
-            w = np.array([[float(v) for v in lines[cursor + r].split()] for r in range(fan_in)])
-            cursor += fan_in
-            if not lines[cursor].startswith("b "):
-                raise ContractError(f"checkpoint bias header missing at line {cursor + 1}")
-            cursor += 1
-            b = np.array([[float(v) for v in lines[cursor].split()]])
-            cursor += 1
+            w = np.array([[float(v) for v in lines[cursor + 1 + r].split()] for r in range(fan_in)])
+            cursor += 1 + fan_in
+            if lines[cursor].split() != ["b", "1", str(fan_out)]:
+                raise ContractError(f"checkpoint bias header mismatch at line {cursor + 1}")
+            b = np.array([[float(v) for v in lines[cursor + 1].split()]])
+            cursor += 2
             if w.shape != (fan_in, fan_out) or b.shape != (1, fan_out):
                 raise ContractError("checkpoint value block has wrong shape")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ContractError(f"checkpoint has a non-finite value before line {cursor + 1}")
             params.weights.append(w)
             params.biases.append(b)
     except (IndexError, ValueError) as exc:
         raise ContractError(f"truncated or malformed checkpoint {path}: {exc}") from exc
-    if not params.weights:
-        raise ContractError(f"checkpoint has no layers: {path}")
+    if cursor != len(lines):
+        raise ContractError(f"checkpoint has lines after its last layer, from line {cursor + 1}")
     return params

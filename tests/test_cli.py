@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hirnet import harness
 from hirnet.cli import main
 from hirnet.data import SuiteSpec
 from hirnet.harness import ExperimentConfig, OptimizerConfig
@@ -141,6 +142,19 @@ class TestSweepCommand:
         cfg_path = write_config(tmp_path, small_config())
         assert main(["sweep", "--config", cfg_path, "--alpha", "abc"]) == 2
 
+    @pytest.mark.parametrize("alphas", ["0.1,0.1", "0.001,0.0010000001", "0.1,-1", "0.1,nan"])
+    def test_colliding_or_bad_alpha_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                           alphas):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(harness, "run_experiment", no_training)
+        cfg_path = write_config(tmp_path, small_config())
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg_path, "--alpha", alphas, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiagCommand:
     def test_emits_three_files(self, tmp_path):
@@ -175,21 +189,47 @@ class TestDiagCommand:
         SuiteSpec().write(manifest)
         assert main(["diag", "--checkpoint", str(bogus), "--suite", str(manifest)]) == 2
 
-    @pytest.mark.parametrize("damage", ["truncate", "garble"])
+    @pytest.mark.parametrize("damage", ["truncate", "garble", "inf", "nan", "bias-width",
+                                        "trailing-line"])
     def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, damage):
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
         lines = ckpt.read_text().splitlines()
         if damage == "truncate":
             lines = lines[:4]
-        else:
+        elif damage == "garble":
             lines[3] = "0.25 not-a-number " + lines[3]
+        elif damage in ("inf", "nan"):
+            lines[3] = " ".join([damage] + lines[3].split()[1:])
+        elif damage == "bias-width":
+            lines[5] = "b 1 7"
+        else:
+            lines.append("0.5")
         ckpt.write_text("\n".join(lines) + "\n")
         manifest = tmp_path / "suite.json"
         SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
         code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(tmp_path / "diag")])
         assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_checkpoint_that_overflows_on_the_suite_exits_2(self, tmp_path, capsys):
+        params = init_params(MlpSpec((2, 6, 2), seed=4))
+        params.weights[0][:] = 1e308  # finite, but x @ W0 is not
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(params, ckpt)
+        manifest = tmp_path / "suite.json"
+        SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
+        code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
+                     "--out", str(tmp_path / "diag")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "diag").exists()
+
+    def test_unreadable_checkpoint_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "suite.json"
+        SuiteSpec().write(manifest)
+        assert main(["diag", "--checkpoint", str(tmp_path), "--suite", str(manifest)]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):

@@ -1,20 +1,29 @@
-"""Properties of the config codec shared by every config file (``JsonConfig``).
+"""Properties of the program's input codecs.
 
-Any JSON value given to ``from_dict`` is either rejected with ``ConfigError``
-or loads into a config that survives a JSON round trip unchanged. Nothing
-here builds a suite or trains.
+Any JSON value given to ``from_dict`` of a config (``JsonConfig``) is
+either rejected with ``ConfigError`` or loads into a config that survives a
+JSON round trip unchanged. Any damaged checkpoint text given to ``hirnet
+diag`` either exits 0 with finite outputs or exits 2 with ``config error``,
+never with a traceback or a warning. Nothing here trains.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
+import shutil
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hirnet.cli import main
 from hirnet.data import GENERATOR_KINDS, SuiteSpec
 from hirnet.errors import ConfigError
 from hirnet.harness import LOSS_KINDS, ExperimentConfig, OptimizerConfig
+from hirnet.models import MlpSpec, init_params, save_checkpoint
 
 # Deterministic, and no example database written next to the sources.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -125,3 +134,89 @@ def test_read_turns_unreadable_files_into_config_errors(tmp_path):
     for path in (binary, tmp_path):  # not UTF-8 text; a directory
         with pytest.raises(ConfigError):
             ExperimentConfig.read(path)
+
+
+@pytest.fixture(scope="module")
+def diag_inputs(tmp_path_factory):
+    """A checkpoint's text and a suite manifest it fits."""
+    root = tmp_path_factory.mktemp("diag")
+    save_checkpoint(init_params(MlpSpec((2, 4, 2), seed=3)), root / "model.ckpt")
+    SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0), seed=1).write(root / "suite.json")
+    return root, (root / "model.ckpt").read_bytes()
+
+
+def diag_accepts(root, text: bytes) -> bool:
+    """Run ``hirnet diag`` on the checkpoint ``text``; True if it exits 0,
+    with finite outputs, False if it exits 2 with ``config error`` and
+    writes nothing. A warning fails, as does any other ending."""
+    ckpt, out = root / "damaged.ckpt", root / "out"
+    ckpt.write_bytes(text)
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(root / "suite.json"),
+                     "--out", str(out)])
+    if code == 2:
+        assert err.getvalue().startswith("config error: ") and not out.exists()
+        return False
+    assert code == 0
+
+    def no_constant(name):
+        raise AssertionError(f"{name} in diag_summary.json")
+
+    summary = json.loads((out / "diag_summary.json").read_text(), parse_constant=no_constant)
+    values = [v for v in summary.values() if isinstance(v, float)]
+    values += [float(v) for line in (out / "domain_mmd.csv").read_text().splitlines()[1:]
+               for v in line.split(",")]
+    values += [float(line.split(",")[-1])
+               for line in (out / "posterior_kl.csv").read_text().splitlines()[1:]]
+    assert all(math.isfinite(v) for v in values)
+    return True
+
+
+def test_intact_checkpoint_is_accepted(diag_inputs):
+    assert diag_accepts(*diag_inputs)
+
+
+def test_checkpoint_truncated_at_any_line_exits_2(diag_inputs):
+    root, text = diag_inputs
+    lines = text.splitlines(keepends=True)
+    for keep in range(len(lines)):
+        assert not diag_accepts(root, b"".join(lines[:keep]))
+
+
+replacement_tokens = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "1e999", "-1e999", "1e308", "-1", "0", "-7", str(2**63),
+    str(10**400), "99999999999", ""]) | st.integers(-2**70, 2**70).map(str)
+
+
+@pytest.mark.parametrize("damage", ["token", "byte"])
+def test_damaged_checkpoint_exits_0_with_finite_outputs_or_2(diag_inputs, damage):
+    root, text = diag_inputs
+    lines = text.decode().splitlines()
+    places = [(i, j) for i, line in enumerate(lines) for j in range(len(line.split()))]
+    accepted = []
+    if damage == "token":
+        changes = st.tuples(st.sampled_from(places), replacement_tokens)
+    else:
+        changes = st.tuples(st.integers(0, len(text) - 1), st.integers(0, 7))
+
+    def damaged(change) -> bytes:
+        if damage == "byte":  # one bit of one byte flipped
+            at, bit = change
+            return text[:at] + bytes([text[at] ^ 1 << bit]) + text[at + 1:]
+        (i, j), token = change
+        edited = list(lines)
+        edited[i] = " ".join(token if k == j else tok for k, tok in enumerate(lines[i].split()))
+        return ("\n".join(edited) + "\n").encode()
+
+    @PROPERTY
+    @given(change=changes)
+    def check(change):
+        accepted.append(diag_accepts(root, damaged(change)))
+
+    check()
+    # Both endings must be common, or the property says little.
+    assert min(sum(accepted), len(accepted) - sum(accepted)) >= 30

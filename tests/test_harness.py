@@ -268,12 +268,14 @@ def test_two_node_network_trains_as_the_op_chain(loss_kind, hidden, monkeypatch)
         assert result.to_dict() == expected_result.to_dict()
 
 
-def test_gradient_failure_names_the_first_non_finite_array(monkeypatch):
-    """A run whose gradient turns non-finite fails with the message naming
-    its first such array, as it would alone; the other runs go on."""
+def check_poisoned_stack(poison, monkeypatch):
+    """Train runs 0-2 as a stack and alone, where ``poison`` maps a run to
+    the arrays whose gradient is NaN at its third step. A poisoned run fails
+    with the message naming its first such array, as it does alone, its
+    parameters at their last finite values; the other runs go on, on the
+    stack of the rows that stay, with the bits they get alone."""
     cfg = tiny_config(loss_kind="hir", alpha=0.1, epochs=2, hidden_sizes=(6, 4))
     suite = cfg.suite.build().drop(1)
-    poison = {0: (5, 3), 2: (1,)}  # run: arrays whose gradient is NaN at the third step
     backward = ad.Graph.backward
 
     def train_poisoned(run_ids):
@@ -293,16 +295,46 @@ def test_gradient_failure_names_the_first_non_finite_array(monkeypatch):
                                         [10 + s for s in run_ids])
 
     stacked, results = train_poisoned([0, 1, 2])
-    assert str(results[0]) == "non-finite gradient at parameter index 3"
-    assert str(results[2]) == "non-finite gradient at parameter index 1"
-    assert not isinstance(results[1], TrainingDiverged)
     for run in range(3):
+        if run in poison:
+            assert str(results[run]) == f"non-finite gradient at parameter index {min(poison[run])}"
+        else:
+            assert not isinstance(results[run], TrainingDiverged)
         [alone], [result] = train_poisoned([run])
         assert same_bytes(stacked[run], alone)
-        if run == 1:
-            assert result.to_dict() == results[run].to_dict()
-        else:
+        if run in poison:
             assert str(result) == str(results[run])
+        else:
+            assert result.to_dict() == results[run].to_dict()
+
+
+def test_gradient_failure_names_the_first_non_finite_array(monkeypatch):
+    check_poisoned_stack({0: (5, 3), 2: (1,)}, monkeypatch)
+
+
+@pytest.mark.parametrize("array", range(4), ids=["W0", "b0", "W1", "b1"])
+def test_gradient_failure_in_each_array_fails_as_alone(array, monkeypatch):
+    check_poisoned_stack({1: (array,)}, monkeypatch)
+
+
+@pytest.mark.parametrize("n_runs", [1, 3])
+def test_one_adam_pass_per_step_over_one_buffer(n_runs, monkeypatch):
+    """Every step updates the whole stack with one Adam call over one
+    (runs, 1, P) array."""
+    cfg = tiny_config(loss_kind="hir", alpha=0.1, epochs=2)
+    suite = cfg.suite.build().drop(1)
+    shapes = []
+    step = harness.adam_step
+
+    def spy(state, params, grads):
+        shapes.append([p.shape for p in params])
+        return step(state, params, grads)
+
+    monkeypatch.setattr(harness, "adam_step", spy)
+    runs = [init_params(MlpSpec((2, 8, 2), seed=s)) for s in range(n_runs)]
+    harness.train_runs(runs, [suite] * n_runs, cfg, list(range(n_runs)))
+    n_steps = cfg.epochs * BatchPlan(suite, cfg.per_class_per_domain, cfg.paired).n_batches
+    assert shapes == [[(n_runs, 1, 2 * 8 + 8 + 8 * 2 + 2)]] * n_steps
 
 
 def per_batch_attributions(log_probs, labels, n_domains):
@@ -398,10 +430,13 @@ def test_training_step_enumerates_no_pairs(loss_kind, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("pair enumeration in a training step")
 
+    # Taken before any patch, so that every module's binding gets patched,
+    # whichever comes first in sys.modules.
+    originals = {attr: getattr(losses, attr) for attr in ("pairwise_kl", "same_class_pairs")}
     for name, module in list(sys.modules.items()):
         if name == "hirnet" or name.startswith("hirnet."):
-            for attr in ("pairwise_kl", "same_class_pairs"):
-                if getattr(module, attr, None) is getattr(losses, attr):
+            for attr, original in originals.items():
+                if getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, forbidden)
     cfg = tiny_config(loss_kind=loss_kind, alpha=0.1, paired=True, epochs=2)
     _, traces = train(init_params(MlpSpec((2, 8, 2), seed=0)), cfg.suite.build().drop(1), cfg)

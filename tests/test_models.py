@@ -9,6 +9,7 @@ from hirnet.losses import combined_loss, domain_mmd_penalty
 from hirnet.models import (
     MlpSpec,
     ModelParams,
+    flatten,
     forward,
     init_params,
     load_checkpoint,
@@ -152,6 +153,64 @@ class TestForward:
         assert len(graph.param_ids) == len(params.arrays())
 
 
+def same_bytes(a: ModelParams, b: ModelParams) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.arrays(), b.arrays()))
+
+
+class TestStack:
+    """A stack's arrays are views into its one (runs, 1, P) buffer."""
+
+    def runs(self):
+        return [init_params(MlpSpec((3, 5, 4, 2), seed=s)) for s in range(3)]
+
+    def test_buffer_holds_each_run_in_array_order(self):
+        runs = self.runs()
+        stack = ModelParams.stack(runs)
+        assert stack.flat.shape == (3, 1, 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2)
+        for row, params in enumerate(runs):
+            row_values = np.concatenate([a.reshape(-1) for a in params.arrays()])
+            assert stack.flat[row, 0].tobytes() == row_values.tobytes()
+            assert all(a[row].tobytes() == b.tobytes()
+                       for a, b in zip(stack.arrays(), params.arrays()))
+        stack.flat[:] = -stack.flat  # an update of the buffer is an update of every array
+        assert all(a[row].tobytes() == (-b).tobytes() for row, params in enumerate(runs)
+                   for a, b in zip(stack.arrays(), params.arrays()))
+
+    def test_flatten_lays_out_stacked_arrays_as_the_buffer(self):
+        stack = ModelParams.stack(self.runs())
+        assert flatten(stack.arrays()).tobytes() == stack.flat.tobytes()
+
+    def test_take_restacks_rows_in_order_and_write_row_unstacks(self):
+        runs = self.runs()
+        stack = ModelParams.stack(runs)
+        taken = stack.take([2, 0])
+        assert not np.shares_memory(taken.flat, stack.flat)
+        assert all(np.shares_memory(a, taken.flat) for a in taken.arrays())
+        for row, run in enumerate([2, 0]):
+            params = init_params(MlpSpec((3, 5, 4, 2), seed=9))
+            taken.write_row(row, params)
+            assert same_bytes(params, runs[run])
+        assert taken.take([]).flat.shape == (0, 1, stack.flat.shape[-1])
+
+    def test_array_index_maps_every_column(self):
+        stack = ModelParams.stack(self.runs())
+        expected = [k for k, a in enumerate(stack.arrays()) for _ in range(a[0].size)]
+        assert [stack.array_index(c) for c in range(stack.flat.shape[-1])] == expected
+
+    def test_forward_on_the_buffer_matches_contiguous_stacks(self):
+        runs = self.runs()
+        stack = ModelParams.stack(runs)
+        contiguous = ModelParams([np.stack(ws) for ws in zip(*(p.weights for p in runs))],
+                                 [np.stack(bs) for bs in zip(*(p.biases for p in runs))])
+        x = np.random.default_rng(2).normal(size=(3, 7, 3))
+        graphs = ad.Graph(), ad.Graph()
+        outs = [forward(p, x, g) for p, g in zip((stack, contiguous), graphs)]
+        grads = [g.backward(ad.sum_all(logits)) for g, (_, logits) in zip(graphs, outs)]
+        assert outs[0][1].data.tobytes() == outs[1][1].data.tobytes()
+        for a, b in zip(graphs[0].param_ids, graphs[1].param_ids):
+            assert grads[0][a].tobytes() == grads[1][b].tobytes()
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(MlpSpec((3, 7, 4), seed=21))
@@ -183,7 +242,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("line,text", [(1, "layer_sizes 2 x 2"), (2, "W 2 three"),
                                            (3, "0.5 abc 1.0"), (3, "0.5 1.0"),
-                                           (1, "layer_sizes 2")])
+                                           (1, "layer_sizes 2"), (3, "0.5 nan 1.0"),
+                                           (3, "inf 0.5 1.0"), (6, "0 0 1e999"),
+                                           (5, "b 1 7"), (2, "W 2 3 4"), (5, "b 1 3 3"),
+                                           (1, "layer_sizes 2 -3 2"), (1, "sizes 2 3 2"),
+                                           (1, "")])
     def test_garbled_file_rejected(self, tmp_path, line, text):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_params(MlpSpec((2, 3, 2), seed=2)), path)
@@ -191,6 +254,21 @@ class TestCheckpoint:
         lines[line] = text
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", ["", "0.5", "W 1 1"])
+    def test_lines_after_the_last_layer_rejected(self, tmp_path, extra):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(MlpSpec((2, 3, 2), seed=2)), path)
+        path.write_text(path.read_text() + extra + "\n")
+        with pytest.raises(ContractError, match="after its last layer"):
+            load_checkpoint(path)
+
+    def test_non_utf8_text_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(MlpSpec((2, 3, 2), seed=2)), path)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ContractError, match="UTF-8"):
             load_checkpoint(path)
 
     def test_predictions_survive_round_trip(self, tmp_path):
