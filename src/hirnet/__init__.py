@@ -8,7 +8,7 @@ autodiff core over float64 matrices, or stacks of them that train several
 seeds in one pass.
 """
 
-from .autodiff import Graph, Tensor, backward, grad_check, log_softmax, matmul, relu
+from .autodiff import Graph, Tensor, grad_check, log_softmax, matmul, relu
 from .data import (
     DomainDataset,
     DomainSuite,

@@ -16,8 +16,8 @@ acceptance gradient check and the tests.
 A ``Graph`` is a tape rebuilt for every forward pass. Tensors created
 through :meth:`Graph.param` are differentiable leaves; plain ``Tensor``
 values act as constants. A loss holds one scalar per run, shape ``(1, 1)``
-or ``(runs, 1, 1)``; ``backward`` seeds each with one, so every run gets
-the gradient of its own loss. ``backward`` may run once per tape; a second
+or ``(runs, 1, 1)``; :meth:`Graph.backward` seeds each with one, so every run
+gets the gradient of its own loss. It may run once per tape; a second
 call is a :class:`ContractError` so silent gradient accumulation cannot
 happen, and it releases the tape's closures, so a step's tape is freed as
 soon as its tensors are.
@@ -42,7 +42,6 @@ __all__ = [
     "log_softmax",
     "sum_all",
     "emit",
-    "backward",
     "grad_check",
 ]
 
@@ -346,13 +345,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.broadcast_to(up, shape),)
 
     return emit("sum_all", (x,), x.data.sum(axis=(-2, -1), keepdims=True), back)
-
-
-def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Run the backward pass of the graph that produced ``loss``."""
-    if loss.graph is None:
-        raise ContractError("loss is a constant; nothing to differentiate")
-    return loss.graph.backward(loss)
 
 
 def grad_check(f, params: Sequence[np.ndarray], step: float = 1e-5) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import harness
-from .data import SuiteSpec, stratified_batches
+from .data import SuiteSpec
 from .errors import ConfigError, ContractError, check_int, check_real
 from .models import load_checkpoint
 
@@ -53,12 +53,6 @@ def _cmd_sweep(args) -> int:
         alphas = [float(tok) for tok in args.alpha.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"bad --alpha list: {args.alpha!r}") from exc
-    if not alphas:
-        raise ConfigError("--alpha list is empty")
-    # Each value is checked, and gets its own report file, before any training.
-    labels = [f"{check_real('--alpha', alpha, 0.0):g}" for alpha in alphas]
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"--alpha values must differ as written to file names, got {labels}")
     reports = harness.sweep_alpha(config, alphas)
     os.makedirs(args.out, exist_ok=True)
     for alpha, report in reports.items():
@@ -98,10 +92,7 @@ def _cmd_diag(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     diag.write_domain_mmd_csv(bundle.domain_mmd, suite.domain_params,
                               os.path.join(args.out, "domain_mmd.csv"))
-    for x, labels in stratified_batches(suite, args.per_class_per_domain, seed=args.seed):
-        diag.write_posterior_kl_csv(params, x, labels,
-                                    os.path.join(args.out, "posterior_kl.csv"))
-        break
+    diag.write_posterior_kl_csv(bundle, os.path.join(args.out, "posterior_kl.csv"))
     diag.write_diag_summary(bundle, os.path.join(args.out, "diag_summary.json"),
                             extra={"probe_size": args.probe_size, "seed": args.seed})
     print(f"wrote {args.out}/domain_mmd.csv, posterior_kl.csv, diag_summary.json")

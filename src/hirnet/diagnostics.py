@@ -11,7 +11,6 @@ frozen model.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import models
 from .data import BatchPlan, DomainSuite, stratified_batches
-from .errors import ContractError
+from .errors import ContractError, write_json
 # mmd_rbf stays bound here for perfbench's test_uninstall_restores_every_original.
 from .losses import BatchLabels, hir_kl, mmd_rbf, pairwise_kl, rbf_kernel  # noqa: F401
 
@@ -38,6 +37,7 @@ class DiagnosticsBundle:
     paired_kl_mean: float | None
     unpaired_kl_mean: float
     posterior_kl: np.ndarray               # (n, n) upper triangle; NaN where absent
+    probe_classes: np.ndarray              # (n,) class of each posterior_kl row
     bandwidth: float
 
     def mean_offdiag_mmd(self) -> float:
@@ -176,6 +176,7 @@ def collect_bundle(params: models.ModelParams, suite: DomainSuite,
         paired_kl_mean=paired_mean,
         unpaired_kl_mean=unpaired_mean,
         posterior_kl=posterior_kl_matrix(params, x, labels),
+        probe_classes=labels.labels,
         bandwidth=used_bw,
     )
 
@@ -208,14 +209,15 @@ def write_domain_mmd_csv(matrix: np.ndarray, domain_params: list[float], path) -
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def write_posterior_kl_csv(params: models.ModelParams, x, labels: BatchLabels, path) -> None:
-    """Rows ``i,j,class,value`` for every present upper-triangle entry."""
-    log_probs = models.log_posteriors(params, np.asarray(x, dtype=np.float64))
-    i_idx, j_idx, kl = pairwise_kl(log_probs, labels)
+def write_posterior_kl_csv(bundle: DiagnosticsBundle, path) -> None:
+    """Rows ``i,j,class,value`` for every present entry of the bundle's
+    ``posterior_kl``, ordered by (class, i, j) as :func:`pairwise_kl` gives them."""
+    i_idx, j_idx = np.nonzero(~np.isnan(bundle.posterior_kl))
+    order = np.argsort(bundle.probe_classes[i_idx], kind="stable")
     with open(path, "w") as fh:
         fh.write("i,j,class,value\n")
-        for i, j, v in zip(i_idx, j_idx, kl):
-            fh.write(f"{i},{j},{labels.labels[i]},{v:.17g}\n")
+        for i, j in zip(i_idx[order], j_idx[order]):
+            fh.write(f"{i},{j},{bundle.probe_classes[i]},{bundle.posterior_kl[i, j]:.17g}\n")
 
 
 def write_diag_summary(bundle: DiagnosticsBundle, path, extra: dict | None = None) -> None:
@@ -227,6 +229,4 @@ def write_diag_summary(bundle: DiagnosticsBundle, path, extra: dict | None = Non
     }
     if extra:
         payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)

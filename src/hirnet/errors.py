@@ -1,5 +1,7 @@
 """Shared exception types, the checks that raise them on config values, and
-the one JSON codec that every config file goes through (:class:`JsonConfig`)."""
+the one JSON codec that every JSON file goes through: :class:`JsonRecord`
+and :func:`write_json` write configs, reports and summaries, and
+:class:`JsonConfig` reads configs back."""
 
 from __future__ import annotations
 
@@ -55,24 +57,45 @@ def check_bool(name: str, value) -> bool:
 
 
 def _plain(value):
-    """``value`` as JSON data: nested configs become objects, tuples lists."""
-    if isinstance(value, JsonConfig):
-        return value.to_dict()
+    """``value`` as JSON data. A dataclass becomes an object of its fields,
+    less those whose metadata says ``json=False``; a list or tuple becomes a
+    new list. A list of numbers, or of lists of numbers, as told by its first
+    item, is copied as it is, not walked item by item: traces hold thousands
+    of floats."""
     if isinstance(value, (list, tuple)):
+        head = value[0] if value else None
+        if isinstance(head, (int, float)):
+            return list(value)
+        if isinstance(head, list) and head and isinstance(head[0], (int, float)):
+            return [list(row) for row in value]
         return [_plain(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)
+                if f.metadata.get("json", True)}
     return value
 
 
-class JsonConfig:
+def write_json(data, path) -> None:
+    """Sorted keys, two-space indent and a trailing newline: every JSON file hirnet writes."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+class JsonRecord:
+    """Base of the dataclasses written as JSON: ``to_dict`` through :func:`_plain`."""
+
+    def to_dict(self) -> dict:
+        return _plain(self)
+
+
+class JsonConfig(JsonRecord):
     """Base of the config dataclasses: their one JSON codec, driven by the fields.
 
     A field whose ``default_factory`` is itself a ``JsonConfig`` is a nested
     config and is read and written as a nested object. Value checks stay in
     each dataclass's ``__post_init__``; the codec only checks the shape.
     """
-
-    def to_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, raw):
@@ -103,7 +126,4 @@ class JsonConfig:
         return cls.from_dict(raw)
 
     def write(self, path) -> None:
-        """Sorted keys, two-space indent and a trailing newline: the manifest format."""
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)

@@ -44,10 +44,12 @@ from .errors import (
     ConfigError,
     ContractError,
     JsonConfig,
+    JsonRecord,
     check_bool,
     check_int,
     check_ints,
     check_real,
+    write_json,
 )
 from .losses import (
     BatchLabels,
@@ -133,7 +135,7 @@ class ExperimentConfig(JsonConfig):
 
 
 @dataclass
-class TrainTraces:
+class TrainTraces(JsonRecord):
     """Per-epoch loss traces plus per-training-domain attributions.
 
     ``per_domain_kl[e][d]`` is the mean posterior KL over same-class pairs
@@ -150,15 +152,6 @@ class TrainTraces:
     per_domain_l_c: list[list[float]] = field(default_factory=list)
     per_domain_kl: list[list[float]] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "domain_params": [float(a) for a in self.domain_params],
-            "l_c": self.l_c,
-            "l_h": self.l_h,
-            "per_domain_l_c": self.per_domain_l_c,
-            "per_domain_kl": self.per_domain_kl,
-        }
-
 
 def _batch_breakdown(config: ExperimentConfig, z: ad.Tensor, log_probs: ad.Tensor,
                      labels) -> LossBreakdown:
@@ -170,13 +163,12 @@ def _batch_breakdown(config: ExperimentConfig, z: ad.Tensor, log_probs: ad.Tenso
                              normalize_hir=config.normalize_hir)
     classification = cross_entropy(log_probs, labels)
     if config.alpha == 0:
-        return LossBreakdown(classification, None, classification, 0.0, 0)
+        return LossBreakdown(classification, None, classification)
     if config.loss_kind == "mmd":
         penalty = domain_mmd_penalty(z, labels)
     else:  # ccsa
         penalty = class_conditional_align(z, labels)
-    combined = classification + penalty * config.alpha
-    return LossBreakdown(classification, penalty, combined, config.alpha, 0)
+    return LossBreakdown(classification, penalty, classification + penalty * config.alpha)
 
 
 def _epoch_attributions(log_probs: np.ndarray, y: np.ndarray, member: np.ndarray,
@@ -343,10 +335,11 @@ def evaluate(params: ModelParams, dataset: DomainDataset) -> float:
 
 
 @dataclass
-class RunOutcome:
+class RunOutcome(JsonRecord):
     """One (held-out, seed) run. ``wall_clock_s`` is its share of its
     stack's training time plus its own evaluation and diagnostics, as
-    :func:`run_single` sets it."""
+    :func:`run_single` sets it. ``final_params`` is not part of the JSON
+    report; :func:`write_checkpoints` writes it."""
 
     held_out: int
     held_out_param: float
@@ -356,37 +349,16 @@ class RunOutcome:
     failure: str | None
     traces: TrainTraces | None
     diagnostics: dict | None
-    final_params: ModelParams | None
+    final_params: ModelParams | None = field(metadata={"json": False})
     wall_clock_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "held_out": self.held_out,
-            "held_out_param": self.held_out_param,
-            "seed": self.seed,
-            "accuracy": self.accuracy,
-            "failed": self.failed,
-            "failure": self.failure,
-            "traces": self.traces.to_dict() if self.traces else None,
-            "diagnostics": self.diagnostics,
-            "wall_clock_s": self.wall_clock_s,
-        }
 
 
 @dataclass
-class RunReport:
+class RunReport(JsonRecord):
     config: dict
     runs: list[RunOutcome]
     aggregates: dict
     wall_clock_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "runs": [r.to_dict() for r in self.runs],
-            "aggregates": self.aggregates,
-            "wall_clock_s": self.wall_clock_s,
-        }
 
 
 def derive_seed(*parts: int) -> int:
@@ -510,18 +482,21 @@ def all_runs_failed(report: RunReport) -> bool:
 
 
 def sweep_alpha(config: ExperimentConfig, alphas: list[float]) -> dict[float, RunReport]:
-    """Re-run the experiment once per alpha value."""
+    """Re-run the experiment once per alpha value. Every value is checked,
+    and must differ from the others as its ``:g`` report label, before any
+    training."""
     if config.loss_kind == "agg":
         raise ConfigError("alpha sweep needs a loss kind that uses alpha")
+    if not alphas:
+        raise ConfigError("alpha list is empty")
+    labels = [f"{check_real('alpha', alpha, 0.0):g}" for alpha in alphas]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"alpha values must differ as written to file names, got {labels}")
     return {a: run_experiment(replace(config, alpha=a)) for a in alphas}
 
 
 def write_report_json(report: RunReport, path) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_dict(), path)
 
 
 def write_accuracy_csv(reports: list[RunReport], path) -> None:

@@ -32,7 +32,6 @@ __all__ = [
     "rbf_kernel",
     "class_conditional_align",
     "domain_mmd_penalty",
-    "median_bandwidth",
     "same_class_pairs",
 ]
 
@@ -126,26 +125,12 @@ class LossBreakdown:
     ``hir`` is the alignment term (the feature penalty for the MMD and CCSA
     baselines). It is None when the term was never constructed
     (alpha == 0), in which case ``combined`` is the classification tensor
-    itself. ``pair_count`` is the number of KL terms summed (0 without one).
+    itself.
     """
 
     classification: Tensor
     hir: Tensor | None
     combined: Tensor
-    alpha: float
-    pair_count: int
-
-    @property
-    def classification_value(self) -> float:
-        return self.classification.item()
-
-    @property
-    def hir_value(self) -> float:
-        return 0.0 if self.hir is None else self.hir.item()
-
-    @property
-    def combined_value(self) -> float:
-        return self.combined.item()
 
 
 def _as_labels(labels, domains=None) -> BatchLabels:
@@ -286,11 +271,10 @@ def combined_loss(log_probs, labels, alpha: float, cross_domain_only: bool = Fal
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     classification = cross_entropy(log_probs, labels)
     if alpha == 0:
-        return LossBreakdown(classification, None, classification, 0.0, 0)
-    hir, pair_count = hir_kl(log_probs, labels, cross_domain_only=cross_domain_only,
-                             normalize=normalize_hir)
-    combined = classification + hir * alpha
-    return LossBreakdown(classification, hir, combined, alpha, pair_count)
+        return LossBreakdown(classification, None, classification)
+    hir, _ = hir_kl(log_probs, labels, cross_domain_only=cross_domain_only,
+                    normalize=normalize_hir)
+    return LossBreakdown(classification, hir, classification + hir * alpha)
 
 
 def _sq_dists(z: np.ndarray) -> np.ndarray:
@@ -305,8 +289,9 @@ def rbf_kernel(z: np.ndarray, labels: BatchLabels, bandwidth=None):
     """(K, gamma, bandwidth) for the Gaussian kernel K_ij = exp(gamma |z_i - z_j|^2)
     over the rows of z, gamma = -1 / (2 bandwidth^2), with ``exp`` taken in place
     over the squared distances. ``bandwidth`` is one value, or one per run of a
-    stack, each positive with a finite gamma; ``None`` takes :func:`median_bandwidth`
-    of z, per run, from those distances and the i < j mask ``labels.upper``."""
+    stack, each positive with a finite gamma; ``None`` takes the median
+    heuristic of :func:`_median_distance`, per run, from those distances and the
+    i < j mask ``labels.upper``."""
     sq_dists = _sq_dists(z)
     if bandwidth is None:
         bandwidth = _median_distance(sq_dists, labels.upper)
@@ -350,25 +335,17 @@ def mmd_rbf(z_a, z_b, bandwidth: float) -> Tensor:
                     bandwidth)
 
 
-def median_bandwidth(z, fallback: float = 1.0):
-    """Median pairwise Euclidean distance; ``fallback`` if it degenerates.
-
-    A float for a matrix of rows, one value per run for a stack of them.
-    """
-    arr = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
-    return _median_distance(_sq_dists(arr), BatchLabels(np.zeros(arr.shape[-2])).upper, fallback)
-
-
-def _median_distance(sq_dists: np.ndarray, upper: np.ndarray, fallback: float = 1.0):
-    """:func:`median_bandwidth` from the rows' squared distances and their
-    i < j mask ``upper``. It leaves the distances as they are: it takes the
-    pairs out as a copy."""
+def _median_distance(sq_dists: np.ndarray, upper: np.ndarray):
+    """Median pairwise Euclidean distance of the rows, 1.0 if it degenerates,
+    from their squared distances and their i < j mask ``upper``: a float for
+    a matrix of rows, one value per run for a stack of them. It leaves the
+    distances as they are: it takes the pairs out as a copy."""
     n = sq_dists.shape[-1]
     medians = []
     for dists in sq_dists.reshape(-1, n, n):
         pairs = dists[upper]
         med = float(np.median(np.sqrt(pairs, out=pairs), overwrite_input=True)) if n > 1 else 0.0
-        medians.append(med if med > 0 else fallback)
+        medians.append(med if med > 0 else 1.0)
     return medians[0] if sq_dists.ndim == 2 else np.array(medians)
 
 

@@ -39,14 +39,6 @@ class MlpSpec:
         if any(s < 1 for s in sizes):
             raise ConfigError(f"layer sizes must be positive, got {sizes}")
 
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def class_count(self) -> int:
-        return self.layer_sizes[-1]
-
 
 @dataclass
 class ModelParams:
@@ -181,14 +173,10 @@ def network(x: np.ndarray, leaves: list[ad.Tensor]) -> tuple[ad.Tensor, ad.Tenso
     return z, ad.emit("mlp_head", (z, w_out, b_out), logits, head_back)
 
 
-def predict_logits(params: ModelParams, x) -> np.ndarray:
-    _, logits = forward(params, x)
-    return logits.data
-
-
 def predict(params: ModelParams, x) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index."""
-    return np.argmax(predict_logits(params, x), axis=1)
+    _, logits = forward(params, x)
+    return np.argmax(logits.data, axis=1)
 
 
 def log_posteriors(params: ModelParams, x) -> np.ndarray:

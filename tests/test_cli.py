@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from hirnet import harness
+from hirnet import diagnostics, harness
 from hirnet.cli import main
 from hirnet.data import SuiteSpec
 from hirnet.harness import ExperimentConfig, OptimizerConfig
+from hirnet.losses import pairwise_kl
 from hirnet.models import MlpSpec, init_params, save_checkpoint
 
 
@@ -175,6 +176,22 @@ class TestDiagCommand:
         assert kl_lines[0] == "i,j,class,value"
         summary = json.loads((out / "diag_summary.json").read_text())
         assert {"agreement", "paired_kl_mean", "unpaired_kl_mean", "bandwidth"} <= set(summary)
+
+    def test_posterior_kl_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return pairwise_kl(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "pairwise_kl", counting)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
+        manifest = tmp_path / "suite.json"
+        SuiteSpec(kind="moons", n_per_class=20, angles=(0.0, 30.0), seed=2).write(manifest)
+        assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
+                     "--out", str(tmp_path / "diag"), "--per-class-per-domain", "3"]) == 0
+        assert len(calls) == 1
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "suite.json"

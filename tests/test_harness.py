@@ -732,6 +732,15 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_alpha(tiny_config(loss_kind="agg"), [1e-3])
 
+    @pytest.mark.parametrize("alphas", [[], [0.1, 0.1], [1e-3, 0.0010000001], [0.1, -1.0],
+                                        [0.1, float("nan")]])
+    def test_bad_alpha_list_raises_before_any_run(self, alphas, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment", lambda config: calls.append(config))
+        with pytest.raises(ConfigError):
+            sweep_alpha(tiny_config(), alphas)
+        assert calls == []
+
     def test_sweep_runs_each_alpha(self):
         reports = sweep_alpha(tiny_config(epochs=2), [1e-3, 1e-2])
         assert set(reports) == {1e-3, 1e-2}
@@ -740,6 +749,16 @@ class TestSweep:
 
 
 class TestReportFiles:
+    def test_records_have_the_report_keys_and_no_others(self):
+        report = run_experiment(tiny_config(collect_diagnostics=True))
+        assert set(report.to_dict()) == {"config", "runs", "aggregates", "wall_clock_s"}
+        assert set(report.runs[0].to_dict()) == {
+            "held_out", "held_out_param", "seed", "accuracy", "failed", "failure", "traces",
+            "diagnostics", "wall_clock_s"}
+        assert set(report.runs[0].traces.to_dict()) == {
+            "domain_params", "l_c", "l_h", "per_domain_l_c", "per_domain_kl"}
+        assert report.runs[0].final_params is not None
+
     def test_report_json_and_csvs(self, tmp_path):
         cfg = tiny_config(seeds=(0, 1))
         report = run_experiment(cfg)

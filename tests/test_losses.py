@@ -14,11 +14,16 @@ from hirnet.losses import (
     cross_entropy,
     domain_mmd_penalty,
     hir_kl,
-    median_bandwidth,
     mmd_rbf,
     pairwise_kl,
+    rbf_kernel,
     same_class_pairs,
 )
+
+
+def median_bandwidth(z):
+    """The bandwidth that :func:`rbf_kernel` takes by default for the rows of z."""
+    return rbf_kernel(z, BatchLabels(np.zeros(z.shape[-2])))[2]
 
 
 def naive_hir_kl(log_probs, labels, domains=None, cross_domain_only=False):
@@ -252,7 +257,6 @@ class TestCombinedLoss:
         breakdown = combined_loss(lp, rng.integers(0, 3, size=6), 0.0)
         assert breakdown.combined is breakdown.classification
         assert breakdown.hir is None
-        assert breakdown.pair_count == 0
 
     def test_combination_identity(self):
         rng = np.random.default_rng(10)
@@ -260,8 +264,8 @@ class TestCombinedLoss:
             lp = random_log_posteriors(rng, 10, 3)
             y = rng.integers(0, 3, size=10)
             bd = combined_loss(lp, y, alpha)
-            assert bd.combined_value == pytest.approx(
-                bd.classification_value + alpha * bd.hir_value, abs=1e-12)
+            assert bd.combined.item() == pytest.approx(
+                bd.classification.item() + alpha * bd.hir.item(), abs=1e-12)
 
     def test_arithmetic_example(self):
         # L_c = 2.0, L_h = 100.0, alpha = 1e-3 -> 2.1
@@ -270,7 +274,8 @@ class TestCombinedLoss:
         lp = random_log_posteriors(rng, 10, 3)
         y = rng.integers(0, 3, size=10)
         bd = combined_loss(lp, y, 1e-3)
-        assert bd.alpha == 1e-3
+        assert bd.combined.item() == pytest.approx(
+            bd.classification.item() + 1e-3 * bd.hir.item(), abs=1e-15)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigError):
