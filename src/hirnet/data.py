@@ -203,9 +203,10 @@ def apply_prior_shift(suite: DomainSuite, spec: PriorShiftSpec, seed: int = 0) -
     return DomainSuite(shifted, list(suite.domain_params), suite.class_count)
 
 
-def _last_rows(dataset: DomainDataset, cls: int, ids: np.ndarray) -> np.ndarray:
-    """Row of each (base_id, ``cls``) in ``ids``; a repeated pair resolves to its last row."""
-    rows = np.flatnonzero(dataset.y == cls)[::-1]
+def _last_rows(dataset: DomainDataset, ids: np.ndarray, cls: int | None = None) -> np.ndarray:
+    """Row of each base_id in ``ids``, among the rows of class ``cls`` if given;
+    a repeated id resolves to its last row."""
+    rows = (np.arange(len(dataset)) if cls is None else np.flatnonzero(dataset.y == cls))[::-1]
     keys, first = np.unique(dataset.base_id[rows], return_index=True)
     return rows[first[np.searchsorted(keys, ids)]]
 
@@ -267,7 +268,7 @@ class BatchPlan:
         self._take = (np.cumsum(sizes) - sizes)[slot_pool] + cycled % sizes[slot_pool]
         self._cell_start = np.repeat(np.cumsum(cell_sizes) - cell_sizes, k)
         first_row = np.cumsum([0] + [len(dataset) for dataset in suite.domains])
-        rows = _join(first_row[d] + (_last_rows(suite.domains[d], c, pools[p]) if paired
+        rows = _join(first_row[d] + (_last_rows(suite.domains[d], pools[p], c) if paired
                                      else pools[p]) for d, c, p in cells)
         self._x = np.concatenate([dataset.x for dataset in suite.domains])[rows]
         self._ids = _join(pools[p] for _, _, p in cells) if paired else None

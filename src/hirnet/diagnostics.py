@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .data import BatchPlan, DomainSuite, stratified_batches
+from .data import BatchPlan, DomainSuite, _last_rows
 from .errors import ContractError, write_json
 # mmd_rbf stays bound here for perfbench's test_uninstall_restores_every_original.
 from .losses import BatchLabels, hir_kl, mmd_rbf, pairwise_kl, rbf_kernel  # noqa: F401
@@ -82,19 +82,15 @@ def prediction_agreement(params: models.ModelParams, suite: DomainSuite,
     """
     common = None
     for dataset in suite.domains:
-        ids = set(dataset.base_id.tolist())
-        common = ids if common is None else (common & ids)
-    if not common:
+        common = (np.unique(dataset.base_id) if common is None
+                  else np.intersect1d(common, dataset.base_id))
+    if common is None or common.size == 0:
         raise DiagnosticUnavailableError("no base_id is present in every domain")
-    common = np.array(sorted(common), dtype=np.int64)
     rng = np.random.default_rng(seed)
     if common.size > probe_size:
         common = np.sort(rng.choice(common, size=probe_size, replace=False))
-    predictions = []
-    for dataset in suite.domains:
-        pos = {int(b): i for i, b in enumerate(dataset.base_id)}
-        rows = np.array([pos[int(b)] for b in common], dtype=np.intp)
-        predictions.append(models.predict(params, dataset.x[rows]))
+    predictions = [models.predict(params, dataset.x[_last_rows(dataset, common)])
+                   for dataset in suite.domains]
     stacked = np.stack(predictions)
     return float(np.mean(np.all(stacked == stacked[0], axis=0)))
 
@@ -116,13 +112,18 @@ def posterior_kl_matrix(params: models.ModelParams, x, labels: BatchLabels) -> n
     return matrix
 
 
-def _mean_batch_kl(params: models.ModelParams, suite: DomainSuite, per_class_per_domain: int,
-                   paired: bool, seed: int, salt: int, n_batches: int) -> float:
-    """Mean hir_kl over ``n_batches`` sampled batches, spanning epochs as
-    needed; each epoch's share one layout, so they are one stacked pass."""
+def _plan(suite: DomainSuite, per_class_per_domain: int, paired: bool) -> BatchPlan:
+    """The suite's :class:`BatchPlan`; raises if it has no batches."""
     plan = BatchPlan(suite, per_class_per_domain, paired)
     if plan.n_batches == 0:
         raise DiagnosticUnavailableError("sampler produced no batches")
+    return plan
+
+
+def _mean_batch_kl(params: models.ModelParams, plan: BatchPlan, seed: int, salt: int,
+                   n_batches: int) -> float:
+    """Mean hir_kl over ``n_batches`` batches that ``plan`` draws, spanning
+    epochs as needed; each epoch's share one layout, so they are one stacked pass."""
     labels = BatchLabels(plan.labels, plan.domains)
     values: list[float] = []
     for epoch in range(-(-n_batches // plan.n_batches)):
@@ -135,20 +136,19 @@ def _mean_batch_kl(params: models.ModelParams, suite: DomainSuite, per_class_per
 
 def paired_vs_unpaired_kl(params: models.ModelParams, suite: DomainSuite,
                           per_class_per_domain: int = 1, seed: int = 0,
-                          n_batches: int = 50) -> tuple[float, float]:
+                          n_batches: int = 50) -> tuple[float | None, float]:
     """Mean posterior-alignment loss over paired vs unpaired sampled batches.
 
     Both modes use matched batch sizes; means are over ``n_batches``
-    batches each. Requires the suite's paired structure for the first
-    component.
+    batches each. The paired mean is None when no class has a base_id
+    common to every domain.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=UserWarning)
-        paired_mean = _mean_batch_kl(params, suite, per_class_per_domain,
-                                     True, seed, 0, n_batches)
-    unpaired_mean = _mean_batch_kl(params, suite, per_class_per_domain,
-                                   False, seed, 1, n_batches)
-    return paired_mean, unpaired_mean
+        paired = BatchPlan(suite, per_class_per_domain, True)
+    paired_mean = _mean_batch_kl(params, paired, seed, 0, n_batches) if paired.n_batches else None
+    unpaired = _plan(suite, per_class_per_domain, False)
+    return paired_mean, _mean_batch_kl(params, unpaired, seed, 1, n_batches)
 
 
 def collect_bundle(params: models.ModelParams, suite: DomainSuite,
@@ -161,43 +161,36 @@ def collect_bundle(params: models.ModelParams, suite: DomainSuite,
         agreement = prediction_agreement(params, suite, probe_size=probe_size, seed=seed)
     except DiagnosticUnavailableError:
         agreement = None
-    try:
-        paired_mean, unpaired_mean = paired_vs_unpaired_kl(
-            params, suite, per_class_per_domain=per_class_per_domain, seed=seed)
-    except DiagnosticUnavailableError:
-        paired_mean = None
-        unpaired_mean = _mean_batch_kl(params, suite, per_class_per_domain,
-                                       False, seed, 1, 50)
-    x, labels = _probe_batch(suite, per_class_per_domain, seed)
+    paired_mean, unpaired_mean = paired_vs_unpaired_kl(
+        params, suite, per_class_per_domain=per_class_per_domain, seed=seed)
+    plan = _plan(suite, per_class_per_domain, False)
+    labels = BatchLabels(plan.labels, plan.domains)
     return DiagnosticsBundle(
         domain_mmd=domain_mmd,
         class_mmd=class_mmd,
         agreement=agreement,
         paired_kl_mean=paired_mean,
         unpaired_kl_mean=unpaired_mean,
-        posterior_kl=posterior_kl_matrix(params, x, labels),
+        posterior_kl=posterior_kl_matrix(params, plan.draw(seed)[0][0], labels),
         probe_classes=labels.labels,
         bandwidth=used_bw,
     )
 
 
-def _probe_batch(suite: DomainSuite, per_class_per_domain: int, seed: int):
-    for x, labels in stratified_batches(suite, per_class_per_domain, paired=False, seed=seed):
-        return x, labels
-    raise DiagnosticUnavailableError("sampler produced no batches")
+def _scalars(bundle: DiagnosticsBundle) -> dict:
+    """The bundle's scalar results, as both report.json and diag_summary.json give them."""
+    return {name: getattr(bundle, name)
+            for name in ("agreement", "paired_kl_mean", "unpaired_kl_mean", "bandwidth")}
 
 
 def bundle_to_jsonable(bundle: DiagnosticsBundle) -> dict:
     present = ~np.isnan(bundle.posterior_kl)
     return {
+        **_scalars(bundle),
         "domain_mmd": bundle.domain_mmd.tolist(),
         "mean_offdiag_mmd": bundle.mean_offdiag_mmd(),
-        "agreement": bundle.agreement,
-        "paired_kl_mean": bundle.paired_kl_mean,
-        "unpaired_kl_mean": bundle.unpaired_kl_mean,
         "posterior_kl_sum": float(np.nansum(bundle.posterior_kl)),
         "posterior_kl_pairs": int(present.sum()),
-        "bandwidth": bundle.bandwidth,
     }
 
 
@@ -221,12 +214,4 @@ def write_posterior_kl_csv(bundle: DiagnosticsBundle, path) -> None:
 
 
 def write_diag_summary(bundle: DiagnosticsBundle, path, extra: dict | None = None) -> None:
-    payload = {
-        "agreement": bundle.agreement,
-        "paired_kl_mean": bundle.paired_kl_mean,
-        "unpaired_kl_mean": bundle.unpaired_kl_mean,
-        "bandwidth": bundle.bandwidth,
-    }
-    if extra:
-        payload.update(extra)
-    write_json(payload, path)
+    write_json({**_scalars(bundle), **(extra or {})}, path)

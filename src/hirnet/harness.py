@@ -61,7 +61,7 @@ from .losses import (
 )
 from .models import (MlpSpec, ModelParams, flatten, forward, init_params, predict,
                      save_checkpoint)
-from .optim import NonFiniteGradient, adam_step, init_adam
+from .optim import adam_step, init_adam
 
 LOSS_KINDS = ("agg", "hir", "mmd", "ccsa")
 
@@ -247,25 +247,10 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
     opt = init_adam([stack.flat], lr=config.optimizer.lr, beta1=config.optimizer.beta1,
                     beta2=config.optimizer.beta2, eps=config.optimizer.eps)
 
-    def drop(messages: dict[int, str]) -> list[int]:
-        """Fail the runs on the given rows and take them off every stack;
-        returns the rows that stay."""
-        nonlocal alive, stack, xs
-        for row, message in messages.items():
-            results[alive[row]] = TrainingDiverged(message)
-            stack.write_row(row, runs[alive[row]])
-        keep = [row for row in range(len(alive)) if row not in messages]
-        alive = [alive[row] for row in keep]
-        stack = stack.take(keep)
-        for values in (opt.m, opt.v, epoch_lc, epoch_lh, epoch_lp):
-            values[:] = [v[keep] for v in values]
-        xs = xs[:, keep]
-        return keep
-
     for epoch in range(config.epochs):
         xs = np.stack([plans[run].draw([batch_seeds[run], epoch])[0] for run in alive], axis=1)
         epoch_lc, epoch_lh, epoch_lp = [], [], []
-        # A diverging run overflows before the checks below catch it.
+        # A diverging run overflows before the check below catches it.
         with np.errstate(over="ignore", invalid="ignore"):
             for b in range(n_batches):
                 graph = ad.Graph()
@@ -276,25 +261,25 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
                 if breakdown.hir is not None:
                     epoch_lh.append(breakdown.hir.data)
                 epoch_lp.append(log_probs.data)
-                finite = np.isfinite(breakdown.combined.data.reshape(-1))
-                keep = None
-                if not finite.all():
-                    keep = drop({int(row): f"non-finite loss at epoch {epoch}"
-                                 for row in np.flatnonzero(~finite)})
-                    if not alive:
-                        return results
                 grads = graph.backward(breakdown.combined)
                 grad = flatten([grads[i] for i in graph.param_ids])
-                grad = grad if keep is None else grad[keep]
-                try:
-                    adam_step(opt, [stack.flat], [grad])
-                except NonFiniteGradient as exc:  # name each run's array, as alone
-                    first = {row: stack.array_index(np.argmin(np.isfinite(grad[row, 0])))
-                             for row in exc.messages}
-                    keep = drop(NonFiniteGradient(first).messages)
+                loss_ok = np.isfinite(breakdown.combined.data.reshape(-1))
+                ok = loss_ok & np.isfinite(grad).all(axis=(-2, -1))
+                if not ok.all():  # fail each bad run as alone and take it off the stack
+                    for row in np.flatnonzero(~ok):
+                        results[alive[row]] = TrainingDiverged(
+                            f"non-finite loss at epoch {epoch}" if not loss_ok[row] else
+                            "non-finite gradient at parameter index "
+                            f"{stack.array_index(np.argmin(np.isfinite(grad[row, 0])))}")
+                        stack.write_row(row, runs[alive[row]])
+                    keep = np.flatnonzero(ok)
+                    alive = [alive[row] for row in keep]
                     if not alive:
                         return results
-                    adam_step(opt, [stack.flat], [grad[keep]])
+                    stack, grad, xs = stack.take(keep), grad[keep], xs[:, keep]
+                    for values in (opt.m, opt.v, epoch_lc, epoch_lh, epoch_lp):
+                        values[:] = [v[keep] for v in values]
+                adam_step(opt, [stack.flat], [grad])
         # Each run's step values lie along one contiguous row, reduced in
         # the order its own list of steps would be.
         l_c = np.concatenate(epoch_lc, axis=-1).mean(axis=-1)

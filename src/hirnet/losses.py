@@ -32,7 +32,6 @@ __all__ = [
     "rbf_kernel",
     "class_conditional_align",
     "domain_mmd_penalty",
-    "same_class_pairs",
 ]
 
 
@@ -169,23 +168,6 @@ def cross_entropy(log_probs, labels) -> Tensor:
     return ad.emit("cross_entropy", (log_probs,), value, lambda up: (onehot * (up * scale),))
 
 
-def same_class_pairs(labels) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j in batch order, with equal class labels.
-
-    Classes with fewer than two samples contribute no pairs.
-    """
-    firsts, seconds = [], []
-    for idx in _as_labels(labels).class_groups:
-        if idx.size < 2:
-            continue
-        iu, ju = np.triu_indices(idx.size, k=1)
-        firsts.append(idx[iu])
-        seconds.append(idx[ju])
-    if not firsts:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    return np.concatenate(firsts), np.concatenate(seconds)
-
-
 def _groups(*keys: np.ndarray) -> tuple[np.ndarray, ...]:
     """Row indices, in batch order, of each distinct combination of the keys, in sorted order."""
     rows = np.stack(keys, axis=1)
@@ -247,13 +229,14 @@ def hir_kl(log_probs, labels, cross_domain_only: bool = False,
 def pairwise_kl(log_probs, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Detached per-pair KL values for every same-class pair (i < j).
 
-    Returns (i_idx, j_idx, kl) as plain arrays; their sum equals the
-    default ``hir_kl`` loss value.
+    Returns (i_idx, j_idx, kl) as plain arrays, ordered by (class, i, j);
+    their sum equals the default ``hir_kl`` loss value.
     """
     lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs, dtype=np.float64)
-    i_idx, j_idx = same_class_pairs(labels)
-    if i_idx.size == 0:
-        return i_idx, j_idx, np.empty(0)
+    y = _as_labels(labels).labels
+    i_idx, j_idx = np.nonzero(np.triu(y[:, None] == y[None, :], k=1))
+    order = np.argsort(y[i_idx], kind="stable")
+    i_idx, j_idx = i_idx[order], j_idx[order]
     lp_i, lp_j = lp[i_idx], lp[j_idx]
     kl = np.sum(np.exp(lp_i) * (lp_i - lp_j), axis=1)
     return i_idx, j_idx, kl

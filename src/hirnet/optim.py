@@ -17,14 +17,7 @@ from .errors import ContractError
 
 
 class NonFiniteGradient(ContractError):
-    """Some gradients are not finite. ``messages`` maps each run with one
-    (its index on the leading axis, 0 without one) to a message naming its
-    first such parameter index."""
-
-    def __init__(self, first_index: dict[int, int]):
-        self.messages = {run: f"non-finite gradient at parameter index {i}"
-                         for run, i in first_index.items()}
-        super().__init__("; ".join(self.messages.values()))
+    """A gradient is not finite; the message names the first such parameter index."""
 
 
 @dataclass
@@ -51,21 +44,16 @@ def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray]) -> tuple[list[np.ndarray], AdamState]:
     """Apply one update. Mutates ``params`` and ``state``; returns both.
 
-    Raises :class:`NonFiniteGradient`, naming every run with a non-finite
-    gradient, before it changes anything.
+    Raises :class:`NonFiniteGradient`, naming the first array with a
+    non-finite gradient, before it changes anything.
     """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ContractError("parameter, gradient and moment counts must match")
-    first_index: dict[int, int] = {}
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.shape:
             raise ContractError(f"grad shape {g.shape} != param shape {p.shape} at index {i}")
-        finite = np.isfinite(g)
-        if not finite.all():
-            for run in np.flatnonzero(~finite.all(axis=(-2, -1))):
-                first_index.setdefault(int(run), i)
-    if first_index:
-        raise NonFiniteGradient(first_index)
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient(f"non-finite gradient at parameter index {i}")
     state.t += 1
     correct1 = 1.0 - state.beta1 ** state.t
     correct2 = 1.0 - state.beta2 ** state.t

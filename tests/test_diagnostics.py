@@ -6,7 +6,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from hirnet import diagnostics, losses
-from hirnet.data import DomainDataset, DomainSuite, gen_rotated_suite, stratified_batches
+from hirnet.data import (DomainDataset, DomainSuite, PriorShiftSpec, apply_prior_shift,
+                         gen_rotated_suite, stratified_batches)
 from hirnet.diagnostics import (
     DiagnosticUnavailableError,
     collect_bundle,
@@ -88,6 +89,14 @@ class TestPredictionAgreement:
         suite = DomainSuite([d0, d1], [0.0, 1.0], 1)
         with pytest.raises(DiagnosticUnavailableError):
             prediction_agreement(constant_model(), suite)
+
+    def test_repeated_base_id_probes_its_last_row(self):
+        # Both domains hold base_id 0 twice; only their last rows agree.
+        x0 = np.array([[-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        x1 = np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        suite = DomainSuite([DomainDataset(x0, [0, 0, 0], [0, 0, 1]),
+                             DomainDataset(x1, [0, 0, 0], [0, 1, 0])], [0.0, 90.0], 2)
+        assert prediction_agreement(sign_of_first_coordinate_model(), suite, probe_size=2) == 1.0
 
 
 class TestDomainAlignmentMatrix:
@@ -231,6 +240,17 @@ class TestPairedVsUnpaired:
             expected += per_batch[:50]
         assert values == expected
         assert means == (np.mean(expected[:50]), np.mean(expected[50:]))
+
+    def test_no_common_base_id_gives_no_paired_mean(self):
+        suite = apply_prior_shift(gen_rotated_suite("moons", 20, angles=[0.0, 30.0], seed=33),
+                                  PriorShiftSpec([[1.0, 0.0], [0.0, 1.0]]))
+        params = init_params(MlpSpec((2, 6, 2), seed=34))
+        with pytest.warns(UserWarning, match="empty cell"):
+            paired_mean, unpaired_mean = paired_vs_unpaired_kl(params, suite, 2, seed=5)
+            bundle = collect_bundle(params, suite, per_class_per_domain=2, seed=5)
+        assert paired_mean is None and unpaired_mean > 0.0
+        assert bundle.paired_kl_mean is None and bundle.agreement is None
+        assert bundle.unpaired_kl_mean == unpaired_mean
 
 
 class TestCollectBundle:

@@ -317,6 +317,63 @@ def test_gradient_failure_in_each_array_fails_as_alone(array, monkeypatch):
     check_poisoned_stack({1: (array,)}, monkeypatch)
 
 
+def test_loss_and_gradient_failures_at_one_step_fail_as_alone(monkeypatch):
+    """In a stack of 3, run 0's loss and run 2's gradient turn non-finite at
+    the same step. Each fails with the message it gets alone, its parameters
+    at their last finite values; run 1 keeps the bits it gets alone. Every
+    step, that one too, makes one tape backward and one Adam call."""
+    cfg = tiny_config(loss_kind="hir", alpha=0.1, epochs=2, hidden_sizes=(6, 4))
+    suite = cfg.suite.build().drop(1)
+    n_batches = BatchPlan(suite, cfg.per_class_per_domain, cfg.paired).n_batches
+    bad_step = n_batches + 1  # the second step of epoch 1
+    breakdown, backward, step = harness._batch_breakdown, ad.Graph.backward, harness.adam_step
+
+    def train_poisoned(run_ids):
+        calls = []
+
+        def poisoned_breakdown(*args):
+            calls.append("loss")
+            out = breakdown(*args)
+            if calls.count("loss") == bad_step and 0 in run_ids:
+                out.combined.data[run_ids.index(0)] = np.nan
+            return out
+
+        def poisoned_backward(graph, loss):
+            calls.append("backward")
+            grads = backward(graph, loss)
+            if calls.count("loss") == bad_step and 2 in run_ids:
+                grads[graph.param_ids[2]][run_ids.index(2)].flat[-1] = np.nan
+            return grads
+
+        def counted_step(*args):
+            calls.append("adam")
+            return step(*args)
+
+        monkeypatch.setattr(harness, "_batch_breakdown", poisoned_breakdown)
+        monkeypatch.setattr(ad.Graph, "backward", poisoned_backward)
+        monkeypatch.setattr(harness, "adam_step", counted_step)
+        runs = [init_params(MlpSpec((2, 6, 4, 2), seed=s)) for s in run_ids]
+        results = harness.train_runs(runs, [suite] * len(runs), cfg, [10 + s for s in run_ids])
+        return runs, results, calls
+
+    stacked, results, calls = train_poisoned([0, 1, 2])
+    assert calls == ["loss", "backward", "adam"] * (cfg.epochs * n_batches)
+    assert [str(results[0]), str(results[2])] == ["non-finite loss at epoch 1",
+                                                  "non-finite gradient at parameter index 2"]
+    monkeypatch.undo()
+    for run in (0, 2):  # the values after the one finished epoch
+        one_epoch = init_params(MlpSpec((2, 6, 4, 2), seed=run))
+        harness.train_runs([one_epoch], [suite], replace(cfg, epochs=1), [10 + run])
+        assert same_bytes(stacked[run], one_epoch)
+    for run in range(3):
+        [alone], [result], _ = train_poisoned([run])
+        assert same_bytes(stacked[run], alone)
+        if run == 1:
+            assert result.to_dict() == results[run].to_dict()
+        else:
+            assert isinstance(result, TrainingDiverged) and str(result) == str(results[run])
+
+
 @pytest.mark.parametrize("n_runs", [1, 3])
 def test_one_adam_pass_per_step_over_one_buffer(n_runs, monkeypatch):
     """Every step updates the whole stack with one Adam call over one
@@ -432,12 +489,11 @@ def test_training_step_enumerates_no_pairs(loss_kind, monkeypatch):
 
     # Taken before any patch, so that every module's binding gets patched,
     # whichever comes first in sys.modules.
-    originals = {attr: getattr(losses, attr) for attr in ("pairwise_kl", "same_class_pairs")}
+    original = losses.pairwise_kl
     for name, module in list(sys.modules.items()):
-        if name == "hirnet" or name.startswith("hirnet."):
-            for attr, original in originals.items():
-                if getattr(module, attr, None) is original:
-                    monkeypatch.setattr(module, attr, forbidden)
+        if (name == "hirnet" or name.startswith("hirnet.")) and \
+                getattr(module, "pairwise_kl", None) is original:
+            monkeypatch.setattr(module, "pairwise_kl", forbidden)
     cfg = tiny_config(loss_kind=loss_kind, alpha=0.1, paired=True, epochs=2)
     _, traces = train(init_params(MlpSpec((2, 8, 2), seed=0)), cfg.suite.build().drop(1), cfg)
     assert len(traces.per_domain_kl) == 2

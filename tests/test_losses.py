@@ -17,7 +17,6 @@ from hirnet.losses import (
     mmd_rbf,
     pairwise_kl,
     rbf_kernel,
-    same_class_pairs,
 )
 
 
@@ -596,8 +595,10 @@ class TestBatchLabels:
             labels.onehot(2)
 
 
-def test_same_class_pairs_ordering():
+def test_pairwise_kl_orders_pairs_by_class_then_i_then_j():
     y = np.array([1, 0, 1, 0, 1])
-    i_idx, j_idx = same_class_pairs(y)
-    pairs = set(zip(i_idx.tolist(), j_idx.tolist()))
-    assert pairs == {(0, 2), (0, 4), (2, 4), (1, 3)}
+    lp = random_log_posteriors(np.random.default_rng(34), 5, 3)
+    i_idx, j_idx, kl = pairwise_kl(lp, y)
+    assert list(zip(i_idx.tolist(), j_idx.tolist())) == [(1, 3), (0, 2), (0, 4), (2, 4)]
+    lp_i, lp_j = lp[i_idx], lp[j_idx]
+    assert kl.tobytes() == np.sum(np.exp(lp_i) * (lp_i - lp_j), axis=1).tobytes()

@@ -85,19 +85,20 @@ def test_nan_gradient_rejected():
         adam_step(state, params, [np.array([[np.nan, 0.0]])])
 
 
-def test_nan_gradient_names_each_run_of_a_stack_and_changes_nothing():
-    params = [np.zeros((3, 2, 2)), np.zeros((3, 1, 2))]
-    grads = [np.ones((3, 2, 2)), np.ones((3, 1, 2))]
-    grads[0][1, 0, 1] = np.nan
-    grads[1][1, 0, 0] = np.inf
-    grads[1][2, 0, 1] = -np.inf
-    state = init_adam(params)
-    with pytest.raises(NonFiniteGradient) as caught:
-        adam_step(state, params, grads)
-    assert caught.value.messages == {1: "non-finite gradient at parameter index 0",
-                                     2: "non-finite gradient at parameter index 1"}
-    assert state.t == 0
-    assert all(not p.any() for p in params + state.m + state.v)
+def test_nan_gradient_names_the_first_non_finite_array_and_changes_nothing():
+    for first in (0, 1):
+        params = [np.zeros((3, 2, 2)), np.zeros((3, 1, 2))]
+        grads = [np.ones((3, 2, 2)), np.ones((3, 1, 2))]
+        if first == 0:
+            grads[0][1, 0, 1] = np.nan
+        grads[1][1, 0, 0] = np.inf
+        grads[1][2, 0, 1] = -np.inf
+        state = init_adam(params)
+        with pytest.raises(NonFiniteGradient) as caught:
+            adam_step(state, params, grads)
+        assert str(caught.value) == f"non-finite gradient at parameter index {first}"
+        assert state.t == 0
+        assert all(not p.any() for p in params + state.m + state.v)
 
 
 def test_stacked_step_equals_each_run_alone():

@@ -9,7 +9,11 @@ this repository's ``src``):
 - ``hirnet run`` on each workload config of ``perfbench/workloads.py``;
 - ``hirnet sweep`` of the ``hir-full`` config over three alpha values;
 - ``hirnet diag`` on one ``hir-full`` checkpoint against the workload suite,
-  at one and at three points per (domain, class) cell.
+  at one and at three points per (domain, class) cell, and against two
+  edge manifests: two domains whose class priors share no class, so no
+  base_id is common to both, and a single domain;
+- ``hirnet run`` of the ``agg-steps`` config at a learning rate that makes
+  every run diverge (exit 3), so the failure messages are digested.
 
 It prints one ``<sha256>  <path>`` line per output file, sorted by path.
 In JSON files each ``wall_clock_s`` value is blanked first, as the only
@@ -40,14 +44,20 @@ from workloads import DEFAULT_SEED, SUITE, WORKLOADS, experiment_config  # noqa:
 
 SWEEP_WORKLOAD = "hir-full"
 SWEEP_ALPHAS = "0.001,0.01,0.1"
+DIVERGING_WORKLOAD = "agg-steps"
+# Suite manifests besides the workload suite, each diagnosed at one point per cell.
+EDGE_SUITES = {
+    "no_common_id": {"angles": [0.0, 15.0], "prior_shift": [[1.0, 0.0], [0.0, 1.0]]},
+    "one_domain": {"angles": [0.0]},
+}
 WALL_CLOCK = re.compile(rb'"wall_clock_s": [^,\n]*')
 
 
-def hirnet(src: str, *args: str) -> None:
+def hirnet(src: str, *args: str, exit_code: int = 0) -> None:
     env = {**os.environ, "PYTHONPATH": src, "HIRNET_WORKERS": "1"}
     proc = subprocess.run([sys.executable, "-m", "hirnet.cli", *args], env=env,
                           capture_output=True, text=True)
-    if proc.returncode != 0:
+    if proc.returncode != exit_code:
         raise SystemExit(f"hirnet {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
 
 
@@ -61,13 +71,21 @@ def write_commands(src: str, out: str, seed: int) -> None:
         hirnet(src, "run", "--config", path, "--out", os.path.join(out, "run", workload))
     hirnet(src, "sweep", "--config", os.path.join(configs, f"{SWEEP_WORKLOAD}.json"),
            "--alpha", SWEEP_ALPHAS, "--out", os.path.join(out, "sweep"))
-    suite = os.path.join(configs, "suite.json")
-    with open(suite, "w") as fh:
-        json.dump({**SUITE, "seed": seed}, fh)
+    diverging = os.path.join(configs, "diverging.json")
+    with open(diverging, "w") as fh:
+        json.dump({**experiment_config(DIVERGING_WORKLOAD, seed), "optimizer": {"lr": 1e200}}, fh)
+    hirnet(src, "run", "--config", diverging, "--out", os.path.join(out, "run", "diverging"),
+           exit_code=3)
     checkpoint = os.path.join(out, "run", SWEEP_WORKLOAD, f"checkpoint_ho0_seed{seed}.ckpt")
-    for cells in ("1", "3"):
+    cases = [("workload", {}, "1"), ("workload", {}, "3")]
+    cases += [(name, changes, "1") for name, changes in EDGE_SUITES.items()]
+    for name, changes, cells in cases:
+        suite = os.path.join(configs, f"suite_{name}.json")
+        with open(suite, "w") as fh:
+            json.dump({**SUITE, "seed": seed, **changes}, fh)
+        folder = f"diag_{cells}" if name == "workload" else f"diag_{name}"
         hirnet(src, "diag", "--checkpoint", checkpoint, "--suite", suite, "--seed", str(seed),
-               "--per-class-per-domain", cells, "--out", os.path.join(out, f"diag_{cells}"))
+               "--per-class-per-domain", cells, "--out", os.path.join(out, folder))
 
 
 def digests(out: str) -> list[str]:
