@@ -2,7 +2,7 @@
 
 Three complementary views of how a model treats an ordered domain suite:
 how far apart the domains' latent representations sit (RBF-MMD matrices,
-each read off the block means of one kernel over the pooled latents),
+from the mean kernel value of each pair of groups, one block at a time),
 whether paired points get the same predicted class in every domain
 (prediction agreement), and how divergent same-class posteriors are
 (pairwise KL, paired versus unpaired). All probes are read-only over a
@@ -20,7 +20,8 @@ from . import models
 from .data import BatchPlan, DomainSuite, _last_rows
 from .errors import ContractError, write_json
 # mmd_rbf stays bound here for perfbench's test_uninstall_restores_every_original.
-from .losses import BatchLabels, hir_kl, mmd_rbf, pairwise_kl, rbf_kernel  # noqa: F401
+from .losses import (BatchLabels, _sq_dists, hir_kl, median_distance, mmd_rbf,  # noqa: F401
+                     pairwise_kl, rbf_gamma)
 
 
 class DiagnosticUnavailableError(ContractError):
@@ -40,36 +41,40 @@ class DiagnosticsBundle:
     probe_classes: np.ndarray              # (n,) class of each posterior_kl row
     bandwidth: float
 
-    def mean_offdiag_mmd(self) -> float:
-        n = self.domain_mmd.shape[0]
-        mask = ~np.eye(n, dtype=bool)
-        return float(self.domain_mmd[mask].mean())
-
 
 def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
                             per_class: bool = False, bandwidth: float | None = None):
     """Pairwise squared RBF MMD between the domains' latents; returns (matrix, bandwidth).
 
-    One kernel K over the pooled latents, bandwidth by default their median
-    distance; B = U^T K U holds the block means, U being the row-to-group
-    indicator over the group's size, so MMD^2_ab = B_aa + B_bb - 2 B_ab. With ``per_class``
-    a group is a (class, domain) cell, giving a (classes, |D|, |D|) stack, NaN
+    One forward pass over the pooled domains, then one block of squared
+    distances per pair of groups a <= b, exponentiated in place and reduced
+    to its mean k_ab: MMD^2_ab = k_aa + k_bb - 2 k_ab, and no pooled (N, N)
+    kernel is ever built. The default bandwidth is the median distance of
+    the pooled rows' i < j pairs, which the domain blocks write into one
+    buffer. With ``per_class`` a group is a (class, domain) cell and only
+    same-class blocks are built, giving a (classes, |D|, |D|) stack, NaN
     where a domain is missing the class."""
     n, classes = len(suite), suite.class_count if per_class else 1
     z, _ = models.forward(params, np.vstack([ds.x for ds in suite.domains]))
-    group = np.repeat(np.arange(n), [ds.y.size for ds in suite.domains])
-    if per_class:
-        group += n * np.concatenate([ds.y for ds in suite.domains])
-    kernel, _, bandwidth = rbf_kernel(z.data, BatchLabels(group), bandwidth)
-    sizes = np.bincount(group, minlength=classes * n)
-    indicator = np.eye(sizes.size)[group] / sizes[group, None]
-    blocks = indicator.T @ kernel @ indicator
-    means = np.diag(blocks)
-    matrix = np.triu(means[:, None] + means - 2.0 * blocks, k=1)
-    matrix += matrix.T
-    matrix[sizes == 0] = matrix[:, sizes == 0] = np.nan
-    cells = np.arange(classes)
-    stack = matrix.reshape(classes, n, classes, n)[cells, :, cells]
+    domains = np.split(z.data, np.cumsum([ds.y.size for ds in suite.domains])[:-1])
+    if bandwidth is None:
+        pairs, at = np.empty(len(z.data) * (len(z.data) - 1) // 2), 0
+        for a, b in zip(*np.triu_indices(n)):
+            block = _sq_dists(domains[a], domains[b])
+            block = block[np.triu_indices(len(block), k=1)] if a == b else block.ravel()
+            pairs[at:at + block.size] = block
+            at += block.size
+        bandwidth = median_distance(pairs)
+    gamma, kernel_means = rbf_gamma(bandwidth, 2), np.full((classes, n, n), np.nan)
+    for c in range(classes):
+        rows = [z_d[ds.y == c] if per_class else z_d for z_d, ds in zip(domains, suite.domains)]
+        for a, b in zip(*np.triu_indices(n)):
+            if rows[a].size and rows[b].size:
+                block = _sq_dists(rows[a], rows[b])
+                block *= gamma
+                kernel_means[c, a, b] = kernel_means[c, b, a] = np.exp(block, out=block).mean()
+    own = np.diagonal(kernel_means, axis1=1, axis2=2)
+    stack = own[:, :, None] + own[:, None, :] - 2.0 * kernel_means
     return (stack if per_class else stack[0]), bandwidth
 
 
@@ -136,34 +141,39 @@ def _mean_batch_kl(params: models.ModelParams, plan: BatchPlan, seed: int, salt:
 
 def paired_vs_unpaired_kl(params: models.ModelParams, suite: DomainSuite,
                           per_class_per_domain: int = 1, seed: int = 0,
-                          n_batches: int = 50) -> tuple[float | None, float]:
+                          n_batches: int = 50,
+                          unpaired: BatchPlan | None = None) -> tuple[float | None, float]:
     """Mean posterior-alignment loss over paired vs unpaired sampled batches.
 
     Both modes use matched batch sizes; means are over ``n_batches``
     batches each. The paired mean is None when no class has a base_id
-    common to every domain.
+    common to every domain. ``unpaired`` is the suite's unpaired plan, if already built.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=UserWarning)
         paired = BatchPlan(suite, per_class_per_domain, True)
     paired_mean = _mean_batch_kl(params, paired, seed, 0, n_batches) if paired.n_batches else None
-    unpaired = _plan(suite, per_class_per_domain, False)
+    if unpaired is None:
+        unpaired = _plan(suite, per_class_per_domain, False)
     return paired_mean, _mean_batch_kl(params, unpaired, seed, 1, n_batches)
 
 
 def collect_bundle(params: models.ModelParams, suite: DomainSuite,
                    per_class_per_domain: int = 1, probe_size: int = 100,
                    seed: int = 0, bandwidth: float | None = None) -> DiagnosticsBundle:
-    """Run every probe once and package the results."""
+    """Run every probe once and package the results. Warns on a one-domain
+    suite, where the cross-domain probes are vacuous."""
+    if len(suite) < 2:
+        warnings.warn("single probed domain: cross-domain probes are vacuous")
     domain_mmd, used_bw = domain_alignment_matrix(params, suite, bandwidth=bandwidth)
     class_mmd, _ = domain_alignment_matrix(params, suite, per_class=True, bandwidth=used_bw)
     try:
         agreement = prediction_agreement(params, suite, probe_size=probe_size, seed=seed)
     except DiagnosticUnavailableError:
         agreement = None
-    paired_mean, unpaired_mean = paired_vs_unpaired_kl(
-        params, suite, per_class_per_domain=per_class_per_domain, seed=seed)
     plan = _plan(suite, per_class_per_domain, False)
+    paired_mean, unpaired_mean = paired_vs_unpaired_kl(
+        params, suite, per_class_per_domain=per_class_per_domain, seed=seed, unpaired=plan)
     labels = BatchLabels(plan.labels, plan.domains)
     return DiagnosticsBundle(
         domain_mmd=domain_mmd,
@@ -185,10 +195,11 @@ def _scalars(bundle: DiagnosticsBundle) -> dict:
 
 def bundle_to_jsonable(bundle: DiagnosticsBundle) -> dict:
     present = ~np.isnan(bundle.posterior_kl)
+    off_diagonal = ~np.eye(len(bundle.domain_mmd), dtype=bool)
     return {
         **_scalars(bundle),
         "domain_mmd": bundle.domain_mmd.tolist(),
-        "mean_offdiag_mmd": bundle.mean_offdiag_mmd(),
+        "mean_offdiag_mmd": float(bundle.domain_mmd[off_diagonal].mean()),
         "posterior_kl_sum": float(np.nansum(bundle.posterior_kl)),
         "posterior_kl_pairs": int(present.sum()),
     }

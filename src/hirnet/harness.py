@@ -447,18 +447,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     aggregates = {}
     for ho in config.held_out_indices():
         accs = [r.accuracy for r in outcomes if r.held_out == ho and not r.failed]
-        entry = {
+        aggregates[str(ho)] = {
             "param": float(config.suite.angles[ho]),
             "n_runs": len([r for r in outcomes if r.held_out == ho]),
             "n_failed": len([r for r in outcomes if r.held_out == ho and r.failed]),
+            "mean_accuracy": float(np.mean(accs)) if accs else None,
+            "sd_accuracy": float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0 if accs else None,
         }
-        if accs:
-            entry["mean_accuracy"] = float(np.mean(accs))
-            entry["sd_accuracy"] = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
-        else:
-            entry["mean_accuracy"] = None
-            entry["sd_accuracy"] = None
-        aggregates[str(ho)] = entry
     return RunReport(config.to_dict(), outcomes, aggregates, time.perf_counter() - start)
 
 

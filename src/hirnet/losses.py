@@ -29,6 +29,8 @@ __all__ = [
     "hir_kl",
     "combined_loss",
     "mmd_rbf",
+    "median_distance",
+    "rbf_gamma",
     "rbf_kernel",
     "class_conditional_align",
     "domain_mmd_penalty",
@@ -113,7 +115,7 @@ class BatchLabels:
 
     @property
     def upper(self) -> np.ndarray:
-        """The (n, n) i < j mask that :func:`_median_distance` reads pairs with."""
+        """The (n, n) i < j mask that :func:`rbf_kernel` reads each run's pairs with."""
         return self._cached("upper", lambda: np.triu(np.ones((len(self),) * 2, dtype=bool), k=1))
 
 
@@ -260,30 +262,38 @@ def combined_loss(log_probs, labels, alpha: float, cross_domain_only: bool = Fal
     return LossBreakdown(classification, hir, classification + hir * alpha)
 
 
-def _sq_dists(z: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between every two rows of z, clipped at 0."""
-    sq = np.sum(z * z, axis=-1)
-    dists = sq[..., :, None] + sq[..., None, :]
-    dists -= 2.0 * (z @ z.swapaxes(-1, -2))
+def _sq_dists(z: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances from every row of z to every row of w
+    (default: z itself), clipped at 0."""
+    w = z if w is None else w
+    dists = np.sum(z * z, axis=-1)[..., :, None] + np.sum(w * w, axis=-1)[..., None, :]
+    dists -= 2.0 * (z @ w.swapaxes(-1, -2))
     return np.maximum(dists, 0.0, out=dists)
 
 
-def rbf_kernel(z: np.ndarray, labels: BatchLabels, bandwidth=None):
-    """(K, gamma, bandwidth) for the Gaussian kernel K_ij = exp(gamma |z_i - z_j|^2)
-    over the rows of z, gamma = -1 / (2 bandwidth^2), with ``exp`` taken in place
-    over the squared distances. ``bandwidth`` is one value, or one per run of a
-    stack, each positive with a finite gamma; ``None`` takes the median
-    heuristic of :func:`_median_distance`, per run, from those distances and the
-    i < j mask ``labels.upper``."""
-    sq_dists = _sq_dists(z)
-    if bandwidth is None:
-        bandwidth = _median_distance(sq_dists, labels.upper)
-    spread = np.asarray(bandwidth, dtype=np.float64).reshape((-1,) + (1,) * (z.ndim - 1))
+def rbf_gamma(bandwidth, ndim: int) -> np.ndarray:
+    """gamma = -1 / (2 bandwidth^2), shaped to scale ``ndim``-dimensional distances: one value,
+    or one per run of a stack. Raises ConfigError unless each is positive with a finite gamma."""
+    spread = np.asarray(bandwidth, dtype=np.float64).reshape((-1,) + (1,) * (ndim - 1))
     with np.errstate(divide="ignore", over="ignore"):
         gamma = -1.0 / (2.0 * spread * spread)
     if not np.all((spread > 0) & np.isfinite(gamma)):
         raise ConfigError(f"bandwidth must be positive with a finite 1 / (2 bandwidth^2), "
                           f"got {spread.reshape(-1).tolist()}")
+    return gamma
+
+
+def rbf_kernel(z: np.ndarray, labels: BatchLabels, bandwidth=None):
+    """(K, gamma, bandwidth) for the Gaussian kernel K_ij = exp(gamma |z_i - z_j|^2)
+    over the rows of z, with gamma from :func:`rbf_gamma` and ``exp`` taken in
+    place over the squared distances. ``None`` takes, per run, the
+    :func:`median_distance` of those distances' pairs in the i < j mask ``labels.upper``."""
+    sq_dists = _sq_dists(z)
+    if bandwidth is None:
+        runs = sq_dists[None] if z.ndim == 2 else sq_dists
+        medians = [median_distance(dists[labels.upper]) for dists in runs]
+        bandwidth = medians[0] if z.ndim == 2 else np.array(medians)
+    gamma = rbf_gamma(bandwidth, z.ndim)
     sq_dists *= gamma
     return np.exp(sq_dists, out=sq_dists), gamma, bandwidth
 
@@ -318,18 +328,18 @@ def mmd_rbf(z_a, z_b, bandwidth: float) -> Tensor:
                     bandwidth)
 
 
-def _median_distance(sq_dists: np.ndarray, upper: np.ndarray):
-    """Median pairwise Euclidean distance of the rows, 1.0 if it degenerates,
-    from their squared distances and their i < j mask ``upper``: a float for
-    a matrix of rows, one value per run for a stack of them. It leaves the
-    distances as they are: it takes the pairs out as a copy."""
-    n = sq_dists.shape[-1]
-    medians = []
-    for dists in sq_dists.reshape(-1, n, n):
-        pairs = dists[upper]
-        med = float(np.median(np.sqrt(pairs, out=pairs), overwrite_input=True)) if n > 1 else 0.0
-        medians.append(med if med > 0 else 1.0)
-    return medians[0] if sq_dists.ndim == 2 else np.array(medians)
+def median_distance(sq_pairs: np.ndarray) -> float:
+    """The median of ``sqrt(sq_pairs)``, 1.0 if it is NaN or not positive or
+    there is no pair: bitwise ``float(np.median(np.sqrt(sq_pairs)))``. As
+    ``sqrt`` is monotone, it is taken of the one or two middle values only,
+    which one in-place partition of the 1-D ``sq_pairs`` at its upper middle selects."""
+    half = sq_pairs.size // 2
+    if sq_pairs.size == 0 or np.isnan(sq_pairs).any():
+        return 1.0
+    sq_pairs.partition(half)  # the lower middle is then the largest value below
+    middle = [sq_pairs[half]] if sq_pairs.size % 2 else [sq_pairs[:half].max(), sq_pairs[half]]
+    med = float(np.mean(np.sqrt(middle)))
+    return med if med > 0 else 1.0
 
 
 def _spread(groups, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -177,6 +177,17 @@ class TestDiagCommand:
         summary = json.loads((out / "diag_summary.json").read_text())
         assert {"agreement", "paired_kl_mean", "unpaired_kl_mean", "bandwidth"} <= set(summary)
 
+    def test_one_domain_suite_warns_that_cross_domain_probes_are_vacuous(self, tmp_path):
+        ckpt, manifest, out = tmp_path / "model.ckpt", tmp_path / "suite.json", tmp_path / "diag"
+        save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
+        SuiteSpec(kind="moons", n_per_class=20, angles=(0.0,), noise_sd=0.05,
+                  seed=2).write(manifest)
+        with pytest.warns(UserWarning, match="cross-domain probes are vacuous"):
+            assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "diag_summary.json").read_text())
+        assert summary["agreement"] == 1.0 and summary["paired_kl_mean"] == 0.0
+
     def test_posterior_kl_is_computed_once(self, tmp_path, capsys, monkeypatch):
         calls = []
 

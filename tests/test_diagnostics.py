@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,28 @@ class TestDomainAlignmentMatrix:
                 for b in range(a + 1, 3):
                     assert entries[a, b] == pytest.approx(recompute(rows[a], rows[b]), abs=1e-10)
 
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_workload_suite_never_holds_a_pooled_kernel(self, per_class):
+        """6 domains x 200 rows: the call's peak stays below one (1200, 1200)
+        float64 array, and its bandwidth keeps the bits of the pooled median."""
+        suite = gen_rotated_suite("moons", 100, angles=[0.0, 15.0, 30.0, 45.0, 60.0, 75.0],
+                                  noise_sd=0.08, seed=7)
+        params = init_params(MlpSpec((2, 32, 2), seed=7))
+        tracemalloc.start()
+        try:
+            _, bandwidth = domain_alignment_matrix(params, suite, per_class=per_class)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1200 * 1200 * 8
+        z = forward(params, np.vstack([ds.x for ds in suite.domains]))[0].data
+        assert z.shape[0] == 1200
+        sq = np.sum(z * z, axis=-1)
+        dists = sq[:, None] + sq[None, :]
+        dists -= 2.0 * (z @ z.T)
+        dists = np.maximum(dists, 0.0)
+        assert bandwidth == float(np.median(np.sqrt(dists[np.triu_indices(1200, k=1)])))
+
     def test_per_class_marks_missing_cells(self):
         suite = gen_rotated_suite("moons", 20, angles=[0.0, 30.0], seed=12)
         # strip class 1 from domain 0
@@ -267,7 +290,7 @@ class TestCollectBundle:
         assert bundle.unpaired_kl_mean >= 0.0
 
     def test_calls_no_mmd_rbf(self, monkeypatch):
-        """The probes read every entry off one kernel, never pair by pair."""
+        """The probes read every entry off kernel blocks, never pair by pair."""
         def forbidden(*args, **kwargs):
             raise AssertionError("mmd_rbf called by a probe")
 
@@ -279,6 +302,19 @@ class TestCollectBundle:
         suite = gen_rotated_suite("moons", 20, angles=[0.0, 30.0, 60.0], seed=31)
         bundle = collect_bundle(init_params(MlpSpec((2, 6, 2), seed=32)), suite)
         assert bundle.domain_mmd.shape == (3, 3) and bundle.class_mmd.shape == (2, 3, 3)
+
+    def test_builds_each_batch_plan_once(self, monkeypatch):
+        built = []
+
+        class CountingPlan(diagnostics.BatchPlan):
+            def __init__(self, suite, per_class_per_domain, paired=False):
+                built.append(paired)
+                super().__init__(suite, per_class_per_domain, paired)
+
+        monkeypatch.setattr(diagnostics, "BatchPlan", CountingPlan)
+        suite = gen_rotated_suite("moons", 20, angles=[0.0, 30.0, 60.0], seed=33)
+        collect_bundle(init_params(MlpSpec((2, 6, 2), seed=34)), suite)
+        assert sorted(built) == [False, True]
 
 
 def test_trained_model_probe_batch_consistency():

@@ -9,11 +9,13 @@ from hirnet import autodiff as ad
 from hirnet.errors import ConfigError, ContractError
 from hirnet.losses import (
     BatchLabels,
+    _sq_dists,
     class_conditional_align,
     combined_loss,
     cross_entropy,
     domain_mmd_penalty,
     hir_kl,
+    median_distance,
     mmd_rbf,
     pairwise_kl,
     rbf_kernel,
@@ -470,6 +472,52 @@ class TestMedianBandwidth:
         expected = [median_bandwidth(matrix) for matrix in z]
         assert expected[1] == 1.0
         np.testing.assert_array_equal(median_bandwidth(z), expected)
+
+
+def reference_median(sq_pairs):
+    """The median heuristic as ``np.median`` over every pair's distance, 1.0 if it degenerates."""
+    med = float(np.median(np.sqrt(sq_pairs))) if sq_pairs.size else 0.0
+    return med if med > 0 else 1.0
+
+
+class TestMedianDistance:
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 1001, 1000])
+    def test_odd_and_even_counts_give_np_median_bits(self, size):
+        given = np.random.default_rng(size).random(size) ** 2 * 3.0
+        pairs = given.copy()
+        assert median_distance(pairs) == reference_median(given)
+        np.testing.assert_array_equal(np.sort(pairs), np.sort(given))  # partitioned in place
+
+    @pytest.mark.parametrize("pairs", [[4.0, 4.0, 1.0, 1.0, 9.0, 9.0], [0.0, 1.0, 1.0, 1.0, 4.0],
+                                       [2.0, 2.0, 2.0, 2.0], [0.0, 0.0, 0.0, 3.0], [0.0, 0.0, 3.0]])
+    def test_ties_give_np_median_bits(self, pairs):
+        pairs = np.array(pairs)
+        assert median_distance(pairs.copy()) == reference_median(pairs)
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 6])
+    def test_all_zero_pairs_fall_back_to_one(self, size):
+        assert median_distance(np.zeros(size)) == reference_median(np.zeros(size)) == 1.0
+
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_a_nan_entry_falls_back_to_one(self, at):
+        pairs = np.random.default_rng(at).random(7)
+        pairs[at] = np.nan
+        assert np.isnan(np.median(np.sqrt(pairs)))
+        assert median_distance(pairs.copy()) == reference_median(pairs) == 1.0
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_zero_and_one_rows_have_no_pair(self, rows):
+        z = np.ones((rows, 3))
+        assert median_distance(_sq_dists(z)[np.triu(np.ones((rows, rows), bool), k=1)]) == 1.0
+        assert median_bandwidth(z) == 1.0
+
+    def test_stack_gives_each_run_the_np_median_of_its_pairs(self):
+        z = np.random.default_rng(43).normal(size=(4, 31, 5))
+        z[2] = 0.0
+        upper = np.triu(np.ones((31, 31), dtype=bool), k=1)
+        got = median_bandwidth(z)
+        assert got.shape == (4,) and got[2] == 1.0
+        np.testing.assert_array_equal(got, [reference_median(d[upper]) for d in _sq_dists(z)])
 
 
 STACKED_LOSSES = {

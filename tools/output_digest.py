@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SHA-256 of every file hirnet writes on a fixed set of commands.
 
-    python3 tools/output_digest.py [--seed N] [--src DIR]
+    python3 tools/output_digest.py [--seed N] [--src DIR] [--against PARENT_SRC]
 
 Runs, each in a fresh interpreter with ``DIR/hirnet`` on the path (default:
 this repository's ``src``):
@@ -23,6 +23,13 @@ when their printed lines are equal, for example:
     diff <(python3 tools/output_digest.py --src ../parent/src) \\
          <(python3 tools/output_digest.py)
 
+With ``--against PARENT_SRC`` it runs the commands for both and prints, in
+place of the digests, one ``<deviation>  <path>`` line per output file whose
+digest differs from the parent's: the worst relative deviation
+|a - b| / max(|a|, |b|) over the numbers of the two files, read in order,
+or ``text`` when they differ in anything besides their numbers. A last line
+counts the identical files.
+
 It reads ``perfbench/`` and changes nothing in it.
 """
 
@@ -31,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -51,6 +59,7 @@ EDGE_SUITES = {
     "one_domain": {"angles": [0.0]},
 }
 WALL_CLOCK = re.compile(rb'"wall_clock_s": [^,\n]*')
+NUMBER = re.compile(rb"-?(?:Infinity|NaN|nan|inf|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def hirnet(src: str, *args: str, exit_code: int = 0) -> None:
@@ -88,10 +97,11 @@ def write_commands(src: str, out: str, seed: int) -> None:
                "--per-class-per-domain", cells, "--out", os.path.join(out, folder))
 
 
-def digests(out: str) -> list[str]:
-    lines = []
-    for folder, _, files in os.walk(out):
-        for name in files:
+def outputs(out: str) -> dict[str, bytes]:
+    """Each output file's contents by its path under ``out``, ``wall_clock_s`` blanked."""
+    files = {}
+    for folder, _, names in os.walk(out):
+        for name in names:
             path = os.path.join(folder, name)
             rel = os.path.relpath(path, out)
             if rel.startswith("configs" + os.sep):
@@ -100,8 +110,49 @@ def digests(out: str) -> list[str]:
                 data = fh.read()
             if name.endswith(".json"):
                 data = WALL_CLOCK.sub(b'"wall_clock_s": null', data)
-            lines.append(f"{hashlib.sha256(data).hexdigest()}  {rel}")
-    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+            files[rel] = data
+    return files
+
+
+def digests(files: dict[str, bytes]) -> list[str]:
+    return [f"{hashlib.sha256(files[rel]).hexdigest()}  {rel}" for rel in sorted(files)]
+
+
+def relative(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 for equal values (NaN equals NaN), inf if one is not finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def deviation(data: bytes, parent: bytes) -> str:
+    """The worst relative deviation between the numbers of two files that
+    differ only in their numbers, else ``text``."""
+    if NUMBER.sub(b"#", data) != NUMBER.sub(b"#", parent):
+        return "text"
+    numbers = [[float(x.replace(b"Infinity", b"inf")) for x in NUMBER.findall(text)]
+               for text in (data, parent)]
+    return f"{max(map(relative, *numbers), default=0.0):.3g}"
+
+
+def compare(files: dict[str, bytes], parent: dict[str, bytes]) -> list[str]:
+    """One line per file that differs from the parent's or exists on one side only, then a count."""
+    lines = []
+    for rel in sorted(files.keys() | parent.keys()):
+        if rel not in files or rel not in parent:
+            lines.append(f"{'missing' if rel in parent else 'new'}  {rel}")
+        elif files[rel] != parent[rel]:
+            lines.append(f"{deviation(files[rel], parent[rel])}  {rel}")
+    identical = sum(files.get(rel) == data for rel, data in parent.items())
+    return lines + [f"{identical} of {len(parent)} files identical to the parent's"]
+
+
+def run(src: str, seed: int) -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as out:
+        write_commands(os.path.abspath(src), out, seed)
+        return outputs(out)
 
 
 def main() -> int:
@@ -109,10 +160,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory that holds the hirnet package to run")
+    parser.add_argument("--against", metavar="PARENT_SRC",
+                        help="compare with the outputs of the hirnet package in this directory")
     args = parser.parse_args()
-    with tempfile.TemporaryDirectory() as out:
-        write_commands(os.path.abspath(args.src), out, args.seed)
-        print("\n".join(digests(out)))
+    files = run(args.src, args.seed)
+    lines = compare(files, run(args.against, args.seed)) if args.against else digests(files)
+    print("\n".join(lines))
     return 0
 
 
