@@ -20,7 +20,9 @@ or ``(runs, 1, 1)``; :meth:`Graph.backward` seeds each with one, so every run
 gets the gradient of its own loss. It may run once per tape; a second
 call is a :class:`ContractError` so silent gradient accumulation cannot
 happen, and it releases the tape's closures, so a step's tape is freed as
-soon as its tensors are.
+soon as its tensors are. The backward writes no array, and no backward
+function may write its upstream. Row reductions over the classes are
+:func:`fold_last` column folds: numpy's bits, without its per-row loops.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "relu",
     "relu_values",
     "log_softmax",
+    "fold_last",
     "sum_all",
     "emit",
     "grad_check",
@@ -81,15 +84,15 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tag})"
 
     def __add__(self, other):
-        return _add(self, _coerce(other))
+        return _add(self, as_tensor(other))
 
     def __sub__(self, other):
-        return _sub(self, _coerce(other))
+        return _sub(self, as_tensor(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
             return _scale(self, float(other))
-        return _mul(self, _coerce(other))
+        return _mul(self, as_tensor(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -105,9 +108,6 @@ def tensor(values) -> Tensor:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else tensor(value)
-
-
-_coerce = as_tensor
 
 
 class _Node:
@@ -154,6 +154,7 @@ class Graph:
         ``loss`` holds one scalar per run, and each is seeded with one.
         Returns gradients keyed by node_id for every node that received one;
         every parameter leaf is present (zeros if the loss never used it).
+        Gradients may share memory or be read-only views: treat them as read-only.
         Runs at most once per graph, and drops the tape's closures when done.
         """
         if loss.graph is not self or loss.node_id is None:
@@ -172,12 +173,9 @@ class Graph:
             if upstream is None or node.backward_fn is None:
                 continue
             for parent_id, contribution in zip(node.parents, node.backward_fn(upstream)):
-                if contribution is None:
-                    continue
-                if grads[parent_id] is None:
-                    grads[parent_id] = contribution.copy()
-                else:
-                    grads[parent_id] += contribution
+                if contribution is not None:
+                    prior = grads[parent_id]
+                    grads[parent_id] = contribution if prior is None else prior + contribution
         # Closures hold tensors, which hold this graph: without this, every
         # step's tape would wait for the cyclic garbage collector.
         for node in self._nodes:
@@ -204,8 +202,8 @@ def emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray,
          backward_fn: Callable | None) -> Tensor:
     """Record one op: its ``value`` and ``backward_fn(upstream)``, which
     returns one gradient per graph-attached input, in input order and of
-    that input's shape. With no attached input the result is a constant and
-    ``backward_fn`` never runs.
+    that input's shape, and never writes ``upstream``. With no attached
+    input the result is a constant and ``backward_fn`` never runs.
     """
     graph = _graph_of(*inputs)
     if graph is None:
@@ -245,12 +243,7 @@ def _sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cannot subtract shapes {a.shape} and {b.shape}")
 
     def back(up):
-        parts = []
-        if a.graph is not None:
-            parts.append(up)
-        if b.graph is not None:
-            parts.append(-up)
-        return tuple(parts)
+        return tuple(g for t, g in ((a, up), (b, -up)) if t.graph is not None)
 
     return emit("sub", (a, b), a.data - b.data, back)
 
@@ -260,27 +253,19 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
 
     def back(up):
-        parts = []
-        if a.graph is not None:
-            parts.append(up * b.data)
-        if b.graph is not None:
-            parts.append(up * a.data)
-        return tuple(parts)
+        return tuple(up * other.data for t, other in ((a, b), (b, a)) if t.graph is not None)
 
     return emit("mul", (a, b), a.data * b.data, back)
 
 
 def _scale(a: Tensor, c: float) -> Tensor:
-    def back(up):
-        return (up * c,)
-
-    return emit("scale", (a,), a.data * c, back)
+    return emit("scale", (a,), a.data * c, lambda up: (up * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two matrices, or run by run of two equal-length
     stacks; inner dimensions must agree."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_tensor(a), as_tensor(b)
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes do not match: {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
@@ -307,7 +292,7 @@ def relu_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); gradient is masked where x <= 0."""
-    x = _coerce(x)
+    x = as_tensor(x)
     value = relu_values(x.data)
 
     def back(up):
@@ -323,26 +308,38 @@ def log_softmax(logits: Tensor) -> Tensor:
     Rows of exp(output) sum to 1. The subtracted max cancels algebraically,
     so the map stays smooth and finite-difference checkable everywhere.
     """
-    logits = _coerce(logits)
+    logits = as_tensor(logits)
     if logits.shape[-1] < 2:
         raise ShapeError("log_softmax needs at least 2 columns")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    value = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    value = logits.data - fold_last(np.maximum, logits.data)
+    value -= np.log(fold_last(np.add, np.exp(value)))
     probs = np.exp(value)
 
     def back(up):
-        return (up - probs * up.sum(axis=-1, keepdims=True),)
+        return (up - probs * fold_last(np.add, up),)
 
     return emit("log_softmax", (logits,), value, back)
 
 
+def fold_last(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1, keepdims=True)``, bitwise, for ``np.add`` or ``np.maximum``:
+    one op per column, not numpy's loop per row. The sum adds the columns in
+    order to ``column 0 + 0.0`` (which turns -0.0 into +0.0), as the reduce
+    does below 8 columns; from 8 on it sums pairwise, so the reduce runs."""
+    if x.shape[-1] >= 8:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    out = x[..., :1] + 0.0 if ufunc is np.add else x[..., :1].copy()
+    for k in range(1, x.shape[-1]):
+        ufunc(out, x[..., k:k + 1], out=out)
+    return out
+
+
 def sum_all(x: Tensor) -> Tensor:
     """Sum every entry of each matrix to a 1x1 scalar, one per run of a stack."""
-    x = _coerce(x)
-    shape = x.shape
+    x = as_tensor(x)
 
     def back(up):
-        return (np.broadcast_to(up, shape),)
+        return (np.broadcast_to(up, x.shape),)
 
     return emit("sum_all", (x,), x.data.sum(axis=(-2, -1), keepdims=True), back)
 

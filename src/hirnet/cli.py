@@ -59,9 +59,7 @@ def _cmd_sweep(args) -> int:
         harness.write_report_json(report, os.path.join(args.out, f"report_alpha_{alpha:g}.json"))
     harness.write_accuracy_csv(list(reports.values()), os.path.join(args.out, "accuracy.csv"))
     print(f"wrote {args.out}/accuracy.csv ({len(alphas)} alpha values)")
-    if all(harness.all_runs_failed(r) for r in reports.values()):
-        return 3
-    return 0
+    return 3 if all(harness.all_runs_failed(r) for r in reports.values()) else 0
 
 
 def _cmd_diag(args) -> int:

@@ -237,7 +237,7 @@ class BatchPlan:
             for c in range(suite.class_count):
                 common = None
                 for dataset in suite.domains:
-                    ids = np.unique(dataset.base_id[dataset.y == c])
+                    ids = np.unique(dataset.base_id[dataset.y == c], return_index=True)[0]
                     common = ids if common is None else np.intersect1d(common, ids, assume_unique=True)
                 if common is None or common.size == 0:
                     warnings.warn(f"paired sampling: class {c} has no base_id common to all domains")

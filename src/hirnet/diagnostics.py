@@ -87,8 +87,8 @@ def prediction_agreement(params: models.ModelParams, suite: DomainSuite,
     """
     common = None
     for dataset in suite.domains:
-        common = (np.unique(dataset.base_id) if common is None
-                  else np.intersect1d(common, dataset.base_id))
+        ids = np.unique(dataset.base_id, return_index=True)[0]
+        common = ids if common is None else np.intersect1d(common, ids, assume_unique=True)
     if common is None or common.size == 0:
         raise DiagnosticUnavailableError("no base_id is present in every domain")
     rng = np.random.default_rng(seed)

@@ -21,8 +21,8 @@ from its seed. Plans, and the stack's
 ``BatchLabels`` with the layout fields the losses read, are built once per
 call. Every run gets the same bits as it would training alone.
 HIRNET_WORKERS splits a group into contiguous chunks, one stack per worker
-process. The per-domain attribution traces are computed once per epoch,
-from the epoch's stacked detached log-probs, never pair by pair in a step.
+process. The per-domain attribution traces are computed once per epoch, in
+one pass over the stack's detached (runs, batches, n, m) log-probs.
 """
 
 from __future__ import annotations
@@ -172,34 +172,47 @@ def _batch_breakdown(config: ExperimentConfig, z: ad.Tensor, log_probs: ad.Tenso
 
 
 def _epoch_attributions(log_probs: np.ndarray, y: np.ndarray, member: np.ndarray,
-                        same_class: np.ndarray):
+                        same_class: np.ndarray, work: dict):
     """Per-domain mean cross-entropy and mean same-class posterior KL over an
-    epoch, from its detached (batches, n, m) log-probs and the shared
-    layout's labels ``y``, row-to-domain indicator U and same-class i < j
-    mask M.
+    epoch, one (runs, domains) array each, from the stack's detached
+    (runs, batches, n, m) log-probs and the shared layout's labels ``y``,
+    row-to-domain indicator U and same-class i < j mask M; each run's row
+    has the bits of a call on that run alone. ``work`` keeps the pass's
+    large arrays from one call to the next of one shape: fresh ones each
+    epoch make malloc hand their pages back and fault them in again.
 
-    KL(p_i || p_j) = h_i - p_i . log p_j with h_i = p_i . log p_i, so the
-    epoch's sums K_ij over batches come from one matmul over the stacked
-    (batch, class) axis. With M the same-class i < j mask and U the
-    row-to-domain indicator, U^T (M o K) U sums them by the domains of both
+    KL(p_i || p_j) = h_i - p_i . log p_j with h_i = p_i . log p_i, so a
+    run's sums K_ij over the epoch come from one matmul over its stacked
+    (batch, class) axis. U^T (M o K) U sums them by the domains of both
     ends; a domain's pairs are its row plus its column less the pairs with
     both ends in it. Since every batch has the same layout, the epoch mean
     of the batch means is the epoch's sum divided by the per-batch count
     times the number of batches. A domain with no rows or no pairs gets 0.
     """
-    n_batches, n, _ = log_probs.shape
-    true_lp = log_probs[:, np.arange(n), y].sum(axis=0)
-    ce = _safe_mean(-(true_lp @ member), member.sum(axis=0) * n_batches)
-    p_rows = np.exp(log_probs).transpose(1, 0, 2).reshape(n, -1)
-    lp_rows = log_probs.transpose(1, 0, 2).reshape(n, -1)
-    kl = (p_rows * lp_rows).sum(axis=1)[:, None] - p_rows @ lp_rows.T
+    runs, n_batches, n, m = log_probs.shape
+    # A run's CE sums are one (n,) @ (n, D) product on a fresh sum, as alone: a
+    # stacked product, or one on a row of a stack, can round differently.
+    true_lp = log_probs.reshape(runs, n_batches, -1)[..., np.arange(n) * m + y]
+    ce_sums = [run.sum(axis=0) @ member for run in true_lp]
+    ce = _safe_mean(-np.stack(ce_sums), member.sum(axis=0) * n_batches)
+    if work.get("shape") != log_probs.shape:
+        work.update(shape=log_probs.shape, kl=np.empty((runs, n, n)),
+                    rows=np.empty((2, runs, n, n_batches * m)))
+    lp_rows, p_rows = work["rows"]
+    # Each row's batches end to end, copied as one item per row and batch: a
+    # copy of the transposed (..., m) view moves m values at a time, far slower.
+    cell = np.dtype((np.void, 8 * m))
+    np.copyto(lp_rows.view(cell), log_probs.view(cell)[..., 0].transpose(0, 2, 1))
+    kl = np.matmul(np.exp(lp_rows, out=p_rows), lp_rows.swapaxes(-1, -2), out=work["kl"])
+    lp_rows *= p_rows
+    np.subtract(lp_rows.sum(axis=-1)[..., None], kl, out=kl)
+    kl *= same_class
 
     def touching(pair_values):
         by_domains = member.T @ pair_values @ member
-        return by_domains.sum(axis=1) + by_domains.sum(axis=0) - np.diag(by_domains)
+        return by_domains.sum(axis=-1) + by_domains.sum(axis=-2) - by_domains.diagonal(0, -2, -1)
 
-    kl_d = _safe_mean(touching(same_class * kl), touching(same_class) * n_batches)
-    return ce, kl_d
+    return ce, _safe_mean(touching(kl), touching(same_class) * n_batches)
 
 
 def _safe_mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -243,6 +256,7 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
     results: list[TrainTraces | TrainingDiverged] = [
         TrainTraces(domain_params=list(suite.domain_params)) for suite in train_suites]
     alive = list(range(len(runs)))  # the run on each row of the stack
+    work: dict = {}  # the epoch attribution's arrays, reused
     stack = ModelParams.stack(runs)
     opt = init_adam([stack.flat], lr=config.optimizer.lr, beta1=config.optimizer.beta1,
                     beta2=config.optimizer.beta2, eps=config.optimizer.eps)
@@ -284,16 +298,15 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
         # the order its own list of steps would be.
         l_c = np.concatenate(epoch_lc, axis=-1).mean(axis=-1)
         l_h = np.concatenate(epoch_lh, axis=-1).mean(axis=-1) if epoch_lh else np.zeros_like(l_c)
-        log_probs_by_run = np.stack(epoch_lp, axis=1)
+        dom_ce, dom_kl = _epoch_attributions(np.stack(epoch_lp, axis=1), y, *masks, work)
         for row, run in enumerate(alive):
             traces = results[run]
             traces.l_c.append(float(l_c[row, 0]))
             traces.l_h.append(float(l_h[row, 0]))
-            dom_ce, dom_kl = _epoch_attributions(log_probs_by_run[row], y, *masks)
-            traces.per_domain_l_c.append(dom_ce.tolist())
-            traces.per_domain_kl.append(dom_kl.tolist())
+            traces.per_domain_l_c.append(dom_ce[row].tolist())
+            traces.per_domain_kl.append(dom_kl[row].tolist())
         # Free the epoch's copies before the next epoch draws its own.
-        del xs, epoch_lp, log_probs_by_run
+        del xs, epoch_lp
     for row, run in enumerate(alive):
         stack.write_row(row, runs[run])
     return results

@@ -173,7 +173,8 @@ def cross_entropy(log_probs, labels) -> Tensor:
 def _groups(*keys: np.ndarray) -> tuple[np.ndarray, ...]:
     """Row indices, in batch order, of each distinct combination of the keys, in sorted order."""
     rows = np.stack(keys, axis=1)
-    return tuple(np.flatnonzero((rows == key).all(axis=1)) for key in np.unique(rows, axis=0))
+    distinct = np.unique(rows, axis=0, return_index=True)[0]  # the index skips importing numpy.ma
+    return tuple(np.flatnonzero((rows == key).all(axis=1)) for key in distinct)
 
 
 def _pair_sums(groups, p: np.ndarray, lp: np.ndarray):
@@ -267,7 +268,9 @@ def _sq_dists(z: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     (default: z itself), clipped at 0."""
     w = z if w is None else w
     dists = np.sum(z * z, axis=-1)[..., :, None] + np.sum(w * w, axis=-1)[..., None, :]
-    dists -= 2.0 * (z @ w.swapaxes(-1, -2))
+    gram = z @ w.swapaxes(-1, -2)
+    gram *= 2.0
+    dists -= gram
     return np.maximum(dists, 0.0, out=dists)
 
 

@@ -306,3 +306,80 @@ def test_scalar_item():
     assert ad.tensor(3.5).item() == 3.5
     with pytest.raises(ShapeError):
         ad.tensor([[1.0, 2.0]]).item()
+
+
+def rows_with_edge_values(shape, rng) -> np.ndarray:
+    """Normal values over many scales, one all-(-0.0) row and rows holding
+    +0.0, -0.0, +inf, -inf and NaN."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+    flat = x.reshape(-1, shape[-1])
+    flat[0] = -0.0
+    flat[1, :2] = [0.0, -0.0]
+    flat[2, -1] = np.inf
+    flat[3, 0] = -np.inf
+    flat[4, -1] = np.nan
+    flat[5, :2] = [np.inf, -np.inf]
+    return x
+
+
+@pytest.mark.parametrize("shape", [(9,), (4, 7)], ids=["2d", "3d"])
+@pytest.mark.parametrize("m", range(2, 10))
+def test_fold_last_is_bitwise_numpy_reduce(m, shape):
+    x = rows_with_edge_values(shape + (m,), np.random.default_rng(m))
+    with np.errstate(invalid="ignore"):
+        pairs = [(ad.fold_last(np.add, x), x.sum(axis=-1, keepdims=True)),
+                 (ad.fold_last(np.maximum, x), x.max(axis=-1, keepdims=True))]
+    for folded, reduced in pairs:
+        assert folded.shape == reduced.shape
+        assert folded.tobytes() == reduced.tobytes()
+
+
+def spy(x: ad.Tensor, seen: list) -> ad.Tensor:
+    """Identity node whose backward keeps each upstream it gets, with a copy."""
+    def back(up):
+        seen.append((up, up.copy()))
+        return (up,)
+
+    return ad.emit("spy", (x,), x.data, back)
+
+
+class TestCopyFreeBackward:
+    def test_node_consumed_twice(self):
+        x_values = np.arange(-6.0, 6.0).reshape(3, 4) / 4.0
+        seen = []
+        g = ad.Graph()
+        x = g.param(x_values)
+        y = spy(x * 2.0, seen)
+        square = spy(y * y, seen)
+        loss = ad.sum_all(square + y)
+        tensors = [x, y, square, loss]
+        before = [t.data.copy() for t in tensors]
+        grads = g.backward(loss)
+        # d/dx sum((2x)^2 + 2x) = 8x + 2, exact on quarter steps.
+        np.testing.assert_array_equal(grads[x.node_id], 8.0 * x_values + 2.0)
+        np.testing.assert_array_equal(grads[y.node_id], 2.0 * y.data + 1.0)
+        for t, value in zip(tensors, before):
+            assert t.data.tobytes() == value.tobytes()
+        assert len(seen) == 2
+        for up, copy in seen:
+            assert up.tobytes() == copy.tobytes()
+
+    def test_sum_all_of_a_leaf(self):
+        g = ad.Graph()
+        values = np.arange(6.0).reshape(2, 3)
+        x = g.param(values)
+        grads = g.backward(ad.sum_all(x))
+        np.testing.assert_array_equal(grads[x.node_id], np.ones((2, 3)))
+        np.testing.assert_array_equal(x.data, values)
+
+    def test_read_only_first_contribution_takes_a_second(self):
+        g = ad.Graph()
+        x = g.param(np.arange(6.0).reshape(2, 3))
+        seen = []
+        # The tape runs backwards, so the read-only broadcast from the later
+        # sum_all(x) reaches x first and the scale's gradient second.
+        loss = spy(ad.sum_all(x * 2.0) + ad.sum_all(x), seen)
+        grads = g.backward(loss)
+        np.testing.assert_array_equal(grads[x.node_id], np.full((2, 3), 3.0))
+        [(up, copy)] = seen
+        assert up.tobytes() == copy.tobytes()

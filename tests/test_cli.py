@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hirnet
 from hirnet import diagnostics, harness
 from hirnet.cli import main
 from hirnet.data import SuiteSpec
@@ -119,6 +123,20 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
         report = json.loads((out / "report.json").read_text())
         assert all(r["failed"] for r in report["runs"])
+
+    def test_never_imports_numpy_ma(self, tmp_path):
+        """A paired run with diagnostics, in a fresh interpreter, leaves
+        ``numpy.ma`` unimported: its first import is a cost of every run."""
+        cfg_path = write_config(tmp_path, small_config(paired=True, collect_diagnostics=True,
+                                                       held_out="all"))
+        argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "out")]
+        script = ("import sys; from hirnet.cli import main; "
+                  f"print(main({argv!r}), 'numpy.ma' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hirnet.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "HIRNET_WORKERS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestSweepCommand:

@@ -480,6 +480,30 @@ class TestEpochAttributions:
         np.testing.assert_allclose(traces.per_domain_l_c, ce, rtol=1e-12, atol=0)
         np.testing.assert_allclose(traces.per_domain_kl, kl, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_each_run_of_a_stack_gets_its_lone_bits(self, seed):
+        """Random runs R, batches B, domains D, rows per cell k and classes m."""
+        rng = np.random.default_rng(seed)
+        runs, n_batches, n_domains, k, m = (int(rng.integers(lo, hi)) for lo, hi in
+                                            ((2, 7), (1, 6), (1, 5), (1, 4), (2, 5)))
+        domains = np.repeat(np.arange(n_domains), m * k)
+        y = np.tile(np.repeat(np.arange(m), k), n_domains)
+        masks = ((domains[:, None] == np.arange(n_domains)).astype(np.float64),
+                 np.triu(y[:, None] == y[None, :], k=1).astype(np.float64))
+        logits = rng.normal(scale=3.0, size=(runs, n_batches, y.size, m))
+        log_probs = ad.log_softmax(ad.tensor(logits.reshape(-1, y.size, m))).data
+        log_probs = log_probs.reshape(logits.shape)
+        work = {}
+        ce, kl = harness._epoch_attributions(log_probs, y, *masks, work)
+        assert ce.shape == kl.shape == (runs, n_domains)
+        for run in range(runs):
+            lone_ce, lone_kl = harness._epoch_attributions(log_probs[run:run + 1], y, *masks, {})
+            assert ce[run].tobytes() == lone_ce[0].tobytes()
+            assert kl[run].tobytes() == lone_kl[0].tobytes()
+        # A second call reuses the first's arrays and gets the same bits.
+        again = harness._epoch_attributions(log_probs, y, *masks, work)
+        assert [a.tobytes() for a in again] == [ce.tobytes(), kl.tobytes()]
+
 
 @pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
 def test_training_step_enumerates_no_pairs(loss_kind, monkeypatch):
