@@ -10,8 +10,8 @@ relu, row-stable log-softmax and a sum to one scalar per matrix. That is
 enough to express an MLP classifier, and to check the training path against
 it with finite differences. Training records larger ops through
 :func:`emit`, each one node with an analytic backward: the network as two
-(``models.network``) and each loss as one; the small ops serve the
-acceptance gradient check and the tests.
+(``models.network``), each loss and their weighted sum as one; the small
+ops serve the acceptance gradient check and the tests.
 
 A ``Graph`` is a tape rebuilt for every forward pass. Tensors created
 through :meth:`Graph.param` are differentiable leaves; plain ``Tensor``

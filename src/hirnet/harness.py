@@ -31,7 +31,6 @@ import itertools
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -155,20 +154,14 @@ class TrainTraces(JsonRecord):
 
 def _batch_breakdown(config: ExperimentConfig, z: ad.Tensor, log_probs: ad.Tensor,
                      labels) -> LossBreakdown:
-    if config.loss_kind == "agg":
-        return combined_loss(log_probs, labels, 0.0)
     if config.loss_kind == "hir":
         return combined_loss(log_probs, labels, config.alpha,
                              cross_domain_only=config.cross_domain_only,
                              normalize_hir=config.normalize_hir)
     classification = cross_entropy(log_probs, labels)
-    if config.alpha == 0:
-        return LossBreakdown(classification, None, classification)
-    if config.loss_kind == "mmd":
-        penalty = domain_mmd_penalty(z, labels)
-    else:  # ccsa
-        penalty = class_conditional_align(z, labels)
-    return LossBreakdown(classification, penalty, classification + penalty * config.alpha)
+    penalty = None if config.loss_kind == "agg" or config.alpha == 0 else (
+        domain_mmd_penalty if config.loss_kind == "mmd" else class_conditional_align)(z, labels)
+    return LossBreakdown.combine(classification, penalty, config.alpha)
 
 
 def _epoch_attributions(log_probs: np.ndarray, y: np.ndarray, member: np.ndarray,
@@ -451,6 +444,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     jobs = [[rows[i] for i in chunk] for chunk in chunks]
     processes = min(workers, len(jobs))
     if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor  # its import is a cost of every run
         with ProcessPoolExecutor(max_workers=processes) as pool:
             done = list(pool.map(_run_rows, [config] * len(jobs), [suite] * len(jobs), jobs))
     else:

@@ -5,15 +5,17 @@ cross-domain distance).
 All functions accept plain arrays or graph-attached tensors; losses built
 on attached tensors are differentiable through the recording graph. Rows
 are a matrix (one run) or a stack of matrices (one per run) that share one
-label layout, and every loss gives one value per run. Each
-loss is one node (``autodiff.emit``) with an analytic backward: the pair
-sums of HIR, MMD and CCSA are evaluated in closed form, never pair by pair
-on the tape. The posterior-alignment loss works on log-space posteriors
-throughout, so no probability clamping is ever needed.
+label layout, and every loss gives one value per run. Each loss, and the
+weighted sum of two, is one node (``autodiff.emit``) with an analytic
+backward: the pair sums of HIR, MMD and CCSA are evaluated in closed form
+(HIR's and CCSA's over groups sorted into one order), never pair by pair.
+HIR works on log-space posteriors throughout, so it never clamps a probability.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +49,9 @@ class BatchLabels:
     Frozen, with read-only arrays: copies of those given, or those given if
     already read-only and owning their memory, as a
     :class:`~hirnet.data.BatchPlan`'s layout is. So the layout fields the
-    losses read (:meth:`onehot`, ``class_groups``, ``cell_groups``,
-    ``mmd_weights`` and ``upper``) are computed on first use, read-only,
-    and never stale; a training stack builds one for all its steps.
+    losses read (:meth:`onehot`, :meth:`segments`, ``mmd_weights`` and
+    ``upper``) are computed on first use, read-only, and never stale; a
+    training stack builds one for all its steps.
     """
 
     labels: np.ndarray
@@ -92,15 +94,9 @@ class BatchLabels:
             return np.eye(m)[self.labels]
         return self._cached(("onehot", m), make)
 
-    @property
-    def class_groups(self) -> tuple[np.ndarray, ...]:
-        """Row indices of each class, in batch order."""
-        return self._cached("class_groups", lambda: _groups(self.labels))
-
-    @property
-    def cell_groups(self) -> tuple[np.ndarray, ...]:
-        """Row indices of each (class, domain) cell, in batch order."""
-        return self._cached("cell_groups", lambda: _groups(self.labels, self.domains))
+    def segments(self, *keys: str) -> Segments:
+        """The :func:`_segments` of the named fields; "labels", "domains" gives the cells."""
+        return self._cached(keys, lambda: _segments(*(getattr(self, key) for key in keys)))
 
     @property
     def mmd_weights(self) -> np.ndarray:
@@ -119,19 +115,40 @@ class BatchLabels:
         return self._cached("upper", lambda: np.triu(np.ones((len(self),) * 2, dtype=bool), k=1))
 
 
+Segments = namedtuple("Segments", "order inverse spans n_later")
+
+
+def _segments(*keys: np.ndarray) -> Segments:
+    """The groups of rows equal in every key as one order: ``order`` sorts the rows by key,
+    stably, ``inverse`` is each row's place in it, ``spans`` holds each group's (start, end)
+    there and ``n_later`` is the (n, 1) column of each row's count of later rows in its group."""
+    order = np.lexsort(keys[::-1])
+    starts = np.r_[order.size > 0, np.diff(np.stack(keys)[:, order], axis=1).any(axis=0)]
+    bounds = np.append(np.flatnonzero(starts), order.size)
+    inverse, ends = np.argsort(order), np.repeat(bounds[1:], np.diff(bounds))
+    n_later = (ends - 1.0 - np.arange(order.size))[inverse, None]
+    return Segments(order, inverse, np.stack((bounds[:-1], bounds[1:]), axis=1), n_later)
+
+
 @dataclass
 class LossBreakdown:
-    """One objective evaluation: L = classification + alpha * hir.
-
-    ``hir`` is the alignment term (the feature penalty for the MMD and CCSA
-    baselines). It is None when the term was never constructed
-    (alpha == 0), in which case ``combined`` is the classification tensor
-    itself.
-    """
+    """One objective evaluation, L = classification + alpha * hir: ``hir`` is the
+    alignment term (the feature penalty for the MMD and CCSA baselines), or None
+    when it was never constructed (alpha == 0) and ``combined`` is ``classification``."""
 
     classification: Tensor
     hir: Tensor | None
     combined: Tensor
+
+    @classmethod
+    def combine(cls, classification: Tensor, hir: Tensor | None, alpha: float) -> LossBreakdown:
+        """classification + alpha * hir as one node, or ``classification`` with no ``hir``."""
+        if hir is None:
+            return cls(classification, None, classification)
+        return cls(classification, hir, ad.emit(
+            "combined", (classification, hir), classification.data + hir.data * alpha,
+            lambda up: tuple(g for t, g in ((classification, up), (hir, up * alpha))
+                             if t.graph is not None)))
 
 
 def _as_labels(labels, domains=None) -> BatchLabels:
@@ -170,23 +187,15 @@ def cross_entropy(log_probs, labels) -> Tensor:
     return ad.emit("cross_entropy", (log_probs,), value, lambda up: (onehot * (up * scale),))
 
 
-def _groups(*keys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Row indices, in batch order, of each distinct combination of the keys, in sorted order."""
-    rows = np.stack(keys, axis=1)
-    distinct = np.unique(rows, axis=0, return_index=True)[0]  # the index skips importing numpy.ma
-    return tuple(np.flatnonzero((rows == key).all(axis=1)) for key in distinct)
-
-
-def _pair_sums(groups, p: np.ndarray, lp: np.ndarray):
-    """Per row, within its group: the sum of p over earlier rows, the sum of
-    lp over later rows and the number of later rows (an (n, 1) column)."""
-    earlier, later = np.zeros_like(p), np.zeros_like(lp)
-    n_later = np.zeros((p.shape[-2], 1))
-    for idx in groups:
-        earlier[..., idx[1:], :] = np.cumsum(p[..., idx[:-1], :], axis=-2)
-        later[..., idx[:-1], :] = np.cumsum(lp[..., idx[:0:-1], :], axis=-2)[..., ::-1, :]
-        n_later[idx, 0] = np.arange(idx.size - 1, -1, -1)
-    return earlier, later, n_later
+def _pair_sums(segments: Segments, p: np.ndarray, lp: np.ndarray) -> np.ndarray:
+    """Per row, stacked: the sum of p over the earlier rows of its group and of
+    lp over the later ones, as running sums over its span of ``segments.order``."""
+    ordered, sums = np.take(np.stack((p, lp)), segments.order, axis=-2), np.zeros((2,) + p.shape)
+    for start, end in segments.spans.tolist():
+        np.cumsum(ordered[0, ..., start:end - 1, :], axis=-2, out=sums[0, ..., start + 1:end, :])
+        np.cumsum(ordered[1, ..., end - 1:start:-1, :], axis=-2,
+                  out=sums[1, ..., start:end - 1, :][..., ::-1, :])
+    return np.take(sums, segments.inverse, axis=-2)
 
 
 def hir_kl(log_probs, labels, cross_domain_only: bool = False,
@@ -202,6 +211,7 @@ def hir_kl(log_probs, labels, cross_domain_only: bool = False,
     One tape node, O(n m): the sum is sum_i p_i . (c_i log p_i - S_i), S_i
     summing log p_j over the c_i later same-class rows; its gradient in
     log p is p o (c log p - S + c) - P, P_i summing p_j over the earlier ones.
+    S and P are running sums over ``labels``' class segments; the backward reuses c log p - S.
 
     ``normalize`` divides by the term count so the scale is decoupled from
     batch size; ``cross_domain_only`` drops pairs drawn from a single
@@ -211,20 +221,22 @@ def hir_kl(log_probs, labels, cross_domain_only: bool = False,
     labels = _as_labels(labels)
     if cross_domain_only and labels.domains is None:
         raise ContractError("cross_domain_only needs domain indices")
-    lp = log_probs.data
-    p = np.exp(lp)
-    earlier_p, later_lp, n_later = _pair_sums(labels.class_groups, p, lp)
-    if cross_domain_only:
-        cell_p, cell_lp, cell_n = _pair_sums(labels.cell_groups, p, lp)
-        earlier_p, later_lp, n_later = earlier_p - cell_p, later_lp - cell_lp, n_later - cell_n
+    classes = labels.segments("labels")
+    cells = labels.segments("labels", "domains") if cross_domain_only else None
+    n_later = classes.n_later if cells is None else classes.n_later - cells.n_later
     pair_count = int(n_later.sum())
     if pair_count == 0:
         return _zero(log_probs), 0
+    lp = log_probs.data
+    p = np.exp(lp)
+    sums = _pair_sums(classes, p, lp)
+    earlier_p, later_lp = sums if cells is None else sums - _pair_sums(cells, p, lp)
     scale = 1.0 / pair_count if normalize else 1.0
-    value = _per_run(p * (n_later * lp - later_lp)) * scale
+    gap = n_later * lp - later_lp
+    value = _per_run(p * gap) * scale
 
     def back(up):
-        return ((up * scale) * (p * (n_later * lp - later_lp + n_later) - earlier_p),)
+        return ((up * scale) * (p * (gap + n_later) - earlier_p),)
 
     return ad.emit("hir_kl", (log_probs,), value, back), pair_count
 
@@ -249,25 +261,24 @@ def combined_loss(log_probs, labels, alpha: float, cross_domain_only: bool = Fal
                   normalize_hir: bool = False) -> LossBreakdown:
     """Classification loss plus ``alpha`` times the posterior-alignment loss.
 
-    alpha == 0 skips the alignment term entirely: the combined tensor IS
-    the classification tensor, so the recorded graph is identical to one
-    that never knew about alignment.
+    The sum is one node (:meth:`LossBreakdown.combine`); alpha == 0 skips the
+    alignment term entirely: the combined tensor IS the classification
+    tensor, so the graph is identical to one that never knew about alignment.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     classification = cross_entropy(log_probs, labels)
-    if alpha == 0:
-        return LossBreakdown(classification, None, classification)
-    hir, _ = hir_kl(log_probs, labels, cross_domain_only=cross_domain_only,
-                    normalize=normalize_hir)
-    return LossBreakdown(classification, hir, classification + hir * alpha)
+    hir = None if alpha == 0 else hir_kl(log_probs, labels, cross_domain_only=cross_domain_only,
+                                         normalize=normalize_hir)[0]
+    return LossBreakdown.combine(classification, hir, alpha)
 
 
 def _sq_dists(z: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances from every row of z to every row of w
     (default: z itself), clipped at 0."""
     w = z if w is None else w
-    dists = np.sum(z * z, axis=-1)[..., :, None] + np.sum(w * w, axis=-1)[..., None, :]
+    norms = np.sum(z * z, axis=-1)
+    dists = norms[..., :, None] + (norms if w is z else np.sum(w * w, axis=-1))[..., None, :]
     gram = z @ w.swapaxes(-1, -2)
     gram *= 2.0
     dists -= gram
@@ -307,13 +318,14 @@ def _mmd_sum(parts: tuple[Tensor, ...], labels: BatchLabels, bandwidth=None) -> 
     of z and W the ``mmd_weights`` of the rows' ``labels``. The gradient is
     4 gamma (diag((W o K) 1) z - (W o K) z).
     """
-    z = np.concatenate([t.data for t in parts], axis=-2)
+    z = parts[0].data if len(parts) == 1 else np.concatenate([t.data for t in parts], axis=-2)
     wk, gamma, _ = rbf_kernel(z, labels, bandwidth)
     wk *= labels.mmd_weights
 
     def back(up):
         grad = (4.0 * gamma * up) * (wk.sum(axis=-1, keepdims=True) * z - wk @ z)
-        rows = np.split(grad, np.cumsum([t.shape[-2] for t in parts[:-1]]), axis=-2)
+        rows = [grad] if len(parts) == 1 else np.split(
+            grad, np.cumsum([t.shape[-2] for t in parts[:-1]]), axis=-2)
         return tuple(g for t, g in zip(parts, rows) if t.graph is not None)
 
     return ad.emit("mmd", parts, _per_run(wk), back)
@@ -333,25 +345,28 @@ def mmd_rbf(z_a, z_b, bandwidth: float) -> Tensor:
 
 def median_distance(sq_pairs: np.ndarray) -> float:
     """The median of ``sqrt(sq_pairs)``, 1.0 if it is NaN or not positive or
-    there is no pair: bitwise ``float(np.median(np.sqrt(sq_pairs)))``. As
-    ``sqrt`` is monotone, it is taken of the one or two middle values only,
-    which one in-place partition of the 1-D ``sq_pairs`` at its upper middle selects."""
+    there is no pair: bitwise ``float(np.median(np.sqrt(sq_pairs)))`` for sq_pairs >= 0.
+    As ``sqrt`` is monotone, it is taken (of Python floats) of the one or two middle values
+    only, which one in-place partition of the 1-D ``sq_pairs`` at its upper middle selects."""
     half = sq_pairs.size // 2
     if sq_pairs.size == 0 or np.isnan(sq_pairs).any():
         return 1.0
     sq_pairs.partition(half)  # the lower middle is then the largest value below
-    middle = [sq_pairs[half]] if sq_pairs.size % 2 else [sq_pairs[:half].max(), sq_pairs[half]]
-    med = float(np.mean(np.sqrt(middle)))
+    med = math.sqrt(sq_pairs[half])
+    med = med if sq_pairs.size % 2 else (math.sqrt(sq_pairs[:half].max()) + med) / 2.0
     return med if med > 0 else 1.0
 
 
-def _spread(groups, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: its group's size (an (n, 1) column) and its offset from the group mean."""
-    sizes, offsets = np.zeros((z.shape[-2], 1)), np.zeros_like(z)
-    for idx in groups:
-        cell = z[..., idx, :]
-        sizes[idx], offsets[..., idx, :] = idx.size, cell - cell.mean(axis=-2, keepdims=True)
-    return sizes, offsets
+def _spread(segments: Segments, z: np.ndarray) -> np.ndarray:
+    """Per row, stacked: its offset from its group's mean times the group's
+    size, and the offset, the mean taken over its span of ``segments.order``."""
+    scaled, offsets = spread = np.empty((2,) + z.shape)
+    np.take(z, segments.order, axis=-2, out=offsets)
+    for start, end in segments.spans.tolist():
+        rows = offsets[..., start:end, :]
+        rows -= rows.mean(axis=-2, keepdims=True)
+        np.multiply(rows, end - start, out=scaled[..., start:end, :])
+    return np.take(spread, segments.inverse, axis=-2)
 
 
 def class_conditional_align(z, labels, domains=None) -> Tensor:
@@ -365,15 +380,16 @@ def class_conditional_align(z, labels, domains=None) -> Tensor:
     labels = _as_labels(labels, domains)
     if labels.domains is None:
         raise ContractError("class_conditional_align needs domain indices")
-    class_n, class_dev = _spread(labels.class_groups, z.data)
-    cell_n, cell_dev = _spread(labels.cell_groups, z.data)
-    pair_count = int((class_n - cell_n).sum()) // 2
+    classes, cells = labels.segments("labels"), labels.segments("labels", "domains")
+    pair_count = int(classes.n_later.sum() - cells.n_later.sum())
     if pair_count == 0:
         return _zero(z)
-    total = _per_run(class_n * class_dev * class_dev) - _per_run(cell_n * cell_dev * cell_dev)
+    class_scaled, class_dev = _spread(classes, z.data)
+    cell_scaled, cell_dev = _spread(cells, z.data)
+    total = _per_run(class_scaled * class_dev) - _per_run(cell_scaled * cell_dev)
 
     def back(up):
-        return ((2.0 * up / pair_count) * (class_n * class_dev - cell_n * cell_dev),)
+        return ((2.0 * up / pair_count) * (class_scaled - cell_scaled),)
 
     return ad.emit("ccsa", (z,), total / pair_count, back)
 
@@ -389,9 +405,8 @@ def domain_mmd_penalty(z, domains, bandwidth: float | None = None) -> Tensor:
     z = ad.as_tensor(z)
     if not isinstance(domains, BatchLabels):
         domains = BatchLabels(np.zeros(np.size(domains)), domains)
-    doms = domains.domains
-    if doms is None or doms.size != z.shape[-2]:
+    if domains.domains is None or domains.domains.size != z.shape[-2]:
         raise ContractError("one domain index per z row required")
-    if np.all(doms == doms[:1]):  # fewer than two domains
+    if len(domains.segments("domains").spans) < 2:
         return _zero(z)
     return _mmd_sum((z,), domains, bandwidth)

@@ -124,11 +124,12 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert all(r["failed"] for r in report["runs"])
 
-    def test_never_imports_numpy_ma(self, tmp_path):
+    @pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
+    def test_never_imports_numpy_ma(self, tmp_path, loss_kind):
         """A paired run with diagnostics, in a fresh interpreter, leaves
         ``numpy.ma`` unimported: its first import is a cost of every run."""
         cfg_path = write_config(tmp_path, small_config(paired=True, collect_diagnostics=True,
-                                                       held_out="all"))
+                                                       held_out="all", loss_kind=loss_kind))
         argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "out")]
         script = ("import sys; from hirnet.cli import main; "
                   f"print(main({argv!r}), 'numpy.ma' in sys.modules)")
@@ -137,6 +138,18 @@ class TestRunCommand:
                               env={**os.environ, "PYTHONPATH": src, "HIRNET_WORKERS": "1"})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
+
+    def test_import_leaves_the_process_pool_unimported(self):
+        """``import hirnet.cli`` in a fresh interpreter imports neither
+        ``concurrent.futures`` nor ``multiprocessing``: only a run with more
+        than one worker process needs them."""
+        script = ("import sys, hirnet.cli; "
+                  "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hirnet.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestSweepCommand:

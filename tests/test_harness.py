@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import sys
 import warnings
@@ -34,8 +35,8 @@ from hirnet.harness import (
     write_report_json,
     write_trace_csv,
 )
-from hirnet.losses import BatchLabels, combined_loss, cross_entropy, pairwise_kl
-from hirnet.models import MlpSpec, ModelParams, forward, init_params
+from hirnet.losses import BatchLabels, LossBreakdown, combined_loss, cross_entropy, pairwise_kl
+from hirnet.models import MlpSpec, ModelParams, flatten, forward, init_params
 from hirnet.optim import adam_step, init_adam
 
 
@@ -227,8 +228,38 @@ def test_step_tape_length_does_not_grow_with_batch_size(loss_kind, monkeypatch):
         return set(seen)
 
     # 4 parameters, the network's body and head, log_softmax, cross-entropy,
-    # the penalty, its alpha scaling and the sum, however many runs share the tape.
-    assert tape_lengths(2, 1) == tape_lengths(10, 1) == tape_lengths(10, 3) == {11}
+    # the penalty and the combined node (cross-entropy plus alpha times the
+    # penalty), however many runs share the tape.
+    assert tape_lengths(2, 1) == tape_lengths(10, 1) == tape_lengths(10, 3) == {10}
+
+
+@pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
+def test_combined_node_gives_the_scale_and_add_bits(loss_kind, monkeypatch):
+    """The one combined node gives the loss and flat gradient of
+    ``classification + penalty * alpha`` recorded as a scale and an add."""
+    cfg = tiny_config(loss_kind=loss_kind, alpha=0.0 if loss_kind == "agg" else 0.3,
+                      paired=True, cross_domain_only=True)
+    plan = BatchPlan(cfg.suite.build().drop(1), cfg.per_class_per_domain, cfg.paired)
+    labels = BatchLabels(plan.labels, plan.domains)
+    x = np.stack([plan.draw([run, 0])[0][0] for run in range(3)])
+    stack = ModelParams.stack([init_params(MlpSpec((2, 8, 2), seed=run)) for run in range(3)])
+
+    def step():
+        graph = ad.Graph()
+        z, logits = forward(stack, x, graph)
+        loss = harness._batch_breakdown(cfg, z, ad.log_softmax(logits), labels).combined
+        grads = graph.backward(loss)
+        return loss.data, flatten([grads[i] for i in graph.param_ids])
+
+    def chain(classification, hir, alpha):
+        combined = classification if hir is None else classification + hir * alpha
+        return LossBreakdown(classification, hir, combined)
+
+    value, grad = step()
+    monkeypatch.setattr(LossBreakdown, "combine", staticmethod(chain))
+    chain_value, chain_grad = step()
+    assert value.tobytes() == chain_value.tobytes()
+    assert grad.tobytes() == chain_grad.tobytes()
 
 
 def op_chain_forward(params, x, graph=None):
@@ -779,7 +810,7 @@ class TestRunExperiment:
 
         cfg = tiny_config(held_out="all", seeds=(0, 1), epochs=2)
         sequential = strip_wall_clock(run_experiment(cfg).to_dict())
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setenv("HIRNET_WORKERS", "500")
         parallel = strip_wall_clock(run_experiment(cfg).to_dict())
         assert InlinePool.sizes == [6]

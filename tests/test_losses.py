@@ -615,8 +615,8 @@ class TestBatchLabels:
         labels = BatchLabels(y, d, ids)
         y[0] = d[0] = ids[0] = 7  # the caller's arrays were copied
         assert labels.labels[0] == 1 and labels.domains[0] == 0 and labels.pair_id[0] == 0
-        fields = [labels.onehot(3), *labels.class_groups, *labels.cell_groups,
-                  labels.mmd_weights, labels.upper]
+        fields = [labels.onehot(3), *labels.segments("labels"),
+                  *labels.segments("labels", "domains"), labels.mmd_weights, labels.upper]
         for arr in [labels.labels, labels.domains, labels.pair_id, *fields]:
             with pytest.raises(ValueError):
                 arr.flat[0] = arr.flat[0]
@@ -635,8 +635,13 @@ class TestBatchLabels:
                                                for a, b in pairs)) / len(pairs)
         for _ in range(2):  # the first call computes, the second reads the cache
             np.testing.assert_array_equal(labels.onehot(4), np.eye(4)[y])
-            assert [g.tolist() for g in labels.class_groups] == classes
-            assert [g.tolist() for g in labels.cell_groups] == cells
+            for keys, groups in ((["labels"], classes), (["labels", "domains"], cells)):
+                order, inverse, spans, n_later = labels.segments(*keys)
+                assert [order[s:e].tolist() for s, e in spans.tolist()] == groups
+                np.testing.assert_array_equal(order[inverse], np.arange(11))
+                later = {i: len(g) - 1 - g.index(i) for g in groups for i in g}
+                np.testing.assert_array_equal(n_later, [[later[i]] for i in range(11)])
+            assert len(labels.segments("domains").spans) == len(set(d))
             np.testing.assert_allclose(labels.mmd_weights, weights, rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(labels.upper, np.triu(np.ones((11, 11), bool), k=1))
         with pytest.raises(ContractError, match="out of range"):
@@ -650,3 +655,109 @@ def test_pairwise_kl_orders_pairs_by_class_then_i_then_j():
     assert list(zip(i_idx.tolist(), j_idx.tolist())) == [(1, 3), (0, 2), (0, 4), (2, 4)]
     lp_i, lp_j = lp[i_idx], lp[j_idx]
     assert kl.tobytes() == np.sum(np.exp(lp_i) * (lp_i - lp_j), axis=1).tobytes()
+
+
+def per_group_rows(*keys):
+    """Row indices, in batch order, of each distinct combination of the keys."""
+    rows = np.stack(keys, axis=1)
+    return [np.flatnonzero((rows == key).all(axis=1)) for key in np.unique(rows, axis=0)]
+
+
+def per_group_pair_sums(groups, p, lp):
+    """The pair sums of :func:`hir_kl` as one gather, cumsum and scatter per group."""
+    earlier, later = np.zeros_like(p), np.zeros_like(lp)
+    n_later = np.zeros((p.shape[-2], 1))
+    for idx in groups:
+        earlier[..., idx[1:], :] = np.cumsum(p[..., idx[:-1], :], axis=-2)
+        later[..., idx[:-1], :] = np.cumsum(lp[..., idx[:0:-1], :], axis=-2)[..., ::-1, :]
+        n_later[idx, 0] = np.arange(idx.size - 1, -1, -1)
+    return earlier, later, n_later
+
+
+def per_group_spread(groups, z):
+    """Group sizes and offsets from the group means, one gather and scatter per group."""
+    sizes, offsets = np.zeros((z.shape[-2], 1)), np.zeros_like(z)
+    for idx in groups:
+        cell = z[..., idx, :]
+        sizes[idx], offsets[..., idx, :] = idx.size, cell - cell.mean(axis=-2, keepdims=True)
+    return sizes, offsets
+
+
+def per_group_hir_kl(lp, y, d, cross_domain_only, normalize):
+    """Value and log-prob gradient of :func:`hir_kl` from the per-group pair sums."""
+    p = np.exp(lp)
+    earlier, later, n_later = per_group_pair_sums(per_group_rows(y), p, lp)
+    if cross_domain_only:
+        cell_p, cell_lp, cell_n = per_group_pair_sums(per_group_rows(y, d), p, lp)
+        earlier, later, n_later = earlier - cell_p, later - cell_lp, n_later - cell_n
+    pair_count = int(n_later.sum())
+    if pair_count == 0:
+        return np.zeros(lp.shape[:-2] + (1, 1)), None
+    scale = 1.0 / pair_count if normalize else 1.0
+    value = (p * (n_later * lp - later)).sum(axis=(-2, -1), keepdims=True) * scale
+    up = np.ones(value.shape)
+    return value, (up * scale) * (p * (n_later * lp - later + n_later) - earlier)
+
+
+def per_group_ccsa(z, y, d):
+    """Value and gradient of :func:`class_conditional_align` from the per-group spreads."""
+    class_n, class_dev = per_group_spread(per_group_rows(y), z)
+    cell_n, cell_dev = per_group_spread(per_group_rows(y, d), z)
+    pair_count = int((class_n - cell_n).sum()) // 2
+    if pair_count == 0:
+        return np.zeros(z.shape[:-2] + (1, 1)), None
+    total = ((class_n * class_dev * class_dev).sum(axis=(-2, -1), keepdims=True)
+             - (cell_n * cell_dev * cell_dev).sum(axis=(-2, -1), keepdims=True))
+    up = np.ones(total.shape)
+    return total / pair_count, (2.0 * up / pair_count) * (class_n * class_dev - cell_n * cell_dev)
+
+
+def value_and_gradient(loss_of, values):
+    """A loss's value and the gradient of a leaf holding ``values``, None if constant."""
+    g = ad.Graph()
+    leaf = g.param(values)
+    loss = loss_of(leaf)
+    return loss.data, (g.backward(loss)[leaf.node_id] if loss.graph is not None else None)
+
+
+def random_layout(rng):
+    """Labels and domains with unequal and singleton groups and an absent class."""
+    n, classes, domains = int(rng.integers(1, 25)), int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    present = rng.choice(classes, size=int(rng.integers(1, classes)), replace=False)
+    y = rng.choice(present, size=n, p=rng.dirichlet(np.ones(present.size)))
+    return y, rng.integers(0, domains, size=n), classes
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_segment_kernels_give_the_per_group_bits(seed):
+    """``hir_kl`` and ``class_conditional_align`` over the layout's cached
+    segments give the values and gradients of per-group gathers, bit for bit."""
+    rng = np.random.default_rng(seed)
+    y, d, classes = random_layout(rng)
+    labels = BatchLabels(y, d)
+    runs = int(rng.integers(1, 5))
+    shape = (y.size,) if runs == 1 and rng.random() < 0.5 else (runs, y.size)
+    lp = random_log_posteriors(rng, int(np.prod(shape)), classes).reshape(shape + (classes,))
+    for cross_domain_only in (False, True):
+        for normalize in (False, True):
+            got = value_and_gradient(lambda t: hir_kl(t, labels, cross_domain_only, normalize)[0], lp)
+            want = per_group_hir_kl(lp, y, d, cross_domain_only, normalize)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] is want[1] is None or got[1].tobytes() == want[1].tobytes()
+    # A 1-wide z is left out: a gathered stack of one column sums its rows in
+    # another order than one run's column does, so per-group gathers of a
+    # stack do not give each run its bits alone there.
+    z = rng.normal(size=shape + (int(rng.integers(2, 7)),))
+    got = value_and_gradient(lambda t: class_conditional_align(t, labels), z)
+    want = per_group_ccsa(z, y, d)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] is want[1] is None or got[1].tobytes() == want[1].tobytes()
+
+
+def test_one_wide_ccsa_of_a_stack_is_each_run_alone():
+    rng = np.random.default_rng(5)
+    labels = BatchLabels(rng.integers(0, 2, size=30), rng.integers(0, 3, size=30))
+    z = rng.normal(size=(3, 30, 1))
+    stacked = class_conditional_align(z, labels).data
+    assert stacked.tobytes() == np.stack([class_conditional_align(run, labels).data
+                                          for run in z]).tobytes()

@@ -13,7 +13,10 @@ of the runs, and times each call made inside ``harness.train_runs``:
 - ``draw``: ``BatchPlan.draw``, one epoch of batches for one run;
 - ``forward``: ``models.forward``, as ``harness`` calls it;
 - ``log_softmax``: ``autodiff.log_softmax``;
-- ``loss``: ``harness._batch_breakdown``, the loss functions of the step;
+- ``loss``: ``harness._batch_breakdown``, the loss functions of the step,
+  less the penalty;
+- ``penalty``: the alignment term inside it: ``losses.hir_kl``,
+  ``losses.domain_mmd_penalty`` or ``losses.class_conditional_align``;
 - ``backward``: from the loss's return to the call of ``adam_step``, which
   is ``Graph.backward``, ``flatten`` and the finite check;
 - ``adam``: ``optim.adam_step``, as ``harness`` calls it;
@@ -45,7 +48,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from workloads import DEFAULT_SEED, WORKLOADS, experiment_config  # noqa: E402
 
-PHASES = ("draw", "forward", "log_softmax", "loss", "backward", "adam", "attribution", "other")
+PHASES = ("draw", "forward", "log_softmax", "loss", "penalty", "backward", "adam", "attribution",
+          "other")
 
 
 class StepTimer:
@@ -89,19 +93,22 @@ class StepTimer:
     def per_step_us(self) -> dict[str, float]:
         """Each phase's microseconds per step, ``other`` and ``train_runs`` included."""
         totals = dict(self.totals)
+        totals["loss"] -= totals["penalty"]  # the penalty runs inside the loss
         totals["other"] = totals["train_runs"] - sum(totals[p] for p in PHASES if p != "other")
         return {name: 1e6 * total / max(self.steps, 1) for name, total in totals.items()}
 
 
 def profile(workload: str, seed: int) -> tuple[dict[str, float], int]:
     """One run of the workload's experiment: µs per step by phase, and the step count."""
-    from hirnet import autodiff, data, harness
+    from hirnet import autodiff, data, harness, losses
 
     timer = StepTimer()
     patches = [(harness, "train_runs", timer.training(harness.train_runs))]
     patches += [(owner, name, timer.timed(phase, getattr(owner, name))) for owner, name, phase in (
         (data.BatchPlan, "draw", "draw"), (harness, "forward", "forward"),
         (autodiff, "log_softmax", "log_softmax"), (harness, "_batch_breakdown", "loss"),
+        (losses, "hir_kl", "penalty"), (harness, "domain_mmd_penalty", "penalty"),
+        (harness, "class_conditional_align", "penalty"),
         (harness, "adam_step", "adam"), (harness, "_epoch_attributions", "attribution"))]
     originals = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
     for owner, name, wrapper in patches:
