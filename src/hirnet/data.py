@@ -10,6 +10,7 @@ paired batches and the paired-prediction diagnostics possible.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -225,7 +226,8 @@ class BatchPlan:
     ``labels`` and ``domains``; an epoch has ``n_batches``. A cell draws from
     a pool: its rows, or, if paired, its class's base_ids common to all
     domains. The gather map holds each cell's source row per pool position,
-    paired ids resolved here, once. Plans with equal ``layout_key`` draw
+    paired ids resolved here, once; consecutive pools of one size share one
+    grid of positions to shuffle. Plans with equal ``layout_key`` draw
     epochs that stack. Warns about each cell or class left out.
     """
 
@@ -259,7 +261,8 @@ class BatchPlan:
         self.labels.flags.writeable = self.domains.flags.writeable = False
         sizes = np.array([pool.size for pool in pools], dtype=np.intp)
         self.n_batches = int((-(-sizes // k)).max(initial=0))
-        self._sizes = sizes.tolist()
+        self._grids = [np.tile(np.arange(size), (len(list(run)), 1))
+                       for size, run in itertools.groupby(sizes.tolist())]
         cell_pool = np.array([p for _, _, p in cells], dtype=np.intp)
         cell_sizes, slot_pool = sizes[cell_pool], np.repeat(cell_pool, k)
         # Slot s of batch b takes entry (b k + s mod k) mod size of its pool's
@@ -280,11 +283,13 @@ class BatchPlan:
 
     def draw(self, seed) -> tuple[np.ndarray, np.ndarray | None]:
         """One epoch: its ``(n_batches, n, d)`` rows and, when paired, its
-        ``(n_batches, n)`` pair ids. The draws are ``default_rng(seed)``'s
-        permutations of each pool in turn; the rows are one gather."""
+        ``(n_batches, n)`` pair ids. The draws are ``default_rng(seed)``'s permutations of
+        each pool in turn: one ``permuted`` call per grid shuffles its rows in order, each
+        with the draws of one ``permutation``. The rows are one ``take``."""
         rng = np.random.default_rng(seed)
-        index = self._cell_start + _join(rng.permutation(size) for size in self._sizes)[self._take]
-        return self._x[index], None if self._ids is None else self._ids[index]
+        shuffled = _join(rng.permuted(grid, axis=1).ravel() for grid in self._grids)
+        index = self._cell_start + shuffled[self._take]
+        return self._x.take(index, axis=0), None if self._ids is None else self._ids.take(index)
 
 
 def stratified_batches(suite: DomainSuite, per_class_per_domain: int,

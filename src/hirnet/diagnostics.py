@@ -51,7 +51,8 @@ def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
     to its mean k_ab: MMD^2_ab = k_aa + k_bb - 2 k_ab, and no pooled (N, N)
     kernel is ever built. The default bandwidth is the median distance of
     the pooled rows' i < j pairs, which the domain blocks write into one
-    buffer. With ``per_class`` a group is a (class, domain) cell and only
+    buffer, a diagonal block its upper triangle by one flat index per block
+    size. With ``per_class`` a group is a (class, domain) cell and only
     same-class blocks are built, giving a (classes, |D|, |D|) stack, NaN
     where a domain is missing the class."""
     n, classes = len(suite), suite.class_count if per_class else 1
@@ -59,10 +60,15 @@ def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
     domains = np.split(z.data, np.cumsum([ds.y.size for ds in suite.domains])[:-1])
     if bandwidth is None:
         pairs, at = np.empty(len(z.data) * (len(z.data) - 1) // 2), 0
+        upper = {m: np.flatnonzero(np.triu(np.ones((m, m), bool), 1))
+                 for m in set(map(len, domains))}
         for a, b in zip(*np.triu_indices(n)):
-            block = _sq_dists(domains[a], domains[b])
-            block = block[np.triu_indices(len(block), k=1)] if a == b else block.ravel()
-            pairs[at:at + block.size] = block
+            z_a, z_b = domains[a], domains[b]
+            block = pairs[at:at + (upper[len(z_a)].size if a == b else len(z_a) * len(z_b))]
+            if a == b:  # its i < j entries; the index is in range, and "raise" buffers out
+                np.take(_sq_dists(z_a, z_b), upper[len(z_a)], out=block, mode="clip")
+            else:
+                _sq_dists(z_a, z_b, out=block.reshape(len(z_a), len(z_b)))
             at += block.size
         bandwidth = median_distance(pairs)
     gamma, kernel_means = rbf_gamma(bandwidth, 2), np.full((classes, n, n), np.nan)

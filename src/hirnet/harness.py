@@ -433,6 +433,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     start = time.perf_counter()
     workers = _worker_count()
     suite = config.suite.build()
+    if len(suite) < 2:
+        raise ConfigError("training suite is empty: holding out the only domain leaves none")
     rows = [(ho, seed) for ho in config.held_out_indices() for seed in config.seeds]
     groups: dict[tuple, list[int]] = {}  # layout key: indices into rows
     n_seeds = len(config.seeds)

@@ -273,12 +273,13 @@ def combined_loss(log_probs, labels, alpha: float, cross_domain_only: bool = Fal
     return LossBreakdown.combine(classification, hir, alpha)
 
 
-def _sq_dists(z: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+def _sq_dists(z: np.ndarray, w: np.ndarray | None = None, out=None) -> np.ndarray:
     """Squared Euclidean distances from every row of z to every row of w
-    (default: z itself), clipped at 0."""
+    (default: z itself), clipped at 0; written into ``out`` if given."""
     w = z if w is None else w
     norms = np.sum(z * z, axis=-1)
-    dists = norms[..., :, None] + (norms if w is z else np.sum(w * w, axis=-1))[..., None, :]
+    w_norms = norms if w is z else np.sum(w * w, axis=-1)
+    dists = np.add(norms[..., :, None], w_norms[..., None, :], out=out)
     gram = z @ w.swapaxes(-1, -2)
     gram *= 2.0
     dists -= gram
@@ -287,14 +288,14 @@ def _sq_dists(z: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 
 def rbf_gamma(bandwidth, ndim: int) -> np.ndarray:
     """gamma = -1 / (2 bandwidth^2), shaped to scale ``ndim``-dimensional distances: one value,
-    or one per run of a stack. Raises ConfigError unless each is positive with a finite gamma."""
-    spread = np.asarray(bandwidth, dtype=np.float64).reshape((-1,) + (1,) * (ndim - 1))
-    with np.errstate(divide="ignore", over="ignore"):
-        gamma = -1.0 / (2.0 * spread * spread)
-    if not np.all((spread > 0) & np.isfinite(gamma)):
+    or one per run of a stack, each computed as a Python float in numpy's order of operations.
+    Raises ConfigError unless each is positive with a finite gamma."""
+    spreads = np.asarray(bandwidth, dtype=np.float64).reshape(-1).tolist()
+    gammas = [-1.0 / (2.0 * s * s) if s > 0 and 2.0 * s * s > 0 else math.nan for s in spreads]
+    if not all(map(math.isfinite, gammas)):
         raise ConfigError(f"bandwidth must be positive with a finite 1 / (2 bandwidth^2), "
-                          f"got {spread.reshape(-1).tolist()}")
-    return gamma
+                          f"got {spreads}")
+    return np.array(gammas).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def rbf_kernel(z: np.ndarray, labels: BatchLabels, bandwidth=None):

@@ -143,7 +143,8 @@ def network(x: np.ndarray, leaves: list[ad.Tensor]) -> tuple[ad.Tensor, ad.Tenso
     The body takes every hidden layer, h = relu(h W + b), from x to z; the
     head takes z to the logits. Both backwards apply the chain rule of
     matmul, bias add and relu in the order the op-by-op tape would, so the
-    gradients carry its bits. With no hidden layer, z is x, a constant.
+    gradients carry its bits; the bias gradients add their rows first to last
+    (:func:`_bias_grad`). With no hidden layer, z is x, a constant.
     """
     *hidden, w_out, b_out = leaves
     acts = [x]  # each hidden layer's input, then z
@@ -156,7 +157,7 @@ def network(x: np.ndarray, leaves: list[ad.Tensor]) -> tuple[ad.Tensor, ad.Tenso
         grads = []
         for layer in range(len(acts) - 1, 0, -1):
             up = up * (acts[layer] > 0)
-            grads += [up.sum(axis=-2, keepdims=True), acts[layer - 1].swapaxes(-1, -2) @ up]
+            grads += [_bias_grad(up), acts[layer - 1].swapaxes(-1, -2) @ up]
             if layer > 1:
                 up = up @ hidden[2 * layer - 2].data.swapaxes(-1, -2)
         return tuple(g for t, g in zip(hidden, reversed(grads)) if t.graph is not None)
@@ -167,10 +168,18 @@ def network(x: np.ndarray, leaves: list[ad.Tensor]) -> tuple[ad.Tensor, ad.Tenso
 
     def head_back(up):
         grads = (up @ w_out.data.swapaxes(-1, -2) if z.graph is not None else None,
-                 z.data.swapaxes(-1, -2) @ up, up.sum(axis=-2, keepdims=True))
+                 z.data.swapaxes(-1, -2) @ up, _bias_grad(up))
         return tuple(g for t, g in zip((z, w_out, b_out), grads) if t.graph is not None)
 
     return z, ad.emit("mlp_head", (z, w_out, b_out), logits, head_back)
+
+
+def _bias_grad(up: np.ndarray) -> np.ndarray:
+    """``up.sum(axis=-2, keepdims=True)``, bitwise: einsum adds the rows in order as the sum
+    does, but in one loop, not one per row. At width 1 einsum unrolls, so the sum stays."""
+    if up.shape[-1] == 1:
+        return up.sum(axis=-2, keepdims=True)
+    return np.einsum("...nk->...k", up)[..., None, :]
 
 
 def predict(params: ModelParams, x) -> np.ndarray:

@@ -69,6 +69,15 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--alpha", "0.1"]])
+    def test_one_domain_suite_exits_2(self, tmp_path, capsys, command):
+        # Holding out the only domain leaves nothing to train on.
+        raw = {"suite": {"angles": [0]}, "epochs": 1}
+        out = tmp_path / "out"
+        assert main([*command, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides", [
         {"epochs": 2.5},
         {"alpha": "x"},

@@ -277,7 +277,7 @@ def op_chain_forward(params, x, graph=None):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("hidden", [(), (8,), (6, 4)])
+@pytest.mark.parametrize("hidden", [(), (8,), (6, 4), (1,), (3, 1)])
 @pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
 def test_two_node_network_trains_as_the_op_chain(loss_kind, hidden, monkeypatch):
     """A stack of 3 trained on the two-node network gets the bits it gets

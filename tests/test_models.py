@@ -9,6 +9,7 @@ from hirnet.losses import combined_loss, domain_mmd_penalty
 from hirnet.models import (
     MlpSpec,
     ModelParams,
+    _bias_grad,
     flatten,
     forward,
     init_params,
@@ -209,6 +210,21 @@ class TestStack:
         assert outs[0][1].data.tobytes() == outs[1][1].data.tobytes()
         for a, b in zip(graphs[0].param_ids, graphs[1].param_ids):
             assert grads[0][a].tobytes() == grads[1][b].tobytes()
+
+
+def test_bias_grad_is_numpy_row_sum_bitwise():
+    """Widths 1-64, each at the extremes and at random counts of 1-30 runs
+    and 1-150 rows, stacked and 2-D: the bias gradient has the bits of
+    ``sum(axis=-2, keepdims=True)``."""
+    rng = np.random.default_rng(41)
+    for width in range(1, 65):
+        shapes = [(1, 1, width), (30, 150, width), (rng.integers(1, 151), width)]
+        shapes += [(rng.integers(1, 31), rng.integers(1, 151), width) for _ in range(3)]
+        for shape in shapes:
+            up = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+            expected = up.sum(axis=-2, keepdims=True)
+            got = _bias_grad(up)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), shape
 
 
 class TestCheckpoint:
