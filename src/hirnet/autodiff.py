@@ -13,9 +13,12 @@ it with finite differences. Training records larger ops through
 (``models.network``), each loss and their weighted sum as one; the small
 ops serve the acceptance gradient check and the tests.
 
-A ``Graph`` is a tape rebuilt for every forward pass. Tensors created
+A ``Graph`` is a tape rebuilt for every forward pass: two lists, each
+node's attached parents and its backward function. Tensors created
 through :meth:`Graph.param` are differentiable leaves; plain ``Tensor``
-values act as constants. A loss holds one scalar per run, shape ``(1, 1)``
+values act as constants. An op settles when it is recorded which of its
+inputs are attached (:func:`attached`), so its backward returns just their
+gradients, with no test per call. A loss holds one scalar per run, shape ``(1, 1)``
 or ``(runs, 1, 1)``; :meth:`Graph.backward` seeds each with one, so every run
 gets the gradient of its own loss. It may run once per tape; a second
 call is a :class:`ContractError` so silent gradient accumulation cannot
@@ -45,6 +48,7 @@ __all__ = [
     "fold_last",
     "sum_all",
     "emit",
+    "attached",
     "grad_check",
 ]
 
@@ -110,26 +114,19 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else tensor(value)
 
 
-class _Node:
-    __slots__ = ("kind", "parents", "backward_fn")
-
-    def __init__(self, kind: str, parents: tuple[int, ...], backward_fn):
-        self.kind = kind
-        self.parents = parents
-        self.backward_fn = backward_fn
-
-
 class Graph:
-    """Append-only tape of operations; parents always precede children."""
+    """Append-only tape of operations; parents always precede children.
+    Node i's attached parents are ``_parents[i]``, its backward ``_backs[i]``."""
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._parents: list[list[int]] = []
+        self._backs: list[Callable | None] = []
         self._param_ids: list[int] = []
-        self._param_shapes: dict[int, tuple[int, ...]] = {}
+        self._param_shapes: list[tuple[int, ...]] = []
         self._consumed = False
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._parents)
 
     @property
     def param_ids(self) -> list[int]:
@@ -137,16 +134,16 @@ class Graph:
         return list(self._param_ids)
 
     def param(self, values) -> Tensor:
-        """Register a differentiable leaf holding ``values``."""
-        node_id = self._record("param", (), None)
-        self._param_ids.append(node_id)
-        t = Tensor(_as_array(values), self, node_id)
-        self._param_shapes[node_id] = t.data.shape
-        return t
-
-    def _record(self, kind: str, parents: tuple[int, ...], backward_fn) -> int:
-        self._nodes.append(_Node(kind, parents, backward_fn))
-        return len(self._nodes) - 1
+        """Register a differentiable leaf holding ``values``, as it is if it
+        is already a float64 matrix or stack."""
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                and 2 <= values.ndim <= 3):
+            values = _as_array(values)
+        self._param_ids.append(len(self._parents))
+        self._param_shapes.append(values.shape)
+        self._parents.append([])
+        self._backs.append(None)
+        return Tensor(values, self, self._param_ids[-1])
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
         """Propagate d(loss)/d(node) through the tape, reverse order.
@@ -164,98 +161,83 @@ class Graph:
         if self._consumed:
             raise ContractError("backward already ran on this graph; rebuild the graph")
         self._consumed = True
+        # Closures hold tensors, which hold this graph: the tape lets go of
+        # them here, so the step's tape need not wait for the cyclic collector.
+        parents, backs, self._backs = self._parents, self._backs, []
 
-        grads: list[np.ndarray | None] = [None] * len(self._nodes)
+        grads: list[np.ndarray | None] = [None] * len(parents)
         grads[loss.node_id] = np.ones(loss.data.shape)
         for node_id in range(loss.node_id, -1, -1):
-            upstream = grads[node_id]
-            node = self._nodes[node_id]
-            if upstream is None or node.backward_fn is None:
+            upstream, back = grads[node_id], backs[node_id]
+            if upstream is None or back is None:
                 continue
-            for parent_id, contribution in zip(node.parents, node.backward_fn(upstream)):
-                if contribution is not None:
-                    prior = grads[parent_id]
-                    grads[parent_id] = contribution if prior is None else prior + contribution
-        # Closures hold tensors, which hold this graph: without this, every
-        # step's tape would wait for the cyclic garbage collector.
-        for node in self._nodes:
-            node.backward_fn = None
+            for parent_id, contribution in zip(parents[node_id], back(upstream)):
+                prior = grads[parent_id]
+                grads[parent_id] = contribution if prior is None else prior + contribution
         out = {i: g for i, g in enumerate(grads) if g is not None}
-        for pid in self._param_ids:
-            out.setdefault(pid, np.zeros(self._param_shapes[pid]))
+        for pid, shape in zip(self._param_ids, self._param_shapes):
+            if pid not in out:
+                out[pid] = np.zeros(shape)
         return out
-
-
-def _graph_of(*tensors: Tensor) -> Graph | None:
-    graph = None
-    for t in tensors:
-        if t.graph is None:
-            continue
-        if graph is None:
-            graph = t.graph
-        elif graph is not t.graph:
-            raise ContractError("operands belong to different graphs")
-    return graph
 
 
 def emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray,
          backward_fn: Callable | None) -> Tensor:
-    """Record one op: its ``value`` and ``backward_fn(upstream)``, which
-    returns one gradient per graph-attached input, in input order and of
-    that input's shape, and never writes ``upstream``. With no attached
+    """Record one op named ``kind``: its ``value`` and ``backward_fn(upstream)``,
+    which returns one gradient per graph-attached input, in input order and
+    of that input's shape, and never writes ``upstream``. With no attached
     input the result is a constant and ``backward_fn`` never runs.
     """
-    graph = _graph_of(*inputs)
+    graph, parents = None, []
+    for t in inputs:
+        if t.graph is not None:
+            if graph is None:
+                graph = t.graph
+            elif t.graph is not graph:
+                raise ContractError("operands belong to different graphs")
+            parents.append(t.node_id)
     if graph is None:
         return Tensor(value)
-    parents = tuple(t.node_id for t in inputs if t.graph is graph)
-    node_id = graph._record(kind, parents, backward_fn)
-    return Tensor(value, graph, node_id)
+    graph._parents.append(parents)
+    graph._backs.append(backward_fn)
+    return Tensor(value, graph, len(graph._parents) - 1)
+
+
+def attached(inputs: Sequence[Tensor]) -> Callable[[Sequence], Sequence]:
+    """At record time, for a backward that computes one gradient per input:
+    the map from those to the gradients of the graph-attached inputs, which
+    :func:`emit` wants. It passes them through when every input is attached."""
+    keep = [i for i, t in enumerate(inputs) if t.graph is not None]
+    return _every if len(keep) == len(inputs) else lambda grads: [grads[i] for i in keep]
+
+
+def _every(grads: Sequence) -> Sequence:
+    return grads
 
 
 def _add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape == b.shape:
-        value = a.data + b.data
-
-        def back(up):
-            return tuple(up for t in (a, b) if t.graph is not None)
-
-    elif b.shape == a.shape[:-2] + (1, a.shape[-1]):
-        value = a.data + b.data  # row-broadcast bias
-
-        def back(up):
-            parts = []
-            if a.graph is not None:
-                parts.append(up)
-            if b.graph is not None:
-                parts.append(up.sum(axis=-2, keepdims=True))
-            return tuple(parts)
-
-    elif a.shape == b.shape[:-2] + (1, b.shape[-1]):
+    if a.shape != b.shape and a.shape == b.shape[:-2] + (1, b.shape[-1]):
         return _add(b, a)
-    else:
+    bias = a.shape != b.shape  # a row-broadcast bias
+    if bias and b.shape != a.shape[:-2] + (1, a.shape[-1]):
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
-    return emit("add", (a, b), value, back)
+    route = attached((a, b))
+    return emit("add", (a, b), a.data + b.data,
+                lambda up: route((up, up.sum(axis=-2, keepdims=True) if bias else up)))
 
 
 def _sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"cannot subtract shapes {a.shape} and {b.shape}")
-
-    def back(up):
-        return tuple(g for t, g in ((a, up), (b, -up)) if t.graph is not None)
-
-    return emit("sub", (a, b), a.data - b.data, back)
+    route = attached((a, b))
+    return emit("sub", (a, b), a.data - b.data, lambda up: route((up, -up)))
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-
-    def back(up):
-        return tuple(up * other.data for t, other in ((a, b), (b, a)) if t.graph is not None)
-
-    return emit("mul", (a, b), a.data * b.data, back)
+    route = attached((a, b))
+    return emit("mul", (a, b), a.data * b.data, lambda up: route((up * b.data, up * a.data)))
 
 
 def _scale(a: Tensor, c: float) -> Tensor:
@@ -268,15 +250,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes do not match: {a.shape} x {b.shape}")
-    a_data, b_data = a.data, b.data
+    a_data, b_data, route = a.data, b.data, attached((a, b))
 
     def back(up):
-        parts = []
-        if a.graph is not None:
-            parts.append(up @ b_data.swapaxes(-1, -2))
-        if b.graph is not None:
-            parts.append(a_data.swapaxes(-1, -2) @ up)
-        return tuple(parts)
+        return route((up @ b_data.swapaxes(-1, -2), a_data.swapaxes(-1, -2) @ up))
 
     return emit("matmul", (a, b), a_data @ b_data, back)
 

@@ -27,6 +27,17 @@ from .errors import ConfigError, ContractError, check_int, check_real
 from .models import load_checkpoint
 
 
+def _check_out(path: str) -> None:
+    """Raise ConfigError, before any training or probing, unless ``path`` is a directory or
+    can be made one (its nearest existing ancestor is a writable directory); it is made only
+    to write to."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {path} cannot be a directory: {probe} is not a writable one")
+
+
 def _write_run_outputs(report: harness.RunReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     harness.write_report_json(report, os.path.join(out_dir, "report.json"))
@@ -40,6 +51,7 @@ def _write_run_outputs(report: harness.RunReport, out_dir: str) -> None:
 
 def _cmd_run(args) -> int:
     config = harness.ExperimentConfig.read(args.config)
+    _check_out(args.out)
     report = harness.run_experiment(config)
     _write_run_outputs(report, args.out)
     print(f"wrote {args.out}/report.json ({len(report.runs)} runs, "
@@ -53,6 +65,7 @@ def _cmd_sweep(args) -> int:
         alphas = [float(tok) for tok in args.alpha.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"bad --alpha list: {args.alpha!r}") from exc
+    _check_out(args.out)
     reports = harness.sweep_alpha(config, alphas)
     os.makedirs(args.out, exist_ok=True)
     for alpha, report in reports.items():
@@ -78,6 +91,7 @@ def _cmd_diag(args) -> int:
     if (suite.feature_dim, suite.class_count) != expected:
         raise ConfigError(f"checkpoint expects (input dim, classes) {expected}, "
                           f"suite provides {(suite.feature_dim, suite.class_count)}")
+    _check_out(args.out)
     # Finite weights can still overflow on the suite; no output is then written.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):

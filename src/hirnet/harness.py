@@ -224,7 +224,9 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
     after checking once that every plan has the first's layout. Each epoch,
     run r's plan draws from ``[batch_seeds[r], epoch]``. Every run gets the
     same bits as it would alone.
-    A run whose loss or gradient turns non-finite leaves the stack with the
+    Each step tests the whole loss and gradient buffers for finiteness once;
+    only when that fails does it look for the runs at fault. A run whose
+    loss or gradient turns non-finite leaves the stack with the
     :class:`TrainingDiverged` it would raise alone, its parameters at their
     last finite values; the others go on. Returns each run's traces, or its
     failure.
@@ -270,9 +272,11 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
                 epoch_lp.append(log_probs.data)
                 grads = graph.backward(breakdown.combined)
                 grad = flatten([grads[i] for i in graph.param_ids])
-                loss_ok = np.isfinite(breakdown.combined.data.reshape(-1))
-                ok = loss_ok & np.isfinite(grad).all(axis=(-2, -1))
-                if not ok.all():  # fail each bad run as alone and take it off the stack
+                loss = breakdown.combined.data
+                if not (np.isfinite(loss).all() and np.isfinite(grad).all()):
+                    # Fail each bad run as alone and take it off the stack.
+                    loss_ok = np.isfinite(loss.reshape(-1))
+                    ok = loss_ok & np.isfinite(grad).all(axis=(-2, -1))
                     for row in np.flatnonzero(~ok):
                         results[alive[row]] = TrainingDiverged(
                             f"non-finite loss at epoch {epoch}" if not loss_ok[row] else

@@ -145,10 +145,10 @@ class LossBreakdown:
         """classification + alpha * hir as one node, or ``classification`` with no ``hir``."""
         if hir is None:
             return cls(classification, None, classification)
+        route = ad.attached((classification, hir))
         return cls(classification, hir, ad.emit(
             "combined", (classification, hir), classification.data + hir.data * alpha,
-            lambda up: tuple(g for t, g in ((classification, up), (hir, up * alpha))
-                             if t.graph is not None)))
+            lambda up: route((up, up * alpha))))
 
 
 def _as_labels(labels, domains=None) -> BatchLabels:
@@ -189,12 +189,18 @@ def cross_entropy(log_probs, labels) -> Tensor:
 
 def _pair_sums(segments: Segments, p: np.ndarray, lp: np.ndarray) -> np.ndarray:
     """Per row, stacked: the sum of p over the earlier rows of its group and of
-    lp over the later ones, as running sums over its span of ``segments.order``."""
+    lp over the later ones, as running sums over its span of ``segments.order``.
+    Groups of one width are one (groups, width) grid: one sum per direction."""
     ordered, sums = np.take(np.stack((p, lp)), segments.order, axis=-2), np.zeros((2,) + p.shape)
-    for start, end in segments.spans.tolist():
-        np.cumsum(ordered[0, ..., start:end - 1, :], axis=-2, out=sums[0, ..., start + 1:end, :])
-        np.cumsum(ordered[1, ..., end - 1:start:-1, :], axis=-2,
-                  out=sums[1, ..., start:end - 1, :][..., ::-1, :])
+    rows, out, spans = ordered, sums, segments.spans.tolist()
+    widths = {end - start for start, end in spans}
+    if len(widths) == 1:  # views of ordered and sums, so the sums land in sums
+        grid = ordered.shape[:-2] + (-1, *widths, p.shape[-1])
+        rows, out, spans = ordered.reshape(grid), sums.reshape(grid), [(0, *widths)]
+    for start, end in spans:
+        np.cumsum(rows[0, ..., start:end - 1, :], axis=-2, out=out[0, ..., start + 1:end, :])
+        np.cumsum(rows[1, ..., end - 1:start:-1, :], axis=-2,
+                  out=out[1, ..., start:end - 1, :][..., ::-1, :])
     return np.take(sums, segments.inverse, axis=-2)
 
 
@@ -322,12 +328,12 @@ def _mmd_sum(parts: tuple[Tensor, ...], labels: BatchLabels, bandwidth=None) -> 
     z = parts[0].data if len(parts) == 1 else np.concatenate([t.data for t in parts], axis=-2)
     wk, gamma, _ = rbf_kernel(z, labels, bandwidth)
     wk *= labels.mmd_weights
+    route = ad.attached(parts)
 
     def back(up):
         grad = (4.0 * gamma * up) * (wk.sum(axis=-1, keepdims=True) * z - wk @ z)
-        rows = [grad] if len(parts) == 1 else np.split(
-            grad, np.cumsum([t.shape[-2] for t in parts[:-1]]), axis=-2)
-        return tuple(g for t, g in zip(parts, rows) if t.graph is not None)
+        return route([grad] if len(parts) == 1 else np.split(
+            grad, np.cumsum([t.shape[-2] for t in parts[:-1]]), axis=-2))
 
     return ad.emit("mmd", parts, _per_run(wk), back)
 

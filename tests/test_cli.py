@@ -39,7 +39,38 @@ def write_config(tmp_path, raw):
     return str(path)
 
 
+def unusable_out(tmp_path, under_file: bool) -> str:
+    """An --out that cannot be a directory: an existing file, or a path under one."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    return str(blocker / "out" if under_file else blocker)
+
+
+def refuse(what: str):
+    def refused(*args, **kwargs):
+        raise AssertionError(what)
+    return refused
+
+
 class TestRunCommand:
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                  under_file):
+        monkeypatch.setattr(harness, "run_experiment", refuse("trained"))
+        out = unusable_out(tmp_path, under_file)
+        assert main(["run", "--config", write_config(tmp_path, small_config()),
+                     "--out", out]) == 2
+        assert f"config error: --out {out} cannot be a directory" in capsys.readouterr().err
+
+    def test_out_under_an_unwritable_directory_exits_2_before_training(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        cfg_path = write_config(tmp_path, small_config())
+        monkeypatch.setattr(harness, "run_experiment", refuse("trained"))
+        monkeypatch.setattr(os, "access", lambda path, mode: path != str(tmp_path))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert f"{tmp_path} is not a writable one" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_writes_report_and_csvs(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, small_config())
         out = tmp_path / "out"
@@ -183,6 +214,12 @@ class TestSweepCommand:
         cfg_path = write_config(tmp_path, small_config())
         assert main(["sweep", "--config", cfg_path, "--alpha", "abc"]) == 2
 
+    def test_out_under_a_file_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "run_experiment", refuse("trained"))
+        assert main(["sweep", "--config", write_config(tmp_path, small_config()),
+                     "--alpha", "1e-3", "--out", unusable_out(tmp_path, True)]) == 2
+        assert "config error: --out" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alphas", ["0.1,0.1", "0.001,0.0010000001", "0.1,-1", "0.1,nan"])
     def test_colliding_or_bad_alpha_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
                                                            alphas):
@@ -280,6 +317,17 @@ class TestDiagCommand:
                      "--out", str(tmp_path / "diag")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_exits_2_before_probing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(diagnostics, "collect_bundle", refuse("probed"))
+        ckpt, manifest = tmp_path / "model.ckpt", tmp_path / "suite.json"
+        save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
+        SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
+        out = unusable_out(tmp_path, False)
+        assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
+                     "--out", out]) == 2
+        assert "config error: --out" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == "a file\n"
 
     def test_checkpoint_that_overflows_on_the_suite_exits_2(self, tmp_path, capsys):
         params = init_params(MlpSpec((2, 6, 2), seed=4))

@@ -9,6 +9,8 @@ from hirnet import autodiff as ad
 from hirnet.errors import ConfigError, ContractError
 from hirnet.losses import (
     BatchLabels,
+    LossBreakdown,
+    _pair_sums,
     _sq_dists,
     class_conditional_align,
     combined_loss,
@@ -281,6 +283,73 @@ class TestCombinedLoss:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigError):
             combined_loss(np.log([[0.5, 0.5]]), [0], -0.1)
+
+
+class TestCombineRouting:
+    """``combine`` settles which terms are attached when it records them."""
+
+    def terms(self, attach):
+        rng = np.random.default_rng(12)
+        g = ad.Graph()
+        values = [rng.normal(size=(3, 1, 1)) for _ in range(2)]
+        leaves = [g.param(v) if on else ad.tensor(v) for v, on in zip(values, attach)]
+        return g, leaves, LossBreakdown.combine(*[leaf * 1.0 for leaf in leaves], 0.3)
+
+    @pytest.mark.parametrize("attach", [(True, False), (False, True)])
+    def test_constant_term_gets_no_gradient(self, attach):
+        g_all, all_leaves, both = self.terms((True, True))
+        expected = g_all.backward(both.combined)
+        g, leaves, breakdown = self.terms(attach)
+        assert breakdown.combined.data.tobytes() == both.combined.data.tobytes()
+        grads = g.backward(breakdown.combined)
+        for leaf, leaf_all, on in zip(leaves, all_leaves, attach):
+            assert (leaf.node_id in grads) == on
+            if on:
+                assert grads[leaf.node_id].tobytes() == expected[leaf_all.node_id].tobytes()
+
+
+def loop_pair_sums(segments, p, lp):
+    """Reference: each segment's running sums on their own, one segment at a time."""
+    ordered = np.take(np.stack((p, lp)), segments.order, axis=-2)
+    sums = np.zeros((2,) + p.shape)
+    for start, end in segments.spans.tolist():
+        for k in range(start + 1, end):
+            sums[0, ..., k, :] = sums[0, ..., k - 1, :] + ordered[0, ..., k - 1, :]
+        for k in range(end - 2, start - 1, -1):
+            sums[1, ..., k, :] = sums[1, ..., k + 1, :] + ordered[1, ..., k + 1, :]
+    return np.take(sums, segments.inverse, axis=-2)
+
+
+def shuffled_layout(rng, counts):
+    """Labels and domains with ``counts[c][d]`` rows of class c in domain d, in random order."""
+    cells = [(c, d) for c, row in enumerate(counts) for d, n in enumerate(row) for _ in range(n)]
+    y, dom = np.array(cells).T[:, rng.permutation(len(cells))]
+    return BatchLabels(y, dom)
+
+
+PRIOR_SHIFT_COUNTS = [[3, 1], [2, 3], [0, 4]]
+
+
+@pytest.mark.parametrize("runs", [None, 3], ids=["2d", "stacked"])
+@pytest.mark.parametrize("counts", [[[1], [1], [1]], [[2], [2]], [[1, 1], [1, 1], [1, 1]],
+                                    [[2, 2, 2], [2, 2, 2]], [[5] * 4] * 2, PRIOR_SHIFT_COUNTS],
+                         ids=["spans-1", "spans-2", "cells-1", "cells-2", "grid", "prior-shift"])
+def test_pair_sums_give_the_per_segment_loops_bytes(counts, runs):
+    """Segments of one width take one cumsum per direction over a grid; the
+    class segments and (class, domain) cells get the per-segment loop's bytes.
+    The prior-shift layout's segments differ in width and take the loop."""
+    rng = np.random.default_rng(len(str(counts)))
+    labels = shuffled_layout(rng, counts)
+    n, m = len(labels), 3
+    shape = (n, m) if runs is None else (runs, n, m)
+    lp = random_log_posteriors(rng, int(np.prod(shape[:-1])), m).reshape(shape)
+    lp = lp * 10.0 ** rng.uniform(-3, 3, size=shape)
+    for segments in (labels.segments("labels"), labels.segments("labels", "domains")):
+        widths = set(np.diff(segments.spans, axis=1).ravel().tolist())
+        assert (len(widths) > 1) == (counts is PRIOR_SHIFT_COUNTS)
+        expected = loop_pair_sums(segments, np.exp(lp), lp)
+        got = _pair_sums(segments, np.exp(lp), lp)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestMmd:

@@ -212,6 +212,28 @@ class TestStack:
             assert grads[0][a].tobytes() == grads[1][b].tobytes()
 
 
+@pytest.mark.parametrize("attach", [(False, False, True, True), (True, False, True, False),
+                                    (False, True, False, True), (True, True, False, False)],
+                         ids=["head-only", "weights-only", "biases-only", "body-only"])
+def test_network_routes_gradients_to_attached_leaves_only(attach):
+    """Leaves bound as constants get no gradient; the attached ones get the
+    bits they get when every leaf is attached."""
+    params = init_params(MlpSpec((2, 4, 3), seed=6))
+    x = np.random.default_rng(8).normal(size=(5, 2))
+    graph_all = ad.Graph()
+    every = [graph_all.param(a) for a in params.arrays()]
+    expected = graph_all.backward(ad.sum_all(network(x, every)[1]))
+    graph = ad.Graph()
+    leaves = [graph.param(a) if on else ad.tensor(a) for a, on in zip(params.arrays(), attach)]
+    z, logits = network(x, leaves)
+    assert (z.graph is None) == (not any(attach[:2]))
+    grads = graph.backward(ad.sum_all(logits))
+    for leaf, leaf_all, on in zip(leaves, every, attach):
+        assert (leaf.node_id in grads) == on
+        if on:
+            assert grads[leaf.node_id].tobytes() == expected[leaf_all.node_id].tobytes()
+
+
 def test_bias_grad_is_numpy_row_sum_bitwise():
     """Widths 1-64, each at the extremes and at random counts of 1-30 runs
     and 1-150 rows, stacked and 2-D: the bias gradient has the bits of

@@ -120,3 +120,21 @@ def test_stacked_step_equals_each_run_alone():
 def test_default_hyperparameters():
     state = AdamState()
     assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+
+
+def test_stacked_step_has_the_textbook_bits():
+    """Five steps on a (runs, 1, P) buffer give, byte for byte, the
+    parameters and moments of the update written out as one expression."""
+    rng = np.random.default_rng(17)
+    lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+    flat = rng.normal(size=(4, 1, 61))
+    state = init_adam([flat], lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    p, m, v = flat.copy(), np.zeros_like(flat), np.zeros_like(flat)
+    for t in range(1, 6):
+        g = rng.normal(size=flat.shape) * 10.0 ** rng.uniform(-6, 3, size=flat.shape)
+        adam_step(state, [flat], [g])
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        p = p - lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+        assert flat.tobytes() == p.tobytes(), t
+        assert state.m[0].tobytes() == m.tobytes() and state.v[0].tobytes() == v.tobytes(), t
