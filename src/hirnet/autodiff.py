@@ -14,11 +14,11 @@ it with finite differences. Training records larger ops through
 ops serve the acceptance gradient check and the tests.
 
 A ``Graph`` is a tape rebuilt for every forward pass: two lists, each
-node's attached parents and its backward function. Tensors created
-through :meth:`Graph.param` are differentiable leaves; plain ``Tensor``
-values act as constants. An op settles when it is recorded which of its
-inputs are attached (:func:`attached`), so its backward returns just their
-gradients, with no test per call. A loss holds one scalar per run, shape ``(1, 1)``
+node's parents (one slot per input, ``None`` for a constant) and its
+backward function. Tensors created through :meth:`Graph.param` are
+differentiable leaves; plain ``Tensor`` values act as constants. A backward
+returns one gradient per input, and the tape drops those of constant
+inputs. A loss holds one scalar per run, shape ``(1, 1)``
 or ``(runs, 1, 1)``; :meth:`Graph.backward` seeds each with one, so every run
 gets the gradient of its own loss. It may run once per tape; a second
 call is a :class:`ContractError` so silent gradient accumulation cannot
@@ -48,7 +48,6 @@ __all__ = [
     "fold_last",
     "sum_all",
     "emit",
-    "attached",
     "grad_check",
 ]
 
@@ -116,10 +115,11 @@ def as_tensor(value) -> Tensor:
 
 class Graph:
     """Append-only tape of operations; parents always precede children.
-    Node i's attached parents are ``_parents[i]``, its backward ``_backs[i]``."""
+    Node i's parents are ``_parents[i]`` (``None`` for a constant input),
+    its backward ``_backs[i]``."""
 
     def __init__(self):
-        self._parents: list[list[int]] = []
+        self._parents: list[list[int | None]] = []
         self._backs: list[Callable | None] = []
         self._param_ids: list[int] = []
         self._param_shapes: list[tuple[int, ...]] = []
@@ -134,11 +134,8 @@ class Graph:
         return list(self._param_ids)
 
     def param(self, values) -> Tensor:
-        """Register a differentiable leaf holding ``values``, as it is if it
-        is already a float64 matrix or stack."""
-        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
-                and 2 <= values.ndim <= 3):
-            values = _as_array(values)
+        """Register a differentiable leaf holding ``values``."""
+        values = _as_array(values)
         self._param_ids.append(len(self._parents))
         self._param_shapes.append(values.shape)
         self._parents.append([])
@@ -172,8 +169,9 @@ class Graph:
             if upstream is None or back is None:
                 continue
             for parent_id, contribution in zip(parents[node_id], back(upstream)):
-                prior = grads[parent_id]
-                grads[parent_id] = contribution if prior is None else prior + contribution
+                if parent_id is not None:
+                    prior = grads[parent_id]
+                    grads[parent_id] = contribution if prior is None else prior + contribution
         out = {i: g for i, g in enumerate(grads) if g is not None}
         for pid, shape in zip(self._param_ids, self._param_shapes):
             if pid not in out:
@@ -183,36 +181,25 @@ class Graph:
 
 def emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray,
          backward_fn: Callable | None) -> Tensor:
-    """Record one op named ``kind``: its ``value`` and ``backward_fn(upstream)``,
-    which returns one gradient per graph-attached input, in input order and
-    of that input's shape, and never writes ``upstream``. With no attached
-    input the result is a constant and ``backward_fn`` never runs.
+    """Record one op: its ``value`` and ``backward_fn(upstream)``, which
+    returns one gradient per input, in input order and of that input's
+    shape, and never writes ``upstream``; a constant input's gradient may be
+    ``None``, and the tape drops it. With no attached input the result is a
+    constant and ``backward_fn`` never runs. ``kind`` only names the op for
+    readers of the call.
     """
     graph, parents = None, []
     for t in inputs:
-        if t.graph is not None:
-            if graph is None:
-                graph = t.graph
-            elif t.graph is not graph:
+        if t.graph is not None and t.graph is not graph:
+            if graph is not None:
                 raise ContractError("operands belong to different graphs")
-            parents.append(t.node_id)
+            graph = t.graph
+        parents.append(t.node_id)
     if graph is None:
         return Tensor(value)
     graph._parents.append(parents)
     graph._backs.append(backward_fn)
     return Tensor(value, graph, len(graph._parents) - 1)
-
-
-def attached(inputs: Sequence[Tensor]) -> Callable[[Sequence], Sequence]:
-    """At record time, for a backward that computes one gradient per input:
-    the map from those to the gradients of the graph-attached inputs, which
-    :func:`emit` wants. It passes them through when every input is attached."""
-    keep = [i for i, t in enumerate(inputs) if t.graph is not None]
-    return _every if len(keep) == len(inputs) else lambda grads: [grads[i] for i in keep]
-
-
-def _every(grads: Sequence) -> Sequence:
-    return grads
 
 
 def _add(a: Tensor, b: Tensor) -> Tensor:
@@ -221,23 +208,20 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
     bias = a.shape != b.shape  # a row-broadcast bias
     if bias and b.shape != a.shape[:-2] + (1, a.shape[-1]):
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
-    route = attached((a, b))
     return emit("add", (a, b), a.data + b.data,
-                lambda up: route((up, up.sum(axis=-2, keepdims=True) if bias else up)))
+                lambda up: (up, up.sum(axis=-2, keepdims=True) if bias else up))
 
 
 def _sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"cannot subtract shapes {a.shape} and {b.shape}")
-    route = attached((a, b))
-    return emit("sub", (a, b), a.data - b.data, lambda up: route((up, -up)))
+    return emit("sub", (a, b), a.data - b.data, lambda up: (up, -up))
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    route = attached((a, b))
-    return emit("mul", (a, b), a.data * b.data, lambda up: route((up * b.data, up * a.data)))
+    return emit("mul", (a, b), a.data * b.data, lambda up: (up * b.data, up * a.data))
 
 
 def _scale(a: Tensor, c: float) -> Tensor:
@@ -250,10 +234,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes do not match: {a.shape} x {b.shape}")
-    a_data, b_data, route = a.data, b.data, attached((a, b))
+    a_data, b_data = a.data, b.data
 
     def back(up):
-        return route((up @ b_data.swapaxes(-1, -2), a_data.swapaxes(-1, -2) @ up))
+        return up @ b_data.swapaxes(-1, -2), a_data.swapaxes(-1, -2) @ up
 
     return emit("matmul", (a, b), a_data @ b_data, back)
 

@@ -145,10 +145,9 @@ class LossBreakdown:
         """classification + alpha * hir as one node, or ``classification`` with no ``hir``."""
         if hir is None:
             return cls(classification, None, classification)
-        route = ad.attached((classification, hir))
         return cls(classification, hir, ad.emit(
             "combined", (classification, hir), classification.data + hir.data * alpha,
-            lambda up: route((up, up * alpha))))
+            lambda up: (up, up * alpha)))
 
 
 def _as_labels(labels, domains=None) -> BatchLabels:
@@ -328,12 +327,11 @@ def _mmd_sum(parts: tuple[Tensor, ...], labels: BatchLabels, bandwidth=None) -> 
     z = parts[0].data if len(parts) == 1 else np.concatenate([t.data for t in parts], axis=-2)
     wk, gamma, _ = rbf_kernel(z, labels, bandwidth)
     wk *= labels.mmd_weights
-    route = ad.attached(parts)
 
     def back(up):
         grad = (4.0 * gamma * up) * (wk.sum(axis=-1, keepdims=True) * z - wk @ z)
-        return route([grad] if len(parts) == 1 else np.split(
-            grad, np.cumsum([t.shape[-2] for t in parts[:-1]]), axis=-2))
+        return [grad] if len(parts) == 1 else np.split(
+            grad, np.cumsum([t.shape[-2] for t in parts[:-1]]), axis=-2)
 
     return ad.emit("mmd", parts, _per_run(wk), back)
 

@@ -128,7 +128,7 @@ def forward(params: ModelParams, x, graph: ad.Graph | None = None) -> tuple[ad.T
     :func:`network` records the pass as two nodes.
     Without a graph the pass is a plain value computation.
     """
-    x_arr = x if isinstance(x, np.ndarray) and x.dtype == np.float64 else np.asarray(x, np.float64)
+    x_arr = np.asarray(x, dtype=np.float64)
     w0 = params.weights[0]
     if x_arr.ndim != w0.ndim or x_arr.shape[:-2] + x_arr.shape[-1:] != w0.shape[:-1]:
         raise ShapeError(f"input shape {x_arr.shape} does not match first weights {w0.shape}")
@@ -144,8 +144,7 @@ def network(x: np.ndarray, leaves: list[ad.Tensor]) -> tuple[ad.Tensor, ad.Tenso
     head takes z to the logits. Both backwards apply the chain rule of
     matmul, bias add and relu in the order the op-by-op tape would, so the
     gradients carry its bits; the bias gradients add their rows first to last
-    (:func:`_bias_grad`). Which inputs are attached is settled when the
-    nodes are recorded. With no hidden layer, z is x, a constant.
+    (:func:`_bias_grad`). With no hidden layer, z is x, a constant.
     """
     *hidden, w_out, b_out = leaves
     acts = [x]  # each hidden layer's input, then z
@@ -153,25 +152,23 @@ def network(x: np.ndarray, leaves: list[ad.Tensor]) -> tuple[ad.Tensor, ad.Tenso
         pre = acts[-1] @ w.data
         pre += b.data
         acts.append(ad.relu_values(pre, out=pre))
-    body_route = ad.attached(hidden)
 
     def body_back(up):
-        grads = [None] * len(hidden)
+        grads = []
         for layer in range(len(acts) - 1, 0, -1):
             up = up * (acts[layer] > 0)
-            grads[2 * layer - 2:2 * layer] = acts[layer - 1].swapaxes(-1, -2) @ up, _bias_grad(up)
+            grads += [_bias_grad(up), acts[layer - 1].swapaxes(-1, -2) @ up]
             if layer > 1:
                 up = up @ hidden[2 * layer - 2].data.swapaxes(-1, -2)
-        return body_route(grads)
+        return grads[::-1]
 
     z = ad.emit("mlp_body", hidden, acts[-1], body_back) if hidden else ad.tensor(x)
     logits = z.data @ w_out.data
     logits += b_out.data
-    head_route = ad.attached((z, w_out, b_out))
 
     def head_back(up):
-        return head_route((up @ w_out.data.swapaxes(-1, -2), z.data.swapaxes(-1, -2) @ up,
-                           _bias_grad(up)))
+        return (up @ w_out.data.swapaxes(-1, -2) if z.graph is not None else None,
+                z.data.swapaxes(-1, -2) @ up, _bias_grad(up))
 
     return z, ad.emit("mlp_head", (z, w_out, b_out), logits, head_back)
 

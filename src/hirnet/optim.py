@@ -4,8 +4,7 @@ Update rule per step: m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2,
 theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with the usual
 1/(1-b^t) bias corrections. Parameters are updated in place. The update
 is elementwise, so parameters stacked with one matrix per run on a leading
-axis step every run at once, each exactly as it would step alone. It writes through two
-scratch arrays per array, in the order of ``lr * (m / c1) / (sqrt(v / c2) + eps)``, for its bits.
+axis step every run at once, each exactly as it would step alone.
 """
 
 from __future__ import annotations
@@ -59,15 +58,9 @@ def adam_step(state: AdamState, params: list[np.ndarray],
     correct1 = 1.0 - state.beta1 ** state.t
     correct2 = 1.0 - state.beta2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        scratch = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += scratch
+        m += (1.0 - state.beta1) * g
         v *= state.beta2
-        v += np.multiply(np.square(g, out=scratch), 1.0 - state.beta2, out=scratch)
-        denom = np.add(np.sqrt(np.divide(v, correct2, out=scratch), out=scratch), state.eps,
-                       out=scratch)
-        update = m / correct1
-        update *= state.lr
-        update /= denom
-        p -= update
+        v += (1.0 - state.beta2) * np.square(g)
+        p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
     return params, state

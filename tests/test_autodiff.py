@@ -292,7 +292,7 @@ class TestEmit:
         x = g.param([[1.0, 2.0]])
         c = ad.tensor([[5.0, 5.0]])
         loss = ad.emit("dot", (c, x), np.array([[np.sum(c.data * x.data)]]),
-                       lambda up: (up[0, 0] * c.data,))
+                       lambda up: (up[0, 0] * x.data, up[0, 0] * c.data))
         np.testing.assert_array_equal(g.backward(loss)[x.node_id], [[5.0, 5.0]])
 
 

@@ -286,7 +286,7 @@ class TestCombinedLoss:
 
 
 class TestCombineRouting:
-    """``combine`` settles which terms are attached when it records them."""
+    """``combine`` returns a gradient for each term; the tape drops a constant one's."""
 
     def terms(self, attach):
         rng = np.random.default_rng(12)
