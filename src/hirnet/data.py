@@ -219,16 +219,16 @@ def _join(vectors) -> np.ndarray:
 
 class BatchPlan:
     """The seed-free part of the epochs :func:`stratified_batches` draws from
-    ``suite``, derived once.
+    ``suite``, derived once per training suite and handed to every user.
 
     A batch takes ``per_class_per_domain`` rows from each non-empty (domain,
     class) cell, domain-major, then class, so all batches share the read-only
-    ``labels`` and ``domains``; an epoch has ``n_batches``. A cell draws from
-    a pool: its rows, or, if paired, its class's base_ids common to all
-    domains. The gather map holds each cell's source row per pool position,
-    paired ids resolved here, once; consecutive pools of one size share one
-    grid of positions to shuffle. Plans with equal ``layout_key`` draw
-    epochs that stack. Warns about each cell or class left out.
+    ``labels``, ``domains`` and ``batch_labels`` over both; an epoch has
+    ``n_batches``. A cell draws from a pool: its rows, or, if paired, its
+    class's base_ids common to all domains. The gather map holds each cell's
+    source row per pool position, paired ids resolved once; runs of pools of
+    one size share one grid of positions to shuffle. Plans with equal
+    ``layout_key`` draw epochs that stack. Warns of each cell or class left out.
     """
 
     def __init__(self, suite: DomainSuite, per_class_per_domain: int, paired: bool = False):
@@ -259,6 +259,8 @@ class BatchPlan:
         self.labels = np.repeat(np.array([c for _, c, _ in cells], dtype=np.int64), k)
         self.domains = np.repeat(np.array([d for d, _, _ in cells], dtype=np.int64), k)
         self.labels.flags.writeable = self.domains.flags.writeable = False
+        self.batch_labels = BatchLabels(self.labels, self.domains)
+        self.domain_params = list(suite.domain_params)
         sizes = np.array([pool.size for pool in pools], dtype=np.intp)
         self.n_batches = int((-(-sizes // k)).max(initial=0))
         self._grids = [np.tile(np.arange(size), (len(list(run)), 1))
@@ -278,8 +280,9 @@ class BatchPlan:
 
     @property
     def layout_key(self) -> tuple:
-        """``labels``, ``domains`` and ``n_batches`` as one hashable key."""
-        return self.labels.tobytes(), self.domains.tobytes(), self.n_batches
+        """``labels``, ``domains``, ``n_batches`` and the domain count as one hashable key."""
+        return (self.labels.tobytes(), self.domains.tobytes(), self.n_batches,
+                len(self.domain_params))
 
     def draw(self, seed) -> tuple[np.ndarray, np.ndarray | None]:
         """One epoch: its ``(n_batches, n, d)`` rows and, when paired, its
@@ -312,8 +315,8 @@ def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
     plan = BatchPlan(suite, per_class_per_domain, paired)
     x, pair_ids = plan.draw(seed)
     for b in range(plan.n_batches):
-        yield x[b], BatchLabels(plan.labels, plan.domains,
-                                None if pair_ids is None else pair_ids[b])
+        yield x[b], plan.batch_labels if pair_ids is None else BatchLabels(
+            plan.labels, plan.domains, pair_ids[b])
 
 
 @dataclass

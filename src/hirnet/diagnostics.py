@@ -135,12 +135,11 @@ def _mean_batch_kl(params: models.ModelParams, plan: BatchPlan, seed: int, salt:
                    n_batches: int) -> float:
     """Mean hir_kl over ``n_batches`` batches that ``plan`` draws, spanning
     epochs as needed; each epoch's share one layout, so they are one stacked pass."""
-    labels = BatchLabels(plan.labels, plan.domains)
     values: list[float] = []
     for epoch in range(-(-n_batches // plan.n_batches)):
         x = plan.draw([seed, salt, epoch])[0][:n_batches - len(values)]
         log_probs = models.log_posteriors(params, x.reshape(-1, x.shape[-1]))
-        loss, _ = hir_kl(log_probs.reshape(x.shape[:2] + log_probs.shape[-1:]), labels)
+        loss, _ = hir_kl(log_probs.reshape(x.shape[:2] + log_probs.shape[-1:]), plan.batch_labels)
         values += loss.data.reshape(-1).tolist()
     return float(np.mean(values))
 
@@ -180,15 +179,14 @@ def collect_bundle(params: models.ModelParams, suite: DomainSuite,
     plan = _plan(suite, per_class_per_domain, False)
     paired_mean, unpaired_mean = paired_vs_unpaired_kl(
         params, suite, per_class_per_domain=per_class_per_domain, seed=seed, unpaired=plan)
-    labels = BatchLabels(plan.labels, plan.domains)
     return DiagnosticsBundle(
         domain_mmd=domain_mmd,
         class_mmd=class_mmd,
         agreement=agreement,
         paired_kl_mean=paired_mean,
         unpaired_kl_mean=unpaired_mean,
-        posterior_kl=posterior_kl_matrix(params, plan.draw(seed)[0][0], labels),
-        probe_classes=labels.labels,
+        posterior_kl=posterior_kl_matrix(params, plan.draw(seed)[0][0], plan.batch_labels),
+        probe_classes=plan.labels,
         bandwidth=used_bw,
     )
 

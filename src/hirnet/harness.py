@@ -10,16 +10,16 @@ Loss kinds: "agg" is cross-entropy only; "hir" adds the pairwise
 posterior-alignment term weighted by alpha; "mmd" and "ccsa" add the
 corresponding feature-alignment penalty on the latent z instead.
 
-Runs train in groups, one per batch layout: the labels, domains and batch
-count of the ``BatchPlan`` of a run's training suite. Held-out domains of a
-rotated suite all share one layout, so every run of such a config is in one
-group; a prior-shift suite can give several. A group's parameters are one
-(runs, 1, P) buffer, ``ModelParams.stack``, so one training step serves every
-run in it: one forward pass, one tape backward, and one Adam pass and finite
-check over the buffer, each run on its own batch of the epoch its plan draws
-from its seed. Plans, and the stack's
-``BatchLabels`` with the layout fields the losses read, are built once per
-call. Every run gets the same bits as it would training alone.
+Each training suite's ``BatchPlan`` is built once per experiment; it holds
+the suite's batch layout (labels, domains, batch count and domain count), the
+``BatchLabels`` the losses read, and the gather map its epochs are drawn
+through. Runs train in groups, one per layout. Held-out domains of a rotated
+suite all share one layout, so every run of such a config is in one group; a
+prior-shift suite can give several. A group's parameters are one (runs, 1, P)
+buffer, ``ModelParams.stack``, so one training step serves every run in it:
+one forward pass, one tape backward, and one Adam pass and finite check over
+the buffer, each run on its own batch of the epoch its plan draws from its
+seed. Every run gets the same bits as it would training alone.
 HIRNET_WORKERS splits a group into contiguous chunks, one stack per worker
 process. The per-domain attribution traces are computed once per epoch, in
 one pass over the stack's detached (runs, batches, n, m) log-probs.
@@ -50,14 +50,8 @@ from .errors import (
     check_real,
     write_json,
 )
-from .losses import (
-    BatchLabels,
-    LossBreakdown,
-    class_conditional_align,
-    combined_loss,
-    cross_entropy,
-    domain_mmd_penalty,
-)
+from .losses import (LossBreakdown, class_conditional_align, cross_entropy, domain_mmd_penalty,
+                     hir_kl)
 from .models import (MlpSpec, ModelParams, flatten, forward, init_params, predict,
                      save_checkpoint)
 from .optim import adam_step, init_adam
@@ -81,8 +75,12 @@ class OptimizerConfig(JsonConfig):
     eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("lr", "beta1", "beta2", "eps"):
-            object.__setattr__(self, name, check_real(f"optimizer {name}", getattr(self, name)))
+        for name, bounds in (("lr", "> 0"), ("beta1", "in [0, 1)"), ("beta2", "in [0, 1)"),
+                             ("eps", "> 0")):
+            value = check_real(f"optimizer {name}", getattr(self, name))
+            if not (0 < value if bounds == "> 0" else 0 <= value < 1):
+                raise ConfigError(f"optimizer {name} must be {bounds}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,8 @@ class ExperimentConfig(JsonConfig):
             object.__setattr__(self, name, value)
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be non-empty and distinct, got {list(self.seeds)}")
         n_domains = len(self.suite.angles)
         if self.held_out != "all":
             if isinstance(self.held_out, bool) or not isinstance(self.held_out, int):
@@ -154,13 +152,14 @@ class TrainTraces(JsonRecord):
 
 def _batch_breakdown(config: ExperimentConfig, z: ad.Tensor, log_probs: ad.Tensor,
                      labels) -> LossBreakdown:
-    if config.loss_kind == "hir":
-        return combined_loss(log_probs, labels, config.alpha,
-                             cross_domain_only=config.cross_domain_only,
-                             normalize_hir=config.normalize_hir)
     classification = cross_entropy(log_probs, labels)
-    penalty = None if config.loss_kind == "agg" or config.alpha == 0 else (
-        domain_mmd_penalty if config.loss_kind == "mmd" else class_conditional_align)(z, labels)
+    if config.loss_kind == "agg" or config.alpha == 0:
+        penalty = None
+    elif config.loss_kind == "hir":
+        penalty = hir_kl(log_probs, labels, config.cross_domain_only, config.normalize_hir)[0]
+    else:
+        penalty = (domain_mmd_penalty if config.loss_kind == "mmd" else class_conditional_align)(
+            z, labels)
     return LossBreakdown.combine(classification, penalty, config.alpha)
 
 
@@ -212,18 +211,17 @@ def _safe_mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config: ExperimentConfig,
+def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: ExperimentConfig,
                batch_seeds) -> list[TrainTraces | TrainingDiverged]:
-    """Train every run in ``runs`` together, each in place: run r on
-    ``train_suites[r]``, drawing its batches from ``batch_seeds[r]``.
+    """Train every run in ``runs`` together, each in place: run r on the
+    :class:`~hirnet.data.BatchPlan` ``plans[r]`` of its training suite.
 
     The runs' parameters are stacked into one buffer, so each step is one
     forward pass, one tape backward and one Adam pass for all of them.
-    That needs one batch layout: the call builds each run's
-    :class:`~hirnet.data.BatchPlan` and one ``BatchLabels`` for all steps,
-    after checking once that every plan has the first's layout. Each epoch,
-    run r's plan draws from ``[batch_seeds[r], epoch]``. Every run gets the
-    same bits as it would alone.
+    That needs one batch layout: the call checks once that every plan has
+    the first's ``layout_key``, and every step reads the first plan's
+    ``batch_labels``. Each epoch, run r's plan draws from
+    ``[batch_seeds[r], epoch]``. Every run gets the same bits as it would alone.
     Each step tests the whole loss and gradient buffers for finiteness once;
     only when that fails does it look for the runs at fault. A run whose
     loss or gradient turns non-finite leaves the stack with the
@@ -231,25 +229,20 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
     last finite values; the others go on. Returns each run's traces, or its
     failure.
     """
-    if any(len(suite) == 0 for suite in train_suites):
-        raise ConfigError("training suite is empty")
-    n_domains = len(train_suites[0])
-    if any(len(suite) != n_domains for suite in train_suites):
-        raise ContractError("runs of one stack must train on the same number of domains")
+    n_domains = len(plans[0].domain_params)
     if n_domains < 2:
         warnings.warn("single training domain: cross-domain alignment terms are vacuous")
-    plans = [BatchPlan(suite, config.per_class_per_domain, config.paired) for suite in train_suites]
     n_batches = plans[0].n_batches
     if n_batches == 0:
         raise ConfigError("sampler produced no batches; check cell sizes")
     if any(plan.layout_key != plans[0].layout_key for plan in plans):
         raise ContractError("runs of one stack must share one batch layout")
-    labels = BatchLabels(plans[0].labels, plans[0].domains)
+    labels = plans[0].batch_labels
     y = labels.labels  # the layout's attribution masks, U and M
     masks = ((labels.domains[:, None] == np.arange(n_domains)).astype(np.float64),
              np.triu(y[:, None] == y[None, :], k=1).astype(np.float64))
     results: list[TrainTraces | TrainingDiverged] = [
-        TrainTraces(domain_params=list(suite.domain_params)) for suite in train_suites]
+        TrainTraces(domain_params=list(plan.domain_params)) for plan in plans]
     alive = list(range(len(runs)))  # the run on each row of the stack
     work: dict = {}  # the epoch attribution's arrays, reused
     stack = ModelParams.stack(runs)
@@ -312,11 +305,14 @@ def train_runs(runs: list[ModelParams], train_suites: list[DomainSuite], config:
 def train(params: ModelParams, train_suite: DomainSuite, config: ExperimentConfig,
           batch_seed: int = 0) -> tuple[ModelParams, TrainTraces]:
     """Train ``params`` in place over the configured epoch budget: the
-    one-run case of :func:`train_runs`.
+    one-run case of :func:`train_runs`, on the one plan built here.
 
     Raises :class:`TrainingDiverged` on a non-finite loss or gradient.
     """
-    [result] = train_runs([params], [train_suite], config, [batch_seed])
+    if len(train_suite) == 0:
+        raise ConfigError("training suite is empty")
+    plan = BatchPlan(train_suite, config.per_class_per_domain, config.paired)
+    [result] = train_runs([params], [plan], config, [batch_seed])
     if isinstance(result, TrainingDiverged):
         raise result
     return params, result
@@ -390,14 +386,14 @@ def run_single(config: ExperimentConfig, suite: DomainSuite, held_out: int, trai
     return outcomes
 
 
-def _run_rows(config: ExperimentConfig, suite: DomainSuite, rows) -> list[RunOutcome]:
+def _run_rows(config: ExperimentConfig, suite: DomainSuite, rows, plans) -> list[RunOutcome]:
     """Train the (held-out, seed) ``rows``, which share one batch layout, as
-    one stack, then build each held-out domain's outcomes with
-    :func:`run_single`; one outcome per row, in order."""
+    one stack, each on the plan ``plans[held_out]``, then build each held-out
+    domain's outcomes with :func:`run_single`; one outcome per row, in order."""
     start = time.perf_counter()
     layer_sizes = (suite.feature_dim, *config.hidden_sizes, suite.class_count)
     runs = [init_params(MlpSpec(layer_sizes, seed=derive_seed(seed, ho, 0))) for ho, seed in rows]
-    results = train_runs(runs, [suite.drop(ho) for ho, _ in rows], config,
+    results = train_runs(runs, [plans[ho] for ho, _ in rows], config,
                          [derive_seed(seed, ho, 1) for ho, seed in rows])
     train_s = (time.perf_counter() - start) / len(rows)
     outcomes = []
@@ -421,13 +417,13 @@ def _worker_count() -> int:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """All (held-out, seed) runs plus per-domain aggregate accuracy.
 
-    The suite is built once. Every run's training suite is the suite less
-    its held-out domain, and runs whose training suites give one batch
-    layout (its :class:`~hirnet.data.BatchPlan`'s ``layout_key``: labels,
-    domains and batch count) form a group; on a rotated suite that is every
-    run. Each group trains as one stack, then :func:`run_single` evaluates
-    each held-out domain's runs. A run's ``wall_clock_s`` is its share of its stack's
-    training time plus its own evaluation and diagnostics.
+    The suite is built once, and so is the :class:`~hirnet.data.BatchPlan`
+    of each training suite, the suite less a held-out domain. Runs whose
+    plans share a ``layout_key`` (labels, domains, batch and domain counts)
+    form a group; on a rotated suite that is every run. Each group trains as
+    one stack, then :func:`run_single` evaluates each held-out domain's runs.
+    A run's ``wall_clock_s`` is its share of its stack's training time plus
+    its own evaluation and diagnostics.
 
     The HIRNET_WORKERS environment variable (default 1) splits each group's
     rows into that many contiguous chunks, one job and one stack each, and
@@ -439,12 +435,12 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     suite = config.suite.build()
     if len(suite) < 2:
         raise ConfigError("training suite is empty: holding out the only domain leaves none")
-    rows = [(ho, seed) for ho in config.held_out_indices() for seed in config.seeds]
+    plans = {ho: BatchPlan(suite.drop(ho), config.per_class_per_domain, config.paired)
+             for ho in config.held_out_indices()}
+    rows = [(ho, seed) for ho in plans for seed in config.seeds]
     groups: dict[tuple, list[int]] = {}  # layout key: indices into rows
-    n_seeds = len(config.seeds)
-    for h, ho in enumerate(config.held_out_indices()):
-        plan = BatchPlan(suite.drop(ho), config.per_class_per_domain, config.paired)
-        groups.setdefault(plan.layout_key, []).extend(range(h * n_seeds, (h + 1) * n_seeds))
+    for i, (ho, _) in enumerate(rows):
+        groups.setdefault(plans[ho].layout_key, []).append(i)
     chunks = [chunk.tolist() for members in groups.values()
               for chunk in np.array_split(members, min(workers, len(members)))]
     jobs = [[rows[i] for i in chunk] for chunk in chunks]
@@ -452,9 +448,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor  # its import is a cost of every run
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            done = list(pool.map(_run_rows, [config] * len(jobs), [suite] * len(jobs), jobs))
+            done = list(pool.map(_run_rows, [config] * len(jobs), [suite] * len(jobs), jobs,
+                                 [plans] * len(jobs)))
     else:
-        done = [_run_rows(config, suite, job) for job in jobs]
+        done = [_run_rows(config, suite, job, plans) for job in jobs]
     by_row = dict(zip(itertools.chain(*chunks), itertools.chain(*done)))
     outcomes = [by_row[i] for i in range(len(rows))]
     aggregates = {}

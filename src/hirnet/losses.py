@@ -50,8 +50,8 @@ class BatchLabels:
     already read-only and owning their memory, as a
     :class:`~hirnet.data.BatchPlan`'s layout is. So the layout fields the
     losses read (:meth:`onehot`, :meth:`segments`, ``mmd_weights`` and
-    ``upper``) are computed on first use, read-only, and never stale; a
-    training stack builds one for all its steps.
+    ``upper``) are computed on first use, read-only, and never stale; each
+    plan holds one, which every step and probe batch drawn from it reads.
     """
 
     labels: np.ndarray

@@ -148,6 +148,32 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_seeds_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
+        # Two equal seeds would train identical runs and write each file twice.
+        monkeypatch.setattr(harness, "run_experiment", refuse("trained"))
+        out = tmp_path / "out"
+        raw = small_config(seeds=[1, 1], held_out="all")
+        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
+        assert "config error: seeds must be non-empty and distinct, got [1, 1]" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, bounds", [
+        ("lr", -1, "> 0"), ("lr", 0, "> 0"), ("eps", -1e-8, "> 0"), ("eps", 0.0, "> 0"),
+        ("beta1", 1.0, "in [0, 1)"), ("beta1", -0.5, "in [0, 1)"), ("beta2", 1.5, "in [0, 1)"),
+    ], ids=["lr-negative", "lr-zero", "eps-negative", "eps-zero", "beta1-one", "beta1-negative",
+            "beta2-above-one"])
+    def test_optimizer_value_out_of_range_exits_2_before_training(self, tmp_path, capsys,
+                                                                  monkeypatch, field, value,
+                                                                  bounds):
+        monkeypatch.setattr(harness, "run_experiment", refuse("trained"))
+        out = tmp_path / "out"
+        raw = small_config(optimizer={field: value})
+        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
+        assert f"config error: optimizer {field} must be {bounds}, got {float(value)}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["abc", "2.5", "0", "-3"])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, workers):
         monkeypatch.setenv("HIRNET_WORKERS", workers)

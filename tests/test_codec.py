@@ -57,8 +57,10 @@ suite_objects = objects_of(SuiteSpec, {
     "prior_shift": st.none() | st.lists(prior_shift_rows, min_size=1, max_size=7),
     "prior_shift_seed": st.integers(0, 99),
 })
+# Valid values lie in (0, 1) for every field: lr and eps > 0, and 0 <= beta < 1.
 optimizer_objects = objects_of(OptimizerConfig, {
-    name: st.floats(-1, 1) | st.integers(-9, 9) for name in ("lr", "beta1", "beta2", "eps")})
+    name: st.floats(0, 1, exclude_min=True, exclude_max=True)
+    for name in ("lr", "beta1", "beta2", "eps")})
 experiment_objects = objects_of(ExperimentConfig, {
     "suite": suite_objects,
     "hidden_sizes": st.lists(st.integers(1, 64), max_size=3),

@@ -57,6 +57,11 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def plans_of(suites, cfg):
+    """One :class:`BatchPlan` per training suite, as ``train_runs`` takes them."""
+    return [BatchPlan(suite, cfg.per_class_per_domain, cfg.paired) for suite in suites]
+
+
 def strip_wall_clock(payload):
     if isinstance(payload, dict):
         return {k: strip_wall_clock(v) for k, v in payload.items() if k != "wall_clock_s"}
@@ -121,6 +126,10 @@ class TestConfig:
     def test_mistyped_optimizer_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
             OptimizerConfig(**overrides)
+
+    def test_optimizer_range_ends_that_are_valid(self):
+        # Zero momentum decays are plain RMS-scaled steps; only lr and eps must be positive.
+        assert OptimizerConfig(lr=1e-300, beta1=0, beta2=0, eps=1e-300).beta1 == 0.0
 
     def test_held_out_all_expands(self):
         assert tiny_config(held_out="all").held_out_indices() == [0, 1, 2]
@@ -224,7 +233,8 @@ def test_step_tape_length_does_not_grow_with_batch_size(loss_kind, monkeypatch):
         cfg = tiny_config(loss_kind=loss_kind, alpha=0.1, epochs=1,
                           per_class_per_domain=per_class_per_domain)
         runs = [init_params(MlpSpec((2, 8, 2), seed=s)) for s in range(n_runs)]
-        harness.train_runs(runs, [cfg.suite.build().drop(1)] * n_runs, cfg, list(range(n_runs)))
+        harness.train_runs(runs, plans_of([cfg.suite.build().drop(1)] * n_runs, cfg), cfg,
+                           list(range(n_runs)))
         return set(seen)
 
     # 4 parameters, the network's body and head, log_softmax, cross-entropy,
@@ -240,7 +250,7 @@ def test_combined_node_gives_the_scale_and_add_bits(loss_kind, monkeypatch):
     cfg = tiny_config(loss_kind=loss_kind, alpha=0.0 if loss_kind == "agg" else 0.3,
                       paired=True, cross_domain_only=True)
     plan = BatchPlan(cfg.suite.build().drop(1), cfg.per_class_per_domain, cfg.paired)
-    labels = BatchLabels(plan.labels, plan.domains)
+    labels = plan.batch_labels
     x = np.stack([plan.draw([run, 0])[0][0] for run in range(3)])
     stack = ModelParams.stack([init_params(MlpSpec((2, 8, 2), seed=run)) for run in range(3)])
 
@@ -288,7 +298,7 @@ def test_two_node_network_trains_as_the_op_chain(loss_kind, hidden, monkeypatch)
 
     def trained():
         runs = [init_params(MlpSpec((2, *hidden, 2), seed=s)) for s in range(3)]
-        return runs, harness.train_runs(runs, [suite] * 3, cfg, [10, 11, 12])
+        return runs, harness.train_runs(runs, plans_of([suite] * 3, cfg), cfg, [10, 11, 12])
 
     runs, results = trained()
     monkeypatch.setattr(harness, "forward", op_chain_forward)
@@ -322,7 +332,7 @@ def check_poisoned_stack(poison, monkeypatch):
 
         monkeypatch.setattr(ad.Graph, "backward", poisoned)
         runs = [init_params(MlpSpec((2, 6, 4, 2), seed=s)) for s in run_ids]
-        return runs, harness.train_runs(runs, [suite] * len(runs), cfg,
+        return runs, harness.train_runs(runs, plans_of([suite] * len(runs), cfg), cfg,
                                         [10 + s for s in run_ids])
 
     stacked, results = train_poisoned([0, 1, 2])
@@ -384,7 +394,8 @@ def test_loss_and_gradient_failures_at_one_step_fail_as_alone(monkeypatch):
         monkeypatch.setattr(ad.Graph, "backward", poisoned_backward)
         monkeypatch.setattr(harness, "adam_step", counted_step)
         runs = [init_params(MlpSpec((2, 6, 4, 2), seed=s)) for s in run_ids]
-        results = harness.train_runs(runs, [suite] * len(runs), cfg, [10 + s for s in run_ids])
+        results = harness.train_runs(runs, plans_of([suite] * len(runs), cfg), cfg,
+                                     [10 + s for s in run_ids])
         return runs, results, calls
 
     stacked, results, calls = train_poisoned([0, 1, 2])
@@ -394,7 +405,7 @@ def test_loss_and_gradient_failures_at_one_step_fail_as_alone(monkeypatch):
     monkeypatch.undo()
     for run in (0, 2):  # the values after the one finished epoch
         one_epoch = init_params(MlpSpec((2, 6, 4, 2), seed=run))
-        harness.train_runs([one_epoch], [suite], replace(cfg, epochs=1), [10 + run])
+        harness.train_runs([one_epoch], plans_of([suite], cfg), replace(cfg, epochs=1), [10 + run])
         assert same_bytes(stacked[run], one_epoch)
     for run in range(3):
         [alone], [result], _ = train_poisoned([run])
@@ -420,7 +431,7 @@ def test_one_adam_pass_per_step_over_one_buffer(n_runs, monkeypatch):
 
     monkeypatch.setattr(harness, "adam_step", spy)
     runs = [init_params(MlpSpec((2, 8, 2), seed=s)) for s in range(n_runs)]
-    harness.train_runs(runs, [suite] * n_runs, cfg, list(range(n_runs)))
+    harness.train_runs(runs, plans_of([suite] * n_runs, cfg), cfg, list(range(n_runs)))
     n_steps = cfg.epochs * BatchPlan(suite, cfg.per_class_per_domain, cfg.paired).n_batches
     assert shapes == [[(n_runs, 1, 2 * 8 + 8 + 8 * 2 + 2)]] * n_steps
 
@@ -577,8 +588,7 @@ def same_bytes(a: ModelParams, b: ModelParams) -> bool:
 
 
 def layout_key(suite, cfg):
-    plan = BatchPlan(suite, cfg.per_class_per_domain, cfg.paired)
-    return plan.labels.tobytes(), plan.domains.tobytes(), plan.n_batches
+    return BatchPlan(suite, cfg.per_class_per_domain, cfg.paired).layout_key
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
@@ -599,8 +609,8 @@ class TestStackedRuns:
         solo_traces = [train(p, suite.drop(ho), cfg, batch_seed=10 + s)[1]
                        for s, (p, ho) in enumerate(zip(solo, held_out))]
         stacked = three_runs(suite.class_count)
-        stacked_traces = harness.train_runs(stacked, [suite.drop(ho) for ho in held_out], cfg,
-                                            [10, 11, 12])
+        stacked_traces = harness.train_runs(
+            stacked, plans_of([suite.drop(ho) for ho in held_out], cfg), cfg, [10, 11, 12])
         for alone, together, alone_traces, together_traces, ho in zip(
                 solo, stacked, solo_traces, stacked_traces, held_out):
             assert same_bytes(alone, together)
@@ -613,7 +623,8 @@ class TestStackedRuns:
         suite = cfg.suite.build()
         assert layout_key(suite.drop(0), cfg) != layout_key(suite.drop(1), cfg)
         with pytest.raises(ContractError, match="one batch layout"):
-            harness.train_runs(three_runs(3)[:2], [suite.drop(0), suite.drop(1)], cfg, [10, 11])
+            harness.train_runs(three_runs(3)[:2], plans_of([suite.drop(0), suite.drop(1)], cfg),
+                               cfg, [10, 11])
 
     def test_two_layouts_fail_before_any_step(self, monkeypatch):
         cfg = tiny_config(loss_kind="hir", alpha=0.1, suite=PRIOR_SHIFT_SUITE,
@@ -626,9 +637,9 @@ class TestStackedRuns:
             raise AssertionError("a step ran")
 
         monkeypatch.setattr(harness, "forward", no_step)
+        plans = plans_of([suite.drop(1), suite.drop(2), suite.drop(0)], cfg)
         with pytest.raises(ContractError, match="one batch layout"):
-            harness.train_runs(runs, [suite.drop(1), suite.drop(2), suite.drop(0)], cfg,
-                               [10, 11, 12])
+            harness.train_runs(runs, plans, cfg, [10, 11, 12])
         for params, arrays in zip(runs, before):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(params.arrays(), arrays))
 
@@ -638,9 +649,54 @@ class TestStackedRuns:
         train_suite = cfg.suite.build().drop(1)  # domain 0 lacks class 2
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            harness.train_runs(three_runs(3)[:2], [train_suite] * 2, cfg, [10, 11])
+            harness.train_runs(three_runs(3)[:2], plans_of([train_suite] * 2, cfg), cfg, [10, 11])
         messages = [str(w.message) for w in caught]
         assert messages == ["empty cell: domain 0 has no samples of class 2"] * 2
+
+    def test_plans_of_two_domain_counts_do_not_stack(self):
+        """An extra empty domain leaves labels, domains and batch count as
+        they are, but not the per-domain traces: the plans must not stack."""
+        cfg = tiny_config(loss_kind="hir", alpha=0.1)
+        suite = cfg.suite.build().drop(1)
+        empty = DomainDataset(np.empty((0, 2)), [], [])
+        padded = DomainSuite(suite.domains + [empty], suite.domain_params + [99.0],
+                             suite.class_count)
+        with pytest.warns(UserWarning, match="empty cell: domain 2"):
+            plan, padded_plan = plans_of([suite, padded], cfg)
+        assert padded_plan.labels.tobytes() == plan.labels.tobytes()
+        assert padded_plan.domains.tobytes() == plan.domains.tobytes()
+        assert padded_plan.n_batches == plan.n_batches
+        assert padded_plan.layout_key != plan.layout_key
+        with pytest.raises(ContractError, match="one batch layout"):
+            harness.train_runs(three_runs(2)[:2], [plan, padded_plan], cfg, [10, 11])
+
+    def test_one_plan_per_training_suite(self, monkeypatch):
+        """run_experiment builds each held-out domain's plan once, for all
+        its seeds; train builds its one plan."""
+        built = []
+        init = BatchPlan.__init__
+
+        def counting_init(plan, *args, **kwargs):
+            built.append(plan)
+            init(plan, *args, **kwargs)
+
+        monkeypatch.setattr(BatchPlan, "__init__", counting_init)
+        cfg = tiny_config(held_out="all", seeds=(0, 1), epochs=1)
+        assert len(run_experiment(cfg).runs) == 6
+        assert len(built) == 3
+        built.clear()
+        train(init_params(MlpSpec((2, 8, 2), seed=0)), cfg.suite.build().drop(1), cfg)
+        assert len(built) == 1
+
+    def test_empty_cell_warns_once_per_training_suite(self):
+        cfg = tiny_config(loss_kind="agg", alpha=0.0, suite=PRIOR_SHIFT_SUITE,
+                          per_class_per_domain=3, epochs=1, held_out="all", seeds=(0, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        # Held out 1 or 2, domain 0 lacks class 2; held out 0, no cell is empty.
+        assert [str(w.message) for w in caught] == [
+            "empty cell: domain 0 has no samples of class 2"] * 2
 
     @pytest.mark.parametrize("cause,message", [
         ("loss", "non-finite loss at epoch 0"),
@@ -665,7 +721,7 @@ class TestStackedRuns:
             train(solo[1], train_suite, cfg, batch_seed=11)
         solo_traces = {s: train(solo[s], train_suite, cfg, batch_seed=10 + s)[1] for s in (0, 2)}
         stacked = runs()
-        results = harness.train_runs(stacked, [train_suite] * 3, cfg, [10, 11, 12])
+        results = harness.train_runs(stacked, plans_of([train_suite] * 3, cfg), cfg, [10, 11, 12])
         assert isinstance(results[1], TrainingDiverged) and str(results[1]) == message
         assert same_bytes(stacked[1], solo[1])  # its last finite values
         for s in (0, 2):

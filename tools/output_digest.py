@@ -15,10 +15,12 @@ this repository's ``src``):
 - ``hirnet run`` of the ``agg-steps`` config at a learning rate that makes
   every run diverge (exit 3), so the failure messages are digested.
 
-It prints one ``<sha256>  <path>`` line per output file, sorted by path.
-In JSON files each ``wall_clock_s`` value is blanked first, as the only
-value that differs between equal runs. Two checkouts give the same outputs
-when their printed lines are equal, for example:
+It prints a header line naming the Python, numpy and BLAS versions, whose
+arithmetic the bits depend on, then one ``<sha256>  <path>`` line per
+output file, sorted by path. In JSON files each ``wall_clock_s`` value is
+blanked first, as the only value that differs between equal runs. Two
+checkouts give the same outputs when their printed lines are equal, for
+example:
 
     diff <(python3 tools/output_digest.py --src ../parent/src) \\
          <(python3 tools/output_digest.py)
@@ -30,20 +32,28 @@ digest differs from the parent's: the worst relative deviation
 or ``text`` when they differ in anything besides their numbers. A last line
 counts the identical files.
 
-It reads ``perfbench/`` and changes nothing in it.
+It reads ``perfbench/`` and changes nothing in it. The seed-7 digest is
+committed as ``tests/output_digest_seed7.txt``, which a Tier-1 test checks
+by running the same commands in-process; regenerate it with
+
+    python3 tools/output_digest.py --seed 7 > tests/output_digest_seed7.txt
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -62,7 +72,15 @@ WALL_CLOCK = re.compile(rb'"wall_clock_s": [^,\n]*')
 NUMBER = re.compile(rb"-?(?:Infinity|NaN|nan|inf|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
+def header() -> str:
+    """The digest's first line: the Python, numpy and BLAS versions of this process."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return (f"# python {platform.python_version()}, numpy {np.__version__}, "
+            f"blas {blas['name']} {blas.get('version', 'unknown')}")
+
+
 def hirnet(src: str, *args: str, exit_code: int = 0) -> None:
+    """Run ``hirnet ARGS`` from ``src`` in a fresh interpreter and check its exit code."""
     env = {**os.environ, "PYTHONPATH": src, "HIRNET_WORKERS": "1"}
     proc = subprocess.run([sys.executable, "-m", "hirnet.cli", *args], env=env,
                           capture_output=True, text=True)
@@ -70,20 +88,22 @@ def hirnet(src: str, *args: str, exit_code: int = 0) -> None:
         raise SystemExit(f"hirnet {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
 
 
-def write_commands(src: str, out: str, seed: int) -> None:
+def write_commands(runner, out: str, seed: int) -> None:
+    """Run every command into ``out`` through ``runner(*args, exit_code=0)``,
+    which runs one ``hirnet`` command and checks its exit code."""
     configs = os.path.join(out, "configs")
     os.makedirs(configs)
     for workload in WORKLOADS:
         path = os.path.join(configs, f"{workload}.json")
         with open(path, "w") as fh:
             json.dump(experiment_config(workload, seed), fh)
-        hirnet(src, "run", "--config", path, "--out", os.path.join(out, "run", workload))
-    hirnet(src, "sweep", "--config", os.path.join(configs, f"{SWEEP_WORKLOAD}.json"),
+        runner("run", "--config", path, "--out", os.path.join(out, "run", workload))
+    runner("sweep", "--config", os.path.join(configs, f"{SWEEP_WORKLOAD}.json"),
            "--alpha", SWEEP_ALPHAS, "--out", os.path.join(out, "sweep"))
     diverging = os.path.join(configs, "diverging.json")
     with open(diverging, "w") as fh:
         json.dump({**experiment_config(DIVERGING_WORKLOAD, seed), "optimizer": {"lr": 1e200}}, fh)
-    hirnet(src, "run", "--config", diverging, "--out", os.path.join(out, "run", "diverging"),
+    runner("run", "--config", diverging, "--out", os.path.join(out, "run", "diverging"),
            exit_code=3)
     checkpoint = os.path.join(out, "run", SWEEP_WORKLOAD, f"checkpoint_ho0_seed{seed}.ckpt")
     cases = [("workload", {}, "1"), ("workload", {}, "3")]
@@ -93,7 +113,7 @@ def write_commands(src: str, out: str, seed: int) -> None:
         with open(suite, "w") as fh:
             json.dump({**SUITE, "seed": seed, **changes}, fh)
         folder = f"diag_{cells}" if name == "workload" else f"diag_{name}"
-        hirnet(src, "diag", "--checkpoint", checkpoint, "--suite", suite, "--seed", str(seed),
+        runner("diag", "--checkpoint", checkpoint, "--suite", suite, "--seed", str(seed),
                "--per-class-per-domain", cells, "--out", os.path.join(out, folder))
 
 
@@ -151,7 +171,7 @@ def compare(files: dict[str, bytes], parent: dict[str, bytes]) -> list[str]:
 
 def run(src: str, seed: int) -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as out:
-        write_commands(os.path.abspath(src), out, seed)
+        write_commands(functools.partial(hirnet, os.path.abspath(src)), out, seed)
         return outputs(out)
 
 
@@ -164,7 +184,8 @@ def main() -> int:
                         help="compare with the outputs of the hirnet package in this directory")
     args = parser.parse_args()
     files = run(args.src, args.seed)
-    lines = compare(files, run(args.against, args.seed)) if args.against else digests(files)
+    lines = compare(files, run(args.against, args.seed)) if args.against else [
+        header(), *digests(files)]
     print("\n".join(lines))
     return 0
 

@@ -15,8 +15,9 @@ of the runs, and times each call made inside ``harness.train_runs``:
 - ``log_softmax``: ``autodiff.log_softmax``;
 - ``loss``: ``harness._batch_breakdown``, the loss functions of the step,
   less the penalty;
-- ``penalty``: the alignment term inside it: ``losses.hir_kl``,
-  ``losses.domain_mmd_penalty`` or ``losses.class_conditional_align``;
+- ``penalty``: the alignment term inside it: ``hir_kl``,
+  ``domain_mmd_penalty`` or ``class_conditional_align``, as ``harness``
+  calls them;
 - ``backward``: from the loss's return to the call of ``adam_step``, which
   is ``Graph.backward``, ``flatten`` and the finite check;
 - ``adam``: ``optim.adam_step``, as ``harness`` calls it;
@@ -100,14 +101,14 @@ class StepTimer:
 
 def profile(workload: str, seed: int) -> tuple[dict[str, float], int]:
     """One run of the workload's experiment: µs per step by phase, and the step count."""
-    from hirnet import autodiff, data, harness, losses
+    from hirnet import autodiff, data, harness
 
     timer = StepTimer()
     patches = [(harness, "train_runs", timer.training(harness.train_runs))]
     patches += [(owner, name, timer.timed(phase, getattr(owner, name))) for owner, name, phase in (
         (data.BatchPlan, "draw", "draw"), (harness, "forward", "forward"),
         (autodiff, "log_softmax", "log_softmax"), (harness, "_batch_breakdown", "loss"),
-        (losses, "hir_kl", "penalty"), (harness, "domain_mmd_penalty", "penalty"),
+        (harness, "hir_kl", "penalty"), (harness, "domain_mmd_penalty", "penalty"),
         (harness, "class_conditional_align", "penalty"),
         (harness, "adam_step", "adam"), (harness, "_epoch_attributions", "attribution"))]
     originals = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
