@@ -128,7 +128,7 @@ class TestConfig:
             OptimizerConfig(**overrides)
 
     def test_optimizer_range_ends_that_are_valid(self):
-        # Zero momentum decays are plain RMS-scaled steps; only lr and eps must be positive.
+        # Each beta may be 0 (no moving average); lr and eps need only be positive.
         assert OptimizerConfig(lr=1e-300, beta1=0, beta2=0, eps=1e-300).beta1 == 0.0
 
     def test_held_out_all_expands(self):
