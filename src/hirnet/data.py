@@ -229,6 +229,7 @@ class BatchPlan:
     source row per pool position, paired ids resolved once; runs of pools of
     one size share one grid of positions to shuffle. Plans with equal
     ``layout_key`` draw epochs that stack. Warns of each cell or class left out.
+    An unpickled plan keeps these promises, with a fresh ``batch_labels``.
     """
 
     def __init__(self, suite: DomainSuite, per_class_per_domain: int, paired: bool = False):
@@ -276,7 +277,12 @@ class BatchPlan:
         rows = _join(first_row[d] + (_last_rows(suite.domains[d], pools[p], c) if paired
                                      else pools[p]) for d, c, p in cells)
         self._x = np.concatenate([dataset.x for dataset in suite.domains])[rows]
-        self._ids = _join(pools[p] for _, _, p in cells) if paired else None
+
+    def __setstate__(self, state: dict) -> None:
+        """numpy unpickles arrays writeable: freeze the layout again, in a new ``batch_labels``."""
+        self.__dict__.update(state)
+        self.batch_labels = BatchLabels(self.labels, self.domains)
+        self.labels, self.domains = self.batch_labels.labels, self.batch_labels.domains
 
     @property
     def layout_key(self) -> tuple:
@@ -284,15 +290,14 @@ class BatchPlan:
         return (self.labels.tobytes(), self.domains.tobytes(), self.n_batches,
                 len(self.domain_params))
 
-    def draw(self, seed) -> tuple[np.ndarray, np.ndarray | None]:
-        """One epoch: its ``(n_batches, n, d)`` rows and, when paired, its
-        ``(n_batches, n)`` pair ids. The draws are ``default_rng(seed)``'s permutations of
-        each pool in turn: one ``permuted`` call per grid shuffles its rows in order, each
-        with the draws of one ``permutation``. The rows are one ``take``."""
+    def draw(self, seed) -> np.ndarray:
+        """One epoch's ``(n_batches, n, d)`` rows, whose labels and domains are the
+        plan's. The draws are ``default_rng(seed)``'s permutations of each pool in turn:
+        one ``permuted`` call per grid shuffles its rows in order, each with the draws of
+        one ``permutation``. The rows are one ``take``."""
         rng = np.random.default_rng(seed)
         shuffled = _join(rng.permuted(grid, axis=1).ravel() for grid in self._grids)
-        index = self._cell_start + shuffled[self._take]
-        return self._x.take(index, axis=0), None if self._ids is None else self._ids.take(index)
+        return self._x.take(self._cell_start + shuffled[self._take], axis=0)
 
 
 def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
@@ -307,16 +312,15 @@ def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
     over the epoch); empty cells contribute nothing and raise a warning.
     Deterministic given ``seed``. Yields (x, BatchLabels) pairs.
 
-    A thin generator over ``BatchPlan(...).draw(seed)``: every batch shares
-    the plan's read-only ``labels`` and ``domains``, which depend on the
-    suite and the draw size, not on ``seed``. Code that draws many epochs
-    of one suite builds its :class:`BatchPlan` once instead.
+    A thin generator over ``BatchPlan(...).draw(seed)``: every batch, paired
+    or not, shares the plan's ``batch_labels``, whose read-only labels and
+    domains depend on the suite and the draw size, not on ``seed``. Code
+    that draws many epochs of one suite builds its :class:`BatchPlan` once
+    instead.
     """
     plan = BatchPlan(suite, per_class_per_domain, paired)
-    x, pair_ids = plan.draw(seed)
-    for b in range(plan.n_batches):
-        yield x[b], plan.batch_labels if pair_ids is None else BatchLabels(
-            plan.labels, plan.domains, pair_ids[b])
+    for x in plan.draw(seed):
+        yield x, plan.batch_labels
 
 
 @dataclass
@@ -338,6 +342,9 @@ class SuiteSpec(JsonConfig):
         if not isinstance(self.angles, (list, tuple)) or not self.angles:
             raise ConfigError(f"angles must be a non-empty list of numbers, got {self.angles!r}")
         self.angles = tuple(check_real("angles", a) for a in self.angles)
+        labels = [f"{a:g}" for a in self.angles]  # each domain's name in the outputs
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"angles must differ as written to output files, got {labels}")
         self.n_per_class = check_int("n_per_class", self.n_per_class, 1)
         self.noise_sd = check_real("noise_sd", self.noise_sd, 0.0)
         self.seed = check_int("seed", self.seed, 0)

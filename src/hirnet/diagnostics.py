@@ -137,7 +137,7 @@ def _mean_batch_kl(params: models.ModelParams, plan: BatchPlan, seed: int, salt:
     epochs as needed; each epoch's share one layout, so they are one stacked pass."""
     values: list[float] = []
     for epoch in range(-(-n_batches // plan.n_batches)):
-        x = plan.draw([seed, salt, epoch])[0][:n_batches - len(values)]
+        x = plan.draw([seed, salt, epoch])[:n_batches - len(values)]
         log_probs = models.log_posteriors(params, x.reshape(-1, x.shape[-1]))
         loss, _ = hir_kl(log_probs.reshape(x.shape[:2] + log_probs.shape[-1:]), plan.batch_labels)
         values += loss.data.reshape(-1).tolist()
@@ -185,7 +185,7 @@ def collect_bundle(params: models.ModelParams, suite: DomainSuite,
         agreement=agreement,
         paired_kl_mean=paired_mean,
         unpaired_kl_mean=unpaired_mean,
-        posterior_kl=posterior_kl_matrix(params, plan.draw(seed)[0][0], plan.batch_labels),
+        posterior_kl=posterior_kl_matrix(params, plan.draw(seed)[0], plan.batch_labels),
         probe_classes=plan.labels,
         bandwidth=used_bw,
     )

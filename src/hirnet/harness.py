@@ -4,7 +4,7 @@ The runner builds the suite once. For each held-out domain and seed it
 trains the configured objective on the suite less that domain, evaluates
 accuracy on the held-out domain, and aggregates mean and standard deviation
 across seeds. Runs that diverge (non-finite loss or gradient) are marked
-failed and the remaining runs continue.
+failed and frozen in place in their stack, and the remaining runs continue.
 
 Loss kinds: "agg" is cross-entropy only; "hir" adds the pairwise
 posterior-alignment term weighted by alpha; "mmd" and "ccsa" add the
@@ -211,6 +211,8 @@ def _safe_mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
+# A run overflows before its step's check fails it, and after it is frozen: nothing on it warns.
+@np.errstate(over="ignore", invalid="ignore")
 def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: ExperimentConfig,
                batch_seeds) -> list[TrainTraces | TrainingDiverged]:
     """Train every run in ``runs`` together, each in place: run r on the
@@ -222,12 +224,13 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
     the first's ``layout_key``, and every step reads the first plan's
     ``batch_labels``. Each epoch, run r's plan draws from
     ``[batch_seeds[r], epoch]``. Every run gets the same bits as it would alone.
-    Each step tests the whole loss and gradient buffers for finiteness once;
-    only when that fails does it look for the runs at fault. A run whose
-    loss or gradient turns non-finite leaves the stack with the
-    :class:`TrainingDiverged` it would raise alone, its parameters at their
-    last finite values; the others go on. Returns each run's traces, or its
-    failure.
+    Each step tests the whole loss and gradient buffers for finiteness once,
+    and row by row only when that fails or once a run has failed. Row r of
+    the stack is run r throughout. A run whose loss or gradient turns
+    non-finite gets the :class:`TrainingDiverged` it would raise alone and is
+    frozen in place, its row at its last finite values (a zero gradient and
+    first moment make its Adam step 0.0); the others go on. Returns each
+    run's traces, or its failure.
     """
     n_domains = len(plans[0].domain_params)
     if n_domains < 2:
@@ -243,62 +246,57 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
              np.triu(y[:, None] == y[None, :], k=1).astype(np.float64))
     results: list[TrainTraces | TrainingDiverged] = [
         TrainTraces(domain_params=list(plan.domain_params)) for plan in plans]
-    alive = list(range(len(runs)))  # the run on each row of the stack
+    alive, frozen = np.ones(len(runs), dtype=bool), False  # frozen: any row not alive
     work: dict = {}  # the epoch attribution's arrays, reused
     stack = ModelParams.stack(runs)
     opt = init_adam([stack.flat], lr=config.optimizer.lr, beta1=config.optimizer.beta1,
                     beta2=config.optimizer.beta2, eps=config.optimizer.eps)
 
     for epoch in range(config.epochs):
-        xs = np.stack([plans[run].draw([batch_seeds[run], epoch])[0] for run in alive], axis=1)
+        xs = np.stack([plan.draw([seed, epoch]) for plan, seed in zip(plans, batch_seeds)], axis=1)
         epoch_lc, epoch_lh, epoch_lp = [], [], []
-        # A diverging run overflows before the check below catches it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for b in range(n_batches):
-                graph = ad.Graph()
-                z, logits = forward(stack, xs[b], graph)
-                log_probs = ad.log_softmax(logits)
-                breakdown = _batch_breakdown(config, z, log_probs, labels)
-                epoch_lc.append(breakdown.classification.data)
-                if breakdown.hir is not None:
-                    epoch_lh.append(breakdown.hir.data)
-                epoch_lp.append(log_probs.data)
-                grads = graph.backward(breakdown.combined)
-                grad = flatten([grads[i] for i in graph.param_ids])
-                loss = breakdown.combined.data
-                if not (np.isfinite(loss).all() and np.isfinite(grad).all()):
-                    # Fail each bad run as alone and take it off the stack.
-                    loss_ok = np.isfinite(loss.reshape(-1))
-                    ok = loss_ok & np.isfinite(grad).all(axis=(-2, -1))
-                    for row in np.flatnonzero(~ok):
-                        results[alive[row]] = TrainingDiverged(
-                            f"non-finite loss at epoch {epoch}" if not loss_ok[row] else
-                            "non-finite gradient at parameter index "
-                            f"{stack.array_index(np.argmin(np.isfinite(grad[row, 0])))}")
-                        stack.write_row(row, runs[alive[row]])
-                    keep = np.flatnonzero(ok)
-                    alive = [alive[row] for row in keep]
-                    if not alive:
-                        return results
-                    stack, grad, xs = stack.take(keep), grad[keep], xs[:, keep]
-                    for values in (opt.m, opt.v, epoch_lc, epoch_lh, epoch_lp):
-                        values[:] = [v[keep] for v in values]
-                adam_step(opt, [stack.flat], [grad])
+        for b in range(n_batches):
+            graph = ad.Graph()
+            z, logits = forward(stack, xs[b], graph)
+            log_probs = ad.log_softmax(logits)
+            breakdown = _batch_breakdown(config, z, log_probs, labels)
+            epoch_lc.append(breakdown.classification.data)
+            if breakdown.hir is not None:
+                epoch_lh.append(breakdown.hir.data)
+            epoch_lp.append(log_probs.data)
+            grads = graph.backward(breakdown.combined)
+            grad = flatten([grads[i] for i in graph.param_ids])
+            loss = breakdown.combined.data
+            if frozen or not (np.isfinite(loss).all() and np.isfinite(grad).all()):
+                # Fail each newly bad run as alone; its frozen row steps by 0.0.
+                loss_ok = np.isfinite(loss.reshape(-1))
+                ok = loss_ok & np.isfinite(grad).all(axis=(-2, -1))
+                for row in np.flatnonzero(alive & ~ok):
+                    results[row] = TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}" if not loss_ok[row] else
+                        "non-finite gradient at parameter index "
+                        f"{stack.array_index(np.argmin(np.isfinite(grad[row, 0])))}")
+                alive &= ok
+                frozen = True
+                grad[~alive] = opt.m[0][~alive] = 0.0
+            adam_step(opt, [stack.flat], [grad])
         # Each run's step values lie along one contiguous row, reduced in
         # the order its own list of steps would be.
         l_c = np.concatenate(epoch_lc, axis=-1).mean(axis=-1)
         l_h = np.concatenate(epoch_lh, axis=-1).mean(axis=-1) if epoch_lh else np.zeros_like(l_c)
         dom_ce, dom_kl = _epoch_attributions(np.stack(epoch_lp, axis=1), y, *masks, work)
-        for row, run in enumerate(alive):
-            traces = results[run]
+        for row in np.flatnonzero(alive):
+            traces = results[row]
             traces.l_c.append(float(l_c[row, 0]))
             traces.l_h.append(float(l_h[row, 0]))
             traces.per_domain_l_c.append(dom_ce[row].tolist())
             traces.per_domain_kl.append(dom_kl[row].tolist())
+        if not alive.any():
+            break
         # Free the epoch's copies before the next epoch draws its own.
         del xs, epoch_lp
-    for row, run in enumerate(alive):
-        stack.write_row(row, runs[run])
+    for row, params in enumerate(runs):
+        stack.write_row(row, params)
     return results
 
 
@@ -427,8 +425,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     The HIRNET_WORKERS environment variable (default 1) splits each group's
     rows into that many contiguous chunks, one job and one stack each, and
-    runs the jobs in a pool of at most that many processes. Results are
-    identical whatever the worker count.
+    runs the jobs in a pool of at most that many processes, each job sent
+    only its rows' plans. Results are identical whatever the worker count.
     """
     start = time.perf_counter()
     workers = _worker_count()
@@ -449,7 +447,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         from concurrent.futures import ProcessPoolExecutor  # its import is a cost of every run
         with ProcessPoolExecutor(max_workers=processes) as pool:
             done = list(pool.map(_run_rows, [config] * len(jobs), [suite] * len(jobs), jobs,
-                                 [plans] * len(jobs)))
+                                 [{ho: plans[ho] for ho, _ in job} for job in jobs]))
     else:
         done = [_run_rows(config, suite, job, plans) for job in jobs]
     by_row = dict(zip(itertools.chain(*chunks), itertools.chain(*done)))

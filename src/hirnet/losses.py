@@ -41,26 +41,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BatchLabels:
-    """Per-sample class labels, source-domain indices and optional pair ids.
-
-    ``pair_id`` marks paired provenance: rows sharing a pair id are the same
-    base point observed under different domains. ``None`` means unpaired.
+    """Per-sample class labels and source-domain indices: a batch's layout.
 
     Frozen, with read-only arrays: copies of those given, or those given if
-    already read-only and owning their memory, as a
-    :class:`~hirnet.data.BatchPlan`'s layout is. So the layout fields the
+    already read-only and owning their memory. So the layout fields the
     losses read (:meth:`onehot`, :meth:`segments`, ``mmd_weights`` and
-    ``upper``) are computed on first use, read-only, and never stale; each
-    plan holds one, which every step and probe batch drawn from it reads.
+    ``upper``) are computed on first use, read-only, and never stale. Each
+    :class:`~hirnet.data.BatchPlan` holds one, whose arrays are its layout,
+    and every step and probe batch drawn from the plan reads it.
     """
 
     labels: np.ndarray
     domains: np.ndarray | None = None
-    pair_id: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("labels", "domains", "pair_id"):
+        for name in ("labels", "domains"):
             if getattr(self, name) is None:
                 continue
             arr = np.asarray(getattr(self, name), dtype=np.int64)
@@ -73,10 +69,6 @@ class BatchLabels:
 
     def __len__(self) -> int:
         return self.labels.size
-
-    @property
-    def paired(self) -> bool:
-        return self.pair_id is not None
 
     def _cached(self, key, make):
         """``make()``, computed on the first call per key, its arrays read-only."""

@@ -58,13 +58,9 @@ class ModelParams:
     @classmethod
     def stack(cls, runs: list["ModelParams"]) -> "ModelParams":
         """One stack, over a new buffer, of ``runs``, all of one shape."""
-        return cls._over(flatten([np.stack(a) for a in zip(*(p.arrays() for p in runs))]),
-                         runs[0].layer_sizes)
-
-    @classmethod
-    def _over(cls, flat: np.ndarray, layer_sizes: tuple[int, ...]) -> "ModelParams":
-        params, at = cls(flat=flat), 0
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        flat = flatten([np.stack(a) for a in zip(*(p.arrays() for p in runs))])
+        params, at, sizes = cls(flat=flat), 0, runs[0].layer_sizes
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             end = at + fan_in * fan_out
             params.weights.append(flat[:, 0, at:end].reshape(len(flat), fan_in, fan_out))
             params.biases.append(flat[:, :, end:end + fan_out])
@@ -84,10 +80,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def take(self, rows: list[int]) -> "ModelParams":
-        """A new stack of this stack's runs on ``rows``, in that order."""
-        return ModelParams._over(self.flat[rows], self.layer_sizes)
 
     def write_row(self, row: int, params: "ModelParams") -> None:
         """Copy this stack's run on ``row`` into the unstacked ``params``."""

@@ -52,6 +52,10 @@ def refuse(what: str):
     return refused
 
 
+# Two angles that print alike as the domain names of every output file.
+ALIKE_ANGLES = [15.0000001, 15.0000002, 60.0]
+
+
 class TestRunCommand:
     @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
     def test_unusable_out_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
@@ -182,6 +186,14 @@ class TestRunCommand:
         assert "config error: HIRNET_WORKERS" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_angles_alike_as_written_exit_2(self, tmp_path, capsys):
+        raw = small_config()
+        raw["suite"]["angles"] = ALIKE_ANGLES
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
+        assert "config error: angles must differ as written" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_runs_failed_exits_3(self, tmp_path, capsys):
         raw = small_config(optimizer=OptimizerConfig(lr=1e200).to_dict(), epochs=3)
         cfg_path = write_config(tmp_path, raw)
@@ -306,6 +318,15 @@ class TestDiagCommand:
         assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(tmp_path / "diag"), "--per-class-per-domain", "3"]) == 0
         assert len(calls) == 1
+
+    def test_angles_alike_as_written_exit_2(self, tmp_path, capsys):
+        ckpt, manifest, out = tmp_path / "model.ckpt", tmp_path / "suite.json", tmp_path / "diag"
+        save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
+        manifest.write_text(json.dumps({**SuiteSpec(seed=2).to_dict(), "angles": ALIKE_ANGLES}))
+        assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
+                     "--out", str(out)]) == 2
+        assert "config error: angles must differ as written" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "suite.json"

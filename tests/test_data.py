@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -47,7 +48,7 @@ def per_batch_stratified_batches(suite, k, paired=False, seed=0):
                   for ds in suite.domains]
         n_batches = max(int(np.ceil(ids.size / k)) for ids in usable.values())
         for b in range(n_batches):
-            xs, ys, doms, pids = [], [], [], []
+            xs, ys, doms = [], [], []
             chosen = {c: _cycled(ids, b * k, k) for c, ids in usable.items()}
             for d, dataset in enumerate(suite.domains):
                 for c, ids in chosen.items():
@@ -55,9 +56,7 @@ def per_batch_stratified_batches(suite, k, paired=False, seed=0):
                     xs.append(dataset.x[rows])
                     ys.append(np.full(k, c, dtype=np.int64))
                     doms.append(np.full(k, d, dtype=np.int64))
-                    pids.append(ids)
-            yield np.vstack(xs), BatchLabels(np.concatenate(ys), np.concatenate(doms),
-                                             np.concatenate(pids))
+            yield np.vstack(xs), BatchLabels(np.concatenate(ys), np.concatenate(doms))
         return
     orders = {}
     for d, dataset in enumerate(suite.domains):
@@ -84,8 +83,7 @@ def per_batch_stratified_batches(suite, k, paired=False, seed=0):
 
 
 def batch_bytes(batches):
-    return [(x.shape, x.tobytes(), labels.labels.tobytes(), labels.domains.tobytes(),
-             None if labels.pair_id is None else labels.pair_id.tobytes())
+    return [(x.shape, x.tobytes(), labels.labels.tobytes(), labels.domains.tobytes())
             for x, labels in batches]
 
 
@@ -257,15 +255,11 @@ class TestStratifiedBatches:
     def test_paired_mode_shares_base_ids(self):
         suite = gen_rotated_suite("moons", 30, seed=15)
         x, labels = next(stratified_batches(suite, 2, paired=True, seed=4))
-        assert labels.paired
         for c in range(2):
-            reference = None
-            for d in range(len(suite)):
-                rows = (labels.domains == d) & (labels.labels == c)
-                ids = sorted(labels.pair_id[rows].tolist())
-                if reference is None:
-                    reference = ids
-                assert ids == reference
+            reference = cell_base_ids(suite, x, labels, 0, c)
+            assert len(reference) == 2
+            for d in range(1, len(suite)):
+                assert cell_base_ids(suite, x, labels, d, c) == reference
 
     def test_unpaired_mode_rarely_coincides(self):
         suite = gen_rotated_suite("moons", 100, seed=16)
@@ -353,6 +347,25 @@ class TestPlannedSamplerMatchesPerBatchLoop:
             first.labels[0] = 1  # shared by every batch, so read-only
 
 
+@pytest.mark.parametrize("paired", [False, True])
+def test_an_unpickled_plan_keeps_its_read_only_layout(paired):
+    """A plan sent to a worker process comes back with its layout read-only,
+    in a new ``batch_labels`` over it whose caches start empty, and draws
+    the epochs it drew before."""
+    plan = BatchPlan(gen_rotated_suite("moons", 20, angles=[0.0, 30.0, 60.0], seed=35), 3, paired)
+    plan.batch_labels.segments("labels")  # a cache filled before pickling
+    again = pickle.loads(pickle.dumps(plan))
+    labels = again.batch_labels
+    assert labels._cache == {}
+    assert labels.labels is again.labels and labels.domains is again.domains
+    for arr in [again.labels, again.domains, labels.onehot(2), *labels.segments("labels"),
+                labels.mmd_weights, labels.upper]:
+        with pytest.raises(ValueError):
+            arr.flat[0] = arr.flat[0]
+    assert again.layout_key == plan.layout_key
+    assert again.draw([4, 1]).tobytes() == plan.draw([4, 1]).tobytes()
+
+
 @st.composite
 def small_suites(draw):
     """A few tiny gaussian domains, each with its own class mix; a zero in
@@ -378,12 +391,9 @@ def test_plan_draw_gives_the_per_batch_loop_bytes(suite, k, paired, seed):
         warnings.simplefilter("ignore", UserWarning)
         plan = BatchPlan(suite, k, paired)
         old = list(per_batch_stratified_batches(suite, k, paired=paired, seed=seed))
-    x, pair_ids = plan.draw(seed)
+    x = plan.draw(seed)
     assert x.shape[0] == plan.n_batches == len(old)
-    new = [(x[b], BatchLabels(plan.labels, plan.domains,
-                              None if pair_ids is None else pair_ids[b]))
-           for b in range(plan.n_batches)]
-    assert batch_bytes(new) == batch_bytes(old)
+    assert batch_bytes([(batch, plan.batch_labels) for batch in x]) == batch_bytes(old)
 
 
 def manifest_spec():

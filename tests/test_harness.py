@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import pickle
 import sys
 import warnings
 from dataclasses import replace
@@ -35,7 +36,7 @@ from hirnet.harness import (
     write_report_json,
     write_trace_csv,
 )
-from hirnet.losses import BatchLabels, LossBreakdown, combined_loss, cross_entropy, pairwise_kl
+from hirnet.losses import LossBreakdown, combined_loss, cross_entropy, pairwise_kl
 from hirnet.models import MlpSpec, ModelParams, flatten, forward, init_params
 from hirnet.optim import adam_step, init_adam
 
@@ -251,7 +252,7 @@ def test_combined_node_gives_the_scale_and_add_bits(loss_kind, monkeypatch):
                       paired=True, cross_domain_only=True)
     plan = BatchPlan(cfg.suite.build().drop(1), cfg.per_class_per_domain, cfg.paired)
     labels = plan.batch_labels
-    x = np.stack([plan.draw([run, 0])[0][0] for run in range(3)])
+    x = np.stack([plan.draw([run, 0])[0] for run in range(3)])
     stack = ModelParams.stack([init_params(MlpSpec((2, 8, 2), seed=run)) for run in range(3)])
 
     def step():
@@ -416,6 +417,64 @@ def test_loss_and_gradient_failures_at_one_step_fail_as_alone(monkeypatch):
             assert isinstance(result, TrainingDiverged) and str(result) == str(results[run])
 
 
+def test_a_failed_run_is_frozen_in_place(monkeypatch):
+    """In a stack of 3 whose run 1 turns non-finite at its third step, every
+    step's Adam call gets the same (3, 1, P) buffer, and run 1's row holds
+    the bits it had when it failed at every step from then on."""
+    cfg = tiny_config(loss_kind="hir", alpha=0.1, epochs=3, hidden_sizes=(6, 4))
+    suite = cfg.suite.build().drop(1)
+    backward, step = ad.Graph.backward, harness.adam_step
+    seen = []  # each Adam call's buffer and its run 1 row, as the call finds them
+
+    def poisoned(graph, loss):
+        grads = backward(graph, loss)
+        if len(seen) == 2:
+            grads[graph.param_ids[2]][1].flat[-1] = np.nan
+        return grads
+
+    def spy(state, params, grads):
+        seen.append((params[0], params[0][1].tobytes()))
+        return step(state, params, grads)
+
+    monkeypatch.setattr(ad.Graph, "backward", poisoned)
+    monkeypatch.setattr(harness, "adam_step", spy)
+    runs = [init_params(MlpSpec((2, 6, 4, 2), seed=s)) for s in range(3)]
+    results = harness.train_runs(runs, plans_of([suite] * 3, cfg), cfg, [10, 11, 12])
+    assert str(results[1]) == "non-finite gradient at parameter index 2"
+    n_steps = cfg.epochs * BatchPlan(suite, cfg.per_class_per_domain, cfg.paired).n_batches
+    assert len(seen) == n_steps and seen[0][0].shape == (3, 1, 2 * 6 + 6 + 6 * 4 + 4 + 4 * 2 + 2)
+    assert all(buffer is seen[0][0] for buffer, _ in seen)
+    last_finite = seen[2][1]
+    assert seen[1][1] != last_finite  # it moved until it failed
+    assert all(row == last_finite for _, row in seen[2:])
+    assert np.concatenate([a.reshape(-1) for a in runs[1].arrays()]).tobytes() == last_finite
+
+
+@pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
+def test_a_frozen_row_of_non_finite_latents_runs_quietly(loss_kind):
+    """Run 1's weights make its latent z overflow to inf, so it fails at the
+    first step and stays frozen, its z non-finite, for the whole run.
+    Nothing computed on it, the MMD bandwidth included, raises or warns,
+    and runs 0 and 2 get the bits they get alone."""
+    cfg = tiny_config(loss_kind=loss_kind, alpha=0.0 if loss_kind == "agg" else 0.1, epochs=3,
+                      hidden_sizes=(6, 4))
+    suite = cfg.suite.build().drop(1)
+    runs = [init_params(MlpSpec((2, 6, 4, 2), seed=s)) for s in range(3)]
+    for w in runs[1].weights[:2]:
+        w *= 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(forward(runs[1], suite.domains[0].x)[0].data).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = harness.train_runs(runs, plans_of([suite] * 3, cfg), cfg, [10, 11, 12])
+    assert str(results[1]) == "non-finite loss at epoch 0"
+    for s in (0, 2):
+        alone = init_params(MlpSpec((2, 6, 4, 2), seed=s))
+        _, traces = train(alone, suite, cfg, batch_seed=10 + s)
+        assert same_bytes(runs[s], alone)
+        assert results[s].to_dict() == traces.to_dict()
+
+
 @pytest.mark.parametrize("n_runs", [1, 3])
 def test_one_adam_pass_per_step_over_one_buffer(n_runs, monkeypatch):
     """Every step updates the whole stack with one Adam call over one
@@ -463,11 +522,8 @@ def train_with_oracle(monkeypatch, suite, cfg):
     # An epoch's batches are all drawn before its first step, and its
     # log_softmax calls come in batch order; the one run is row 0 of the stack.
     def recording_draw(plan, seed):
-        x, pair_ids = draw(plan, seed)
-        epochs.append(([BatchLabels(plan.labels, plan.domains,
-                                    None if pair_ids is None else pair_ids[b])
-                        for b in range(plan.n_batches)], []))
-        return x, pair_ids
+        epochs.append(([plan.batch_labels] * plan.n_batches, []))
+        return draw(plan, seed)
 
     def recording_log_softmax(logits):
         out = log_softmax(logits)
@@ -870,6 +926,40 @@ class TestRunExperiment:
         monkeypatch.setenv("HIRNET_WORKERS", "500")
         parallel = strip_wall_clock(run_experiment(cfg).to_dict())
         assert InlinePool.sizes == [6]
+        assert json.dumps(sequential, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+    def test_each_job_is_sent_only_its_rows_plans(self, monkeypatch):
+        class PicklingPool:
+            """Runs each job in this process on a pickled copy of its
+            arguments, as a process pool does, and records for each job the
+            held-out domains of its rows, its plans' keys and whether every
+            plan's layout is read-only."""
+            jobs = []
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                calls = [pickle.loads(pickle.dumps(args)) for args in zip(*iterables)]
+                for _, _, rows, plans in calls:
+                    self.jobs.append((sorted({ho for ho, _ in rows}), sorted(plans), all(
+                        not (p.labels.flags.writeable or p.domains.flags.writeable)
+                        for p in plans.values())))
+                return [fn(*args) for args in calls]
+
+        # 6 rows in one stack: two jobs of 3, held out on domains 0, 0, 1 and 1, 2, 2.
+        cfg = tiny_config(held_out="all", seeds=(0, 1), epochs=2)
+        sequential = strip_wall_clock(run_experiment(cfg).to_dict())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setenv("HIRNET_WORKERS", "2")
+        parallel = strip_wall_clock(run_experiment(cfg).to_dict())
+        assert PicklingPool.jobs == [([0, 1], [0, 1], True), ([1, 2], [1, 2], True)]
         assert json.dumps(sequential, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
     def test_mmd_and_ccsa_kinds_run(self):

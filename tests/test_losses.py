@@ -672,21 +672,15 @@ class TestBatchLabels:
     def test_length_checks(self):
         with pytest.raises(ContractError):
             BatchLabels([0, 1], [0])
-        with pytest.raises(ContractError):
-            BatchLabels([0, 1], [0, 1], [5])
-
-    def test_paired_flag(self):
-        assert BatchLabels([0], [0], [3]).paired
-        assert not BatchLabels([0], [0]).paired
 
     def test_arrays_and_layout_fields_are_read_only(self):
-        y, d, ids = np.array([1, 0, 1, 2, 0, 1]), np.array([0, 0, 1, 1, 2, 2]), np.arange(6)
-        labels = BatchLabels(y, d, ids)
-        y[0] = d[0] = ids[0] = 7  # the caller's arrays were copied
-        assert labels.labels[0] == 1 and labels.domains[0] == 0 and labels.pair_id[0] == 0
+        y, d = np.array([1, 0, 1, 2, 0, 1]), np.array([0, 0, 1, 1, 2, 2])
+        labels = BatchLabels(y, d)
+        y[0] = d[0] = 7  # the caller's arrays were copied
+        assert labels.labels[0] == 1 and labels.domains[0] == 0
         fields = [labels.onehot(3), *labels.segments("labels"),
                   *labels.segments("labels", "domains"), labels.mmd_weights, labels.upper]
-        for arr in [labels.labels, labels.domains, labels.pair_id, *fields]:
+        for arr in [labels.labels, labels.domains, *fields]:
             with pytest.raises(ValueError):
                 arr.flat[0] = arr.flat[0]
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -181,17 +181,14 @@ class TestStack:
         stack = ModelParams.stack(self.runs())
         assert flatten(stack.arrays()).tobytes() == stack.flat.tobytes()
 
-    def test_take_restacks_rows_in_order_and_write_row_unstacks(self):
+    def test_write_row_unstacks_each_row(self):
         runs = self.runs()
         stack = ModelParams.stack(runs)
-        taken = stack.take([2, 0])
-        assert not np.shares_memory(taken.flat, stack.flat)
-        assert all(np.shares_memory(a, taken.flat) for a in taken.arrays())
-        for row, run in enumerate([2, 0]):
+        for row in (2, 0, 1):
             params = init_params(MlpSpec((3, 5, 4, 2), seed=9))
-            taken.write_row(row, params)
-            assert same_bytes(params, runs[run])
-        assert taken.take([]).flat.shape == (0, 1, stack.flat.shape[-1])
+            stack.write_row(row, params)
+            assert same_bytes(params, runs[row])
+            assert not any(np.shares_memory(a, stack.flat) for a in params.arrays())
 
     def test_array_index_maps_every_column(self):
         stack = ModelParams.stack(self.runs())
