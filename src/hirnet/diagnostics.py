@@ -54,31 +54,39 @@ def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
     buffer, a diagonal block its upper triangle by one flat index per block
     size. With ``per_class`` a group is a (class, domain) cell and only
     same-class blocks are built, giving a (classes, |D|, |D|) stack, NaN
-    where a domain is missing the class."""
+    where a domain is missing the class. Row norms are taken once a call,
+    and every block is written into the same two buffers."""
     n, classes = len(suite), suite.class_count if per_class else 1
     z, _ = models.forward(params, np.vstack([ds.x for ds in suite.domains]))
-    domains = np.split(z.data, np.cumsum([ds.y.size for ds in suite.domains])[:-1])
+    cuts = np.cumsum([ds.y.size for ds in suite.domains])[:-1]
+    domains, norms = np.split(z.data, cuts), np.split(np.sum(z.data * z.data, axis=-1), cuts)
+    out, gram = np.empty((2, max(map(len, domains)) ** 2))  # every block's two buffers
+    def block(rows, row_norms, a, b, into=out):  # into: flat, at least the block's size
+        shape = (len(rows[a]), len(rows[b]))
+        return _sq_dists(rows[a], rows[b], into[:shape[0] * shape[1]].reshape(shape),
+                         gram[:shape[0] * shape[1]].reshape(shape), row_norms[a], row_norms[b])
     if bandwidth is None:
         pairs, at = np.empty(len(z.data) * (len(z.data) - 1) // 2), 0
         upper = {m: np.flatnonzero(np.triu(np.ones((m, m), bool), 1))
                  for m in set(map(len, domains))}
         for a, b in zip(*np.triu_indices(n)):
-            z_a, z_b = domains[a], domains[b]
-            block = pairs[at:at + (upper[len(z_a)].size if a == b else len(z_a) * len(z_b))]
+            m = len(domains[a])
+            dest = pairs[at:at + (upper[m].size if a == b else m * len(domains[b]))]
             if a == b:  # its i < j entries; the index is in range, and "raise" buffers out
-                np.take(_sq_dists(z_a, z_b), upper[len(z_a)], out=block, mode="clip")
+                np.take(block(domains, norms, a, b), upper[m], out=dest, mode="clip")
             else:
-                _sq_dists(z_a, z_b, out=block.reshape(len(z_a), len(z_b)))
-            at += block.size
+                block(domains, norms, a, b, dest)
+            at += dest.size
         bandwidth = median_distance(pairs)
     gamma, kernel_means = rbf_gamma(bandwidth, 2), np.full((classes, n, n), np.nan)
     for c in range(classes):
-        rows = [z_d[ds.y == c] if per_class else z_d for z_d, ds in zip(domains, suite.domains)]
+        cells = [ds.y == c if per_class else slice(None) for ds in suite.domains]
+        rows, row_norms = zip(*[(z_d[k], n_d[k]) for z_d, n_d, k in zip(domains, norms, cells)])
         for a, b in zip(*np.triu_indices(n)):
             if rows[a].size and rows[b].size:
-                block = _sq_dists(rows[a], rows[b])
-                block *= gamma
-                kernel_means[c, a, b] = kernel_means[c, b, a] = np.exp(block, out=block).mean()
+                dists = block(rows, row_norms, a, b)
+                dists *= gamma
+                kernel_means[c, a, b] = kernel_means[c, b, a] = np.exp(dists, out=dists).mean()
     own = np.diagonal(kernel_means, axis1=1, axis2=2)
     stack = own[:, :, None] + own[:, None, :] - 2.0 * kernel_means
     return (stack if per_class else stack[0]), bandwidth

@@ -54,7 +54,7 @@ from .losses import (LossBreakdown, class_conditional_align, cross_entropy, doma
                      hir_kl)
 from .models import (MlpSpec, ModelParams, flatten, forward, init_params, predict,
                      save_checkpoint)
-from .optim import adam_step, init_adam
+from .optim import NonFiniteGradient, adam_step, init_adam
 
 LOSS_KINDS = ("agg", "hir", "mmd", "ccsa")
 
@@ -224,8 +224,8 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
     the first's ``layout_key``, and every step reads the first plan's
     ``batch_labels``. Each epoch, run r's plan draws from
     ``[batch_seeds[r], epoch]``. Every run gets the same bits as it would alone.
-    Each step tests the whole loss and gradient buffers for finiteness once,
-    and row by row only when that fails or once a run has failed. Row r of
+    Each step tests the loss buffer, and ``adam_step`` the gradient buffer, for
+    finiteness once; row by row only if one fails or a run has. Row r of
     the stack is run r throughout. A run whose loss or gradient turns
     non-finite gets the :class:`TrainingDiverged` it would raise alone and is
     frozen in place, its row at its last finite values (a zero gradient and
@@ -267,18 +267,23 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
             grads = graph.backward(breakdown.combined)
             grad = flatten([grads[i] for i in graph.param_ids])
             loss = breakdown.combined.data
-            if frozen or not (np.isfinite(loss).all() and np.isfinite(grad).all()):
-                # Fail each newly bad run as alone; its frozen row steps by 0.0.
-                loss_ok = np.isfinite(loss.reshape(-1))
-                ok = loss_ok & np.isfinite(grad).all(axis=(-2, -1))
-                for row in np.flatnonzero(alive & ~ok):
-                    results[row] = TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}" if not loss_ok[row] else
-                        "non-finite gradient at parameter index "
-                        f"{stack.array_index(np.argmin(np.isfinite(grad[row, 0])))}")
-                alive &= ok
-                frozen = True
-                grad[~alive] = opt.m[0][~alive] = 0.0
+            if not frozen and np.isfinite(loss).all():
+                try:
+                    adam_step(opt, [stack.flat], [grad])
+                    continue
+                except NonFiniteGradient:  # raised before adam_step changes anything
+                    pass
+            # Fail each newly bad run as alone; its frozen row steps by 0.0.
+            loss_ok = np.isfinite(loss.reshape(-1))
+            ok = loss_ok & np.isfinite(grad).all(axis=(-2, -1))
+            for row in np.flatnonzero(alive & ~ok):
+                results[row] = TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}" if not loss_ok[row] else
+                    "non-finite gradient at parameter index "
+                    f"{stack.array_index(np.argmin(np.isfinite(grad[row, 0])))}")
+            alive &= ok
+            frozen = True
+            grad[~alive] = opt.m[0][~alive] = 0.0
             adam_step(opt, [stack.flat], [grad])
         # Each run's step values lie along one contiguous row, reduced in
         # the order its own list of steps would be.

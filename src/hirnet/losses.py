@@ -270,14 +270,18 @@ def combined_loss(log_probs, labels, alpha: float, cross_domain_only: bool = Fal
     return LossBreakdown.combine(classification, hir, alpha)
 
 
-def _sq_dists(z: np.ndarray, w: np.ndarray | None = None, out=None) -> np.ndarray:
-    """Squared Euclidean distances from every row of z to every row of w
-    (default: z itself), clipped at 0; written into ``out`` if given."""
+def _sq_dists(z: np.ndarray, w: np.ndarray | None = None, out=None, gram=None,
+              norms=None, w_norms=None) -> np.ndarray:
+    """Squared Euclidean distances from every row of z to every row of w (default:
+    z itself), (|z_i|^2 + |w_j|^2) - 2 z_i.w_j clipped at 0; into ``out`` and ``gram``
+    (the z.w products), and from the rows' squared ``norms`` and ``w_norms``, if given."""
     w = z if w is None else w
-    norms = np.sum(z * z, axis=-1)
-    w_norms = norms if w is z else np.sum(w * w, axis=-1)
-    dists = np.add(norms[..., :, None], w_norms[..., None, :], out=out)
-    gram = z @ w.swapaxes(-1, -2)
+    norms = np.sum(z * z, axis=-1) if norms is None else norms
+    w_norms = (norms if w is z else np.sum(w * w, axis=-1)) if w_norms is None else w_norms
+    dists = np.empty(z.shape[:-1] + w.shape[-2:-1]) if out is None else out
+    dists[...] = w_norms[..., None, :]  # a row copy, then one broadcast add
+    dists += norms[..., :, None]
+    gram = np.matmul(z, w.swapaxes(-1, -2), out=gram)
     gram *= 2.0
     dists -= gram
     return np.maximum(dists, 0.0, out=dists)
@@ -346,7 +350,7 @@ def median_distance(sq_pairs: np.ndarray) -> float:
     As ``sqrt`` is monotone, it is taken (of Python floats) of the one or two middle values
     only, which one in-place partition of the 1-D ``sq_pairs`` at its upper middle selects."""
     half = sq_pairs.size // 2
-    if sq_pairs.size == 0 or np.isnan(sq_pairs).any():
+    if sq_pairs.size == 0 or np.isnan(sq_pairs.max()):  # max is NaN if any is; no mask
         return 1.0
     sq_pairs.partition(half)  # the lower middle is then the largest value below
     med = math.sqrt(sq_pairs[half])

@@ -183,6 +183,95 @@ class TestDomainAlignmentMatrix:
         assert np.isfinite(stack[0, 0, 1])
 
 
+def per_block_sq_dists(z, w):
+    """A block's squared distances as each block was once built: both sides'
+    row norms taken for the block, and their outer sum by one np.add."""
+    norms = np.sum(z * z, axis=-1)
+    w_norms = norms if w is z else np.sum(w * w, axis=-1)
+    dists = np.add(norms[..., :, None], w_norms[..., None, :])
+    gram = z @ w.swapaxes(-1, -2)
+    gram *= 2.0
+    dists -= gram
+    return np.maximum(dists, 0.0, out=dists)
+
+
+def per_block_alignment_matrix(params, suite, per_class, bandwidth):
+    """domain_alignment_matrix from fresh per-block arrays: the domain blocks'
+    pairs gathered for np.median, then one kernel block per pair of groups."""
+    n, classes = len(suite), suite.class_count if per_class else 1
+    z = forward(params, np.vstack([ds.x for ds in suite.domains]))[0].data
+    domains = np.split(z, np.cumsum([ds.y.size for ds in suite.domains])[:-1])
+    pairs_ab = itertools.combinations_with_replacement(range(n), 2)
+    if bandwidth is None:
+        pairs = np.concatenate([
+            per_block_sq_dists(domains[a], domains[b])[np.triu_indices(len(domains[a]), 1)]
+            if a == b else per_block_sq_dists(domains[a], domains[b]).ravel()
+            for a, b in pairs_ab])
+        median = float(np.median(np.sqrt(pairs))) if pairs.size else np.nan
+        bandwidth = median if median > 0 else 1.0
+    gamma, kernel_means = -1.0 / (2.0 * bandwidth * bandwidth), np.full((classes, n, n), np.nan)
+    for c in range(classes):
+        rows = [z_d[ds.y == c] if per_class else z_d for z_d, ds in zip(domains, suite.domains)]
+        for a, b in itertools.combinations_with_replacement(range(n), 2):
+            if rows[a].size and rows[b].size:
+                block = per_block_sq_dists(rows[a], rows[b])
+                block *= gamma
+                kernel_means[c, a, b] = kernel_means[c, b, a] = np.exp(block).mean()
+    own = np.diagonal(kernel_means, axis1=1, axis2=2)
+    stack = own[:, :, None] + own[:, None, :] - 2.0 * kernel_means
+    return (stack if per_class else stack[0]), bandwidth
+
+
+def alignment_layouts():
+    """Suites whose blocks differ in shape: equal domains, unequal domains
+    from a prior shift, a class missing from one domain, a one-row domain
+    and a single domain."""
+    equal = gen_rotated_suite("moons", 30, angles=[0.0, 25.0, 50.0], seed=41)
+    shifted = apply_prior_shift(gen_rotated_suite("moons", 30, angles=[0.0, 25.0, 50.0], seed=42),
+                                PriorShiftSpec([[0.5, 0.5], [0.8, 0.2], [0.3, 0.7]]), seed=43)
+    missing = gen_rotated_suite("moons", 20, angles=[0.0, 30.0, 60.0], seed=44)
+    missing.domains[1] = missing.domains[1].subset(np.flatnonzero(missing.domains[1].y == 0))
+    one_row = gen_rotated_suite("moons", 20, angles=[0.0, 40.0], seed=45)
+    one_row.domains[0] = one_row.domains[0].subset([3])
+    single = gen_rotated_suite("moons", 25, angles=[10.0], seed=46)
+    return {"equal": equal, "prior_shift": shifted, "missing_class": missing,
+            "one_row_domain": one_row, "one_domain": single}
+
+
+@pytest.mark.parametrize("bandwidth", [None, 0.7])
+@pytest.mark.parametrize("per_class", [False, True])
+@pytest.mark.parametrize("layout", sorted(alignment_layouts()))
+def test_alignment_matrix_gives_the_per_block_bits(layout, per_class, bandwidth):
+    suite = alignment_layouts()[layout]
+    params = init_params(MlpSpec((2, 16, 2), seed=47))
+    got, got_bw = domain_alignment_matrix(params, suite, per_class=per_class, bandwidth=bandwidth)
+    want, want_bw = per_block_alignment_matrix(params, suite, per_class, bandwidth)
+    assert got_bw == want_bw
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if layout == "missing_class" and per_class:
+        assert np.isnan(got[1, 0, 1]) and np.isnan(got[1, 1, 1]) and np.isfinite(got[1, 0, 2])
+    if layout == "prior_shift":
+        assert len({len(ds.y) for ds in suite.domains}) == len(suite)
+
+
+@pytest.mark.parametrize("w_rows", [None, 9])
+def test_sq_dists_of_given_norms_and_buffers_gives_the_per_block_bits(w_rows):
+    """On stacked (runs, n, d) MMD inputs, with z's own rows or another w:
+    _sq_dists computing its norms, _sq_dists given them and its output and
+    Gram buffers, and the per-block formula all agree bitwise."""
+    rng = np.random.default_rng(48)
+    z = rng.normal(size=(3, 12, 4))
+    w = z if w_rows is None else rng.normal(size=(3, w_rows, 4))
+    norms = np.sum(z * z, axis=-1)
+    w_norms = norms if w is z else np.sum(w * w, axis=-1)
+    out, gram = np.empty((2,) + z.shape[:-1] + w.shape[-2:-1])
+    own = losses._sq_dists(z, None if w is z else w)
+    given = losses._sq_dists(z, w, out, gram, norms, w_norms)
+    assert given is out
+    assert own.tobytes() == given.tobytes() == per_block_sq_dists(z, w).tobytes()
+    assert np.all(own >= 0.0)
+
+
 class TestPosteriorKlMatrix:
     def test_identical_posteriors_zero_entries(self):
         x = np.random.default_rng(14).normal(size=(6, 2))

@@ -38,7 +38,7 @@ from hirnet.harness import (
 )
 from hirnet.losses import LossBreakdown, combined_loss, cross_entropy, pairwise_kl
 from hirnet.models import MlpSpec, ModelParams, flatten, forward, init_params
-from hirnet.optim import adam_step, init_adam
+from hirnet.optim import NonFiniteGradient, adam_step, init_adam
 
 
 def tiny_config(**overrides):
@@ -419,12 +419,14 @@ def test_loss_and_gradient_failures_at_one_step_fail_as_alone(monkeypatch):
 
 def test_a_failed_run_is_frozen_in_place(monkeypatch):
     """In a stack of 3 whose run 1 turns non-finite at its third step, every
-    step's Adam call gets the same (3, 1, P) buffer, and run 1's row holds
-    the bits it had when it failed at every step from then on."""
+    step's Adam update gets the same (3, 1, P) buffer, and run 1's row holds
+    the bits it had when it failed at every step from then on. The one Adam
+    call that finds the non-finite gradient raises and changes nothing."""
     cfg = tiny_config(loss_kind="hir", alpha=0.1, epochs=3, hidden_sizes=(6, 4))
     suite = cfg.suite.build().drop(1)
     backward, step = ad.Graph.backward, harness.adam_step
-    seen = []  # each Adam call's buffer and its run 1 row, as the call finds them
+    seen = []  # each Adam update's buffer and its run 1 row, as the call finds them
+    raised = []  # for each Adam call that raised: whether it left the state as it found it
 
     def poisoned(graph, loss):
         grads = backward(graph, loss)
@@ -432,9 +434,18 @@ def test_a_failed_run_is_frozen_in_place(monkeypatch):
             grads[graph.param_ids[2]][1].flat[-1] = np.nan
         return grads
 
+    def state_bytes(state, params):
+        return params[0].tobytes(), state.m[0].tobytes(), state.v[0].tobytes(), state.t
+
     def spy(state, params, grads):
-        seen.append((params[0], params[0][1].tobytes()))
-        return step(state, params, grads)
+        found, row = state_bytes(state, params), params[0][1].tobytes()
+        try:
+            result = step(state, params, grads)
+        except NonFiniteGradient:
+            raised.append(state_bytes(state, params) == found)
+            raise
+        seen.append((params[0], row))
+        return result
 
     monkeypatch.setattr(ad.Graph, "backward", poisoned)
     monkeypatch.setattr(harness, "adam_step", spy)
@@ -443,6 +454,7 @@ def test_a_failed_run_is_frozen_in_place(monkeypatch):
     assert str(results[1]) == "non-finite gradient at parameter index 2"
     n_steps = cfg.epochs * BatchPlan(suite, cfg.per_class_per_domain, cfg.paired).n_batches
     assert len(seen) == n_steps and seen[0][0].shape == (3, 1, 2 * 6 + 6 + 6 * 4 + 4 + 4 * 2 + 2)
+    assert raised == [True]
     assert all(buffer is seen[0][0] for buffer, _ in seen)
     last_finite = seen[2][1]
     assert seen[1][1] != last_finite  # it moved until it failed

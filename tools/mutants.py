@@ -80,11 +80,11 @@ MUTANTS = {
         "p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)",
         "p -= state.lr * m / correct1 / (np.sqrt(v / correct2) + state.eps)",
         ("tests/test_optim.py::test_stacked_step_has_the_textbook_bits",)),
-    # The step's finite test reads the gradient only.
+    # The step's finite test reads the gradient only, in adam_step.
     "finite-test-drops-loss": Mutant(
         "src/hirnet/harness.py",
-        "(np.isfinite(loss).all() and np.isfinite(grad).all())",
-        "np.isfinite(grad).all()",
+        "if not frozen and np.isfinite(loss).all():",
+        "if not frozen:",
         ("tests/test_harness.py::test_loss_and_gradient_failures_at_one_step_fail_as_alone",)),
     # A failed run found by its loss only.
     "finite-mask-drops-gradient": Mutant(
@@ -96,7 +96,7 @@ MUTANTS = {
     "loss-message-dropped": Mutant(
         "src/hirnet/harness.py",
         'f"non-finite loss at epoch {epoch}" if not loss_ok[row] else\n'
-        "                        ",
+        "                    ",
         "",
         ("tests/test_harness.py::TestStackedRuns::"
          "test_diverging_run_fails_as_alone_and_the_others_go_on",)),
@@ -106,6 +106,25 @@ MUTANTS = {
         "grad[~alive] = opt.m[0][~alive] = 0.0",
         "grad[~alive] = 0.0",
         ("tests/test_harness.py::test_a_failed_run_is_frozen_in_place",)),
+    # Per-class blocks that read the first rows of the whole domain's norms.
+    "class-blocks-read-domain-norms": Mutant(
+        "src/hirnet/diagnostics.py",
+        "(z_d[k], n_d[k]) for z_d, n_d, k in",
+        "(z_d[k], n_d[:len(z_d[k])]) for z_d, n_d, k in",
+        ("tests/test_diagnostics.py::test_alignment_matrix_gives_the_per_block_bits",)),
+    # A block's two sides' norms swapped.
+    "block-norms-swapped": Mutant(
+        "src/hirnet/diagnostics.py",
+        "row_norms[a], row_norms[b])",
+        "row_norms[b], row_norms[a])",
+        ("tests/test_diagnostics.py::test_alignment_matrix_gives_the_per_block_bits",)),
+    # The block buffers taken from the pairs before the median has read them.
+    "block-buffers-in-unread-pairs": Mutant(
+        "src/hirnet/diagnostics.py",
+        "pairs, at = np.empty(len(z.data) * (len(z.data) - 1) // 2), 0",
+        "pairs, at = np.empty(len(z.data) * (len(z.data) - 1) // 2), 0\n"
+        "        out, gram = pairs[:2 * out.size].reshape(2, -1)",
+        ("tests/test_diagnostics.py::test_alignment_matrix_gives_the_per_block_bits",)),
 }
 
 

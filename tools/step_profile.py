@@ -27,13 +27,15 @@ of the runs, and times each call made inside ``harness.train_runs``:
 
 A step is one ``adam_step`` call, which serves every run of a stack. For
 each phase it prints the median over the repeats of the phase's time over
-the step count, and the phase's share of ``train_runs``. Each wrapped call
-adds a few tenths of a microsecond. Pin the process to one CPU (for
-example with ``taskset -c 1``) for steadier numbers. To see which layer a
-change moved, run it against both checkouts:
+the step count, and the phase's share of ``train_runs``. For a workload
+that probes its models, it also prints the median milliseconds per
+``diagnostics.collect_bundle`` call, which is one call per trained model.
+Each wrapped call adds a few tenths of a microsecond. Pin the process to
+one CPU (for example with ``taskset -c 1``) for steadier numbers. To see
+which layer a change moved, run it against both checkouts:
 
-    python3 tools/step_profile.py agg-steps --src ../parent/src
-    python3 tools/step_profile.py agg-steps
+    python3 tools/step_profile.py hir-full --src ../parent/src
+    python3 tools/step_profile.py hir-full
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class StepTimer:
     def __init__(self):
         self.totals = dict.fromkeys(PHASES + ("train_runs",), 0.0)
         self.steps = 0
+        self.bundles, self.bundle_s = 0, 0.0  # collect_bundle calls and their time
         self._inside = False
         self._loss_end: float | None = None
 
@@ -91,6 +94,16 @@ class StepTimer:
                 self._inside = False
         return wrapper
 
+    def probing(self, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.bundle_s += time.perf_counter() - start
+                self.bundles += 1
+        return wrapper
+
     def per_step_us(self) -> dict[str, float]:
         """Each phase's microseconds per step, ``other`` and ``train_runs`` included."""
         totals = dict(self.totals)
@@ -99,12 +112,14 @@ class StepTimer:
         return {name: 1e6 * total / max(self.steps, 1) for name, total in totals.items()}
 
 
-def profile(workload: str, seed: int) -> tuple[dict[str, float], int]:
-    """One run of the workload's experiment: µs per step by phase, and the step count."""
-    from hirnet import autodiff, data, harness
+def profile(workload: str, seed: int) -> tuple[dict[str, float], int, float | None]:
+    """One run of the workload's experiment: µs per step by phase, the step
+    count, and ms per ``collect_bundle`` call (None if it probes nothing)."""
+    from hirnet import autodiff, data, diagnostics, harness
 
     timer = StepTimer()
-    patches = [(harness, "train_runs", timer.training(harness.train_runs))]
+    patches = [(harness, "train_runs", timer.training(harness.train_runs)),
+               (diagnostics, "collect_bundle", timer.probing(diagnostics.collect_bundle))]
     patches += [(owner, name, timer.timed(phase, getattr(owner, name))) for owner, name, phase in (
         (data.BatchPlan, "draw", "draw"), (harness, "forward", "forward"),
         (autodiff, "log_softmax", "log_softmax"), (harness, "_batch_breakdown", "loss"),
@@ -119,7 +134,8 @@ def profile(workload: str, seed: int) -> tuple[dict[str, float], int]:
     finally:
         for owner, name, original in originals:
             setattr(owner, name, original)
-    return timer.per_step_us(), timer.steps
+    bundle_ms = 1e3 * timer.bundle_s / timer.bundles if timer.bundles else None
+    return timer.per_step_us(), timer.steps, bundle_ms
 
 
 def main() -> int:
@@ -138,12 +154,15 @@ def main() -> int:
     sys.path.insert(0, os.path.abspath(args.src))
 
     runs = [profile(args.workload, args.seed) for _ in range(args.repeats)]
-    medians = {name: statistics.median(us[name] for us, _ in runs) for name in runs[0][0]}
+    medians = {name: statistics.median(us[name] for us, _, _ in runs) for name in runs[0][0]}
     print(f"{args.workload}, seed {args.seed}: {runs[0][1]} steps per run, "
           f"median of {args.repeats} runs, microseconds per step")
     for name in PHASES + ("train_runs",):
         share = 100.0 * medians[name] / medians["train_runs"]
         print(f"{name:<12} {medians[name]:9.1f} {share:6.1f}%")
+    if runs[0][2] is not None:
+        print(f"collect_bundle {statistics.median(ms for _, _, ms in runs):.2f} ms per model, "
+              f"median of {args.repeats} runs")
     return 0
 
 
