@@ -4,14 +4,12 @@ stacks of matrices with one matrix per run.
 A tensor is a matrix ``(rows, cols)`` or a stack ``(runs, rows, cols)``.
 Every op acts on the last two axes, so each run of a stack computes exactly
 what it would alone. Operands have one shape, except that a bias row
-broadcasts over the rows of its matrix. The op set is
-deliberately small: matrix product, elementwise add, sub, mul and scale,
-relu, row-stable log-softmax and a sum to one scalar per matrix. That is
-enough to express an MLP classifier, and to check the training path against
-it with finite differences. Training records larger ops through
-:func:`emit`, each one node with an analytic backward: the network as two
-(``models.network``), each loss and their weighted sum as one; the small
-ops serve the acceptance gradient check and the tests.
+broadcasts over the rows of its matrix (on the right of ``+`` only). The
+op set is exactly what the acceptance gradient check builds its MLP from:
+matrix product, elementwise add (with that bias row), relu and row-stable
+log-softmax. Everything else goes through :func:`emit`, each op one node
+with an analytic backward: the network as two (``models.network``), each
+loss and their weighted sum as one.
 
 A ``Graph`` is a tape rebuilt for every forward pass: two lists, each
 node's parents (one slot per input, ``None`` for a constant) and its
@@ -46,7 +44,6 @@ __all__ = [
     "relu_values",
     "log_softmax",
     "fold_last",
-    "sum_all",
     "emit",
     "grad_check",
 ]
@@ -88,20 +85,6 @@ class Tensor:
 
     def __add__(self, other):
         return _add(self, as_tensor(other))
-
-    def __sub__(self, other):
-        return _sub(self, as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return _scale(self, float(other))
-        return _mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return _scale(self, -1.0)
 
 
 def tensor(values) -> Tensor:
@@ -203,29 +186,11 @@ def emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray,
 
 
 def _add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape and a.shape == b.shape[:-2] + (1, b.shape[-1]):
-        return _add(b, a)
     bias = a.shape != b.shape  # a row-broadcast bias
     if bias and b.shape != a.shape[:-2] + (1, a.shape[-1]):
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
     return emit("add", (a, b), a.data + b.data,
                 lambda up: (up, up.sum(axis=-2, keepdims=True) if bias else up))
-
-
-def _sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"cannot subtract shapes {a.shape} and {b.shape}")
-    return emit("sub", (a, b), a.data - b.data, lambda up: (up, -up))
-
-
-def _mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return emit("mul", (a, b), a.data * b.data, lambda up: (up * b.data, up * a.data))
-
-
-def _scale(a: Tensor, c: float) -> Tensor:
-    return emit("scale", (a,), a.data * c, lambda up: (up * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -293,16 +258,6 @@ def fold_last(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     for k in range(1, x.shape[-1]):
         ufunc(out, x[..., k:k + 1], out=out)
     return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum every entry of each matrix to a 1x1 scalar, one per run of a stack."""
-    x = as_tensor(x)
-
-    def back(up):
-        return (np.broadcast_to(up, x.shape),)
-
-    return emit("sum_all", (x,), x.data.sum(axis=(-2, -1), keepdims=True), back)
 
 
 def grad_check(f, params: Sequence[np.ndarray], step: float = 1e-5) -> float:

@@ -154,14 +154,14 @@ def _mean_batch_kl(params: models.ModelParams, plan: BatchPlan, seed: int, salt:
 
 def paired_vs_unpaired_kl(params: models.ModelParams, suite: DomainSuite,
                           per_class_per_domain: int = 1, seed: int = 0,
-                          n_batches: int = 50,
                           unpaired: BatchPlan | None = None) -> tuple[float | None, float]:
     """Mean posterior-alignment loss over paired vs unpaired sampled batches.
 
-    Both modes use matched batch sizes; means are over ``n_batches``
-    batches each. The paired mean is None when no class has a base_id
-    common to every domain. ``unpaired`` is the suite's unpaired plan, if already built.
+    Both modes use matched batch sizes; means are over 50 batches each. The
+    paired mean is None when no class has a base_id common to every domain.
+    ``unpaired`` is the suite's unpaired plan, if already built.
     """
+    n_batches = 50
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=UserWarning)
         paired = BatchPlan(suite, per_class_per_domain, True)

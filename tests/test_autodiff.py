@@ -1,11 +1,13 @@
 import gc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
 
 from hirnet import autodiff as ad
 from hirnet.errors import ContractError, ShapeError
+from tape_ops import scale, square_sum, total
 
 
 def naive_matmul(a, b):
@@ -65,7 +67,7 @@ def test_relu_is_bitwise_the_where_formula(layout):
             out = ad.relu(leaf)
             assert out.data.tobytes() == expected.tobytes()
             with np.errstate(over="ignore"):
-                grads = g.backward(ad.sum_all(out))
+                grads = g.backward(total(out))
             assert grads[leaf.node_id].tobytes() == (np.ones(x.shape) * (x > 0)).tobytes()
 
 
@@ -81,7 +83,7 @@ class TestRelu:
     def test_gradient_mask(self):
         g = ad.Graph()
         x = g.param([[-1.0, 2.0]])
-        loss = ad.sum_all(ad.relu(x))
+        loss = total(ad.relu(x))
         grads = g.backward(loss)
         np.testing.assert_array_equal(grads[x.node_id], [[0.0, 1.0]])
 
@@ -120,19 +122,19 @@ class TestBackward:
     def test_sum_gradient_all_ones(self):
         g = ad.Graph()
         x = g.param(np.arange(4.0).reshape(2, 2))
-        grads = g.backward(ad.sum_all(x))
+        grads = g.backward(total(x))
         np.testing.assert_array_equal(grads[x.node_id], np.ones((2, 2)))
 
     def test_square_gradient(self):
         g = ad.Graph()
         x = g.param([[3.0]])
-        grads = g.backward(ad.sum_all(x * x))
+        grads = g.backward(square_sum(x))
         np.testing.assert_array_equal(grads[x.node_id], [[6.0]])
 
     def test_loss_gradient_wrt_itself_is_one(self):
         g = ad.Graph()
         x = g.param([[2.0]])
-        loss = ad.sum_all(x * x)
+        loss = square_sum(x)
         grads = g.backward(loss)
         np.testing.assert_array_equal(grads[loss.node_id], [[1.0]])
 
@@ -140,12 +142,12 @@ class TestBackward:
         g = ad.Graph()
         x = g.param(np.ones((2, 2)))
         with pytest.raises(ContractError):
-            g.backward(x * x)
+            g.backward(x + x)
 
     def test_second_backward_rejected(self):
         g = ad.Graph()
         x = g.param([[1.0]])
-        loss = ad.sum_all(x)
+        loss = total(x)
         g.backward(loss)
         with pytest.raises(ContractError):
             g.backward(loss)
@@ -157,13 +159,13 @@ class TestBackward:
     def test_mixing_graphs_rejected(self):
         g1, g2 = ad.Graph(), ad.Graph()
         with pytest.raises(ContractError):
-            g1.param([[1.0]]) * g2.param([[1.0]])
+            g1.param([[1.0]]) + g2.param([[1.0]])
 
     def test_unused_param_gets_zero_gradient(self):
         g = ad.Graph()
         x = g.param([[1.0, 2.0]])
         unused = g.param([[5.0]])
-        grads = g.backward(ad.sum_all(x))
+        grads = g.backward(total(x))
         np.testing.assert_array_equal(grads[unused.node_id], [[0.0]])
 
     def test_composite_mlp_loss_matches_finite_differences(self):
@@ -175,37 +177,34 @@ class TestBackward:
         def f(graph, ts):
             h = ad.relu(ad.matmul(ad.tensor(x), ts[0]) + ts[1])
             logits = ad.matmul(h, ts[2]) + ts[3]
-            return ad.sum_all(ad.log_softmax(logits) * ad.log_softmax(logits)) * (1.0 / 6)
+            return scale(square_sum(ad.log_softmax(logits)), 1.0 / 6)
 
         assert ad.grad_check(f, [w1, b1, w2, b2], step=1e-5) < 1e-4
 
 
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
-        err = ad.grad_check(lambda g, ts: ad.sum_all(ts[0] * ts[0]),
+        err = ad.grad_check(lambda g, ts: square_sum(ts[0]),
                             [np.array([[0.3, -1.2], [2.0, 0.7]])])
         assert err < 1e-9
 
     def test_constant_function(self):
-        err = ad.grad_check(lambda g, ts: ad.sum_all(ts[0] * 0.0), [np.array([[1.0, 2.0]])])
+        err = ad.grad_check(lambda g, ts: scale(total(ts[0]), 0.0), [np.array([[1.0, 2.0]])])
         assert err < 1e-9
 
 
 OPS = {
-    "add": lambda g, ts: ad.sum_all((ts[0] + ts[1]) * (ts[0] + ts[1])),
-    "add_bias_row": lambda g, ts: ad.sum_all((ts[0] + ts[1]) * (ts[0] + ts[1])),
-    "sub": lambda g, ts: ad.sum_all((ts[0] - ts[1]) * (ts[0] - ts[1])),
-    "mul": lambda g, ts: ad.sum_all(ts[0] * ts[1] * 0.5),
-    "scale": lambda g, ts: ad.sum_all(ts[0] * 3.7),
-    "matmul": lambda g, ts: ad.sum_all(ad.matmul(ts[0], ts[1]) * ad.matmul(ts[0], ts[1])),
-    "relu": lambda g, ts: ad.sum_all(ad.relu(ts[0]) * ad.relu(ts[0])),
-    "log_softmax": lambda g, ts: ad.sum_all(ad.log_softmax(ts[0]) * ad.log_softmax(ts[0])),
+    "add": lambda g, ts: square_sum(ts[0] + ts[1]),
+    "add_bias_row": lambda g, ts: square_sum(ts[0] + ts[1]),
+    "matmul": lambda g, ts: square_sum(ad.matmul(ts[0], ts[1])),
+    "relu": lambda g, ts: square_sum(ad.relu(ts[0])),
+    "log_softmax": lambda g, ts: square_sum(ad.log_softmax(ts[0])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_every_op_passes_grad_check(name):
-    params = op_params(name, np.random.default_rng(hash(name) % 2**32))
+    params = op_params(name, np.random.default_rng(zlib.crc32(name.encode())))
     assert ad.grad_check(OPS[name], params, step=1e-5) < 1e-4
 
 
@@ -215,7 +214,7 @@ def op_params(name: str, rng) -> list[np.ndarray]:
         return [a, rng.normal(size=(1, 4))]
     if name == "matmul":
         return [a, rng.normal(size=(4, 2))]
-    if name in ("add", "sub", "mul"):
+    if name == "add":
         return [a, rng.normal(size=(3, 4))]
     return [a]
 
@@ -230,7 +229,7 @@ def value_and_grads(name: str, params: list[np.ndarray]):
 
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_every_op_acts_run_by_run_on_a_stack(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     solo = [op_params(name, rng) for _ in range(3)]
     stacked_value, stacked_grads = value_and_grads(name, [np.stack(p) for p in zip(*solo)])
     assert stacked_value.shape == (3, 1, 1)
@@ -248,13 +247,20 @@ def test_matmul_needs_stacks_of_one_length():
         ad.matmul(ad.tensor(np.ones((3, 4))), ad.tensor(np.ones((2, 4, 2))))
 
 
+def test_bias_row_adds_on_the_right_only():
+    matrix, row = ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((1, 3)))
+    assert (matrix + row).shape == (2, 3)
+    with pytest.raises(ShapeError):
+        row + matrix
+
+
 def test_backward_frees_the_tape_without_the_cyclic_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
         g = ad.Graph()
         w = g.param(np.ones((3, 2)))
-        loss = ad.sum_all(ad.log_softmax(ad.relu(ad.matmul(ad.tensor(np.ones((4, 3))), w))))
+        loss = total(ad.log_softmax(ad.relu(ad.matmul(ad.tensor(np.ones((4, 3))), w))))
         g.backward(loss)
         tape = weakref.ref(g)
         del g, w, loss
@@ -273,7 +279,7 @@ def cube_sum(x: ad.Tensor) -> ad.Tensor:
 class TestEmit:
     def test_custom_node_passes_grad_check(self):
         x = np.random.default_rng(4).normal(size=(3, 2))
-        assert ad.grad_check(lambda g, ts: cube_sum(ts[0] * 2.0), [x]) < 1e-4
+        assert ad.grad_check(lambda g, ts: cube_sum(scale(ts[0], 2.0)), [x]) < 1e-4
 
     def test_records_one_node(self):
         g = ad.Graph()
@@ -349,9 +355,9 @@ class TestCopyFreeBackward:
         seen = []
         g = ad.Graph()
         x = g.param(x_values)
-        y = spy(x * 2.0, seen)
-        square = spy(y * y, seen)
-        loss = ad.sum_all(square + y)
+        y = spy(scale(x, 2.0), seen)
+        square = spy(square_sum(y), seen)
+        loss = square + total(y)
         tensors = [x, y, square, loss]
         before = [t.data.copy() for t in tensors]
         grads = g.backward(loss)
@@ -368,7 +374,7 @@ class TestCopyFreeBackward:
         g = ad.Graph()
         values = np.arange(6.0).reshape(2, 3)
         x = g.param(values)
-        grads = g.backward(ad.sum_all(x))
+        grads = g.backward(total(x))
         np.testing.assert_array_equal(grads[x.node_id], np.ones((2, 3)))
         np.testing.assert_array_equal(x.data, values)
 
@@ -377,8 +383,8 @@ class TestCopyFreeBackward:
         x = g.param(np.arange(6.0).reshape(2, 3))
         seen = []
         # The tape runs backwards, so the read-only broadcast from the later
-        # sum_all(x) reaches x first and the scale's gradient second.
-        loss = spy(ad.sum_all(x * 2.0) + ad.sum_all(x), seen)
+        # total(x) reaches x first and the scale's gradient second.
+        loss = spy(total(scale(x, 2.0)) + total(x), seen)
         grads = g.backward(loss)
         np.testing.assert_array_equal(grads[x.node_id], np.full((2, 3), 3.0))
         [(up, copy)] = seen

@@ -39,6 +39,7 @@ from hirnet.harness import (
 from hirnet.losses import LossBreakdown, combined_loss, cross_entropy, pairwise_kl
 from hirnet.models import MlpSpec, ModelParams, flatten, forward, init_params
 from hirnet.optim import NonFiniteGradient, adam_step, init_adam
+from tape_ops import scale
 
 
 def tiny_config(**overrides):
@@ -263,7 +264,7 @@ def test_combined_node_gives_the_scale_and_add_bits(loss_kind, monkeypatch):
         return loss.data, flatten([grads[i] for i in graph.param_ids])
 
     def chain(classification, hir, alpha):
-        combined = classification if hir is None else classification + hir * alpha
+        combined = classification if hir is None else classification + scale(hir, alpha)
         return LossBreakdown(classification, hir, combined)
 
     value, grad = step()

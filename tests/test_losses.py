@@ -22,6 +22,7 @@ from hirnet.losses import (
     pairwise_kl,
     rbf_kernel,
 )
+from tape_ops import scale
 
 
 def median_bandwidth(z):
@@ -105,7 +106,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(32)
         lp = random_log_posteriors(rng, 6, 4)
         y = rng.integers(0, 4, size=6)
-        assert ad.grad_check(lambda g, ts: cross_entropy(ts[0], y) * 3.0, [lp]) < 1e-4
+        assert ad.grad_check(lambda g, ts: scale(cross_entropy(ts[0], y), 3.0), [lp]) < 1e-4
 
 
 class TestHirKl:
@@ -293,7 +294,7 @@ class TestCombineRouting:
         g = ad.Graph()
         values = [rng.normal(size=(3, 1, 1)) for _ in range(2)]
         leaves = [g.param(v) if on else ad.tensor(v) for v, on in zip(values, attach)]
-        return g, leaves, LossBreakdown.combine(*[leaf * 1.0 for leaf in leaves], 0.3)
+        return g, leaves, LossBreakdown.combine(*[scale(leaf, 1.0) for leaf in leaves], 0.3)
 
     @pytest.mark.parametrize("attach", [(True, False), (False, True)])
     def test_constant_term_gets_no_gradient(self, attach):
@@ -508,7 +509,7 @@ class TestDomainMmdPenalty:
 
     def test_records_one_tape_node(self):
         g = ad.Graph()
-        z = g.param(np.random.default_rng(29).normal(size=(40, 4))) * 1.0
+        z = scale(g.param(np.random.default_rng(29).normal(size=(40, 4))), 1.0)
         before = len(g)
         domain_mmd_penalty(z, np.arange(40) % 4)
         assert len(g) == before + 1
@@ -610,7 +611,7 @@ def test_loss_of_a_stack_is_each_run_alone(name):
     def value_and_grads(logits, z):
         g = ad.Graph()
         leaves = g.param(logits), g.param(z)
-        loss = STACKED_LOSSES[name](ad.log_softmax(leaves[0]), leaves[1] * 1.0, labels)
+        loss = STACKED_LOSSES[name](ad.log_softmax(leaves[0]), scale(leaves[1], 1.0), labels)
         grads = g.backward(loss)
         return loss.data, [grads[leaf.node_id] for leaf in leaves]
 

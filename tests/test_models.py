@@ -18,6 +18,7 @@ from hirnet.models import (
     predict,
     save_checkpoint,
 )
+from tape_ops import scale, total
 
 
 class TestInit:
@@ -124,7 +125,8 @@ class TestForward:
                 z, logits = network(x, ts)
                 assert len(graph) == len(ts) + (2 if hidden else 1)
                 penalty = domain_mmd_penalty(z, np.arange(6) % 2, bandwidth=1.5)
-                loss = combined_loss(ad.log_softmax(logits), y, 1e-1).combined + penalty * 0.5
+                classification = combined_loss(ad.log_softmax(logits), y, 1e-1).combined
+                loss = classification + scale(penalty, 0.5)
                 if runs is None:
                     return loss
                 # One scalar for a stack: the sum of its runs' losses.
@@ -203,7 +205,7 @@ class TestStack:
         x = np.random.default_rng(2).normal(size=(3, 7, 3))
         graphs = ad.Graph(), ad.Graph()
         outs = [forward(p, x, g) for p, g in zip((stack, contiguous), graphs)]
-        grads = [g.backward(ad.sum_all(logits)) for g, (_, logits) in zip(graphs, outs)]
+        grads = [g.backward(total(logits)) for g, (_, logits) in zip(graphs, outs)]
         assert outs[0][1].data.tobytes() == outs[1][1].data.tobytes()
         for a, b in zip(graphs[0].param_ids, graphs[1].param_ids):
             assert grads[0][a].tobytes() == grads[1][b].tobytes()
@@ -219,12 +221,12 @@ def test_network_routes_gradients_to_attached_leaves_only(attach):
     x = np.random.default_rng(8).normal(size=(5, 2))
     graph_all = ad.Graph()
     every = [graph_all.param(a) for a in params.arrays()]
-    expected = graph_all.backward(ad.sum_all(network(x, every)[1]))
+    expected = graph_all.backward(total(network(x, every)[1]))
     graph = ad.Graph()
     leaves = [graph.param(a) if on else ad.tensor(a) for a, on in zip(params.arrays(), attach)]
     z, logits = network(x, leaves)
     assert (z.graph is None) == (not any(attach[:2]))
-    grads = graph.backward(ad.sum_all(logits))
+    grads = graph.backward(total(logits))
     for leaf, leaf_all, on in zip(leaves, every, attach):
         assert (leaf.node_id in grads) == on
         if on:

@@ -42,6 +42,12 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = {
+    # A bias row's gradient read off the first row, not summed over the rows.
+    "bias-grad-first-row": Mutant(
+        "src/hirnet/autodiff.py",
+        "up.sum(axis=-2, keepdims=True) if bias else up",
+        "up[..., :1, :] if bias else up",
+        ("tests/test_autodiff.py::test_every_op_passes_grad_check[add_bias_row]",)),
     # The group mean of the CCSA spread summed in reverse row order.
     "spread-reversed-mean": Mutant(
         "src/hirnet/losses.py",
