@@ -12,10 +12,7 @@ from .autodiff import Graph, Tensor, grad_check, log_softmax, matmul, relu
 from .data import (
     DomainDataset,
     DomainSuite,
-    PriorShiftSpec,
     SuiteSpec,
-    apply_prior_shift,
-    gen_rotated_suite,
     stratified_batches,
 )
 from .diagnostics import (

@@ -1,10 +1,11 @@
-"""Synthetic ordered-domain data: rotated 2-D point clouds, class-prior
-shifting, and the batch-construction protocols used by the training harness.
+"""Synthetic ordered-domain data: rotated 2-D point clouds with shifted class
+priors, and the batch-construction protocols used by the training harness.
 
-A suite is an ordered list of domains generated from one set of base points.
-Every domain rotates the same base points by its own angle and then adds
-fresh Gaussian noise, so the sample sharing ``base_id`` across domains is a
-near- (not exact-) rotation of itself. That shared ``base_id`` is what makes
+A suite is an ordered list of domains generated from one set of base points;
+:class:`SuiteSpec` alone describes, checks and builds one. Every domain
+rotates the same base points by its own angle and then adds fresh Gaussian
+noise, so the sample sharing ``base_id`` across domains is a near- (not
+exact-) rotation of itself. That shared ``base_id`` is what makes
 paired batches and the paired-prediction diagnostics possible.
 """
 
@@ -81,22 +82,6 @@ class DomainSuite:
                            [self.domain_params[i] for i in keep], self.class_count)
 
 
-@dataclass
-class PriorShiftSpec:
-    """Per-domain class probabilities P(Y | D); each row sums to 1."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 2:
-            raise ConfigError("probs must be a (domains x classes) matrix")
-        if np.any(self.probs < 0):
-            raise ConfigError("class probabilities must be nonnegative")
-        if np.any(np.abs(self.probs.sum(axis=1) - 1.0) > 1e-9):
-            raise ConfigError("each domain's class probabilities must sum to 1")
-
-
 def rotate(points: np.ndarray, degrees: float) -> np.ndarray:
     """Counterclockwise rotation about the origin."""
     theta = np.deg2rad(degrees)
@@ -125,38 +110,23 @@ def _gaussians_base(n_per_class: int, class_count: int,
     return np.vstack(blocks), np.concatenate(labels)
 
 
-def gen_rotated_suite(kind: str, n_per_class: int, angles=DEFAULT_ANGLES,
-                      noise_sd: float = 0.08, seed: int = 0,
-                      class_count: int = 3) -> DomainSuite:
-    """Generate one base point cloud and one rotated domain per angle.
-
-    Domain k holds the base points rotated by ``angles[k]`` plus fresh
-    per-domain Gaussian noise of sd ``noise_sd``. ``base_id`` runs over the
-    base points and is shared across domains. ``class_count`` only applies
-    to the "gaussians" kind; "moons" is binary.
-    """
-    if kind not in GENERATOR_KINDS:
-        raise ConfigError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
-    angles = [float(a) for a in angles]
-    if len(set(angles)) != len(angles):
-        raise ConfigError("angles must be distinct")
-    if n_per_class < 1:
-        raise ConfigError("n_per_class must be >= 1")
-    streams = np.random.SeedSequence(seed).spawn(len(angles) + 1)
+def _rotated_suite(spec: "SuiteSpec") -> DomainSuite:
+    """The base points and one rotated, freshly noised domain per angle of a checked spec."""
+    streams = np.random.SeedSequence(spec.seed).spawn(len(spec.angles) + 1)
     base_rng = np.random.default_rng(streams[0])
-    if kind == "moons":
-        base_x, base_y = _moons_base(n_per_class, base_rng)
+    if spec.kind == "moons":
+        base_x, base_y = _moons_base(spec.n_per_class, base_rng)
         m = 2
     else:
-        base_x, base_y = _gaussians_base(n_per_class, class_count, base_rng)
-        m = class_count
+        base_x, base_y = _gaussians_base(spec.n_per_class, spec.class_count, base_rng)
+        m = spec.class_count
     base_ids = np.arange(base_y.size)
     domains = []
-    for k, angle in enumerate(angles):
+    for k, angle in enumerate(spec.angles):
         rng = np.random.default_rng(streams[k + 1])
-        noise = rng.normal(0.0, noise_sd, size=base_x.shape) if noise_sd > 0 else 0.0
+        noise = rng.normal(0.0, spec.noise_sd, size=base_x.shape) if spec.noise_sd > 0 else 0.0
         domains.append(DomainDataset(rotate(base_x, angle) + noise, base_y.copy(), base_ids.copy()))
-    return DomainSuite(domains, angles, m)
+    return DomainSuite(domains, list(spec.angles), m)
 
 
 def _apportion(target_probs: np.ndarray, available: np.ndarray) -> np.ndarray:
@@ -178,22 +148,13 @@ def _apportion(target_probs: np.ndarray, available: np.ndarray) -> np.ndarray:
     return counts
 
 
-def apply_prior_shift(suite: DomainSuite, spec: PriorShiftSpec, seed: int = 0) -> DomainSuite:
-    """Subsample each domain so its class frequencies match the spec.
-
-    A class probability of zero empties that class, which later stages
-    must tolerate. ``base_id`` values of retained samples are preserved.
-    """
-    if spec.probs.shape != (len(suite), suite.class_count):
-        raise ConfigError(
-            f"prior-shift spec shape {spec.probs.shape} does not match "
-            f"({len(suite)}, {suite.class_count})"
-        )
+def _prior_shifted(suite: DomainSuite, probs: np.ndarray, seed: int) -> DomainSuite:
+    """Each domain subsampled to the class mix of its row of a checked ``probs``."""
     streams = np.random.SeedSequence(seed).spawn(len(suite))
     shifted = []
     for d, dataset in enumerate(suite.domains):
         rng = np.random.default_rng(streams[d])
-        counts = _apportion(spec.probs[d], dataset.class_counts(suite.class_count))
+        counts = _apportion(probs[d], dataset.class_counts(suite.class_count))
         keep = []
         for c in range(suite.class_count):
             idx = np.flatnonzero(dataset.y == c)
@@ -218,8 +179,8 @@ def _join(vectors) -> np.ndarray:
 
 
 class BatchPlan:
-    """The seed-free part of the epochs :func:`stratified_batches` draws from
-    ``suite``, derived once per training suite and handed to every user.
+    """The seed-free part of the epochs of batches drawn from ``suite``,
+    derived once per training suite and handed to every user.
 
     A batch takes ``per_class_per_domain`` rows from each non-empty (domain,
     class) cell, domain-major, then class, so all batches share the read-only
@@ -300,32 +261,46 @@ class BatchPlan:
         return self._x.take(self._cell_start + shuffled[self._take], axis=0)
 
 
-def stratified_batches(suite: DomainSuite, per_class_per_domain: int,
-                       paired: bool = False, seed=0):
+def stratified_batches(suite: DomainSuite, per_class_per_domain: int, seed=0):
     """One epoch of batches, each with ``per_class_per_domain`` samples from
-    every (domain, class) cell.
+    every (domain, class) cell, each cell sampled independently.
 
-    Paired mode draws base_ids common to all domains per class, so every
-    domain contributes the same base points; unpaired mode samples each
-    cell independently. Cells smaller than the draw size cycle their
-    shuffled samples (each sample reused at most once more than any other
-    over the epoch); empty cells contribute nothing and raise a warning.
-    Deterministic given ``seed``. Yields (x, BatchLabels) pairs.
+    Cells smaller than the draw size cycle their shuffled samples (each
+    sample reused at most once more than any other over the epoch); empty
+    cells contribute nothing and raise a warning. Deterministic given
+    ``seed``. Yields (x, BatchLabels) pairs.
 
-    A thin generator over ``BatchPlan(...).draw(seed)``: every batch, paired
-    or not, shares the plan's ``batch_labels``, whose read-only labels and
+    A thin generator over ``BatchPlan(suite, per_class_per_domain).draw(seed)``:
+    every batch shares the plan's ``batch_labels``, whose read-only labels and
     domains depend on the suite and the draw size, not on ``seed``. Code
-    that draws many epochs of one suite builds its :class:`BatchPlan` once
-    instead.
+    that draws many epochs of one suite, or paired ones, builds its
+    :class:`BatchPlan` once instead.
     """
-    plan = BatchPlan(suite, per_class_per_domain, paired)
+    plan = BatchPlan(suite, per_class_per_domain)
     for x in plan.draw(seed):
         yield x, plan.batch_labels
 
 
 @dataclass
 class SuiteSpec(JsonConfig):
-    """Everything needed to regenerate a suite deterministically."""
+    """A suite: the one way to describe, check and build one, deterministically.
+
+    ``build`` draws one base point cloud from ``seed``, ``n_per_class`` points
+    per class: two half-moons for ``kind`` "moons", which is always binary, or
+    ``class_count`` Gaussian blobs on a circle for "gaussians" (``class_count``
+    applies to gaussians only). Domain k holds the base points rotated by
+    ``angles[k]`` degrees plus fresh Gaussian noise of sd ``noise_sd``;
+    ``base_id`` runs over the base points and is shared across domains. The
+    angles must differ as written to the output files.
+
+    ``prior_shift``, if given, is P(Y | D): one row per angle and one column
+    per class, nonnegative, each row summing to 1 within 1e-9. Each domain is
+    then subsampled, from ``prior_shift_seed``, to the largest sample whose
+    class mix matches its row within one; a zero empties that class, which
+    later stages must tolerate. Retained samples keep their ``base_id``.
+
+    Every value is checked here, so a bad config or manifest fails when read.
+    """
 
     kind: str = "moons"
     n_per_class: int = 100
@@ -338,7 +313,8 @@ class SuiteSpec(JsonConfig):
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
-            raise ConfigError(f"unknown generator kind {self.kind!r}")
+            raise ConfigError(f"unknown generator kind {self.kind!r}; "
+                              f"expected one of {GENERATOR_KINDS}")
         if not isinstance(self.angles, (list, tuple)) or not self.angles:
             raise ConfigError(f"angles must be a non-empty list of numbers, got {self.angles!r}")
         self.angles = tuple(check_real("angles", a) for a in self.angles)
@@ -351,19 +327,17 @@ class SuiteSpec(JsonConfig):
         self.class_count = check_int("class_count", self.class_count, 2)
         self.prior_shift_seed = check_int("prior_shift_seed", self.prior_shift_seed, 0)
         if self.prior_shift is not None:
-            rows = self.prior_shift
-            if (not isinstance(rows, (list, tuple))
-                    or not all(isinstance(row, (list, tuple)) for row in rows)
-                    or len({len(row) for row in rows}) > 1):
-                raise ConfigError(f"prior_shift must be a (domains x classes) matrix, got {rows!r}")
+            rows, m = self.prior_shift, 2 if self.kind == "moons" else self.class_count
+            if (not isinstance(rows, (list, tuple)) or len(rows) != len(self.angles)
+                    or not all(isinstance(row, (list, tuple)) and len(row) == m for row in rows)):
+                raise ConfigError(f"prior_shift must be a (domains x classes) = "
+                                  f"({len(self.angles)} x {m}) matrix, got {rows!r}")
             self.prior_shift = [[check_real("prior_shift", p, 0.0) for p in row] for row in rows]
-            PriorShiftSpec(self.prior_shift)  # a matrix whose rows sum to 1
+            if np.any(np.abs(np.sum(self.prior_shift, axis=1) - 1.0) > 1e-9):
+                raise ConfigError(f"each row of prior_shift must sum to 1, got {self.prior_shift}")
 
     def build(self) -> DomainSuite:
-        suite = gen_rotated_suite(self.kind, self.n_per_class, self.angles,
-                                  self.noise_sd, self.seed, self.class_count)
+        suite = _rotated_suite(self)
         if self.prior_shift is not None:
-            suite = apply_prior_shift(suite, PriorShiftSpec(np.array(self.prior_shift)),
-                                      self.prior_shift_seed)
+            suite = _prior_shifted(suite, np.array(self.prior_shift), self.prior_shift_seed)
         return suite
-

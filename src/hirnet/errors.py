@@ -124,6 +124,3 @@ class JsonConfig(JsonRecord):
         except ValueError as exc:
             raise ConfigError(f"{cls.__name__} file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
-
-    def write(self, path) -> None:
-        write_json(self.to_dict(), path)

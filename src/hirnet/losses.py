@@ -254,8 +254,7 @@ def pairwise_kl(log_probs, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i_idx, j_idx, kl
 
 
-def combined_loss(log_probs, labels, alpha: float, cross_domain_only: bool = False,
-                  normalize_hir: bool = False) -> LossBreakdown:
+def combined_loss(log_probs, labels, alpha: float) -> LossBreakdown:
     """Classification loss plus ``alpha`` times the posterior-alignment loss.
 
     The sum is one node (:meth:`LossBreakdown.combine`); alpha == 0 skips the
@@ -265,8 +264,7 @@ def combined_loss(log_probs, labels, alpha: float, cross_domain_only: bool = Fal
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     classification = cross_entropy(log_probs, labels)
-    hir = None if alpha == 0 else hir_kl(log_probs, labels, cross_domain_only=cross_domain_only,
-                                         normalize=normalize_hir)[0]
+    hir = None if alpha == 0 else hir_kl(log_probs, labels)[0]
     return LossBreakdown.combine(classification, hir, alpha)
 
 

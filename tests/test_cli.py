@@ -10,6 +10,7 @@ import hirnet
 from hirnet import diagnostics, harness
 from hirnet.cli import main
 from hirnet.data import SuiteSpec
+from hirnet.errors import write_json
 from hirnet.harness import ExperimentConfig, OptimizerConfig
 from hirnet.losses import pairwise_kl
 from hirnet.models import MlpSpec, init_params, save_checkpoint
@@ -37,6 +38,11 @@ def write_config(tmp_path, raw):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def write_manifest(path, **fields):
+    """Write ``SuiteSpec(**fields)`` as the manifest ``hirnet diag --suite`` reads."""
+    write_json(SuiteSpec(**fields).to_dict(), path)
 
 
 def unusable_out(tmp_path, under_file: bool) -> str:
@@ -278,8 +284,8 @@ class TestDiagCommand:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(params, ckpt)
         manifest = tmp_path / "suite.json"
-        SuiteSpec(kind="moons", n_per_class=20, angles=(0.0, 30.0),
-                                noise_sd=0.05, seed=2).write(manifest)
+        write_manifest(manifest, kind="moons", n_per_class=20, angles=(0.0, 30.0),
+                       noise_sd=0.05, seed=2)
         out = tmp_path / "diag"
         code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(out)])
@@ -295,8 +301,8 @@ class TestDiagCommand:
     def test_one_domain_suite_warns_that_cross_domain_probes_are_vacuous(self, tmp_path):
         ckpt, manifest, out = tmp_path / "model.ckpt", tmp_path / "suite.json", tmp_path / "diag"
         save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
-        SuiteSpec(kind="moons", n_per_class=20, angles=(0.0,), noise_sd=0.05,
-                  seed=2).write(manifest)
+        write_manifest(manifest, kind="moons", n_per_class=20, angles=(0.0,), noise_sd=0.05,
+                       seed=2)
         with pytest.warns(UserWarning, match="cross-domain probes are vacuous"):
             assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                          "--out", str(out)]) == 0
@@ -314,7 +320,7 @@ class TestDiagCommand:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
         manifest = tmp_path / "suite.json"
-        SuiteSpec(kind="moons", n_per_class=20, angles=(0.0, 30.0), seed=2).write(manifest)
+        write_manifest(manifest, kind="moons", n_per_class=20, angles=(0.0, 30.0), seed=2)
         assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(tmp_path / "diag"), "--per-class-per-domain", "3"]) == 0
         assert len(calls) == 1
@@ -330,7 +336,7 @@ class TestDiagCommand:
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "suite.json"
-        SuiteSpec().write(manifest)
+        write_manifest(manifest)
         assert main(["diag", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--suite", str(manifest)]) == 2
 
@@ -338,7 +344,7 @@ class TestDiagCommand:
         bogus = tmp_path / "bogus.ckpt"
         bogus.write_text("not a checkpoint\n")
         manifest = tmp_path / "suite.json"
-        SuiteSpec().write(manifest)
+        write_manifest(manifest)
         assert main(["diag", "--checkpoint", str(bogus), "--suite", str(manifest)]) == 2
 
     @pytest.mark.parametrize("damage", ["truncate", "garble", "inf", "nan", "bias-width",
@@ -359,7 +365,7 @@ class TestDiagCommand:
             lines.append("0.5")
         ckpt.write_text("\n".join(lines) + "\n")
         manifest = tmp_path / "suite.json"
-        SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
+        write_manifest(manifest, kind="moons", n_per_class=10, angles=(0.0, 30.0))
         code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(tmp_path / "diag")])
         assert code == 2
@@ -369,7 +375,7 @@ class TestDiagCommand:
         monkeypatch.setattr(diagnostics, "collect_bundle", refuse("probed"))
         ckpt, manifest = tmp_path / "model.ckpt", tmp_path / "suite.json"
         save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
-        SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
+        write_manifest(manifest, kind="moons", n_per_class=10, angles=(0.0, 30.0))
         out = unusable_out(tmp_path, False)
         assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", out]) == 2
@@ -382,7 +388,7 @@ class TestDiagCommand:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(params, ckpt)
         manifest = tmp_path / "suite.json"
-        SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
+        write_manifest(manifest, kind="moons", n_per_class=10, angles=(0.0, 30.0))
         code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(tmp_path / "diag")])
         assert code == 2
@@ -391,7 +397,7 @@ class TestDiagCommand:
 
     def test_unreadable_checkpoint_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "suite.json"
-        SuiteSpec().write(manifest)
+        write_manifest(manifest)
         assert main(["diag", "--checkpoint", str(tmp_path), "--suite", str(manifest)]) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -400,14 +406,15 @@ class TestDiagCommand:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(params, ckpt)
         manifest = tmp_path / "suite.json"
-        SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
+        write_manifest(manifest, kind="moons", n_per_class=10, angles=(0.0, 30.0))
         assert main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest)]) == 2
 
     def test_class_count_mismatch_exits_2(self, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=0)), ckpt)
         manifest = tmp_path / "suite.json"
-        SuiteSpec(kind="gaussians", n_per_class=10, angles=(0.0, 30.0), class_count=4).write(manifest)
+        write_manifest(manifest, kind="gaussians", n_per_class=10, angles=(0.0, 30.0),
+                       class_count=4)
         code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(tmp_path / "diag")])
         assert code == 2
@@ -445,7 +452,7 @@ class TestDiagCommand:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
         manifest = tmp_path / "suite.json"
-        SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0)).write(manifest)
+        write_manifest(manifest, kind="moons", n_per_class=10, angles=(0.0, 30.0))
         code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(tmp_path / "diag"), *flag])
         assert code == 2

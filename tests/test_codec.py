@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hirnet.cli import main
-from hirnet.data import GENERATOR_KINDS, SuiteSpec
-from hirnet.errors import ConfigError
+from hirnet.data import DEFAULT_ANGLES, GENERATOR_KINDS, SuiteSpec
+from hirnet.errors import ConfigError, write_json
 from hirnet.harness import LOSS_KINDS, ExperimentConfig, OptimizerConfig
 from hirnet.models import MlpSpec, init_params, save_checkpoint
 
@@ -36,17 +36,30 @@ json_values = st.recursive(
 )
 
 
-def objects_of(cls, valid):
+def objects_of(cls, valid, fit=lambda raw: raw):
     """JSON objects with any of ``cls``'s fields, each value drawn from its
-    ``valid`` strategy; half of them then get one field, or one stray key,
-    set to any JSON value."""
+    ``valid`` strategy and then made to ``fit`` the others; half of them then
+    get one field, or one stray key, set to any JSON value."""
     names = [f.name for f in dataclasses.fields(cls)]
-    fields = st.fixed_dictionaries({}, optional={n: valid[n] for n in names})
+    fields = st.fixed_dictionaries({}, optional={n: valid[n] for n in names}).map(fit)
     damage = st.tuples(st.sampled_from(names) | st.text(max_size=6), json_values)
     return fields | st.builds(lambda raw, kv: {**raw, kv[0]: kv[1]}, fields, damage)
 
 
 prior_shift_rows = st.sampled_from([[1.0, 0.0], [0.5, 0.5], [0.25, 0.75], [0, 1]])
+
+
+def one_row_per_angle(raw):
+    """A suite object whose prior_shift, if it has rows, is cycled to one row
+    per angle and, as its rows have two columns, whose gaussians have two classes."""
+    rows = raw.get("prior_shift")
+    if not rows:
+        return raw
+    n_angles = len(raw.get("angles", DEFAULT_ANGLES))
+    raw = {**raw, "prior_shift": [rows[i % len(rows)] for i in range(n_angles)]}
+    return {**raw, "class_count": 2} if raw.get("kind") == "gaussians" else raw
+
+
 suite_objects = objects_of(SuiteSpec, {
     "kind": st.sampled_from(GENERATOR_KINDS),
     "n_per_class": st.integers(1, 500),
@@ -56,7 +69,7 @@ suite_objects = objects_of(SuiteSpec, {
     "class_count": st.integers(2, 6),
     "prior_shift": st.none() | st.lists(prior_shift_rows, min_size=1, max_size=7),
     "prior_shift_seed": st.integers(0, 99),
-})
+}, one_row_per_angle)
 # Valid values lie in (0, 1) for every field: lr and eps > 0, and 0 <= beta < 1.
 optimizer_objects = objects_of(OptimizerConfig, {
     name: st.floats(0, 1, exclude_min=True, exclude_max=True)
@@ -143,7 +156,8 @@ def diag_inputs(tmp_path_factory):
     """A checkpoint's text and a suite manifest it fits."""
     root = tmp_path_factory.mktemp("diag")
     save_checkpoint(init_params(MlpSpec((2, 4, 2), seed=3)), root / "model.ckpt")
-    SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0), seed=1).write(root / "suite.json")
+    suite = SuiteSpec(kind="moons", n_per_class=10, angles=(0.0, 30.0), seed=1)
+    write_json(suite.to_dict(), root / "suite.json")
     return root, (root / "model.ckpt").read_bytes()
 
 

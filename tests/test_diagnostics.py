@@ -7,8 +7,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from hirnet import diagnostics, losses
-from hirnet.data import (DomainDataset, DomainSuite, PriorShiftSpec, apply_prior_shift,
-                         gen_rotated_suite, stratified_batches)
+from hirnet.data import BatchPlan, DomainDataset, DomainSuite, SuiteSpec, stratified_batches
 from hirnet.diagnostics import (
     DiagnosticUnavailableError,
     collect_bundle,
@@ -41,14 +40,14 @@ def sign_of_first_coordinate_model():
 
 def duplicated_domain_suite(n=40, seed=0):
     """Two 'domains' backed by the identical dataset."""
-    base = gen_rotated_suite("moons", n, angles=[0.0], seed=seed).domains[0]
+    base = SuiteSpec("moons", n, angles=[0.0], seed=seed).build().domains[0]
     copy = DomainDataset(base.x.copy(), base.y.copy(), base.base_id.copy())
     return DomainSuite([base, copy], [0.0, 0.0], 2)
 
 
 class TestPredictionAgreement:
     def test_constant_model_agrees_everywhere(self):
-        suite = gen_rotated_suite("moons", 30, seed=1)
+        suite = SuiteSpec("moons", 30, seed=1).build()
         assert prediction_agreement(constant_model(), suite, probe_size=20, seed=0) == 1.0
 
     def test_identical_domains_agree(self):
@@ -75,7 +74,7 @@ class TestPredictionAgreement:
         assert got < 1.0
 
     def test_monotone_logit_rescaling_invariance(self):
-        suite = gen_rotated_suite("moons", 40, seed=4)
+        suite = SuiteSpec("moons", 40, seed=4).build()
         params = init_params(MlpSpec((2, 8, 2), seed=5))
         scaled = params.copy()
         scaled.weights[-1] *= 3.7
@@ -108,7 +107,7 @@ class TestDomainAlignmentMatrix:
         assert abs(matrix[0, 1]) <= 1e-12
 
     def test_symmetric_zero_diagonal_nonnegative(self):
-        suite = gen_rotated_suite("moons", 30, seed=7)
+        suite = SuiteSpec("moons", 30, seed=7).build()
         params = init_params(MlpSpec((2, 6, 2), seed=8))
         matrix, _ = domain_alignment_matrix(params, suite)
         np.testing.assert_array_equal(matrix, matrix.T)
@@ -130,7 +129,7 @@ class TestDomainAlignmentMatrix:
 
     @pytest.mark.parametrize("per_class", [False, True])
     def test_matches_recomputation_from_exported_latents(self, per_class):
-        suite = gen_rotated_suite("moons", 25, angles=[0.0, 30.0, 60.0], seed=10)
+        suite = SuiteSpec("moons", 25, angles=[0.0, 30.0, 60.0], seed=10).build()
         params = init_params(MlpSpec((2, 5, 2), seed=11))
         matrix, bw = domain_alignment_matrix(params, suite, per_class=per_class)
         latents = [forward(params, ds.x)[0].data for ds in suite.domains]
@@ -153,8 +152,8 @@ class TestDomainAlignmentMatrix:
     def test_workload_suite_never_holds_a_pooled_kernel(self, per_class):
         """6 domains x 200 rows: the call's peak stays below one (1200, 1200)
         float64 array, and its bandwidth keeps the bits of the pooled median."""
-        suite = gen_rotated_suite("moons", 100, angles=[0.0, 15.0, 30.0, 45.0, 60.0, 75.0],
-                                  noise_sd=0.08, seed=7)
+        suite = SuiteSpec("moons", 100, angles=[0.0, 15.0, 30.0, 45.0, 60.0, 75.0],
+                          noise_sd=0.08, seed=7).build()
         params = init_params(MlpSpec((2, 32, 2), seed=7))
         tracemalloc.start()
         try:
@@ -172,7 +171,7 @@ class TestDomainAlignmentMatrix:
         assert bandwidth == float(np.median(np.sqrt(dists[np.triu_indices(1200, k=1)])))
 
     def test_per_class_marks_missing_cells(self):
-        suite = gen_rotated_suite("moons", 20, angles=[0.0, 30.0], seed=12)
+        suite = SuiteSpec("moons", 20, angles=[0.0, 30.0], seed=12).build()
         # strip class 1 from domain 0
         keep = np.flatnonzero(suite.domains[0].y == 0)
         suite.domains[0] = suite.domains[0].subset(keep)
@@ -226,14 +225,14 @@ def alignment_layouts():
     """Suites whose blocks differ in shape: equal domains, unequal domains
     from a prior shift, a class missing from one domain, a one-row domain
     and a single domain."""
-    equal = gen_rotated_suite("moons", 30, angles=[0.0, 25.0, 50.0], seed=41)
-    shifted = apply_prior_shift(gen_rotated_suite("moons", 30, angles=[0.0, 25.0, 50.0], seed=42),
-                                PriorShiftSpec([[0.5, 0.5], [0.8, 0.2], [0.3, 0.7]]), seed=43)
-    missing = gen_rotated_suite("moons", 20, angles=[0.0, 30.0, 60.0], seed=44)
+    equal = SuiteSpec("moons", 30, angles=[0.0, 25.0, 50.0], seed=41).build()
+    shifted = SuiteSpec("moons", 30, angles=[0.0, 25.0, 50.0], seed=42,
+                        prior_shift=[[0.5, 0.5], [0.8, 0.2], [0.3, 0.7]], prior_shift_seed=43).build()
+    missing = SuiteSpec("moons", 20, angles=[0.0, 30.0, 60.0], seed=44).build()
     missing.domains[1] = missing.domains[1].subset(np.flatnonzero(missing.domains[1].y == 0))
-    one_row = gen_rotated_suite("moons", 20, angles=[0.0, 40.0], seed=45)
+    one_row = SuiteSpec("moons", 20, angles=[0.0, 40.0], seed=45).build()
     one_row.domains[0] = one_row.domains[0].subset([3])
-    single = gen_rotated_suite("moons", 25, angles=[10.0], seed=46)
+    single = SuiteSpec("moons", 25, angles=[10.0], seed=46).build()
     return {"equal": equal, "prior_shift": shifted, "missing_class": missing,
             "one_row_domain": one_row, "one_domain": single}
 
@@ -318,7 +317,7 @@ class TestPairedVsUnpaired:
         assert unpaired_mean > 0.0
 
     def test_both_means_nonnegative(self):
-        suite = gen_rotated_suite("moons", 30, seed=23)
+        suite = SuiteSpec("moons", 30, seed=23).build()
         params = init_params(MlpSpec((2, 6, 2), seed=24))
         paired_mean, unpaired_mean = paired_vs_unpaired_kl(params, suite, seed=1)
         assert paired_mean >= 0.0
@@ -327,7 +326,7 @@ class TestPairedVsUnpaired:
     @pytest.mark.parametrize("per_class_per_domain", [1, 4])
     def test_stacked_batches_give_the_per_batch_values(self, monkeypatch, per_class_per_domain):
         # 12 rows per cell: 50 batches span several epochs and end mid-epoch.
-        suite = gen_rotated_suite("moons", 12, angles=[0.0, 25.0, 50.0], seed=29)
+        suite = SuiteSpec("moons", 12, angles=[0.0, 25.0, 50.0], seed=29).build()
         params = init_params(MlpSpec((2, 6, 2), seed=30))
         values = []
 
@@ -340,11 +339,10 @@ class TestPairedVsUnpaired:
         means = paired_vs_unpaired_kl(params, suite, per_class_per_domain, seed=4)
         expected = []
         for paired, salt in [(True, 0), (False, 1)]:
-            per_batch = []
+            plan, per_batch = BatchPlan(suite, per_class_per_domain, paired), []
             for epoch in itertools.count():
-                for x, labels in stratified_batches(suite, per_class_per_domain, paired=paired,
-                                                    seed=[4, salt, epoch]):
-                    per_batch.append(hir_kl(log_posteriors(params, x), labels)[0].item())
+                for x in plan.draw([4, salt, epoch]):
+                    per_batch.append(hir_kl(log_posteriors(params, x), plan.batch_labels)[0].item())
                 if len(per_batch) >= 50:
                     break
             expected += per_batch[:50]
@@ -352,8 +350,8 @@ class TestPairedVsUnpaired:
         assert means == (np.mean(expected[:50]), np.mean(expected[50:]))
 
     def test_no_common_base_id_gives_no_paired_mean(self):
-        suite = apply_prior_shift(gen_rotated_suite("moons", 20, angles=[0.0, 30.0], seed=33),
-                                  PriorShiftSpec([[1.0, 0.0], [0.0, 1.0]]))
+        suite = SuiteSpec("moons", 20, angles=[0.0, 30.0], seed=33,
+                          prior_shift=[[1.0, 0.0], [0.0, 1.0]]).build()
         params = init_params(MlpSpec((2, 6, 2), seed=34))
         with pytest.warns(UserWarning, match="empty cell"):
             paired_mean, unpaired_mean = paired_vs_unpaired_kl(params, suite, 2, seed=5)
@@ -365,7 +363,7 @@ class TestPairedVsUnpaired:
 
 class TestCollectBundle:
     def test_bundle_invariants(self):
-        suite = gen_rotated_suite("moons", 25, seed=25)
+        suite = SuiteSpec("moons", 25, seed=25).build()
         params = init_params(MlpSpec((2, 6, 2), seed=26))
         bundle = collect_bundle(params, suite, seed=2)
         assert 0.0 <= bundle.agreement <= 1.0
@@ -386,7 +384,7 @@ class TestCollectBundle:
             if (name == "hirnet" or name.startswith("hirnet.")) and \
                     getattr(module, "mmd_rbf", None) is original:
                 monkeypatch.setattr(module, "mmd_rbf", forbidden)
-        suite = gen_rotated_suite("moons", 20, angles=[0.0, 30.0, 60.0], seed=31)
+        suite = SuiteSpec("moons", 20, angles=[0.0, 30.0, 60.0], seed=31).build()
         bundle = collect_bundle(init_params(MlpSpec((2, 6, 2), seed=32)), suite)
         assert bundle.domain_mmd.shape == (3, 3) and bundle.class_mmd.shape == (2, 3, 3)
 
@@ -399,13 +397,13 @@ class TestCollectBundle:
                 super().__init__(suite, per_class_per_domain, paired)
 
         monkeypatch.setattr(diagnostics, "BatchPlan", CountingPlan)
-        suite = gen_rotated_suite("moons", 20, angles=[0.0, 30.0, 60.0], seed=33)
+        suite = SuiteSpec("moons", 20, angles=[0.0, 30.0, 60.0], seed=33).build()
         collect_bundle(init_params(MlpSpec((2, 6, 2), seed=34)), suite)
         assert sorted(built) == [False, True]
 
 
 def test_trained_model_probe_batch_consistency():
-    suite = gen_rotated_suite("moons", 20, angles=[0.0, 30.0], seed=27)
+    suite = SuiteSpec("moons", 20, angles=[0.0, 30.0], seed=27).build()
     params = init_params(MlpSpec((2, 5, 2), seed=28))
     for x, labels in stratified_batches(suite, 2, seed=3):
         matrix = posterior_kl_matrix(params, x, labels)

@@ -16,7 +16,6 @@ from hirnet.data import (
     DomainDataset,
     DomainSuite,
     SuiteSpec,
-    gen_rotated_suite,
     stratified_batches,
 )
 from hirnet.errors import ConfigError, ContractError
@@ -840,7 +839,7 @@ class TestEvaluate:
     def test_uniform_model_tie_breaks_to_class_zero(self):
         params = ModelParams([np.zeros((2, 3)), np.zeros((3, 2))],
                              [np.zeros((1, 3)), np.zeros((1, 2))])
-        suite = gen_rotated_suite("moons", 50, angles=[0.0], seed=1)
+        suite = SuiteSpec("moons", 50, angles=[0.0], seed=1).build()
         assert evaluate(params, suite.domains[0]) == 0.5
 
     def test_perfect_fit_scores_one(self):
@@ -857,7 +856,7 @@ class TestEvaluate:
 
     def test_untrained_accuracy_near_chance(self):
         # Monte Carlo over inits: mean accuracy ~ 1/m on balanced classes.
-        suite = gen_rotated_suite("gaussians", 40, angles=[0.0], seed=3, class_count=5)
+        suite = SuiteSpec("gaussians", 40, angles=[0.0], seed=3, class_count=5).build()
         accs = [evaluate(init_params(MlpSpec((2, 10, 5), seed=s)), suite.domains[0])
                 for s in range(25)]
         assert np.mean(accs) == pytest.approx(1.0 / 5, abs=0.08)

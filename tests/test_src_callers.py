@@ -1,6 +1,10 @@
 """Every top-level function and class of ``src/hirnet``, and every method but
 the dunders, is named by a ``src/`` module, the acceptance tests or
-``perfbench/``: code that only the unit tests reach belongs in the tests."""
+``perfbench/``: code that only the unit tests reach belongs in the tests.
+
+Names are matched, not resolved. So a method whose name matches a common
+attribute, such as ``write`` or ``read``, is not checked: any ``fh.write``
+counts as a reference to it."""
 
 import ast
 import pathlib

@@ -131,6 +131,19 @@ MUTANTS = {
         "pairs, at = np.empty(len(z.data) * (len(z.data) - 1) // 2), 0\n"
         "        out, gram = pairs[:2 * out.size].reshape(2, -1)",
         ("tests/test_diagnostics.py::test_alignment_matrix_gives_the_per_block_bits",)),
+    # A prior-shift matrix whose rows need not sum to 1 (case 17 is the row-sum case).
+    "prior-shift-rows-unsummed": Mutant(
+        "src/hirnet/data.py",
+        "if np.any(np.abs(np.sum(self.prior_shift, axis=1) - 1.0) > 1e-9):",
+        "if False:",
+        ("tests/test_data.py::TestManifest::test_mistyped_values_rejected[overrides17]",)),
+    # A prior-shift matrix with more rows than angles.
+    "prior-shift-extra-rows": Mutant(
+        "src/hirnet/data.py",
+        "len(rows) != len(self.angles)",
+        "len(rows) < len(self.angles)",
+        ("tests/test_data.py::TestManifest::"
+         "test_mis_shaped_prior_shift_rejected_when_constructed[three-rows-two-angles]",)),
 }
 
 
