@@ -34,20 +34,6 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-__all__ = [
-    "Graph",
-    "Tensor",
-    "tensor",
-    "as_tensor",
-    "matmul",
-    "relu",
-    "relu_values",
-    "log_softmax",
-    "fold_last",
-    "emit",
-    "grad_check",
-]
-
 
 def _as_array(values) -> np.ndarray:
     a = np.asarray(values, dtype=np.float64)

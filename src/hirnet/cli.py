@@ -10,6 +10,11 @@ Exit codes: 0 success, 2 configuration error, 3 every run failed. Exit 2
 covers every malformed input: a config or suite manifest that is missing,
 not valid JSON, of the wrong shape or with a bad value, and a bad flag or
 checkpoint; it prints ``config error: ...`` instead of a traceback.
+
+A run's grid, every (held-out domain, seed) pair, picks its own worker
+count: one process per CPU the run may use, but at most one per
+``harness.RUNS_PER_WORKER`` runs, so a small grid trains in this process.
+There is no option for it; ``taskset`` limits the CPUs, and so the count.
 """
 
 from __future__ import annotations

@@ -294,10 +294,11 @@ class SuiteSpec(JsonConfig):
     angles must differ as written to the output files.
 
     ``prior_shift``, if given, is P(Y | D): one row per angle and one column
-    per class, nonnegative, each row summing to 1 within 1e-9. Each domain is
-    then subsampled, from ``prior_shift_seed``, to the largest sample whose
-    class mix matches its row within one; a zero empties that class, which
-    later stages must tolerate. Retained samples keep their ``base_id``.
+    per class, each entry in [0, 1] and each row summing to 1 within 1e-9.
+    Each domain is then subsampled, from ``prior_shift_seed``, to the largest
+    sample whose class mix matches its row within one; a zero empties that
+    class, which later stages must tolerate. Retained samples keep their
+    ``base_id``.
 
     Every value is checked here, so a bad config or manifest fails when read.
     """
@@ -333,6 +334,8 @@ class SuiteSpec(JsonConfig):
                 raise ConfigError(f"prior_shift must be a (domains x classes) = "
                                   f"({len(self.angles)} x {m}) matrix, got {rows!r}")
             self.prior_shift = [[check_real("prior_shift", p, 0.0) for p in row] for row in rows]
+            if np.max(self.prior_shift) > 1.0:  # before the row sums, which could overflow
+                raise ConfigError(f"prior_shift entries must be <= 1, got {self.prior_shift}")
             if np.any(np.abs(np.sum(self.prior_shift, axis=1) - 1.0) > 1e-9):
                 raise ConfigError(f"each row of prior_shift must sum to 1, got {self.prior_shift}")
 

@@ -20,7 +20,9 @@ buffer, ``ModelParams.stack``, so one training step serves every run in it:
 one forward pass, one tape backward, and one Adam pass and finite check over
 the buffer, each run on its own batch of the epoch its plan draws from its
 seed. Every run gets the same bits as it would training alone.
-HIRNET_WORKERS splits a group into contiguous chunks, one stack per worker
+A grid of at least 2 * ``RUNS_PER_WORKER`` runs, on a process that may use
+more than one CPU, splits its groups into contiguous chunks of at least that
+many runs, one stack per worker process; a smaller grid trains in this
 process. The per-domain attribution traces are computed once per epoch, in
 one pass over the stack's detached (runs, batches, n, m) log-probs.
 """
@@ -57,6 +59,11 @@ from .models import (MlpSpec, ModelParams, flatten, forward, init_params, predic
 from .optim import NonFiniteGradient, adam_step, init_adam
 
 LOSS_KINDS = ("agg", "hir", "mmd", "ccsa")
+
+# A second worker process pays for itself from about this many runs on: on a
+# 2-CPU machine, 18- and 30-run grids train faster on two processes than on
+# one, and 6- and 12-run grids do not.
+RUNS_PER_WORKER = 9
 
 # Published protocol defaults for the rotated ordered-domain experiments.
 ROTATED_LR = 1e-3
@@ -407,14 +414,11 @@ def _run_rows(config: ExperimentConfig, suite: DomainSuite, rows, plans) -> list
     return outcomes
 
 
-def _worker_count() -> int:
-    """The HIRNET_WORKERS environment variable, 1 when unset."""
-    raw = os.environ.get("HIRNET_WORKERS", "1")
-    try:
-        raw = int(raw)
-    except ValueError:
-        pass  # check_int names the bad value
-    return check_int("HIRNET_WORKERS", raw, 1)
+def _worker_count(n_rows: int) -> int:
+    """Processes for a grid of ``n_rows`` runs: one per CPU this process may
+    use, but at most one per RUNS_PER_WORKER runs, and at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, n_rows // RUNS_PER_WORKER))
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -428,13 +432,16 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     A run's ``wall_clock_s`` is its share of its stack's training time plus
     its own evaluation and diagnostics.
 
-    The HIRNET_WORKERS environment variable (default 1) splits each group's
-    rows into that many contiguous chunks, one job and one stack each, and
-    runs the jobs in a pool of at most that many processes, each job sent
-    only its rows' plans. Results are identical whatever the worker count.
+    The grid picks its own worker count: one per CPU in this process's
+    affinity mask, but at most one per ``RUNS_PER_WORKER`` runs. With one
+    worker every job runs in this process. With more, each group's rows are
+    split into at most that many contiguous chunks of at least
+    ``RUNS_PER_WORKER`` rows, one job and one stack each, so a group of fewer
+    than twice that many rows is one job; the jobs run in a pool of at most
+    that many processes, each job sent only its rows' plans. Results are
+    identical whatever the count.
     """
     start = time.perf_counter()
-    workers = _worker_count()
     suite = config.suite.build()
     if len(suite) < 2:
         raise ConfigError("training suite is empty: holding out the only domain leaves none")
@@ -444,8 +451,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     groups: dict[tuple, list[int]] = {}  # layout key: indices into rows
     for i, (ho, _) in enumerate(rows):
         groups.setdefault(plans[ho].layout_key, []).append(i)
-    chunks = [chunk.tolist() for members in groups.values()
-              for chunk in np.array_split(members, min(workers, len(members)))]
+    workers = _worker_count(len(rows))
+    chunks = [chunk.tolist() for members in groups.values() for chunk in np.array_split(
+        members, max(1, min(workers, len(members) // RUNS_PER_WORKER)))]
     jobs = [[rows[i] for i in chunk] for chunk in chunks]
     processes = min(workers, len(jobs))
     if processes > 1:

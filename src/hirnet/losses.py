@@ -24,20 +24,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 
-__all__ = [
-    "BatchLabels",
-    "LossBreakdown",
-    "cross_entropy",
-    "hir_kl",
-    "combined_loss",
-    "mmd_rbf",
-    "median_distance",
-    "rbf_gamma",
-    "rbf_kernel",
-    "class_conditional_align",
-    "domain_mmd_penalty",
-]
-
 
 @dataclass(frozen=True)
 class BatchLabels:

@@ -184,14 +184,6 @@ class TestRunCommand:
             capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["abc", "2.5", "0", "-3"])
-    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, workers):
-        monkeypatch.setenv("HIRNET_WORKERS", workers)
-        cfg_path = write_config(tmp_path, small_config())
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
-        assert "config error: HIRNET_WORKERS" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_angles_alike_as_written_exit_2(self, tmp_path, capsys):
         raw = small_config()
         raw["suite"]["angles"] = ALIKE_ANGLES
@@ -211,17 +203,20 @@ class TestRunCommand:
     @pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
     def test_never_imports_numpy_ma(self, tmp_path, loss_kind):
         """A paired run with diagnostics, in a fresh interpreter, leaves
-        ``numpy.ma`` unimported: its first import is a cost of every run."""
+        ``numpy.ma`` unimported: its first import is a cost of every run. Its
+        grid of 3 runs is below 2 * RUNS_PER_WORKER, so it trains in that
+        process and leaves ``concurrent.futures`` unimported too."""
+        assert 3 < 2 * harness.RUNS_PER_WORKER
         cfg_path = write_config(tmp_path, small_config(paired=True, collect_diagnostics=True,
                                                        held_out="all", loss_kind=loss_kind))
         argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "out")]
-        script = ("import sys; from hirnet.cli import main; "
-                  f"print(main({argv!r}), 'numpy.ma' in sys.modules)")
+        script = (f"import sys; from hirnet.cli import main; print(main({argv!r}), "
+                  "*(m in sys.modules for m in ('numpy.ma', 'concurrent.futures')))")
         src = os.path.dirname(os.path.dirname(os.path.abspath(hirnet.__file__)))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src, "HIRNET_WORKERS": "1"})
+                              env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stdout.splitlines()[-1] == "0 False False"
 
     def test_import_leaves_the_process_pool_unimported(self):
         """``import hirnet.cli`` in a fresh interpreter imports neither

@@ -466,6 +466,8 @@ class TestManifest:
         ({"prior_shift": [1.0, 0.0]}, "prior_shift must be a .domains x classes"),
         ({"prior_shift": []}, "prior_shift must be a .domains x classes"),
         ({"prior_shift": "0.5"}, "prior_shift must be a .domains x classes"),
+        # Above 1, before a row sum can overflow to inf.
+        ({"prior_shift": [[1e308, 1e308], [0.5, 0.5]]}, "prior_shift entries must be <= 1"),
     ])
     def test_mistyped_values_rejected(self, overrides):
         fields, match = overrides

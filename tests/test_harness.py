@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 import pickle
 import sys
 import warnings
@@ -906,12 +907,63 @@ class TestRunExperiment:
         b = strip_wall_clock(run_experiment(cfg).to_dict())
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    @pytest.mark.parametrize("cpus, rows, workers", [
+        (1, 30, 1), (2, 6, 1), (2, 12, 1), (2, 17, 1), (2, 18, 2), (2, 30, 2), (64, 30, 3),
+        (None, 18, 2),  # no affinity on this platform: the CPU count, 2 here
+    ])
+    def test_worker_count_follows_the_grid(self, monkeypatch, cpus, rows, workers):
+        """One worker per usable CPU, but at most one per RUNS_PER_WORKER rows."""
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert harness._worker_count(rows) == workers
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_no_layout_group_is_split_below_runs_per_worker(self, monkeypatch):
+        # Held out on domain 0, the runs form one layout group of 10 rows;
+        # held out on domains 1 and 2, one group of 20. On 64 CPUs the grid of
+        # 30 rows takes 3 workers: the small group goes to the pool whole and
+        # the other is split in two, never into chunks below RUNS_PER_WORKER.
+        cfg = tiny_config(suite=PRIOR_SHIFT_SUITE, per_class_per_domain=3, held_out="all",
+                          seeds=tuple(range(10)), epochs=2)
+        suite = cfg.suite.build()
+        assert [layout_key(suite.drop(ho), cfg) for ho in range(3)].count(
+            layout_key(suite.drop(1), cfg)) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1)))
+        sequential = strip_wall_clock(run_experiment(cfg).to_dict())
+        jobs, sizes = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, configs, suites, job_rows, plans):
+                jobs.extend((len(rows), sorted({ho for ho, _ in rows})) for rows in job_rows)
+                return map(fn, configs, suites, job_rows, plans)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        parallel = strip_wall_clock(run_experiment(cfg).to_dict())
+        assert sizes == [3]
+        assert jobs == [(10, [0]), (10, [1]), (10, [2])]
+        assert json.dumps(sequential, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_count_does_not_change_results(self, workers, monkeypatch):
-        # 9 rows in one stack: 2 workers split held-out domain 1 between chunks.
-        cfg = tiny_config(held_out="all", seeds=(0, 1, 2), epochs=2)
+        # 27 rows in one stack, in worker processes at counts 2 and 3: 2 workers
+        # split held-out domain 1 between chunks.
+        cfg = tiny_config(held_out="all", seeds=tuple(range(9)), epochs=2)
+        monkeypatch.setattr(harness, "_worker_count", lambda n_rows: 1)
         sequential = strip_wall_clock(run_experiment(cfg).to_dict())
-        monkeypatch.setenv("HIRNET_WORKERS", str(workers))
+        monkeypatch.setattr(harness, "_worker_count", lambda n_rows: workers)
         parallel = strip_wall_clock(run_experiment(cfg).to_dict())
         assert json.dumps(sequential, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
@@ -932,12 +984,15 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        cfg = tiny_config(held_out="all", seeds=(0, 1), epochs=2)
+        # 27 rows in one stack make at most 3 chunks of RUNS_PER_WORKER rows, so a
+        # count of 500 gets a pool of 3.
+        cfg = tiny_config(held_out="all", seeds=tuple(range(9)), epochs=2)
+        monkeypatch.setattr(harness, "_worker_count", lambda n_rows: 1)
         sequential = strip_wall_clock(run_experiment(cfg).to_dict())
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setenv("HIRNET_WORKERS", "500")
+        monkeypatch.setattr(harness, "_worker_count", lambda n_rows: 500)
         parallel = strip_wall_clock(run_experiment(cfg).to_dict())
-        assert InlinePool.sizes == [6]
+        assert InlinePool.sizes == [3]
         assert json.dumps(sequential, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
     def test_each_job_is_sent_only_its_rows_plans(self, monkeypatch):
@@ -965,11 +1020,13 @@ class TestRunExperiment:
                         for p in plans.values())))
                 return [fn(*args) for args in calls]
 
-        # 6 rows in one stack: two jobs of 3, held out on domains 0, 0, 1 and 1, 2, 2.
-        cfg = tiny_config(held_out="all", seeds=(0, 1), epochs=2)
+        # 18 rows in one stack: two jobs of 9, held out on domains 0 (6 times)
+        # and 1 (3 times), and 1 (3 times) and 2 (6 times).
+        cfg = tiny_config(held_out="all", seeds=tuple(range(6)), epochs=2)
+        monkeypatch.setattr(harness, "_worker_count", lambda n_rows: 1)
         sequential = strip_wall_clock(run_experiment(cfg).to_dict())
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-        monkeypatch.setenv("HIRNET_WORKERS", "2")
+        monkeypatch.setattr(harness, "_worker_count", lambda n_rows: 2)
         parallel = strip_wall_clock(run_experiment(cfg).to_dict())
         assert PicklingPool.jobs == [([0, 1], [0, 1], True), ([1, 2], [1, 2], True)]
         assert json.dumps(sequential, sort_keys=True) == json.dumps(parallel, sort_keys=True)

@@ -5,9 +5,9 @@ committed digest.
 ``tools/output_digest.py --seed 7``: a header line with the Python, numpy
 and BLAS versions, then the SHA-256 of each file the commands write. The
 test runs the same commands, from the tool's own list, through
-``hirnet.cli.main`` in this process with HIRNET_WORKERS=1, and compares the
-digests line by line. A change that moves an output bit on purpose
-regenerates the file in the same commit.
+``hirnet.cli.main`` in this process, and compares the digests line by line.
+A change that moves an output bit on purpose regenerates the file in the
+same commit.
 """
 
 import os
@@ -37,7 +37,7 @@ def by_path(lines: list[str]) -> dict[str, str]:
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_outputs_match_the_committed_digest(tmp_path, monkeypatch):
+def test_outputs_match_the_committed_digest(tmp_path):
     with open(GOLDEN) as fh:
         committed_header, *committed = fh.read().splitlines()
     header = output_digest.header()
@@ -45,7 +45,6 @@ def test_outputs_match_the_committed_digest(tmp_path, monkeypatch):
         "the committed digest comes from another toolchain, whose arithmetic may differ:\n"
         f"  committed: {committed_header}\n  here:      {header}\n"
         f"regenerate it here with: {REGENERATE}")
-    monkeypatch.setenv("HIRNET_WORKERS", "1")
     output_digest.write_commands(in_process, str(tmp_path), 7)
     got = by_path(output_digest.digests(output_digest.outputs(str(tmp_path))))
     expected = by_path(committed)

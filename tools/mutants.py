@@ -144,6 +144,18 @@ MUTANTS = {
         "len(rows) < len(self.angles)",
         ("tests/test_data.py::TestManifest::"
          "test_mis_shaped_prior_shift_rejected_when_constructed[three-rows-two-angles]",)),
+    # Prior-shift entries above 1 left to the row sums (case 21 overflows them).
+    "prior-shift-entries-unbounded": Mutant(
+        "src/hirnet/data.py",
+        "if np.max(self.prior_shift) > 1.0:",
+        "if False:",
+        ("tests/test_data.py::TestManifest::test_mistyped_values_rejected[overrides21]",)),
+    # One worker per usable CPU, whatever the grid's size.
+    "workers-ignore-grid-size": Mutant(
+        "src/hirnet/harness.py",
+        "min(cpus or 1, n_rows // RUNS_PER_WORKER)",
+        "cpus or 1",
+        ("tests/test_harness.py::TestRunExperiment::test_worker_count_follows_the_grid",)),
 }
 
 
@@ -170,7 +182,7 @@ def run(name: str, mutant: Mutant) -> str:
             text = fh.read()
         with open(target, "w") as fh:
             fh.write(text.replace(mutant.old, mutant.new))
-        env = {**os.environ, "PYTHONPATH": os.path.join(copy, "src"), "HIRNET_WORKERS": "1",
+        env = {**os.environ, "PYTHONPATH": os.path.join(copy, "src"),
                "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                                *mutant.tests], cwd=copy, env=env, capture_output=True, text=True)

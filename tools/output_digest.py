@@ -81,7 +81,7 @@ def header() -> str:
 
 def hirnet(src: str, *args: str, exit_code: int = 0) -> None:
     """Run ``hirnet ARGS`` from ``src`` in a fresh interpreter and check its exit code."""
-    env = {**os.environ, "PYTHONPATH": src, "HIRNET_WORKERS": "1"}
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-m", "hirnet.cli", *args], env=env,
                           capture_output=True, text=True)
     if proc.returncode != exit_code:

@@ -4,8 +4,8 @@
     python3 tools/step_profile.py WORKLOAD [--seed N] [--repeats R] [--src DIR]
 
 Builds the ``hirnet run`` config of WORKLOAD from ``perfbench/workloads.py``
-and runs its experiment R times (default 5) in this process, with
-HIRNET_WORKERS=1 and single-threaded BLAS, importing ``hirnet`` from DIR
+and runs its experiment R times (default 5) in this process, pinned to one
+CPU and with single-threaded BLAS, importing ``hirnet`` from DIR
 (default: this repository's ``src``). It changes no file: it wraps the
 functions the stacked training step calls, in their modules, for the length
 of the runs, and times each call made inside ``harness.train_runs``:
@@ -30,9 +30,10 @@ each phase it prints the median over the repeats of the phase's time over
 the step count, and the phase's share of ``train_runs``. For a workload
 that probes its models, it also prints the median milliseconds per
 ``diagnostics.collect_bundle`` call, which is one call per trained model.
-Each wrapped call adds a few tenths of a microsecond. Pin the process to
-one CPU (for example with ``taskset -c 1``) for steadier numbers. To see
-which layer a change moved, run it against both checkouts:
+Each wrapped call adds a few tenths of a microsecond. The wrappers see only
+this process, so it pins itself to the highest-numbered CPU it may use, as
+``perfbench/run.py`` does; a run then trains every stack in this process.
+To see which layer a change moved, run it against both checkouts:
 
     python3 tools/step_profile.py hir-full --src ../parent/src
     python3 tools/step_profile.py hir-full
@@ -150,7 +151,7 @@ def main() -> int:
         parser.error("--repeats must be at least 1")
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"  # read when numpy first loads, below
-    os.environ["HIRNET_WORKERS"] = "1"
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path.insert(0, os.path.abspath(args.src))
 
     runs = [profile(args.workload, args.seed) for _ in range(args.repeats)]
