@@ -1,7 +1,8 @@
 """Reverse-mode automatic differentiation over dense float64 matrices, or
 stacks of matrices with one matrix per run.
 
-A tensor is a matrix ``(rows, cols)`` or a stack ``(runs, rows, cols)``.
+A tensor is a matrix ``(rows, cols)`` or a stack ``(runs, rows, cols)``;
+any other shape, a scalar or a vector included, is a :class:`ShapeError`.
 Every op acts on the last two axes, so each run of a stack computes exactly
 what it would alone. Operands have one shape, except that a bias row
 broadcasts over the rows of its matrix (on the right of ``+`` only). The
@@ -37,11 +38,7 @@ from .errors import ContractError, ShapeError
 
 def _as_array(values) -> np.ndarray:
     a = np.asarray(values, dtype=np.float64)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.ndim > 3:
+    if not 2 <= a.ndim <= 3:
         raise ShapeError(f"tensors are matrices or stacks of them, got ndim={a.ndim}")
     return a
 

@@ -24,10 +24,6 @@ from .losses import (BatchLabels, _sq_dists, hir_kl, median_distance, mmd_rbf,  
                      pairwise_kl, rbf_gamma)
 
 
-class DiagnosticUnavailableError(ContractError):
-    """The suite lacks the structure this diagnostic needs."""
-
-
 @dataclass
 class DiagnosticsBundle:
     """One model's invariance profile over a suite."""
@@ -93,18 +89,19 @@ def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
 
 
 def prediction_agreement(params: models.ModelParams, suite: DomainSuite,
-                         probe_size: int = 100, seed: int = 0) -> float:
+                         probe_size: int = 100, seed: int = 0) -> float | None:
     """Fraction of probed base points predicted identically in every domain.
 
-    Probes base_ids present in all domains. Invariant to any strictly
-    monotone rescaling of the logits because only the argmax is compared.
+    Probes base_ids present in all domains; None when no base_id is. Invariant
+    to any strictly monotone rescaling of the logits because only the argmax
+    is compared.
     """
     common = None
     for dataset in suite.domains:
         ids = np.unique(dataset.base_id, return_index=True)[0]
         common = ids if common is None else np.intersect1d(common, ids, assume_unique=True)
     if common is None or common.size == 0:
-        raise DiagnosticUnavailableError("no base_id is present in every domain")
+        return None
     rng = np.random.default_rng(seed)
     if common.size > probe_size:
         common = np.sort(rng.choice(common, size=probe_size, replace=False))
@@ -135,7 +132,7 @@ def _plan(suite: DomainSuite, per_class_per_domain: int, paired: bool) -> BatchP
     """The suite's :class:`BatchPlan`; raises if it has no batches."""
     plan = BatchPlan(suite, per_class_per_domain, paired)
     if plan.n_batches == 0:
-        raise DiagnosticUnavailableError("sampler produced no batches")
+        raise ContractError("sampler produced no batches")
     return plan
 
 
@@ -180,17 +177,13 @@ def collect_bundle(params: models.ModelParams, suite: DomainSuite,
         warnings.warn("single probed domain: cross-domain probes are vacuous")
     domain_mmd, used_bw = domain_alignment_matrix(params, suite, bandwidth=bandwidth)
     class_mmd, _ = domain_alignment_matrix(params, suite, per_class=True, bandwidth=used_bw)
-    try:
-        agreement = prediction_agreement(params, suite, probe_size=probe_size, seed=seed)
-    except DiagnosticUnavailableError:
-        agreement = None
     plan = _plan(suite, per_class_per_domain, False)
     paired_mean, unpaired_mean = paired_vs_unpaired_kl(
         params, suite, per_class_per_domain=per_class_per_domain, seed=seed, unpaired=plan)
     return DiagnosticsBundle(
         domain_mmd=domain_mmd,
         class_mmd=class_mmd,
-        agreement=agreement,
+        agreement=prediction_agreement(params, suite, probe_size=probe_size, seed=seed),
         paired_kl_mean=paired_mean,
         unpaired_kl_mean=unpaired_mean,
         posterior_kl=posterior_kl_matrix(params, plan.draw(seed)[0], plan.batch_labels),

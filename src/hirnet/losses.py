@@ -2,14 +2,16 @@
 and the two feature-alignment baselines (RBF-kernel MMD and same-class
 cross-domain distance).
 
-All functions accept plain arrays or graph-attached tensors; losses built
-on attached tensors are differentiable through the recording graph. Rows
-are a matrix (one run) or a stack of matrices (one per run) that share one
-label layout, and every loss gives one value per run. Each loss, and the
-weighted sum of two, is one node (``autodiff.emit``) with an analytic
-backward: the pair sums of HIR, MMD and CCSA are evaluated in closed form
-(HIR's and CCSA's over groups sorted into one order), never pair by pair.
-HIR works on log-space posteriors throughout, so it never clamps a probability.
+All functions accept plain arrays or graph-attached tensors, and labels as
+plain arrays or a :class:`BatchLabels`, except the MMD penalty, which reads
+the batch's :class:`BatchLabels`. Losses built on attached tensors are
+differentiable through the recording graph. Rows are a matrix (one run) or
+a stack of matrices (one per run) that share one label layout, and every
+loss gives one value per run. Each loss, and the weighted sum of two, is
+one node (``autodiff.emit``) with an analytic backward: the pair sums of
+HIR, MMD and CCSA are evaluated in closed form (HIR's and CCSA's over
+groups sorted into one order), never pair by pair. HIR works on log-space
+posteriors throughout, so it never clamps a probability.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class BatchLabels:
 
     @property
     def upper(self) -> np.ndarray:
-        """The (n, n) i < j mask that :func:`rbf_kernel` reads each run's pairs with."""
+        """The (n, n) i < j mask that :func:`_mmd_sum` reads each run's pairs with."""
         return self._cached("upper", lambda: np.triu(np.ones((len(self),) * 2, dtype=bool), k=1))
 
 
@@ -283,29 +285,24 @@ def rbf_gamma(bandwidth, ndim: int) -> np.ndarray:
     return np.array(gammas).reshape((-1,) + (1,) * (ndim - 1))
 
 
-def rbf_kernel(z: np.ndarray, labels: BatchLabels, bandwidth=None):
-    """(K, gamma, bandwidth) for the Gaussian kernel K_ij = exp(gamma |z_i - z_j|^2)
-    over the rows of z, with gamma from :func:`rbf_gamma` and ``exp`` taken in
-    place over the squared distances. ``None`` takes, per run, the
-    :func:`median_distance` of those distances' pairs in the i < j mask ``labels.upper``."""
-    sq_dists = _sq_dists(z)
-    if bandwidth is None:
-        runs = sq_dists[None] if z.ndim == 2 else sq_dists
-        medians = [median_distance(dists[labels.upper]) for dists in runs]
-        bandwidth = medians[0] if z.ndim == 2 else np.array(medians)
-    gamma = rbf_gamma(bandwidth, z.ndim)
-    sq_dists *= gamma
-    return np.exp(sq_dists, out=sq_dists), gamma, bandwidth
-
-
 def _mmd_sum(parts: tuple[Tensor, ...], labels: BatchLabels, bandwidth=None) -> Tensor:
     """Mean squared RBF MMD over the domain pairs of the stacked rows z of
-    ``parts``, as one node: sum_ij W_ij K_ij, with K the :func:`rbf_kernel`
-    of z and W the ``mmd_weights`` of the rows' ``labels``. The gradient is
-    4 gamma (diag((W o K) 1) z - (W o K) z).
+    ``parts``, as one node: sum_ij W_ij K_ij, with W the ``mmd_weights`` of the
+    rows' ``labels`` and K the Gaussian kernel K_ij = exp(gamma |z_i - z_j|^2),
+    gamma from :func:`rbf_gamma` and ``exp`` taken in place over the squared
+    distances. ``None`` takes the bandwidth per run as the
+    :func:`median_distance` of those distances' pairs in the i < j mask
+    ``labels.upper``: a constant of the loss, not differentiated. The gradient
+    is 4 gamma (diag((W o K) 1) z - (W o K) z).
     """
     z = parts[0].data if len(parts) == 1 else np.concatenate([t.data for t in parts], axis=-2)
-    wk, gamma, _ = rbf_kernel(z, labels, bandwidth)
+    wk = _sq_dists(z)
+    if bandwidth is None:
+        runs = wk[None] if z.ndim == 2 else wk
+        bandwidth = [median_distance(dists[labels.upper]) for dists in runs]
+    gamma = rbf_gamma(bandwidth, z.ndim)
+    wk *= gamma
+    np.exp(wk, out=wk)
     wk *= labels.mmd_weights
 
     def back(up):
@@ -379,19 +376,13 @@ def class_conditional_align(z, labels, domains=None) -> Tensor:
     return ad.emit("ccsa", (z,), total / pair_count, back)
 
 
-def domain_mmd_penalty(z, domains, bandwidth: float | None = None) -> Tensor:
-    """Mean RBF MMD between the z-rows of every pair of domains in the batch,
-    given as a :class:`BatchLabels` or plain domain indices.
-
-    Bandwidth defaults to the median pairwise-distance heuristic over the
-    whole batch, per run, computed on detached values (it is a constant of
-    the loss, not differentiated), from the kernel's squared distances.
-    """
+def domain_mmd_penalty(z, labels: BatchLabels) -> Tensor:
+    """Mean RBF MMD between the z-rows of every pair of the domains of the
+    batch's ``labels``, at the median bandwidth of :func:`_mmd_sum`: over the
+    whole batch, per run."""
     z = ad.as_tensor(z)
-    if not isinstance(domains, BatchLabels):
-        domains = BatchLabels(np.zeros(np.size(domains)), domains)
-    if domains.domains is None or domains.domains.size != z.shape[-2]:
+    if labels.domains is None or len(labels) != z.shape[-2]:
         raise ContractError("one domain index per z row required")
-    if len(domains.segments("domains").spans) < 2:
+    if len(labels.segments("domains").spans) < 2:
         return _zero(z)
-    return _mmd_sum((z,), domains, bandwidth)
+    return _mmd_sum((z,), labels)

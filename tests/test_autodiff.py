@@ -303,13 +303,17 @@ class TestEmit:
 
 
 def test_tensors_are_matrices_or_stacks_of_them():
+    assert ad.tensor(np.zeros((2, 3))).shape == (2, 3)
     assert ad.tensor(np.zeros((2, 3, 4))).shape == (2, 3, 4)
-    with pytest.raises(ShapeError):
-        ad.tensor(np.zeros((2, 2, 2, 2)))
+    for values in (3.5, np.zeros(3), np.zeros((2, 2, 2, 2))):  # a scalar, a vector, 4-D
+        with pytest.raises(ShapeError):
+            ad.tensor(values)
+        with pytest.raises(ShapeError):
+            ad.Graph().param(values)
 
 
 def test_scalar_item():
-    assert ad.tensor(3.5).item() == 3.5
+    assert ad.tensor([[3.5]]).item() == 3.5
     with pytest.raises(ShapeError):
         ad.tensor([[1.0, 2.0]]).item()
 

@@ -10,6 +10,7 @@ from hirnet.errors import ConfigError, ContractError
 from hirnet.losses import (
     BatchLabels,
     LossBreakdown,
+    _mmd_sum,
     _pair_sums,
     _sq_dists,
     class_conditional_align,
@@ -20,14 +21,23 @@ from hirnet.losses import (
     median_distance,
     mmd_rbf,
     pairwise_kl,
-    rbf_kernel,
+    rbf_gamma,
 )
 from tape_ops import scale
 
 
 def median_bandwidth(z):
-    """The bandwidth that :func:`rbf_kernel` takes by default for the rows of z."""
-    return rbf_kernel(z, BatchLabels(np.zeros(z.shape[-2])))[2]
+    """The bandwidth that the MMD penalty takes for the rows of z: per run,
+    the :func:`median_distance` of their i < j squared distances."""
+    upper = np.triu(np.ones((z.shape[-2],) * 2, dtype=bool), k=1)
+    runs = _sq_dists(z)[None] if z.ndim == 2 else _sq_dists(z)
+    medians = [median_distance(dists[upper]) for dists in runs]
+    return medians[0] if z.ndim == 2 else np.array(medians)
+
+
+def domain_labels(domains):
+    """The :class:`BatchLabels` of a batch with these domain indices, all of class 0."""
+    return BatchLabels(np.zeros(len(domains)), domains)
 
 
 def naive_hir_kl(log_probs, labels, domains=None, cross_domain_only=False):
@@ -403,9 +413,8 @@ class TestMmd:
             mmd_rbf(np.ones((2, 2)), np.ones((2, 2)), bandwidth)
 
     def test_bad_bandwidth_of_one_run_rejects_the_stack(self):
-        z = np.random.default_rng(31).normal(size=(3, 6, 2))
         with pytest.raises(ConfigError):
-            domain_mmd_penalty(z, np.arange(6) % 2, bandwidth=np.array([1.0, 1e-200, 1.0]))
+            rbf_gamma(np.array([1.0, 1e-200, 1.0]), 3)
 
     def test_gradient(self):
         rng = np.random.default_rng(16)
@@ -477,15 +486,21 @@ class TestDomainMmdPenalty:
         rng = np.random.default_rng(20)
         z = rng.normal(size=(9, 2))
         domains = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
-        bw = 1.1
+        bw = median_bandwidth(z)
         parts = [naive_mmd(z[domains == a], z[domains == b], bw)
                  for a in range(3) for b in range(a + 1, 3)]
-        got = domain_mmd_penalty(z, domains, bandwidth=bw).item()
+        got = domain_mmd_penalty(z, domain_labels(domains)).item()
         assert got == pytest.approx(np.mean(parts), abs=1e-10)
 
     def test_single_domain_zero(self):
         z = np.random.default_rng(21).normal(size=(4, 2))
-        assert domain_mmd_penalty(z, [0, 0, 0, 0], bandwidth=1.0).item() == 0.0
+        assert domain_mmd_penalty(z, domain_labels([0, 0, 0, 0])).item() == 0.0
+
+    def test_needs_one_domain_index_per_row(self):
+        with pytest.raises(ContractError):
+            domain_mmd_penalty(np.zeros((4, 2)), BatchLabels([0, 0, 1, 1]))
+        with pytest.raises(ContractError):
+            domain_mmd_penalty(np.zeros((4, 2)), domain_labels([0, 1, 0]))
 
     def test_matches_pair_oracle_with_unequal_domains(self):
         rng = np.random.default_rng(27)
@@ -493,25 +508,25 @@ class TestDomainMmdPenalty:
             sizes = rng.integers(1, 9, size=int(rng.integers(2, 6)))
             domains = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
             z = rng.normal(scale=1.5, size=(domains.size, 3))
-            bw = float(rng.uniform(0.3, 2.0))
+            bw = median_bandwidth(z)
             parts = [naive_mmd(z[domains == a], z[domains == b], bw)
                      for a in range(sizes.size) for b in range(a + 1, sizes.size)]
-            got = domain_mmd_penalty(z, domains, bandwidth=bw).item()
+            got = domain_mmd_penalty(z, domain_labels(domains)).item()
             assert got == pytest.approx(np.mean(parts), abs=1e-10)
 
     def test_gradient_with_unequal_domains_and_a_single_row(self):
+        # At a fixed bandwidth: a finite difference of the penalty would also move its median.
         rng = np.random.default_rng(28)
         z = rng.normal(size=(8, 2))
-        domains = np.array([0, 1, 0, 2, 0, 1, 0, 0])  # domain 2 has one row
-        err = ad.grad_check(lambda g, ts: domain_mmd_penalty(ts[0], domains, bandwidth=0.8),
-                            [z])
+        labels = domain_labels([0, 1, 0, 2, 0, 1, 0, 0])  # domain 2 has one row
+        err = ad.grad_check(lambda g, ts: _mmd_sum((ts[0],), labels, 0.8), [z])
         assert err < 1e-4
 
     def test_records_one_tape_node(self):
         g = ad.Graph()
         z = scale(g.param(np.random.default_rng(29).normal(size=(40, 4))), 1.0)
         before = len(g)
-        domain_mmd_penalty(z, np.arange(40) % 4)
+        domain_mmd_penalty(z, domain_labels(np.arange(40) % 4))
         assert len(g) == before + 1
 
 
@@ -596,7 +611,7 @@ STACKED_LOSSES = {
     "hir_kl_cross_domain_normalized": lambda lp, z, labels: hir_kl(
         lp, labels, cross_domain_only=True, normalize=True)[0],
     "ccsa": lambda lp, z, labels: class_conditional_align(z, labels),
-    "domain_mmd_median_bandwidth": lambda lp, z, labels: domain_mmd_penalty(z, labels.domains),
+    "domain_mmd_median_bandwidth": lambda lp, z, labels: domain_mmd_penalty(z, labels),
 }
 
 
@@ -654,7 +669,7 @@ def test_shared_distances_give_the_separate_distances_bits(shape):
     domains = np.arange(shape[-2]) % 3
     g = ad.Graph()
     leaf = g.param(z)
-    loss = domain_mmd_penalty(leaf, domains)
+    loss = domain_mmd_penalty(leaf, domain_labels(domains))
     grad = g.backward(loss)[leaf.node_id]
     expected_value, expected_grad = separate_distances_mmd(z, domains)
     assert loss.data.tobytes() == expected_value.tobytes()
@@ -666,7 +681,7 @@ def test_loss_without_pairs_is_zero_per_run():
     labels = BatchLabels([0, 1, 0], [0, 0, 0])
     assert hir_kl(lp, [0, 1, 2])[0].shape == (2, 1, 1)
     assert class_conditional_align(np.zeros((2, 3, 2)), labels).shape == (2, 1, 1)
-    assert domain_mmd_penalty(np.zeros((2, 3, 2)), labels.domains).shape == (2, 1, 1)
+    assert domain_mmd_penalty(np.zeros((2, 3, 2)), labels).shape == (2, 1, 1)
 
 
 class TestBatchLabels:

@@ -5,7 +5,7 @@ import pytest
 
 from hirnet import autodiff as ad
 from hirnet.errors import ConfigError, ContractError, ShapeError
-from hirnet.losses import combined_loss, domain_mmd_penalty
+from hirnet.losses import BatchLabels, _mmd_sum, combined_loss
 from hirnet.models import (
     MlpSpec,
     ModelParams,
@@ -124,7 +124,7 @@ class TestForward:
             def f(graph, ts):
                 z, logits = network(x, ts)
                 assert len(graph) == len(ts) + (2 if hidden else 1)
-                penalty = domain_mmd_penalty(z, np.arange(6) % 2, bandwidth=1.5)
+                penalty = _mmd_sum((z,), BatchLabels(np.zeros(6), np.arange(6) % 2), 1.5)
                 classification = combined_loss(ad.log_softmax(logits), y, 1e-1).combined
                 loss = classification + scale(penalty, 0.5)
                 if runs is None:

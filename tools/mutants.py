@@ -77,8 +77,8 @@ MUTANTS = {
     # The MMD penalty's domain count by a plain np.unique, which imports numpy.ma.
     "domain-count-plain-unique": Mutant(
         "src/hirnet/losses.py",
-        'if len(domains.segments("domains").spans) < 2:',
-        "if np.unique(domains.domains).size < 2:",
+        'if len(labels.segments("domains").spans) < 2:',
+        "if np.unique(labels.domains).size < 2:",
         ("tests/test_cli.py::TestRunCommand::test_never_imports_numpy_ma",)),
     # Adam's update with the bias correction applied after the learning rate.
     "adam-undivided-first-moment": Mutant(
@@ -156,6 +156,18 @@ MUTANTS = {
         "min(cpus or 1, n_rows // RUNS_PER_WORKER)",
         "cpus or 1",
         ("tests/test_harness.py::TestRunExperiment::test_worker_count_follows_the_grid",)),
+    # Tensors of any shape up to a stack: scalars and vectors pass unreshaped.
+    "tensor-ndim-unchecked": Mutant(
+        "src/hirnet/autodiff.py",
+        "if not 2 <= a.ndim <= 3:",
+        "if not a.ndim <= 3:",
+        ("tests/test_autodiff.py::test_tensors_are_matrices_or_stacks_of_them",)),
+    # No base_id common to every domain read as no agreement, not as no probe.
+    "agreement-unavailable-as-zero": Mutant(
+        "src/hirnet/diagnostics.py",
+        "if common is None or common.size == 0:\n        return None",
+        "if common is None or common.size == 0:\n        return 0.0",
+        ("tests/test_diagnostics.py::TestPredictionAgreement::test_no_common_base_ids",)),
 }
 
 

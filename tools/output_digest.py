@@ -6,7 +6,9 @@
 Runs, each in a fresh interpreter with ``DIR/hirnet`` on the path (default:
 this repository's ``src``):
 
-- ``hirnet run`` on each workload config of ``perfbench/workloads.py``;
+- ``hirnet run`` on each workload config of ``perfbench/workloads.py``, and
+  on the ``mmd-align`` config with the CCSA penalty and two hidden layers,
+  whose backwards no workload runs;
 - ``hirnet sweep`` of the ``hir-full`` config over three alpha values;
 - ``hirnet diag`` on one ``hir-full`` checkpoint against the workload suite,
   at one and at three points per (domain, class) cell, and against two
@@ -63,6 +65,8 @@ from workloads import DEFAULT_SEED, SUITE, WORKLOADS, experiment_config  # noqa:
 SWEEP_WORKLOAD = "hir-full"
 SWEEP_ALPHAS = "0.001,0.01,0.1"
 DIVERGING_WORKLOAD = "agg-steps"
+# The CCSA run: its penalty's backward, and the body's from one hidden layer to the next.
+CCSA_WORKLOAD, CCSA_CHANGES = "mmd-align", {"loss_kind": "ccsa", "hidden_sizes": [16, 8]}
 # Suite manifests besides the workload suite, each diagnosed at one point per cell.
 EDGE_SUITES = {
     "no_common_id": {"angles": [0.0, 15.0], "prior_shift": [[1.0, 0.0], [0.0, 1.0]]},
@@ -98,6 +102,10 @@ def write_commands(runner, out: str, seed: int) -> None:
         with open(path, "w") as fh:
             json.dump(experiment_config(workload, seed), fh)
         runner("run", "--config", path, "--out", os.path.join(out, "run", workload))
+    ccsa = os.path.join(configs, "ccsa.json")
+    with open(ccsa, "w") as fh:
+        json.dump({**experiment_config(CCSA_WORKLOAD, seed), **CCSA_CHANGES}, fh)
+    runner("run", "--config", ccsa, "--out", os.path.join(out, "run", "ccsa"))
     runner("sweep", "--config", os.path.join(configs, f"{SWEEP_WORKLOAD}.json"),
            "--alpha", SWEEP_ALPHAS, "--out", os.path.join(out, "sweep"))
     diverging = os.path.join(configs, "diverging.json")
