@@ -18,7 +18,7 @@ import numpy as np
 
 from . import models
 from .data import BatchPlan, DomainSuite, _last_rows
-from .errors import ContractError, write_json
+from .errors import ContractError, write_json, write_lines
 # mmd_rbf stays bound here for perfbench's test_uninstall_restores_every_original.
 from .losses import (BatchLabels, _sq_dists, hir_kl, median_distance, mmd_rbf,  # noqa: F401
                      pairwise_kl, rbf_gamma)
@@ -212,10 +212,8 @@ def bundle_to_jsonable(bundle: DiagnosticsBundle) -> dict:
 
 def write_domain_mmd_csv(matrix: np.ndarray, domain_params: list[float], path) -> None:
     """Square MMD matrix with a header row of the domain angles."""
-    with open(path, "w") as fh:
-        fh.write(",".join(f"{a:g}" for a in domain_params) + "\n")
-        for row in matrix:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_lines([",".join(f"{a:g}" for a in domain_params),
+                 *(",".join(f"{v:.17g}" for v in row) for row in matrix.tolist())], path)
 
 
 def write_posterior_kl_csv(bundle: DiagnosticsBundle, path) -> None:
@@ -223,10 +221,10 @@ def write_posterior_kl_csv(bundle: DiagnosticsBundle, path) -> None:
     ``posterior_kl``, ordered by (class, i, j) as :func:`pairwise_kl` gives them."""
     i_idx, j_idx = np.nonzero(~np.isnan(bundle.posterior_kl))
     order = np.argsort(bundle.probe_classes[i_idx], kind="stable")
-    with open(path, "w") as fh:
-        fh.write("i,j,class,value\n")
-        for i, j in zip(i_idx[order], j_idx[order]):
-            fh.write(f"{i},{j},{bundle.probe_classes[i]},{bundle.posterior_kl[i, j]:.17g}\n")
+    i_idx, j_idx = i_idx[order], j_idx[order]
+    rows = zip(i_idx.tolist(), j_idx.tolist(), bundle.probe_classes[i_idx].tolist(),
+               bundle.posterior_kl[i_idx, j_idx].tolist())
+    write_lines(["i,j,class,value", *(f"{i},{j},{c},{v:.17g}" for i, j, c, v in rows)], path)
 
 
 def write_diag_summary(bundle: DiagnosticsBundle, path, extra: dict | None = None) -> None:

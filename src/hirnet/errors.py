@@ -1,11 +1,12 @@
 """Shared exception types, the checks that raise them on config values, and
-the one JSON codec that every JSON file goes through: :class:`JsonRecord`
-and :func:`write_json` write configs, reports and summaries, and
-:class:`JsonConfig` reads configs back."""
+the one JSON codec that every JSON file goes through: :class:`JsonRecord` and
+:func:`write_json` write configs, reports and summaries as ``json.dumps(data, indent=2,
+sort_keys=True) + "\n"`` bytes, NaN and Infinity included; :class:`JsonConfig` reads configs."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import numbers
 import sys
@@ -56,30 +57,55 @@ def check_bool(name: str, value) -> bool:
     return value
 
 
+def _fields(record) -> dict:
+    """A dataclass's fields by name, less those whose metadata says ``json=False``."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+            if f.metadata.get("json", True)}
+
+
 def _plain(value):
-    """``value`` as JSON data. A dataclass becomes an object of its fields,
-    less those whose metadata says ``json=False``; a list or tuple becomes a
-    new list. A list of numbers, or of lists of numbers, as told by its first
-    item, is copied as it is, not walked item by item: traces hold thousands
-    of floats."""
+    """``value`` as JSON data: a dataclass as a dict of its fields, a list or tuple as a list."""
     if isinstance(value, (list, tuple)):
-        head = value[0] if value else None
-        if isinstance(head, (int, float)):
-            return list(value)
-        if isinstance(head, list) and head and isinstance(head[0], (int, float)):
-            return [list(row) for row in value]
         return [_plain(v) for v in value]
     if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)
-                if f.metadata.get("json", True)}
+        return {name: _plain(v) for name, v in _fields(value).items()}
     return value
 
 
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(_plain(value), indent=2, sort_keys=True)``, lines after the first indented
+    by ``pad``. Exact, finite floats in a list, or in its rows, are joined from ``float.__repr__``
+    as json joins them; a dataclass, dict, list or tuple is walked; json.dumps gives the rest."""
+    if dataclasses.is_dataclass(value):
+        value = _fields(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return json.dumps(value)  # a scalar, or a value json cannot encode
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if isinstance(value, dict) or not value:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    rows = value if all(type(v) is list and v for v in value) else [value]
+    floats = set(map(type, itertools.chain(*rows))) == {float}
+    if not (floats and abs(sum(map(sum, rows))) <= sys.float_info.max):  # NaN or inf fails it
+        return "[\n" + inner + f",\n{inner}".join(_json_text(v, inner) for v in value) + f"\n{pad}]"
+    deep = inner + "  " * (rows is value)
+    text = f"\n{inner}],\n{inner}[\n{deep}".join(f",\n{deep}".join(map(float.__repr__, row))
+                                              for row in rows)
+    return f"[\n{inner}" + (f"[\n{deep}{text}\n{inner}]" if rows is value else text) + f"\n{pad}]"
+
+
 def write_json(data, path) -> None:
-    """Sorted keys, two-space indent and a trailing newline: every JSON file hirnet writes."""
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"`` bytes, NaN and Infinity included, a
+    record as its ``to_dict()``; a value json cannot encode raises before the file is opened."""
+    write_lines([_json_text(data, "")], path)
+
+
+def write_lines(lines, path) -> None:
+    """Write ``lines``, each ended by a newline, in one call: every file hirnet writes."""
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 class JsonRecord:

@@ -3,8 +3,8 @@
 The runner builds the suite once. For each held-out domain and seed it
 trains the configured objective on the suite less that domain, evaluates
 accuracy on the held-out domain, and aggregates mean and standard deviation
-across seeds. Runs that diverge (non-finite loss or gradient) are marked
-failed and frozen in place in their stack, and the remaining runs continue.
+across seeds. Runs that diverge (a non-finite loss, epoch mean of a loss, or
+gradient) are marked failed and frozen in place in their stack; the rest go on.
 
 Loss kinds: "agg" is cross-entropy only; "hir" adds the pairwise
 posterior-alignment term weighted by alpha; "mmd" and "ccsa" add the
@@ -51,6 +51,7 @@ from .errors import (
     check_ints,
     check_real,
     write_json,
+    write_lines,
 )
 from .losses import (LossBreakdown, class_conditional_align, cross_entropy, domain_mmd_penalty,
                      hir_kl)
@@ -71,7 +72,7 @@ ROTATED_ALPHA = 1e-3
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or gradients became non-finite during training."""
+    """A loss, an epoch mean of one, or a gradient became non-finite in training."""
 
 
 @dataclass(frozen=True)
@@ -233,11 +234,11 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
     ``[batch_seeds[r], epoch]``. Every run gets the same bits as it would alone.
     Each step tests the loss buffer, and ``adam_step`` the gradient buffer, for
     finiteness once; row by row only if one fails or a run has. Row r of
-    the stack is run r throughout. A run whose loss or gradient turns
-    non-finite gets the :class:`TrainingDiverged` it would raise alone and is
-    frozen in place, its row at its last finite values (a zero gradient and
-    first moment make its Adam step 0.0); the others go on. Returns each
-    run's traces, or its failure.
+    the stack is run r throughout. A run whose step loss or gradient, or epoch
+    mean of ``l_c`` or ``l_h``, turns non-finite gets the :class:`TrainingDiverged`
+    it would raise alone and is frozen in place, its row at its last finite values
+    (a zero gradient and first moment make its Adam step 0.0); the others go on.
+    Returns each run's traces, or its failure.
     """
     n_domains = len(plans[0].domain_params)
     if n_domains < 2:
@@ -296,6 +297,10 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
         # the order its own list of steps would be.
         l_c = np.concatenate(epoch_lc, axis=-1).mean(axis=-1)
         l_h = np.concatenate(epoch_lh, axis=-1).mean(axis=-1) if epoch_lh else np.zeros_like(l_c)
+        for name, mean in (("l_c", l_c[:, 0]), ("l_h", l_h[:, 0])):  # finite steps can overflow it
+            for row in np.flatnonzero(alive & ~np.isfinite(mean)):
+                results[row] = TrainingDiverged(f"non-finite {name} epoch mean at epoch {epoch}")
+                alive[row], frozen = False, True
         dom_ce, dom_kl = _epoch_attributions(np.stack(epoch_lp, axis=1), y, *masks, work)
         for row in np.flatnonzero(alive):
             traces = results[row]
@@ -317,7 +322,7 @@ def train(params: ModelParams, train_suite: DomainSuite, config: ExperimentConfi
     """Train ``params`` in place over the configured epoch budget: the
     one-run case of :func:`train_runs`, on the one plan built here.
 
-    Raises :class:`TrainingDiverged` on a non-finite loss or gradient.
+    Raises :class:`TrainingDiverged` on a non-finite loss, epoch mean or gradient.
     """
     if len(train_suite) == 0:
         raise ConfigError("training suite is empty")
@@ -497,19 +502,15 @@ def sweep_alpha(config: ExperimentConfig, alphas: list[float]) -> dict[float, Ru
 
 
 def write_report_json(report: RunReport, path) -> None:
-    write_json(report.to_dict(), path)
+    write_json(report, path)
 
 
 def write_accuracy_csv(reports: list[RunReport], path) -> None:
     """Flat per-run rows: held_out,seed,loss_kind,alpha,accuracy."""
-    with open(path, "w") as fh:
-        fh.write("held_out,seed,loss_kind,alpha,accuracy\n")
-        for report in reports:
-            kind = report.config["loss_kind"]
-            alpha = report.config["alpha"]
-            for run in report.runs:
-                acc = "" if run.accuracy is None else f"{run.accuracy:.17g}"
-                fh.write(f"{run.held_out_param:g},{run.seed},{kind},{alpha:g},{acc}\n")
+    write_lines(["held_out,seed,loss_kind,alpha,accuracy"] + [
+        f"{run.held_out_param:g},{run.seed},{report.config['loss_kind']},"
+        f"{report.config['alpha']:g}," + ("" if run.accuracy is None else f"{run.accuracy:.17g}")
+        for report in reports for run in report.runs], path)
 
 
 def write_trace_csv(outcome: RunOutcome, path) -> None:
@@ -519,21 +520,18 @@ def write_trace_csv(outcome: RunOutcome, path) -> None:
     traces = outcome.traces
     if traces is None:
         raise ContractError("failed run has no traces")
-    with open(path, "w") as fh:
-        fh.write("epoch,domain,l_c,l_h\n")
-        for epoch, (lc, lh) in enumerate(zip(traces.l_c, traces.l_h)):
-            fh.write(f"{epoch},total,{lc:.17g},{lh:.17g}\n")
-            for d, angle in enumerate(traces.domain_params):
-                fh.write(f"{epoch},{angle:g},{traces.per_domain_l_c[epoch][d]:.17g},"
-                         f"{traces.per_domain_kl[epoch][d]:.17g}\n")
+    # An epoch's rows are one format of its epoch, l_c, l_h, each domain's l_c and each domain's KL.
+    n = len(traces.domain_params)
+    epoch_rows = "{0},total,{1:.17g},{2:.17g}" + "".join(
+        f"\n{{0}},{angle:g},{{{3 + d}:.17g}},{{{3 + n + d}:.17g}}"
+        for d, angle in enumerate(traces.domain_params))
+    write_lines(["epoch,domain,l_c,l_h"] + [
+        epoch_rows.format(epoch, lc, lh, *ces, *kls) for epoch, (lc, lh, ces, kls) in enumerate(
+            zip(traces.l_c, traces.l_h, traces.per_domain_l_c, traces.per_domain_kl))], path)
 
 
-def write_checkpoints(report: RunReport, out_dir) -> list[str]:
-    paths = []
+def write_checkpoints(report: RunReport, out_dir) -> None:
     for run in report.runs:
-        if run.final_params is None:
-            continue
-        path = os.path.join(out_dir, f"checkpoint_ho{run.held_out}_seed{run.seed}.ckpt")
-        save_checkpoint(run.final_params, path)
-        paths.append(path)
-    return paths
+        if run.final_params is not None:
+            save_checkpoint(run.final_params, os.path.join(
+                out_dir, f"checkpoint_ho{run.held_out}_seed{run.seed}.ckpt"))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, write_lines
 
 CHECKPOINT_MAGIC = "HIRNET-CKPT-1"
 
@@ -188,12 +188,10 @@ def save_checkpoint(params: ModelParams, path) -> None:
     """Write a versioned text checkpoint: shapes then row-major values."""
     lines = [CHECKPOINT_MAGIC, "layer_sizes " + " ".join(str(s) for s in params.layer_sizes)]
     for w, b in zip(params.weights, params.biases):
-        lines.append(f"W {w.shape[0]} {w.shape[1]}")
-        lines.extend(" ".join(f"{v:.17g}" for v in row) for row in w)
-        lines.append(f"b 1 {b.shape[1]}")
-        lines.append(" ".join(f"{v:.17g}" for v in b[0]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        row_text = " ".join(["%.17g"] * w.shape[1])  # one row's values, as Python floats
+        lines += [f"W {w.shape[0]} {w.shape[1]}", *(row_text % tuple(row) for row in w.tolist()),
+                  f"b 1 {b.shape[1]}", row_text % tuple(b[0].tolist())]
+    write_lines(lines, path)
 
 
 def load_checkpoint(path) -> ModelParams:

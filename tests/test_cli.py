@@ -200,6 +200,36 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert all(r["failed"] for r in report["runs"])
 
+    def test_an_epoch_mean_that_overflows_fails_its_run_and_no_other(self, tmp_path):
+        """At this learning rate every step loss of run ho2 is finite, but its epoch-1
+        mean of l_h overflows: the run fails at that epoch with a message naming the
+        trace, report.json stays strict JSON, and every run keeps the bytes it gets
+        trained alone."""
+        raw = {"optimizer": {"lr": 1.5849e152}, "epochs": 2, "suite": {"n_per_class": 10}}
+        out = tmp_path / "all"
+        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+
+        def strict(token):
+            raise ValueError(f"not JSON: {token}")
+
+        runs = json.loads((out / "report.json").read_text(), parse_constant=strict)["runs"]
+        assert {r["held_out"]: r["failure"] for r in runs if r["failed"]} == {
+            0: "non-finite loss at epoch 1", 2: "non-finite l_h epoch mean at epoch 1",
+            3: "non-finite loss at epoch 1", 5: "non-finite loss at epoch 1"}
+        assert "inf" not in (out / "accuracy.csv").read_text()
+        for run in runs:
+            ho = run["held_out"]
+            alone = tmp_path / f"ho{ho}"
+            code = main(["run", "--config", write_config(tmp_path, {**raw, "held_out": ho}),
+                         "--out", str(alone)])
+            assert code == (3 if run["failed"] else 0)
+            [alone_run] = json.loads((alone / "report.json").read_text())["runs"]
+            assert {**alone_run, "wall_clock_s": None} == {**run, "wall_clock_s": None}
+            for name in (f"traces_ho{ho}_seed0.csv", f"checkpoint_ho{ho}_seed0.ckpt"):
+                assert (out / name).exists() is not run["failed"]
+                if not run["failed"]:
+                    assert (out / name).read_bytes() == (alone / name).read_bytes()
+
     @pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
     def test_never_imports_numpy_ma(self, tmp_path, loss_kind):
         """A paired run with diagnostics, in a fresh interpreter, leaves

@@ -162,6 +162,25 @@ MUTANTS = {
         "if not 2 <= a.ndim <= 3:",
         "if not a.ndim <= 3:",
         ("tests/test_autodiff.py::test_tensors_are_matrices_or_stacks_of_them",)),
+    # The JSON fast path takes a list holding NaN or an infinity: repr writes "nan", not "NaN".
+    "json-fast-path-non-finite": Mutant(
+        "src/hirnet/errors.py",
+        "if not (floats and abs(sum(map(sum, rows))) <= sys.float_info.max):",
+        "if not floats:",
+        ("tests/test_writers.py::test_write_json_gives_the_bytes_of_json_dumps",)),
+    # The JSON fast path takes a list of floats and bools, which float.__repr__ cannot write.
+    "json-fast-path-bools": Mutant(
+        "src/hirnet/errors.py",
+        "floats = set(map(type, itertools.chain(*rows))) == {float}",
+        "floats = set(map(type, itertools.chain(*rows))) <= {float, bool}",
+        ("tests/test_writers.py::test_write_json_gives_the_bytes_of_json_dumps",)),
+    # A run whose step losses are finite but whose epoch mean of one is not reported as trained.
+    "epoch-mean-check-dropped": Mutant(
+        "src/hirnet/harness.py",
+        'for name, mean in (("l_c", l_c[:, 0]), ("l_h", l_h[:, 0])):',
+        "for name, mean in ():",
+        ("tests/test_cli.py::TestRunCommand::"
+         "test_an_epoch_mean_that_overflows_fails_its_run_and_no_other",)),
     # No base_id common to every domain read as no agreement, not as no probe.
     "agreement-unavailable-as-zero": Mutant(
         "src/hirnet/diagnostics.py",

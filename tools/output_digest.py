@@ -15,7 +15,10 @@ this repository's ``src``):
   edge manifests: two domains whose class priors share no class, so no
   base_id is common to both, and a single domain;
 - ``hirnet run`` of the ``agg-steps`` config at a learning rate that makes
-  every run diverge (exit 3), so the failure messages are digested.
+  every run diverge (exit 3), so the failure messages are digested;
+- ``hirnet run`` of ``OVERFLOW_CONFIG``, the same at every seed: a learning
+  rate at which one run's steps stay finite but its epoch mean of ``l_h``
+  overflows, so that run fails as diverged while three others fail at a step.
 
 It prints a header line naming the Python, numpy and BLAS versions, whose
 arithmetic the bits depend on, then one ``<sha256>  <path>`` line per
@@ -65,6 +68,8 @@ from workloads import DEFAULT_SEED, SUITE, WORKLOADS, experiment_config  # noqa:
 SWEEP_WORKLOAD = "hir-full"
 SWEEP_ALPHAS = "0.001,0.01,0.1"
 DIVERGING_WORKLOAD = "agg-steps"
+# A run's step losses all finite, their epoch mean not (held-out domain 2, at epoch 1).
+OVERFLOW_CONFIG = {"optimizer": {"lr": 1.5849e152}, "epochs": 2, "suite": {"n_per_class": 10}}
 # The CCSA run: its penalty's backward, and the body's from one hidden layer to the next.
 CCSA_WORKLOAD, CCSA_CHANGES = "mmd-align", {"loss_kind": "ccsa", "hidden_sizes": [16, 8]}
 # Suite manifests besides the workload suite, each diagnosed at one point per cell.
@@ -113,6 +118,10 @@ def write_commands(runner, out: str, seed: int) -> None:
         json.dump({**experiment_config(DIVERGING_WORKLOAD, seed), "optimizer": {"lr": 1e200}}, fh)
     runner("run", "--config", diverging, "--out", os.path.join(out, "run", "diverging"),
            exit_code=3)
+    overflow = os.path.join(configs, "overflow.json")
+    with open(overflow, "w") as fh:
+        json.dump(OVERFLOW_CONFIG, fh)
+    runner("run", "--config", overflow, "--out", os.path.join(out, "run", "overflow"))
     checkpoint = os.path.join(out, "run", SWEEP_WORKLOAD, f"checkpoint_ho0_seed{seed}.ckpt")
     cases = [("workload", {}, "1"), ("workload", {}, "3")]
     cases += [(name, changes, "1") for name, changes in EDGE_SUITES.items()]

@@ -30,6 +30,11 @@ each phase it prints the median over the repeats of the phase's time over
 the step count, and the phase's share of ``train_runs``. For a workload
 that probes its models, it also prints the median milliseconds per
 ``diagnostics.collect_bundle`` call, which is one call per trained model.
+Last, it writes each run's outputs as ``hirnet run`` does
+(``cli._write_run_outputs``, into a temporary directory) and prints the
+median milliseconds of each of the four writers it calls, ``report``
+(``write_report_json``), ``accuracy``, ``traces`` (every
+``write_trace_csv`` call) and ``checkpoints``, and of all four.
 Each wrapped call adds a few tenths of a microsecond. The wrappers see only
 this process, so it pins itself to the highest-numbered CPU it may use, as
 ``perfbench/run.py`` does; a run then trains every stack in this process.
@@ -45,6 +50,7 @@ import argparse
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -54,6 +60,9 @@ from workloads import DEFAULT_SEED, WORKLOADS, experiment_config  # noqa: E402
 
 PHASES = ("draw", "forward", "log_softmax", "loss", "penalty", "backward", "adam", "attribution",
           "other")
+# The writers `hirnet run` calls through `harness`, by the name the outputs line gives them.
+WRITERS = {"report": "write_report_json", "accuracy": "write_accuracy_csv",
+           "traces": "write_trace_csv", "checkpoints": "write_checkpoints"}
 
 
 class StepTimer:
@@ -113,9 +122,39 @@ class StepTimer:
         return {name: 1e6 * total / max(self.steps, 1) for name, total in totals.items()}
 
 
-def profile(workload: str, seed: int) -> tuple[dict[str, float], int, float | None]:
+def write_outputs(report) -> dict[str, float]:
+    """Milliseconds of each writer, by its name in WRITERS, as ``hirnet run``
+    writes ``report``'s outputs into a temporary directory."""
+    from hirnet import cli, harness
+
+    ms = dict.fromkeys(WRITERS, 0.0)
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                ms[name] += 1e3 * (time.perf_counter() - start)
+        return wrapper
+
+    originals = {name: getattr(harness, writer) for name, writer in WRITERS.items()}
+    for name, writer in WRITERS.items():
+        setattr(harness, writer, timed(name, originals[name]))
+    try:
+        with tempfile.TemporaryDirectory() as out:
+            cli._write_run_outputs(report, out)
+    finally:
+        for name, writer in WRITERS.items():
+            setattr(harness, writer, originals[name])
+    return ms
+
+
+def profile(workload: str, seed: int) -> tuple[dict[str, float], int, float | None,
+                                                dict[str, float]]:
     """One run of the workload's experiment: µs per step by phase, the step
-    count, and ms per ``collect_bundle`` call (None if it probes nothing)."""
+    count, ms per ``collect_bundle`` call (None if it probes nothing), and
+    the ms of each writer of its outputs (:func:`write_outputs`)."""
     from hirnet import autodiff, data, diagnostics, harness
 
     timer = StepTimer()
@@ -131,12 +170,13 @@ def profile(workload: str, seed: int) -> tuple[dict[str, float], int, float | No
     for owner, name, wrapper in patches:
         setattr(owner, name, wrapper)
     try:
-        harness.run_experiment(harness.ExperimentConfig.from_dict(experiment_config(workload, seed)))
+        report = harness.run_experiment(
+            harness.ExperimentConfig.from_dict(experiment_config(workload, seed)))
     finally:
         for owner, name, original in originals:
             setattr(owner, name, original)
     bundle_ms = 1e3 * timer.bundle_s / timer.bundles if timer.bundles else None
-    return timer.per_step_us(), timer.steps, bundle_ms
+    return timer.per_step_us(), timer.steps, bundle_ms, write_outputs(report)
 
 
 def main() -> int:
@@ -155,15 +195,19 @@ def main() -> int:
     sys.path.insert(0, os.path.abspath(args.src))
 
     runs = [profile(args.workload, args.seed) for _ in range(args.repeats)]
-    medians = {name: statistics.median(us[name] for us, _, _ in runs) for name in runs[0][0]}
+    medians = {name: statistics.median(us[name] for us, _, _, _ in runs) for name in runs[0][0]}
     print(f"{args.workload}, seed {args.seed}: {runs[0][1]} steps per run, "
           f"median of {args.repeats} runs, microseconds per step")
     for name in PHASES + ("train_runs",):
         share = 100.0 * medians[name] / medians["train_runs"]
         print(f"{name:<12} {medians[name]:9.1f} {share:6.1f}%")
     if runs[0][2] is not None:
-        print(f"collect_bundle {statistics.median(ms for _, _, ms in runs):.2f} ms per model, "
+        print(f"collect_bundle {statistics.median(ms for _, _, ms, _ in runs):.2f} ms per model, "
               f"median of {args.repeats} runs")
+    writers = {name: statistics.median(out[name] for *_, out in runs) for name in WRITERS}
+    total = statistics.median(sum(out.values()) for *_, out in runs)
+    print("outputs " + ", ".join(f"{name} {ms:.2f}" for name, ms in writers.items())
+          + f", all four {total:.2f} ms per hirnet run, median of {args.repeats} runs")
     return 0
 
 
