@@ -38,6 +38,53 @@ class DiagnosticsBundle:
     bandwidth: float
 
 
+SAMPLE_PAIRS, BRACKET, GATHER_CAP = 4096, 0.02, 1 << 20  # the default bandwidth's selection
+
+
+def _sample_sq_dists(z: np.ndarray) -> np.ndarray:
+    """Squared distances of SAMPLE_PAIRS random pairs of distinct rows, the same on every call."""
+    i, j = np.random.default_rng(0).integers([[len(z)], [len(z) - 1]], size=(2, SAMPLE_PAIRS))
+    with np.errstate(over="ignore", invalid="ignore"):  # in 16 parts, to hold little memory
+        return np.concatenate([np.einsum("ij,ij->i", *[z[a] - z[(a + b + 1) % len(z)]] * 2)
+                               for a, b in zip(np.split(i, 16), np.split(j, 16))])
+
+
+def _select_median(scan, total: int, z: np.ndarray) -> float:
+    """Bitwise ``median_distance`` of the ``total`` values >= 0 that ``scan()`` yields a block at
+    a time for the rows ``z``, keeping none (Floyd & Rivest, 1975). Each pass counts the values
+    below a bracket [lo, hi] and gathers those inside; until at most GATHER_CAP hold the upper
+    middle rank, its bounds [L, H] close in to the counts, and the next bracket is [L, H], or its
+    lower half by bit pattern if too many values lie in it. The first is BRACKET of the ranks
+    either side of a sample's middle. A NaN gives 1.0; if |row|^2 <= max / 4, none can arise."""
+    if not total or not np.abs(z).max(initial=0.0) <= np.sqrt(np.finfo(float).max / 4 / max(
+            z.shape[-1], 1)) and any(np.isnan(values).any() for values in scan()):
+        return 1.0
+    rank, (lo, hi) = total // 2, np.fmin(np.quantile(
+        _sample_sq_dists(z), [0.5 - BRACKET, 0.5 + BRACKET], method="inverted_cdf"), np.inf)
+    L, H, n_below_L, n_to_H = 0.0, np.inf, 0, total
+    while True:
+        below, kept, parts = 0, 0, []
+        for values in scan():
+            below += np.count_nonzero(lt := values < lo)
+            parts.append(np.compress((values <= hi) ^ lt, values))
+            kept += parts[-1].size
+            parts = parts if kept <= GATHER_CAP else []
+        if below <= rank < below + kept and (kept <= GATHER_CAP or lo == hi):
+            break
+        L, n_below_L = ((np.nextafter(hi, np.inf), below + kept) if rank >= below + kept else
+                        (lo, below) if rank >= below else (L, n_below_L))
+        H, n_to_H = ((np.nextafter(lo, -np.inf), below) if rank < below else
+                     (hi, below + kept) if rank < below + kept else (H, n_to_H))
+        lo, hi = (L, H) if n_to_H - n_below_L <= GATHER_CAP else \
+            (L, np.int64(sum(np.array([L, H]).view(np.int64).tolist()) // 2).view(np.float64))
+    k = rank - below  # over the cap, every value inside is lo
+    pile, k = (np.concatenate(parts), k) if kept <= GATHER_CAP else (np.full(2, lo), min(k, 1))
+    pile.partition(k)  # an even total's lower middle: below k, or the largest value below lo
+    lower = total % 2 or (pile[:k].max() if k else
+                          max(np.max(v, initial=-np.inf, where=v < lo) for v in scan()))
+    return median_distance(np.array([lower, pile[k]][total % 2:]))
+
+
 def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
                             per_class: bool = False, bandwidth: float | None = None):
     """Pairwise squared RBF MMD between the domains' latents; returns (matrix, bandwidth).
@@ -46,9 +93,9 @@ def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
     distances per pair of groups a <= b, exponentiated in place and reduced
     to its mean k_ab: MMD^2_ab = k_aa + k_bb - 2 k_ab, and no pooled (N, N)
     kernel is ever built. The default bandwidth is the median distance of
-    the pooled rows' i < j pairs, which the domain blocks write into one
-    buffer, a diagonal block its upper triangle by one flat index per block
-    size. With ``per_class`` a group is a (class, domain) cell and only
+    the pooled rows' i < j pairs, and no buffer holds them either: passes
+    over the domain blocks count and gather them for :func:`_select_median`.
+    With ``per_class`` a group is a (class, domain) cell and only
     same-class blocks are built, giving a (classes, |D|, |D|) stack, NaN
     where a domain is missing the class. Row norms are taken once a call,
     and every block is written into the same two buffers."""
@@ -57,23 +104,17 @@ def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
     cuts = np.cumsum([ds.y.size for ds in suite.domains])[:-1]
     domains, norms = np.split(z.data, cuts), np.split(np.sum(z.data * z.data, axis=-1), cuts)
     out, gram = np.empty((2, max(map(len, domains)) ** 2))  # every block's two buffers
-    def block(rows, row_norms, a, b, into=out):  # into: flat, at least the block's size
+    def block(rows, row_norms, a, b):
         shape = (len(rows[a]), len(rows[b]))
-        return _sq_dists(rows[a], rows[b], into[:shape[0] * shape[1]].reshape(shape),
+        return _sq_dists(rows[a], rows[b], out[:shape[0] * shape[1]].reshape(shape),
                          gram[:shape[0] * shape[1]].reshape(shape), row_norms[a], row_norms[b])
     if bandwidth is None:
-        pairs, at = np.empty(len(z.data) * (len(z.data) - 1) // 2), 0
-        upper = {m: np.flatnonzero(np.triu(np.ones((m, m), bool), 1))
-                 for m in set(map(len, domains))}
-        for a, b in zip(*np.triu_indices(n)):
-            m = len(domains[a])
-            dest = pairs[at:at + (upper[m].size if a == b else m * len(domains[b]))]
-            if a == b:  # its i < j entries; the index is in range, and "raise" buffers out
-                np.take(block(domains, norms, a, b), upper[m], out=dest, mode="clip")
-            else:
-                block(domains, norms, a, b, dest)
-            at += dest.size
-        bandwidth = median_distance(pairs)
+        upper = {m: np.flatnonzero(np.triu(np.ones((m, m), bool), 1)) for m in set(map(len, domains))}
+        def scan():  # each domain block's i < j values; a diagonal block's by one flat index
+            for a, b in zip(*np.triu_indices(n)):  # which is in range: "raise" would buffer out
+                v, m = block(domains, norms, a, b).reshape(-1), len(domains[a])
+                yield np.take(v, upper[m], out=gram[:upper[m].size], mode="clip") if a == b else v
+        bandwidth = _select_median(scan, len(z.data) * (len(z.data) - 1) // 2, z.data)
     gamma, kernel_means = rbf_gamma(bandwidth, 2), np.full((classes, n, n), np.nan)
     for c in range(classes):
         cells = [ds.y == c if per_class else slice(None) for ds in suite.domains]

@@ -342,10 +342,11 @@ def evaluate(params: ModelParams, dataset: DomainDataset) -> float:
 
 @dataclass
 class RunOutcome(JsonRecord):
-    """One (held-out, seed) run. ``wall_clock_s`` is its share of its
-    stack's training time plus its own evaluation and diagnostics, as
-    :func:`run_single` sets it. ``final_params`` is not part of the JSON
-    report; :func:`write_checkpoints` writes it."""
+    """One (held-out, seed) run. ``wall_clock_s`` is its share of its stack's training time
+    plus its own evaluation and diagnostics, as :func:`run_single` sets it. ``final_params`` is
+    not part of the JSON report; :func:`write_checkpoints` writes it. ``diagnostics`` is None
+    without probes, else their values, or ``{"error": "non-finite <name>"}`` if one is not
+    finite; the run keeps its accuracy and traces."""
 
     held_out: int
     held_out_param: float
@@ -394,8 +395,11 @@ def run_single(config: ExperimentConfig, suite: DomainSuite, held_out: int, trai
         accuracy = evaluate(params, suite.domains[held_out])
         bundle = None
         if config.collect_diagnostics:
-            bundle = diag.bundle_to_jsonable(diag.collect_bundle(
-                params, suite, per_class_per_domain=1, seed=derive_seed(seed, held_out, 2)))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned of
+                bundle = diag.bundle_to_jsonable(diag.collect_bundle(
+                    params, suite, per_class_per_domain=1, seed=derive_seed(seed, held_out, 2)))
+            bad = [k for k, v in bundle.items() if v is not None and not np.isfinite(v).all()]
+            bundle = {"error": f"non-finite {bad[0]}"} if bad else bundle
         outcomes.append(RunOutcome(held_out, held_out_param, seed, accuracy, False, None, result,
                                    bundle, params, train_s + time.perf_counter() - start))
     return outcomes

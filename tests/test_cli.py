@@ -230,6 +230,28 @@ class TestRunCommand:
                 if not run["failed"]:
                     assert (out / name).read_bytes() == (alone / name).read_bytes()
 
+    def test_probes_that_overflow_report_an_error_not_values(self, tmp_path):
+        """At this learning rate every run trains without a non-finite loss, but
+        the probes of runs ho1, ho2 and ho5 give an infinite unpaired_kl_mean:
+        their diagnostics become an error record, no run's diagnostics holds a
+        non-finite number, and every run keeps the accuracy and traces it has
+        without probes."""
+        raw = {"optimizer": {"lr": 1.995e152}, "epochs": 2, "loss_kind": "agg",
+               "suite": {"n_per_class": 10}}
+        runs = {}
+        for probes in (True, False):
+            out = tmp_path / str(probes)
+            config = write_config(tmp_path, {**raw, "collect_diagnostics": probes})
+            assert main(["run", "--config", config, "--out", str(out)]) == 0
+            runs[probes] = json.loads((out / "report.json").read_text())["runs"]
+        errors = {r["held_out"]: r["diagnostics"] for r in runs[True] if "error" in r["diagnostics"]}
+        assert errors == {ho: {"error": "non-finite unpaired_kl_mean"} for ho in (1, 2, 5)}
+        for run, bare in zip(runs[True], runs[False]):
+            numbers = [v for v in run["diagnostics"].values() if not isinstance(v, (str, type(None)))]
+            assert all(np.isfinite(v).all() for v in numbers)
+            assert not run["failed"] and run["accuracy"] is not None
+            assert (run["accuracy"], run["traces"]) == (bare["accuracy"], bare["traces"])
+
     @pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
     def test_never_imports_numpy_ma(self, tmp_path, loss_kind):
         """A paired run with diagnostics, in a fresh interpreter, leaves

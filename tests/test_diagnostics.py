@@ -269,6 +269,96 @@ def test_sq_dists_of_given_norms_and_buffers_gives_the_per_block_bits(w_rows):
     assert np.all(own >= 0.0)
 
 
+def random_latents(seed):
+    """1-7 domains of 1-60 rows each, in 1-5 dimensions; every third draw
+    repeats its rows, so distances tie, and every fifth rounds them."""
+    rng = np.random.default_rng(seed)
+    dim, sizes = int(rng.integers(1, 6)), rng.integers(1, 61, size=rng.integers(1, 8))
+    z = rng.normal(size=(int(sizes.sum()), dim))
+    if seed % 3 == 0:
+        z = z[rng.integers(max(1, len(z) // 4), size=len(z))]
+    if seed % 5 == 0:
+        z = np.round(z, 1)
+    return np.split(z, np.cumsum(sizes)[:-1])
+
+
+def block_scan(domains, passes):
+    """A scan over the domain blocks' i < j values, as domain_alignment_matrix
+    gives it; ``passes`` counts the scans, and a selection that does not end fails."""
+    def scan():
+        passes.append(1)
+        assert len(passes) < 200, "the selection made 200 passes"
+        for a, b in itertools.combinations_with_replacement(range(len(domains)), 2):
+            d = losses._sq_dists(domains[a], domains[b])
+            yield d[np.triu_indices(len(d), 1)] if a == b else d.ravel()
+    return scan
+
+
+def edge_latents():
+    rng = np.random.default_rng(3)
+    nan_row = rng.normal(size=(30, 3))
+    nan_row[7] = np.nan
+    return {"all_zero": [np.zeros((25, 4)), np.zeros((10, 4))],
+            "nan_row": np.split(nan_row, [12]),
+            "single_pair": [rng.normal(size=(1, 2)), rng.normal(size=(1, 2))],
+            "one_domain_pair": [rng.normal(size=(2, 3))],
+            "no_pair": [rng.normal(size=(1, 3))],
+            "ties": [np.repeat(rng.normal(size=(6, 2)), 5, axis=0), np.zeros((4, 2))]}
+
+
+# How the first bracket is placed: by the sample, below every value (a miss
+# low), above every value (a miss high), at exact pair values, so the
+# bracket's ends tie with other pairs, or around every value with a small cap,
+# so that the gathered set passes it and the bounds close in by bit pattern.
+SAMPLES = {
+    "sampled": None,
+    "bracket_below": lambda pairs: np.zeros(diagnostics.SAMPLE_PAIRS),
+    "bracket_above": lambda pairs: np.full(diagnostics.SAMPLE_PAIRS, np.inf),
+    "ends_on_pairs": lambda pairs: np.resize(pairs, diagnostics.SAMPLE_PAIRS),
+    "over_the_cap": lambda pairs: np.resize([0.0, np.inf], diagnostics.SAMPLE_PAIRS),
+}
+
+
+@pytest.mark.parametrize("sample", sorted(SAMPLES))
+@pytest.mark.parametrize("latents", [*range(24), *sorted(edge_latents())])
+def test_selected_median_is_the_median_of_every_pair(monkeypatch, latents, sample):
+    """The default bandwidth's selection gives median_distance of the concatenated
+    i < j buffer bitwise, wherever its first bracket falls."""
+    domains = random_latents(latents) if isinstance(latents, int) else edge_latents()[latents]
+    z = np.vstack(domains)
+    pairs = np.concatenate([values.copy() for values in block_scan(domains, [])()])
+    want = losses.median_distance(pairs.copy())
+    if SAMPLES[sample] is not None:
+        monkeypatch.setattr(diagnostics, "_sample_sq_dists", lambda _: SAMPLES[sample](pairs))
+    if sample == "over_the_cap":
+        monkeypatch.setattr(diagnostics, "GATHER_CAP", 7)
+    passes = []
+    assert diagnostics._select_median(block_scan(domains, passes), pairs.size, z) == want
+    if sample == "sampled" and isinstance(latents, int):
+        assert len(passes) <= 2  # one, and one more for a lower middle below the bracket
+
+
+def test_workload_suite_at_4800_rows_selects_its_median_in_bounded_memory():
+    """At 400 points per class the pooled i < j pairs take 92 MB, which the call
+    once held; its traced peak now stays below 40 MiB, and its bandwidth is still
+    median_distance of those pairs, bitwise."""
+    suite = SuiteSpec("moons", 400, angles=[0.0, 15.0, 30.0, 45.0, 60.0, 75.0],
+                      noise_sd=0.08, seed=7).build()
+    params = init_params(MlpSpec((2, 32, 2), seed=7))
+    tracemalloc.start()
+    try:
+        _, bandwidth = domain_alignment_matrix(params, suite)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    z = forward(params, np.vstack([ds.x for ds in suite.domains]))[0].data
+    domains = np.split(z, 6)
+    assert len(z) == 4800 and {len(d) for d in domains} == {800}
+    pairs = np.concatenate([values.copy() for values in block_scan(domains, [])()])
+    assert bandwidth == losses.median_distance(pairs)
+
+
 class TestPosteriorKlMatrix:
     def test_identical_posteriors_zero_entries(self):
         x = np.random.default_rng(14).normal(size=(6, 2))

@@ -124,13 +124,18 @@ MUTANTS = {
         "row_norms[a], row_norms[b])",
         "row_norms[b], row_norms[a])",
         ("tests/test_diagnostics.py::test_alignment_matrix_gives_the_per_block_bits",)),
-    # The block buffers taken from the pairs before the median has read them.
-    "block-buffers-in-unread-pairs": Mutant(
+    # The count below the bracket that also takes the values equal to its lower end.
+    "median-below-takes-lower-end": Mutant(
         "src/hirnet/diagnostics.py",
-        "pairs, at = np.empty(len(z.data) * (len(z.data) - 1) // 2), 0",
-        "pairs, at = np.empty(len(z.data) * (len(z.data) - 1) // 2), 0\n"
-        "        out, gram = pairs[:2 * out.size].reshape(2, -1)",
-        ("tests/test_diagnostics.py::test_alignment_matrix_gives_the_per_block_bits",)),
+        "below += np.count_nonzero(lt := values < lo)",
+        "below += np.count_nonzero(lt := values <= lo)",
+        ("tests/test_diagnostics.py::test_selected_median_is_the_median_of_every_pair",)),
+    # The gathered values indexed by the middle rank of all pairs, not of those inside.
+    "median-rank-not-offset": Mutant(
+        "src/hirnet/diagnostics.py",
+        "k = rank - below",
+        "k = rank",
+        ("tests/test_diagnostics.py::test_selected_median_is_the_median_of_every_pair",)),
     # A prior-shift matrix whose rows need not sum to 1 (case 17 is the row-sum case).
     "prior-shift-rows-unsummed": Mutant(
         "src/hirnet/data.py",
@@ -181,6 +186,12 @@ MUTANTS = {
         "for name, mean in ():",
         ("tests/test_cli.py::TestRunCommand::"
          "test_an_epoch_mean_that_overflows_fails_its_run_and_no_other",)),
+    # A run whose probes report an infinity keeps them in report.json.
+    "probe-finite-check-dropped": Mutant(
+        "src/hirnet/harness.py",
+        'bundle = {"error": f"non-finite {bad[0]}"} if bad else bundle',
+        "bundle = bundle",
+        ("tests/test_cli.py::TestRunCommand::test_probes_that_overflow_report_an_error_not_values",)),
     # No base_id common to every domain read as no agreement, not as no probe.
     "agreement-unavailable-as-zero": Mutant(
         "src/hirnet/diagnostics.py",

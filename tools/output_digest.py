@@ -11,9 +11,10 @@ this repository's ``src``):
   whose backwards no workload runs;
 - ``hirnet sweep`` of the ``hir-full`` config over three alpha values;
 - ``hirnet diag`` on one ``hir-full`` checkpoint against the workload suite,
-  at one and at three points per (domain, class) cell, and against two
+  at one and at three points per (domain, class) cell, and against three
   edge manifests: two domains whose class priors share no class, so no
-  base_id is common to both, and a single domain;
+  base_id is common to both, a single domain, and three domains of 10
+  rows, whose odd count of pooled pairs puts the median on one pair;
 - ``hirnet run`` of the ``agg-steps`` config at a learning rate that makes
   every run diverge (exit 3), so the failure messages are digested;
 - ``hirnet run`` of ``OVERFLOW_CONFIG``, the same at every seed: a learning
@@ -76,6 +77,7 @@ CCSA_WORKLOAD, CCSA_CHANGES = "mmd-align", {"loss_kind": "ccsa", "hidden_sizes":
 EDGE_SUITES = {
     "no_common_id": {"angles": [0.0, 15.0], "prior_shift": [[1.0, 0.0], [0.0, 1.0]]},
     "one_domain": {"angles": [0.0]},
+    "odd_pairs": {"angles": [0.0, 30.0, 60.0], "n_per_class": 5},  # 30 rows, 435 i < j pairs
 }
 WALL_CLOCK = re.compile(rb'"wall_clock_s": [^,\n]*')
 NUMBER = re.compile(rb"-?(?:Infinity|NaN|nan|inf|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
