@@ -17,14 +17,15 @@ node's parents (one slot per input, ``None`` for a constant) and its
 backward function. Tensors created through :meth:`Graph.param` are
 differentiable leaves; plain ``Tensor`` values act as constants. A backward
 returns one gradient per input, and the tape drops those of constant
-inputs. A loss holds one scalar per run, shape ``(1, 1)``
-or ``(runs, 1, 1)``; :meth:`Graph.backward` seeds each with one, so every run
-gets the gradient of its own loss. It may run once per tape; a second
-call is a :class:`ContractError` so silent gradient accumulation cannot
-happen, and it releases the tape's closures, so a step's tape is freed as
-soon as its tensors are. The backward writes no array, and no backward
-function may write its upstream. Row reductions over the classes are
-:func:`fold_last` column folds: numpy's bits, without its per-row loops.
+inputs. A loss holds one scalar per run, shape ``(1, 1)`` or ``(runs, 1, 1)``;
+:meth:`Graph.backward` seeds each with one, so every run gets the gradient
+of its own loss, and returns a list by node id, ``None`` where a node got
+none: nothing is zero-filled. It may run once per tape; a second call is a
+:class:`ContractError` so silent gradient accumulation cannot happen, and
+it releases the tape's closures, so a step's tape is freed as soon as its
+tensors are. The backward writes no array, and no backward function may
+write its upstream. Row reductions over the classes are :func:`fold_last`
+column folds: numpy's bits, without its per-row loops.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ class Graph:
         self._parents: list[list[int | None]] = []
         self._backs: list[Callable | None] = []
         self._param_ids: list[int] = []
-        self._param_shapes: list[tuple[int, ...]] = []
         self._consumed = False
 
     def __len__(self) -> int:
@@ -103,17 +103,16 @@ class Graph:
         """Register a differentiable leaf holding ``values``."""
         values = _as_array(values)
         self._param_ids.append(len(self._parents))
-        self._param_shapes.append(values.shape)
         self._parents.append([])
         self._backs.append(None)
         return Tensor(values, self, self._param_ids[-1])
 
-    def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
+    def backward(self, loss: Tensor) -> list[np.ndarray | None]:
         """Propagate d(loss)/d(node) through the tape, reverse order.
 
         ``loss`` holds one scalar per run, and each is seeded with one.
-        Returns gradients keyed by node_id for every node that received one;
-        every parameter leaf is present (zeros if the loss never used it).
+        Returns the gradients as a list indexed by node_id, ``None`` where a
+        node received none: a leaf the loss never used is not zero-filled.
         Gradients may share memory or be read-only views: treat them as read-only.
         Runs at most once per graph, and drops the tape's closures when done.
         """
@@ -138,11 +137,7 @@ class Graph:
                 if parent_id is not None:
                     prior = grads[parent_id]
                     grads[parent_id] = contribution if prior is None else prior + contribution
-        out = {i: g for i, g in enumerate(grads) if g is not None}
-        for pid, shape in zip(self._param_ids, self._param_shapes):
-            if pid not in out:
-                out[pid] = np.zeros(shape)
-        return out
+        return grads
 
 
 def emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray,

@@ -11,6 +11,7 @@ paired batches and the paired-prediction diagnostics possible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -173,6 +174,15 @@ def _last_rows(dataset: DomainDataset, ids: np.ndarray, cls: int | None = None) 
     return rows[first[np.searchsorted(keys, ids)]]
 
 
+def _common_ids(suite: DomainSuite, cls: int | None = None) -> np.ndarray:
+    """Sorted base_ids held by every domain of ``suite``, among its rows of class ``cls`` if
+    given. Only ``np.unique`` with its index output, and ``np.intersect1d`` told its inputs are
+    unique, skip numpy's check that imports ``numpy.ma``: a cost of every run."""
+    ids = [np.unique(ds.base_id if cls is None else ds.base_id[ds.y == cls], return_index=True)[0]
+           for ds in suite.domains]
+    return functools.reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), ids)
+
+
 def _join(vectors) -> np.ndarray:
     """The index vectors end to end; none give an empty vector."""
     return np.concatenate([np.empty(0, dtype=np.intp), *vectors])
@@ -199,11 +209,8 @@ class BatchPlan:
         pools: list[np.ndarray] = []
         if paired:
             for c in range(suite.class_count):
-                common = None
-                for dataset in suite.domains:
-                    ids = np.unique(dataset.base_id[dataset.y == c], return_index=True)[0]
-                    common = ids if common is None else np.intersect1d(common, ids, assume_unique=True)
-                if common is None or common.size == 0:
+                common = _common_ids(suite, c)
+                if common.size == 0:
                     warnings.warn(f"paired sampling: class {c} has no base_id common to all domains")
                 else:
                     cells += [(d, c, len(pools)) for d in range(len(suite))]

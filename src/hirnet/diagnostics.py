@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .data import BatchPlan, DomainSuite, _last_rows
+from .data import BatchPlan, DomainSuite, _common_ids, _last_rows
 from .errors import ContractError, write_json, write_lines
 # mmd_rbf stays bound here for perfbench's test_uninstall_restores_every_original.
 from .losses import (BatchLabels, _sq_dists, hir_kl, median_distance, mmd_rbf,  # noqa: F401
@@ -103,27 +103,26 @@ def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
     z, _ = models.forward(params, np.vstack([ds.x for ds in suite.domains]))
     cuts = np.cumsum([ds.y.size for ds in suite.domains])[:-1]
     domains, norms = np.split(z.data, cuts), np.split(np.sum(z.data * z.data, axis=-1), cuts)
-    out, gram = np.empty((2, max(map(len, domains)) ** 2))  # every block's two buffers
-    def block(rows, row_norms, a, b):
-        shape = (len(rows[a]), len(rows[b]))
-        return _sq_dists(rows[a], rows[b], out[:shape[0] * shape[1]].reshape(shape),
-                         gram[:shape[0] * shape[1]].reshape(shape), row_norms[a], row_norms[b])
+    buffers = np.empty((2, max(map(len, domains)) ** 2))  # every block's out and gram
+    def blocks(rows, row_norms):  # (a, b, squared distances) of each pair of groups a <= b
+        for a, b in zip(*np.triu_indices(n)):  # with rows on both sides
+            if all(shape := (len(rows[a]), len(rows[b]))):
+                yield a, b, _sq_dists(rows[a], rows[b], *(buf[:shape[0] * shape[1]].reshape(shape)
+                                      for buf in buffers), row_norms[a], row_norms[b])
     if bandwidth is None:
         upper = {m: np.flatnonzero(np.triu(np.ones((m, m), bool), 1)) for m in set(map(len, domains))}
-        def scan():  # each domain block's i < j values; a diagonal block's by one flat index
-            for a, b in zip(*np.triu_indices(n)):  # which is in range: "raise" would buffer out
-                v, m = block(domains, norms, a, b).reshape(-1), len(domains[a])
-                yield np.take(v, upper[m], out=gram[:upper[m].size], mode="clip") if a == b else v
+        def scan():  # each domain block's i < j values; a diagonal block's by one flat index,
+            for a, b, dists in blocks(domains, norms):  # in range: "raise" would buffer out
+                v, k = dists.reshape(-1), upper[len(dists)]
+                yield np.take(v, k, out=buffers[1][:k.size], mode="clip") if a == b else v
         bandwidth = _select_median(scan, len(z.data) * (len(z.data) - 1) // 2, z.data)
     gamma, kernel_means = rbf_gamma(bandwidth, 2), np.full((classes, n, n), np.nan)
     for c in range(classes):
         cells = [ds.y == c if per_class else slice(None) for ds in suite.domains]
         rows, row_norms = zip(*[(z_d[k], n_d[k]) for z_d, n_d, k in zip(domains, norms, cells)])
-        for a, b in zip(*np.triu_indices(n)):
-            if rows[a].size and rows[b].size:
-                dists = block(rows, row_norms, a, b)
-                dists *= gamma
-                kernel_means[c, a, b] = kernel_means[c, b, a] = np.exp(dists, out=dists).mean()
+        for a, b, dists in blocks(rows, row_norms):
+            dists *= gamma
+            kernel_means[c, a, b] = kernel_means[c, b, a] = np.exp(dists, out=dists).mean()
     own = np.diagonal(kernel_means, axis1=1, axis2=2)
     stack = own[:, :, None] + own[:, None, :] - 2.0 * kernel_means
     return (stack if per_class else stack[0]), bandwidth
@@ -137,15 +136,11 @@ def prediction_agreement(params: models.ModelParams, suite: DomainSuite,
     to any strictly monotone rescaling of the logits because only the argmax
     is compared.
     """
-    common = None
-    for dataset in suite.domains:
-        ids = np.unique(dataset.base_id, return_index=True)[0]
-        common = ids if common is None else np.intersect1d(common, ids, assume_unique=True)
-    if common is None or common.size == 0:
+    common = _common_ids(suite)
+    if common.size == 0:
         return None
-    rng = np.random.default_rng(seed)
     if common.size > probe_size:
-        common = np.sort(rng.choice(common, size=probe_size, replace=False))
+        common = np.sort(np.random.default_rng(seed).choice(common, size=probe_size, replace=False))
     predictions = [models.predict(params, dataset.x[_last_rows(dataset, common)])
                    for dataset in suite.domains]
     stacked = np.stack(predictions)

@@ -1,7 +1,7 @@
 """Shared exception types, the checks that raise them on config values, and
 the one JSON codec that every JSON file goes through: :class:`JsonRecord` and
-:func:`write_json` write configs, reports and summaries as ``json.dumps(data, indent=2,
-sort_keys=True) + "\n"`` bytes, NaN and Infinity included; :class:`JsonConfig` reads configs."""
+:func:`write_json` write configs, reports and summaries as strict ``json.dumps(data,
+indent=2, sort_keys=True) + "\n"`` bytes, no NaN or Infinity; :class:`JsonConfig` reads configs."""
 
 from __future__ import annotations
 
@@ -73,19 +73,21 @@ def _plain(value):
 
 
 def _json_text(value, pad: str) -> str:
-    """``json.dumps(_plain(value), indent=2, sort_keys=True)``, lines after the first indented
-    by ``pad``. Exact, finite floats in a list, or in its rows, are joined from ``float.__repr__``
-    as json joins them; a dataclass, dict, list or tuple is walked; json.dumps gives the rest."""
+    """``json.dumps(_plain(value), indent=2, sort_keys=True, allow_nan=False)``, lines after
+    the first indented by ``pad``. Exact, finite floats in a list, or in its rows, are joined
+    from ``float.__repr__`` as json joins them; a dataclass, dict, list or tuple is walked;
+    json.dumps gives the rest."""
     if dataclasses.is_dataclass(value):
         value = _fields(value)
     if not isinstance(value, (list, tuple, dict)):
-        return json.dumps(value)  # a scalar, or a value json cannot encode
+        return json.dumps(value, allow_nan=False)  # a scalar, or a value json cannot encode
     inner = pad + "  "
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
         return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
     if isinstance(value, dict) or not value:
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+        return text.replace("\n", "\n" + pad)
     rows = value if all(type(v) is list and v for v in value) else [value]
     floats = set(map(type, itertools.chain(*rows))) == {float}
     if not (floats and abs(sum(map(sum, rows))) <= sys.float_info.max):  # NaN or inf fails it
@@ -97,8 +99,8 @@ def _json_text(value, pad: str) -> str:
 
 
 def write_json(data, path) -> None:
-    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"`` bytes, NaN and Infinity included, a
-    record as its ``to_dict()``; a value json cannot encode raises before the file is opened."""
+    """``json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\\n"`` bytes, a record as
+    its ``to_dict()``; NaN, infinity or a value json cannot encode raises before the file opens."""
     write_lines([_json_text(data, "")], path)
 
 

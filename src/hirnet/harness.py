@@ -3,8 +3,9 @@
 The runner builds the suite once. For each held-out domain and seed it
 trains the configured objective on the suite less that domain, evaluates
 accuracy on the held-out domain, and aggregates mean and standard deviation
-across seeds. Runs that diverge (a non-finite loss, epoch mean of a loss, or
-gradient) are marked failed and frozen in place in their stack; the rest go on.
+across seeds. Runs that diverge (a non-finite loss, gradient, epoch mean of a
+loss or per-domain attribution) are marked failed and frozen in place in their
+stack; the rest go on.
 
 Loss kinds: "agg" is cross-entropy only; "hir" adds the pairwise
 posterior-alignment term weighted by alpha; "mmd" and "ccsa" add the
@@ -72,7 +73,7 @@ ROTATED_ALPHA = 1e-3
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss, an epoch mean of one, or a gradient became non-finite in training."""
+    """A loss, a gradient, an epoch mean of a loss or an attribution became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -234,8 +235,9 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
     ``[batch_seeds[r], epoch]``. Every run gets the same bits as it would alone.
     Each step tests the loss buffer, and ``adam_step`` the gradient buffer, for
     finiteness once; row by row only if one fails or a run has. Row r of
-    the stack is run r throughout. A run whose step loss or gradient, or epoch
-    mean of ``l_c`` or ``l_h``, turns non-finite gets the :class:`TrainingDiverged`
+    the stack is run r throughout. A run whose step loss or gradient, epoch mean
+    of ``l_c`` or ``l_h``, or epoch attribution (``per_domain_l_c`` or
+    ``per_domain_kl``) turns non-finite gets the :class:`TrainingDiverged`
     it would raise alone and is frozen in place, its row at its last finite values
     (a zero gradient and first moment make its Adam step 0.0); the others go on.
     Returns each run's traces, or its failure.
@@ -297,11 +299,13 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
         # the order its own list of steps would be.
         l_c = np.concatenate(epoch_lc, axis=-1).mean(axis=-1)
         l_h = np.concatenate(epoch_lh, axis=-1).mean(axis=-1) if epoch_lh else np.zeros_like(l_c)
-        for name, mean in (("l_c", l_c[:, 0]), ("l_h", l_h[:, 0])):  # finite steps can overflow it
-            for row in np.flatnonzero(alive & ~np.isfinite(mean)):
-                results[row] = TrainingDiverged(f"non-finite {name} epoch mean at epoch {epoch}")
-                alive[row], frozen = False, True
         dom_ce, dom_kl = _epoch_attributions(np.stack(epoch_lp, axis=1), y, *masks, work)
+        # Finite steps can overflow an epoch's means and its attributions.
+        for name, values in (("l_c epoch mean", l_c), ("l_h epoch mean", l_h),
+                             ("per_domain_l_c", dom_ce), ("per_domain_kl", dom_kl)):
+            for row in np.flatnonzero(alive & ~np.isfinite(values).all(axis=-1)):
+                results[row] = TrainingDiverged(f"non-finite {name} at epoch {epoch}")
+                alive[row], frozen = False, True
         for row in np.flatnonzero(alive):
             traces = results[row]
             traces.l_c.append(float(l_c[row, 0]))
@@ -322,7 +326,7 @@ def train(params: ModelParams, train_suite: DomainSuite, config: ExperimentConfi
     """Train ``params`` in place over the configured epoch budget: the
     one-run case of :func:`train_runs`, on the one plan built here.
 
-    Raises :class:`TrainingDiverged` on a non-finite loss, epoch mean or gradient.
+    Raises :class:`TrainingDiverged` on a non-finite loss, gradient, epoch mean or attribution.
     """
     if len(train_suite) == 0:
         raise ConfigError("training suite is empty")
@@ -342,8 +346,8 @@ def evaluate(params: ModelParams, dataset: DomainDataset) -> float:
 
 @dataclass
 class RunOutcome(JsonRecord):
-    """One (held-out, seed) run. ``wall_clock_s`` is its share of its stack's training time
-    plus its own evaluation and diagnostics, as :func:`run_single` sets it. ``final_params`` is
+    """One (held-out, seed) run, as :func:`run_single` scores it. ``wall_clock_s`` is its share
+    of its stack's training time plus its own evaluation and diagnostics. ``final_params`` is
     not part of the JSON report; :func:`write_checkpoints` writes it. ``diagnostics`` is None
     without probes, else their values, or ``{"error": "non-finite <name>"}`` if one is not
     finite; the run keeps its accuracy and traces."""
@@ -373,54 +377,45 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def run_single(config: ExperimentConfig, suite: DomainSuite, held_out: int, trained,
-               train_s: float) -> list[RunOutcome]:
-    """The outcomes of one held-out domain's runs, one per ``(seed, params,
-    result)`` of ``trained`` and in its order: each run's seed, its trained
-    parameters and its :func:`train_runs` result. A run that did not
-    diverge is evaluated on the held-out domain of ``suite`` and, if the
-    config asks, probed. Never raises on divergence.
+def run_single(config: ExperimentConfig, suite: DomainSuite, held_out: int, seed: int,
+               params: ModelParams, result, train_s: float) -> RunOutcome:
+    """The outcome of one (held-out, seed) run: its trained ``params`` and
+    its :func:`train_runs` result. A run that did not diverge is evaluated
+    on the held-out domain of ``suite`` and, if the config asks, probed.
+    Never raises on divergence.
 
-    An outcome's ``wall_clock_s`` is ``train_s``, its share of its stack's
-    training time, plus its own evaluation and diagnostics.
+    The outcome's ``wall_clock_s`` is ``train_s``, the run's share of its
+    stack's training time, plus its own evaluation and diagnostics.
     """
     held_out_param = suite.domain_params[held_out]
-    outcomes = []
-    for seed, params, result in trained:
-        start = time.perf_counter()
-        if isinstance(result, TrainingDiverged):
-            outcomes.append(RunOutcome(held_out, held_out_param, seed, None, True, str(result),
-                                       None, None, None, train_s))
-            continue
-        accuracy = evaluate(params, suite.domains[held_out])
-        bundle = None
-        if config.collect_diagnostics:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned of
-                bundle = diag.bundle_to_jsonable(diag.collect_bundle(
-                    params, suite, per_class_per_domain=1, seed=derive_seed(seed, held_out, 2)))
-            bad = [k for k, v in bundle.items() if v is not None and not np.isfinite(v).all()]
-            bundle = {"error": f"non-finite {bad[0]}"} if bad else bundle
-        outcomes.append(RunOutcome(held_out, held_out_param, seed, accuracy, False, None, result,
-                                   bundle, params, train_s + time.perf_counter() - start))
-    return outcomes
+    if isinstance(result, TrainingDiverged):
+        return RunOutcome(held_out, held_out_param, seed, None, True, str(result),
+                          None, None, None, train_s)
+    start = time.perf_counter()
+    accuracy = evaluate(params, suite.domains[held_out])
+    bundle = None
+    if config.collect_diagnostics:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned of
+            bundle = diag.bundle_to_jsonable(diag.collect_bundle(
+                params, suite, per_class_per_domain=1, seed=derive_seed(seed, held_out, 2)))
+        bad = [k for k, v in bundle.items() if v is not None and not np.isfinite(v).all()]
+        bundle = {"error": f"non-finite {bad[0]}"} if bad else bundle
+    return RunOutcome(held_out, held_out_param, seed, accuracy, False, None, result, bundle,
+                      params, train_s + time.perf_counter() - start)
 
 
 def _run_rows(config: ExperimentConfig, suite: DomainSuite, rows, plans) -> list[RunOutcome]:
     """Train the (held-out, seed) ``rows``, which share one batch layout, as
-    one stack, each on the plan ``plans[held_out]``, then build each held-out
-    domain's outcomes with :func:`run_single`; one outcome per row, in order."""
+    one stack, each on the plan ``plans[held_out]``, then score each run
+    alone with :func:`run_single`; one outcome per row, in order."""
     start = time.perf_counter()
     layer_sizes = (suite.feature_dim, *config.hidden_sizes, suite.class_count)
     runs = [init_params(MlpSpec(layer_sizes, seed=derive_seed(seed, ho, 0))) for ho, seed in rows]
     results = train_runs(runs, [plans[ho] for ho, _ in rows], config,
                          [derive_seed(seed, ho, 1) for ho, seed in rows])
     train_s = (time.perf_counter() - start) / len(rows)
-    outcomes = []
-    for ho, cell in itertools.groupby(zip(rows, runs, results), key=lambda item: item[0][0]):
-        outcomes += run_single(config, suite, ho,
-                               [(seed, params, result) for (_, seed), params, result in cell],
-                               train_s)
-    return outcomes
+    return [run_single(config, suite, ho, seed, params, result, train_s)
+            for (ho, seed), params, result in zip(rows, runs, results)]
 
 
 def _worker_count(n_rows: int) -> int:
@@ -437,7 +432,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     of each training suite, the suite less a held-out domain. Runs whose
     plans share a ``layout_key`` (labels, domains, batch and domain counts)
     form a group; on a rotated suite that is every run. Each group trains as
-    one stack, then :func:`run_single` evaluates each held-out domain's runs.
+    one stack, then :func:`run_single` scores each run alone.
     A run's ``wall_clock_s`` is its share of its stack's training time plus
     its own evaluation and diagnostics.
 

@@ -162,11 +162,14 @@ class TestBackward:
             g1.param([[1.0]]) + g2.param([[1.0]])
 
     def test_unused_param_gets_zero_gradient(self):
+        """A leaf the loss never used gets ``None`` in the list by node id, not zeros."""
         g = ad.Graph()
         x = g.param([[1.0, 2.0]])
         unused = g.param([[5.0]])
-        grads = g.backward(total(x))
-        np.testing.assert_array_equal(grads[unused.node_id], [[0.0]])
+        loss = total(x)
+        grads = g.backward(loss)
+        assert len(grads) == len(g) and grads[unused.node_id] is None
+        np.testing.assert_array_equal(grads[x.node_id], [[1.0, 1.0]])
 
     def test_composite_mlp_loss_matches_finite_differences(self):
         rng = np.random.default_rng(3)

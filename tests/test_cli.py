@@ -60,6 +60,9 @@ def refuse(what: str):
 
 # Two angles that print alike as the domain names of every output file.
 ALIKE_ANGLES = [15.0000001, 15.0000002, 60.0]
+# Run ho3's epoch-1 per_domain_kl overflows; the probes of ho1, ho2 and ho5 do too.
+ATTRIBUTION_OVERFLOW = {"optimizer": {"lr": 1.995e152}, "epochs": 2, "loss_kind": "agg",
+                        "suite": {"n_per_class": 10}}
 
 
 class TestRunCommand:
@@ -230,27 +233,56 @@ class TestRunCommand:
                 if not run["failed"]:
                     assert (out / name).read_bytes() == (alone / name).read_bytes()
 
+    def test_an_attribution_that_overflows_fails_its_run_and_no_other(self, tmp_path):
+        """At this learning rate every step loss and epoch mean of run ho3 is
+        finite, but its epoch-1 per_domain_kl attribution overflows: the run
+        fails at that epoch, report.json is strict JSON, and the other five runs
+        train with finite traces."""
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, ATTRIBUTION_OVERFLOW),
+                     "--out", str(out)]) == 0
+
+        def strict(token):
+            raise ValueError(f"not JSON: {token}")
+
+        runs = json.loads((out / "report.json").read_text(), parse_constant=strict)["runs"]
+        assert {r["held_out"]: r["failure"] for r in runs if r["failed"]} == {
+            3: "non-finite per_domain_kl at epoch 1"}
+        for run in runs:
+            trace_csv = out / f"traces_ho{run['held_out']}_seed0.csv"
+            assert trace_csv.exists() is not run["failed"]
+            if not run["failed"]:
+                traces = run["traces"]
+                assert len(traces["per_domain_kl"]) == 2
+                assert all(np.isfinite(traces[name]).all() for name in (
+                    "l_c", "l_h", "per_domain_l_c", "per_domain_kl"))
+                numbers = [v for line in trace_csv.read_text().splitlines()[1:]
+                           for v in line.split(",")[2:]]
+                assert np.isfinite(np.array(numbers, dtype=float)).all()
+
     def test_probes_that_overflow_report_an_error_not_values(self, tmp_path):
-        """At this learning rate every run trains without a non-finite loss, but
-        the probes of runs ho1, ho2 and ho5 give an infinite unpaired_kl_mean:
-        their diagnostics become an error record, no run's diagnostics holds a
-        non-finite number, and every run keeps the accuracy and traces it has
-        without probes."""
-        raw = {"optimizer": {"lr": 1.995e152}, "epochs": 2, "loss_kind": "agg",
-               "suite": {"n_per_class": 10}}
+        """At this learning rate run ho3 fails at its per_domain_kl attribution and
+        every other run trains without a non-finite loss, but the probes of runs
+        ho1, ho2 and ho5 give an infinite unpaired_kl_mean: their diagnostics
+        become an error record, no run's diagnostics holds a non-finite number,
+        and every run keeps the accuracy, traces and failure it has without probes."""
         runs = {}
         for probes in (True, False):
             out = tmp_path / str(probes)
-            config = write_config(tmp_path, {**raw, "collect_diagnostics": probes})
+            config = write_config(tmp_path, {**ATTRIBUTION_OVERFLOW, "collect_diagnostics": probes})
             assert main(["run", "--config", config, "--out", str(out)]) == 0
             runs[probes] = json.loads((out / "report.json").read_text())["runs"]
-        errors = {r["held_out"]: r["diagnostics"] for r in runs[True] if "error" in r["diagnostics"]}
+        trained = [(run, bare) for run, bare in zip(runs[True], runs[False]) if not run["failed"]]
+        errors = {r["held_out"]: r["diagnostics"] for r, _ in trained if "error" in r["diagnostics"]}
         assert errors == {ho: {"error": "non-finite unpaired_kl_mean"} for ho in (1, 2, 5)}
+        assert [r["held_out"] for r, _ in trained] == [0, 1, 2, 4, 5]
         for run, bare in zip(runs[True], runs[False]):
+            assert (run["failed"], run["failure"]) == (bare["failed"], bare["failure"])
+            assert (run["accuracy"], run["traces"]) == (bare["accuracy"], bare["traces"])
+        for run, _ in trained:
             numbers = [v for v in run["diagnostics"].values() if not isinstance(v, (str, type(None)))]
             assert all(np.isfinite(v).all() for v in numbers)
-            assert not run["failed"] and run["accuracy"] is not None
-            assert (run["accuracy"], run["traces"]) == (bare["accuracy"], bare["traces"])
+            assert run["accuracy"] is not None
 
     @pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
     def test_never_imports_numpy_ma(self, tmp_path, loss_kind):

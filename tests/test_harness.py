@@ -214,8 +214,7 @@ class TestTrain:
             cfg = tiny_config(loss_kind=kind, alpha=alpha, epochs=5)
             suite = cfg.suite.build()
             params, traces = train(init_params(MlpSpec((2, 8, 2), seed=0)), suite.drop(1), cfg)
-            [outcome] = run_single(cfg, suite, 1, [(0, params, traces)], 0.0)
-            results[alpha] = outcome.accuracy
+            results[alpha] = run_single(cfg, suite, 1, 0, params, traces, 0.0).accuracy
         assert abs(results[0.0] - results[1e-12]) < 0.1
 
 
@@ -805,7 +804,8 @@ class TestStackedRuns:
             params = init_params(MlpSpec((2, 8, 2), seed=derive_seed(seed, 1, 0)))
             _, traces = train(params, suite.drop(1), cfg, batch_seed=derive_seed(seed, 1, 1))
             trained.append((seed, params, traces))
-        outcomes = run_single(cfg, suite, 1, trained, 0.0)
+        outcomes = [run_single(cfg, suite, 1, seed, params, traces, 0.0)
+                    for seed, params, traces in trained]
         assert [o.seed for o in outcomes] == [3, 1, 2]
         stacked = run_experiment(cfg).runs
         for outcome, together in zip(outcomes, stacked):

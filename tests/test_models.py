@@ -228,7 +228,7 @@ def test_network_routes_gradients_to_attached_leaves_only(attach):
     assert (z.graph is None) == (not any(attach[:2]))
     grads = graph.backward(total(logits))
     for leaf, leaf_all, on in zip(leaves, every, attach):
-        assert (leaf.node_id in grads) == on
+        assert (leaf.node_id is not None and grads[leaf.node_id] is not None) == on
         if on:
             assert grads[leaf.node_id].tobytes() == expected[leaf_all.node_id].tobytes()
 

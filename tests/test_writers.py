@@ -1,8 +1,9 @@
 """The bytes of every output writer.
 
 ``write_json`` writes what ``json.dumps(data, indent=2, sort_keys=True) +
-"\\n"`` gives, for any JSON data, NaN and Infinity included, and a record as
-its ``to_dict()``. The CSV and checkpoint writers build each file in one
+"\\n"`` gives, for any finite JSON data, and a record as its ``to_dict()``;
+data that strict JSON cannot hold, NaN and Infinity included, raises and
+writes no file. The CSV and checkpoint writers build each file in one
 pass; each must give the bytes of the row-by-row formatting it replaced,
 which is kept here as the reference. Nothing here trains.
 """
@@ -52,7 +53,7 @@ def out(tmp_path_factory):
 
 
 def dumped(data) -> bytes:
-    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 @PROPERTY
@@ -63,10 +64,22 @@ def dumped(data) -> bytes:
 @example(data={"rows": [[1.5, False], [2.5]]})
 @example(data=[[1e308], [1e308]])  # finite values whose sum is not
 @example(data=([1.0], (2.0,), [], [[3.0]]))
+@example(data={1: [math.nan]})  # a non-string key: json.dumps writes the whole dict
+@example(data={"l_c": [0.5, 1e308], "per_domain_kl": [[0.25, 1.0], [5e-324, -0.0]]})
 def test_write_json_gives_the_bytes_of_json_dumps(out, data):
+    """Finite data as ``json.dumps`` writes it; data that ``json.dumps(...,
+    allow_nan=False)`` rejects raises, with no file written."""
     path = out / "data.json"
-    write_json(data, path)
-    assert path.read_bytes() == dumped(data)
+    path.unlink(missing_ok=True)
+    try:
+        expected = dumped(data)
+    except ValueError:
+        with pytest.raises(ValueError):
+            write_json(data, path)
+        assert not path.exists()
+    else:
+        write_json(data, path)
+        assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("bad", [object(), np.int64(3), {1, 2}, {(1, 2): 0.5}, [[1.0, None, {3}]]],
@@ -105,7 +118,7 @@ def test_a_record_is_written_as_the_json_of_its_to_dict(tmp_path):
     report = RunReport({"loss_kind": "hir", "seeds": (0, 1), "alpha": 1e-3},
                        [outcome(0, 0, traces(3, [15.0, 30.0], [0.5 + i for i in range(18)]),
                                 params=params),
-                        outcome(1, 0, traces(2, [0.0, 30.0], [math.nan, 1e308, -0.0] * 4)),
+                        outcome(1, 0, traces(2, [0.0, 30.0], [5e-324, 1e308, -0.0] * 4)),
                         outcome(2, 1, None)],
                        {"0": {"mean_accuracy": 0.75, "sd_accuracy": None}}, 1.5)
     write_report_json(report, tmp_path / "report.json")

@@ -182,8 +182,8 @@ MUTANTS = {
     # A run whose step losses are finite but whose epoch mean of one is not reported as trained.
     "epoch-mean-check-dropped": Mutant(
         "src/hirnet/harness.py",
-        'for name, mean in (("l_c", l_c[:, 0]), ("l_h", l_h[:, 0])):',
-        "for name, mean in ():",
+        '("l_c epoch mean", l_c), ("l_h epoch mean", l_h),',
+        "",
         ("tests/test_cli.py::TestRunCommand::"
          "test_an_epoch_mean_that_overflows_fails_its_run_and_no_other",)),
     # A run whose probes report an infinity keeps them in report.json.
@@ -195,9 +195,28 @@ MUTANTS = {
     # No base_id common to every domain read as no agreement, not as no probe.
     "agreement-unavailable-as-zero": Mutant(
         "src/hirnet/diagnostics.py",
-        "if common is None or common.size == 0:\n        return None",
-        "if common is None or common.size == 0:\n        return 0.0",
+        "if common.size == 0:\n        return None",
+        "if common.size == 0:\n        return 0.0",
         ("tests/test_diagnostics.py::TestPredictionAgreement::test_no_common_base_ids",)),
+    # The common base_ids by a plain np.unique, which imports numpy.ma.
+    "common-ids-plain-unique": Mutant(
+        "src/hirnet/data.py",
+        "ds.base_id[ds.y == cls], return_index=True)[0]",
+        "ds.base_id[ds.y == cls])",
+        ("tests/test_cli.py::TestRunCommand::test_never_imports_numpy_ma",)),
+    # A run whose epoch attribution overflows, its other values finite, reported as trained.
+    "attribution-finite-check-dropped": Mutant(
+        "src/hirnet/harness.py",
+        '("per_domain_l_c", dom_ce), ("per_domain_kl", dom_kl)',
+        "",
+        ("tests/test_cli.py::TestRunCommand::"
+         "test_an_attribution_that_overflows_fails_its_run_and_no_other",)),
+    # JSON written with NaN and Infinity, which strict JSON readers reject.
+    "json-writes-non-finite": Mutant(
+        "src/hirnet/errors.py",
+        "return json.dumps(value, allow_nan=False)",
+        "return json.dumps(value)",
+        ("tests/test_writers.py::test_write_json_gives_the_bytes_of_json_dumps",)),
 }
 
 

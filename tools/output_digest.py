@@ -19,7 +19,15 @@ this repository's ``src``):
   every run diverge (exit 3), so the failure messages are digested;
 - ``hirnet run`` of ``OVERFLOW_CONFIG``, the same at every seed: a learning
   rate at which one run's steps stay finite but its epoch mean of ``l_h``
-  overflows, so that run fails as diverged while three others fail at a step.
+  overflows, so that run fails as diverged while three others fail at a step;
+- ``hirnet run`` of the ``hir-full`` config on a 3-class suite of Gaussian
+  blobs, the one run of the ``gaussians`` generator and of every path over
+  more than two classes. It draws 64 points per class: at 100, the probes'
+  domain MMD of a model moved in its last bits between one BLAS thread and
+  two, and at 64 it is the same from one to four;
+- ``hirnet run`` of the ``mmd-align`` config at ``alpha`` 1e308, whose loss
+  stays finite while its gradient overflows, so its one run fails as
+  diverged at a gradient (exit 3).
 
 It prints a header line naming the Python, numpy and BLAS versions, whose
 arithmetic the bits depend on, then one ``<sha256>  <path>`` line per
@@ -73,6 +81,10 @@ DIVERGING_WORKLOAD = "agg-steps"
 OVERFLOW_CONFIG = {"optimizer": {"lr": 1.5849e152}, "epochs": 2, "suite": {"n_per_class": 10}}
 # The CCSA run: its penalty's backward, and the body's from one hidden layer to the next.
 CCSA_WORKLOAD, CCSA_CHANGES = "mmd-align", {"loss_kind": "ccsa", "hidden_sizes": [16, 8]}
+# The suite changes of the 3-class run, and the config changes of the gradient overflow.
+THREE_CLASS_WORKLOAD = "hir-full"
+THREE_CLASS_SUITE = {"kind": "gaussians", "class_count": 3, "n_per_class": 64}
+GRADIENT_OVERFLOW_WORKLOAD, GRADIENT_OVERFLOW_CHANGES = "mmd-align", {"alpha": 1e308}
 # Suite manifests besides the workload suite, each diagnosed at one point per cell.
 EDGE_SUITES = {
     "no_common_id": {"angles": [0.0, 15.0], "prior_shift": [[1.0, 0.0], [0.0, 1.0]]},
@@ -104,33 +116,34 @@ def write_commands(runner, out: str, seed: int) -> None:
     which runs one ``hirnet`` command and checks its exit code."""
     configs = os.path.join(out, "configs")
     os.makedirs(configs)
-    for workload in WORKLOADS:
-        path = os.path.join(configs, f"{workload}.json")
+
+    def config_file(name: str, data: dict) -> str:
+        path = os.path.join(configs, f"{name}.json")
         with open(path, "w") as fh:
-            json.dump(experiment_config(workload, seed), fh)
-        runner("run", "--config", path, "--out", os.path.join(out, "run", workload))
-    ccsa = os.path.join(configs, "ccsa.json")
-    with open(ccsa, "w") as fh:
-        json.dump({**experiment_config(CCSA_WORKLOAD, seed), **CCSA_CHANGES}, fh)
-    runner("run", "--config", ccsa, "--out", os.path.join(out, "run", "ccsa"))
+            json.dump(data, fh)
+        return path
+
+    def run(name: str, data: dict, exit_code: int = 0) -> None:
+        runner("run", "--config", config_file(name, data), "--out", os.path.join(out, "run", name),
+               exit_code=exit_code)
+
+    for workload in WORKLOADS:
+        run(workload, experiment_config(workload, seed))
+    run("ccsa", {**experiment_config(CCSA_WORKLOAD, seed), **CCSA_CHANGES})
     runner("sweep", "--config", os.path.join(configs, f"{SWEEP_WORKLOAD}.json"),
            "--alpha", SWEEP_ALPHAS, "--out", os.path.join(out, "sweep"))
-    diverging = os.path.join(configs, "diverging.json")
-    with open(diverging, "w") as fh:
-        json.dump({**experiment_config(DIVERGING_WORKLOAD, seed), "optimizer": {"lr": 1e200}}, fh)
-    runner("run", "--config", diverging, "--out", os.path.join(out, "run", "diverging"),
-           exit_code=3)
-    overflow = os.path.join(configs, "overflow.json")
-    with open(overflow, "w") as fh:
-        json.dump(OVERFLOW_CONFIG, fh)
-    runner("run", "--config", overflow, "--out", os.path.join(out, "run", "overflow"))
+    run("diverging", {**experiment_config(DIVERGING_WORKLOAD, seed), "optimizer": {"lr": 1e200}},
+        exit_code=3)
+    run("overflow", OVERFLOW_CONFIG)
+    three_class = experiment_config(THREE_CLASS_WORKLOAD, seed)
+    run("three_class", {**three_class, "suite": {**three_class["suite"], **THREE_CLASS_SUITE}})
+    run("gradient_overflow", {**experiment_config(GRADIENT_OVERFLOW_WORKLOAD, seed),
+                              **GRADIENT_OVERFLOW_CHANGES}, exit_code=3)
     checkpoint = os.path.join(out, "run", SWEEP_WORKLOAD, f"checkpoint_ho0_seed{seed}.ckpt")
     cases = [("workload", {}, "1"), ("workload", {}, "3")]
     cases += [(name, changes, "1") for name, changes in EDGE_SUITES.items()]
     for name, changes, cells in cases:
-        suite = os.path.join(configs, f"suite_{name}.json")
-        with open(suite, "w") as fh:
-            json.dump({**SUITE, "seed": seed, **changes}, fh)
+        suite = config_file(f"suite_{name}", {**SUITE, "seed": seed, **changes})
         folder = f"diag_{cells}" if name == "workload" else f"diag_{name}"
         runner("diag", "--checkpoint", checkpoint, "--suite", suite, "--seed", str(seed),
                "--per-class-per-domain", cells, "--out", os.path.join(out, folder))
