@@ -242,7 +242,8 @@ def grad_check(f, params: Sequence[np.ndarray], step: float = 1e-5) -> float:
     """Compare analytic gradients of ``f`` against central differences.
 
     ``f(graph, tensors) -> scalar Tensor`` must be deterministic in the
-    parameter values. Returns the max over all coordinates of
+    parameter values; a parameter it does not use has zero analytic gradient.
+    Returns the max over all coordinates of
     ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.
     """
     arrays = [np.asarray(p, dtype=np.float64) for p in params]
@@ -251,7 +252,8 @@ def grad_check(f, params: Sequence[np.ndarray], step: float = 1e-5) -> float:
     leaves = [g.param(a) for a in arrays]
     loss = f(g, leaves)
     grads = g.backward(loss)
-    analytic = [grads[leaf.node_id] for leaf in leaves]
+    analytic = [np.zeros_like(a) if (gr := grads[leaf.node_id]) is None else gr
+                for a, leaf in zip(arrays, leaves)]
 
     def value_at(candidate: list[np.ndarray]) -> float:
         g2 = Graph()

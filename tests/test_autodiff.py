@@ -195,6 +195,13 @@ class TestGradCheck:
         err = ad.grad_check(lambda g, ts: scale(total(ts[0]), 0.0), [np.array([[1.0, 2.0]])])
         assert err < 1e-9
 
+    def test_unused_param_is_checked_as_a_zero_gradient(self):
+        """The tape gives a param the loss never used ``None``; grad_check
+        compares zeros with its central differences, which are zero too."""
+        err = ad.grad_check(lambda g, ts: square_sum(ts[0]),
+                            [np.array([[0.3, -1.2]]), np.array([[5.0], [2.0]])])
+        assert err < 1e-9
+
 
 OPS = {
     "add": lambda g, ts: square_sum(ts[0] + ts[1]),

@@ -20,11 +20,6 @@ this repository's ``src``):
 - ``hirnet run`` of ``OVERFLOW_CONFIG``, the same at every seed: a learning
   rate at which one run's steps stay finite but its epoch mean of ``l_h``
   overflows, so that run fails as diverged while three others fail at a step;
-- ``hirnet run`` of the ``hir-full`` config on a 3-class suite of Gaussian
-  blobs, the one run of the ``gaussians`` generator and of every path over
-  more than two classes. It draws 64 points per class: at 100, the probes'
-  domain MMD of a model moved in its last bits between one BLAS thread and
-  two, and at 64 it is the same from one to four;
 - ``hirnet run`` of the ``mmd-align`` config at ``alpha`` 1e308, whose loss
   stays finite while its gradient overflows, so its one run fails as
   diverged at a gradient (exit 3).
@@ -81,9 +76,7 @@ DIVERGING_WORKLOAD = "agg-steps"
 OVERFLOW_CONFIG = {"optimizer": {"lr": 1.5849e152}, "epochs": 2, "suite": {"n_per_class": 10}}
 # The CCSA run: its penalty's backward, and the body's from one hidden layer to the next.
 CCSA_WORKLOAD, CCSA_CHANGES = "mmd-align", {"loss_kind": "ccsa", "hidden_sizes": [16, 8]}
-# The suite changes of the 3-class run, and the config changes of the gradient overflow.
-THREE_CLASS_WORKLOAD = "hir-full"
-THREE_CLASS_SUITE = {"kind": "gaussians", "class_count": 3, "n_per_class": 64}
+# The config changes of the gradient overflow.
 GRADIENT_OVERFLOW_WORKLOAD, GRADIENT_OVERFLOW_CHANGES = "mmd-align", {"alpha": 1e308}
 # Suite manifests besides the workload suite, each diagnosed at one point per cell.
 EDGE_SUITES = {
@@ -135,8 +128,6 @@ def write_commands(runner, out: str, seed: int) -> None:
     run("diverging", {**experiment_config(DIVERGING_WORKLOAD, seed), "optimizer": {"lr": 1e200}},
         exit_code=3)
     run("overflow", OVERFLOW_CONFIG)
-    three_class = experiment_config(THREE_CLASS_WORKLOAD, seed)
-    run("three_class", {**three_class, "suite": {**three_class["suite"], **THREE_CLASS_SUITE}})
     run("gradient_overflow", {**experiment_config(GRADIENT_OVERFLOW_WORKLOAD, seed),
                               **GRADIENT_OVERFLOW_CHANGES}, exit_code=3)
     checkpoint = os.path.join(out, "run", SWEEP_WORKLOAD, f"checkpoint_ho0_seed{seed}.ckpt")

@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """The lines of ``src/hirnet`` that only the unit tests run.
 
-    python3 tools/outside_lines.py [--outside TEST ...] [--suite TEST ...]
+    python3 tools/outside_lines.py
 
 Runs pytest twice, each time in a fresh interpreter pinned to the
 highest-numbered CPU it may use, with a ``sys.settrace`` line tracer that
 records every line of ``src/hirnet`` it executes (``coverage`` is not a
-dependency). The first run takes the outside callers, by default the
-acceptance tests, the golden digest test and perfbench's self-tests; the
-second takes the suite, by default the whole Tier-1 suite. TEST is
-anything pytest accepts: a file, a directory or a node id, relative to the
-repository root.
+dependency). The first run takes the outside callers: the acceptance
+tests, the golden digest test and perfbench's self-tests. The second takes
+the whole Tier-1 suite.
 
 It prints how many lines each run reaches, then every line that only the
 suite reaches, by file, each marked ``!`` if it raises, catches or warns
@@ -101,14 +99,12 @@ def only_in_suite(outside, suite) -> tuple[dict[str, list[tuple[int, str]]], dic
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--outside", nargs="+", default=list(OUTSIDE), metavar="TEST")
-    parser.add_argument("--suite", nargs="+", default=list(SUITE), metavar="TEST")
     parser.add_argument("--trace-into", help=argparse.SUPPRESS)
     parser.add_argument("tests", nargs="*", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.trace_into:
         return trace(args.tests, args.trace_into)
-    by_file, runs = only_in_suite(args.outside, args.suite)
+    by_file, runs = only_in_suite(OUTSIDE, SUITE)
     for name, (count, code) in runs.items():
         print(f"{name} run reaches {count} lines" + (f" (pytest exit {code})" if code else ""))
     total = sum(map(len, by_file.values()))
