@@ -6,9 +6,11 @@
 Runs, each in a fresh interpreter with ``DIR/hirnet`` on the path (default:
 this repository's ``src``):
 
-- ``hirnet run`` on each workload config of ``perfbench/workloads.py``, and
-  on the ``mmd-align`` config with the CCSA penalty and two hidden layers,
-  whose backwards no workload runs;
+- ``hirnet run`` on each workload config of ``perfbench/workloads.py``, on
+  the ``mmd-align`` config with the CCSA penalty and two hidden layers,
+  whose backwards no workload runs, and on the ``hir-full`` config with
+  ``cross_domain_only`` and ``normalize_hir`` set, HIR's two options, which
+  no workload sets;
 - ``hirnet sweep`` of the ``hir-full`` config over three alpha values;
 - ``hirnet diag`` on one ``hir-full`` checkpoint against the workload suite,
   at one and at three points per (domain, class) cell, and against three
@@ -76,6 +78,9 @@ DIVERGING_WORKLOAD = "agg-steps"
 OVERFLOW_CONFIG = {"optimizer": {"lr": 1.5849e152}, "epochs": 2, "suite": {"n_per_class": 10}}
 # The CCSA run: its penalty's backward, and the body's from one hidden layer to the next.
 CCSA_WORKLOAD, CCSA_CHANGES = "mmd-align", {"loss_kind": "ccsa", "hidden_sizes": [16, 8]}
+# The HIR run with both of its options.
+HIR_OPTIONS_WORKLOAD, HIR_OPTIONS_CHANGES = "hir-full", {"cross_domain_only": True,
+                                                         "normalize_hir": True}
 # The config changes of the gradient overflow.
 GRADIENT_OVERFLOW_WORKLOAD, GRADIENT_OVERFLOW_CHANGES = "mmd-align", {"alpha": 1e308}
 # Suite manifests besides the workload suite, each diagnosed at one point per cell.
@@ -123,6 +128,7 @@ def write_commands(runner, out: str, seed: int) -> None:
     for workload in WORKLOADS:
         run(workload, experiment_config(workload, seed))
     run("ccsa", {**experiment_config(CCSA_WORKLOAD, seed), **CCSA_CHANGES})
+    run("hir_options", {**experiment_config(HIR_OPTIONS_WORKLOAD, seed), **HIR_OPTIONS_CHANGES})
     runner("sweep", "--config", os.path.join(configs, f"{SWEEP_WORKLOAD}.json"),
            "--alpha", SWEEP_ALPHAS, "--out", os.path.join(out, "sweep"))
     run("diverging", {**experiment_config(DIVERGING_WORKLOAD, seed), "optimizer": {"lr": 1e200}},
