@@ -193,12 +193,12 @@ class BatchPlan:
     derived once per training suite and handed to every user.
 
     A batch takes ``per_class_per_domain`` rows from each non-empty (domain,
-    class) cell, domain-major, then class, so all batches share the read-only
-    ``labels``, ``domains`` and ``batch_labels`` over both; an epoch has
-    ``n_batches``. A cell draws from a pool: its rows, or, if paired, its
-    class's base_ids common to all domains. The gather map holds each cell's
-    source row per pool position, paired ids resolved once; runs of pools of
-    one size share one grid of positions to shuffle. Plans with equal
+    class) cell, domain-major, then class, so all batches share one
+    ``batch_labels``, whose read-only labels and domains are the plan's
+    layout; an epoch has ``n_batches``. A cell draws from a pool: its rows,
+    or, if paired, its class's base_ids common to all domains. The gather map
+    holds each cell's source row per pool position, paired ids resolved once;
+    runs of pools of one size share one grid of positions to shuffle. Plans with equal
     ``layout_key`` draw epochs that stack. Warns of each cell or class left out.
     An unpickled plan keeps these promises, with a fresh ``batch_labels``.
     """
@@ -225,10 +225,8 @@ class BatchPlan:
                     else:
                         cells.append((d, c, len(pools)))
                         pools.append(idx)
-        self.labels = np.repeat(np.array([c for _, c, _ in cells], dtype=np.int64), k)
-        self.domains = np.repeat(np.array([d for d, _, _ in cells], dtype=np.int64), k)
-        self.labels.flags.writeable = self.domains.flags.writeable = False
-        self.batch_labels = BatchLabels(self.labels, self.domains)
+        self.batch_labels = BatchLabels(np.repeat([c for _, c, _ in cells], k),
+                                        np.repeat([d for d, _, _ in cells], k))
         self.domain_params = list(suite.domain_params)
         sizes = np.array([pool.size for pool in pools], dtype=np.intp)
         self.n_batches = int((-(-sizes // k)).max(initial=0))
@@ -249,14 +247,13 @@ class BatchPlan:
     def __setstate__(self, state: dict) -> None:
         """numpy unpickles arrays writeable: freeze the layout again, in a new ``batch_labels``."""
         self.__dict__.update(state)
-        self.batch_labels = BatchLabels(self.labels, self.domains)
-        self.labels, self.domains = self.batch_labels.labels, self.batch_labels.domains
+        self.batch_labels = BatchLabels(self.batch_labels.labels, self.batch_labels.domains)
 
     @property
     def layout_key(self) -> tuple:
-        """``labels``, ``domains``, ``n_batches`` and the domain count as one hashable key."""
-        return (self.labels.tobytes(), self.domains.tobytes(), self.n_batches,
-                len(self.domain_params))
+        """The layout's labels and domains, ``n_batches`` and the domain count as one key."""
+        return (self.batch_labels.labels.tobytes(), self.batch_labels.domains.tobytes(),
+                self.n_batches, len(self.domain_params))
 
     def draw(self, seed) -> np.ndarray:
         """One epoch's ``(n_batches, n, d)`` rows, whose labels and domains are the

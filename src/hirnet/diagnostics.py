@@ -223,7 +223,7 @@ def collect_bundle(params: models.ModelParams, suite: DomainSuite,
         paired_kl_mean=paired_mean,
         unpaired_kl_mean=unpaired_mean,
         posterior_kl=posterior_kl_matrix(params, plan.draw(seed)[0], plan.batch_labels),
-        probe_classes=plan.labels,
+        probe_classes=plan.batch_labels.labels,
         bandwidth=used_bw,
     )
 

@@ -7,10 +7,6 @@ across seeds. Runs that diverge (a non-finite loss, gradient, epoch mean of a
 loss or per-domain attribution) are marked failed and frozen in place in their
 stack; the rest go on.
 
-Loss kinds: "agg" is cross-entropy only; "hir" adds the pairwise
-posterior-alignment term weighted by alpha; "mmd" and "ccsa" add the
-corresponding feature-alignment penalty on the latent z instead.
-
 Each training suite's ``BatchPlan`` is built once per experiment; it holds
 the suite's batch layout (labels, domains, batch count and domain count), the
 ``BatchLabels`` the losses read, and the gather map its epochs are drawn
@@ -54,13 +50,10 @@ from .errors import (
     write_json,
     write_lines,
 )
-from .losses import (LossBreakdown, class_conditional_align, cross_entropy, domain_mmd_penalty,
-                     hir_kl)
+from .losses import LOSS_KINDS, combined_loss
 from .models import (MlpSpec, ModelParams, flatten, forward, init_params, predict,
                      save_checkpoint)
 from .optim import NonFiniteGradient, adam_step, init_adam
-
-LOSS_KINDS = ("agg", "hir", "mmd", "ccsa")
 
 # A second worker process pays for itself from about this many runs on: on a
 # 2-CPU machine, 18- and 30-run grids train faster on two processes than on
@@ -157,19 +150,6 @@ class TrainTraces(JsonRecord):
     l_h: list[float] = field(default_factory=list)
     per_domain_l_c: list[list[float]] = field(default_factory=list)
     per_domain_kl: list[list[float]] = field(default_factory=list)
-
-
-def _batch_breakdown(config: ExperimentConfig, z: ad.Tensor, log_probs: ad.Tensor,
-                     labels) -> LossBreakdown:
-    classification = cross_entropy(log_probs, labels)
-    if config.loss_kind == "agg" or config.alpha == 0:
-        penalty = None
-    elif config.loss_kind == "hir":
-        penalty = hir_kl(log_probs, labels, config.cross_domain_only, config.normalize_hir)[0]
-    else:
-        penalty = (domain_mmd_penalty if config.loss_kind == "mmd" else class_conditional_align)(
-            z, labels)
-    return LossBreakdown.combine(classification, penalty, config.alpha)
 
 
 def _epoch_attributions(log_probs: np.ndarray, y: np.ndarray, member: np.ndarray,
@@ -269,7 +249,8 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
             graph = ad.Graph()
             z, logits = forward(stack, xs[b], graph)
             log_probs = ad.log_softmax(logits)
-            breakdown = _batch_breakdown(config, z, log_probs, labels)
+            breakdown = combined_loss(log_probs, labels, config.alpha, config.loss_kind, z,
+                                      config.cross_domain_only, config.normalize_hir)
             epoch_lc.append(breakdown.classification.data)
             if breakdown.hir is not None:
                 epoch_lh.append(breakdown.hir.data)

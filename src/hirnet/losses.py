@@ -7,7 +7,8 @@ plain arrays or a :class:`BatchLabels`, except the MMD penalty, which reads
 the batch's :class:`BatchLabels`. Losses built on attached tensors are
 differentiable through the recording graph. Rows are a matrix (one run) or
 a stack of matrices (one per run) that share one label layout, and every
-loss gives one value per run. Each loss, and the weighted sum of two, is
+loss gives one value per run. Each loss, and the weighted sum of two that
+:func:`combined_loss` builds as the step objective of every loss kind, is
 one node (``autodiff.emit``) with an analytic backward: the pair sums of
 HIR, MMD and CCSA are evaluated in closed form (HIR's and CCSA's over
 groups sorted into one order), never pair by pair. HIR works on log-space
@@ -114,20 +115,11 @@ def _segments(*keys: np.ndarray) -> Segments:
 class LossBreakdown:
     """One objective evaluation, L = classification + alpha * hir: ``hir`` is the
     alignment term (the feature penalty for the MMD and CCSA baselines), or None
-    when it was never constructed (alpha == 0) and ``combined`` is ``classification``."""
+    when it was never constructed ("agg", or alpha 0) and ``combined`` is ``classification``."""
 
     classification: Tensor
     hir: Tensor | None
     combined: Tensor
-
-    @classmethod
-    def combine(cls, classification: Tensor, hir: Tensor | None, alpha: float) -> LossBreakdown:
-        """classification + alpha * hir as one node, or ``classification`` with no ``hir``."""
-        if hir is None:
-            return cls(classification, None, classification)
-        return cls(classification, hir, ad.emit(
-            "combined", (classification, hir), classification.data + hir.data * alpha,
-            lambda up: (up, up * alpha)))
 
 
 def _as_labels(labels, domains=None) -> BatchLabels:
@@ -240,20 +232,6 @@ def pairwise_kl(log_probs, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lp_i, lp_j = lp[i_idx], lp[j_idx]
     kl = np.sum(np.exp(lp_i) * (lp_i - lp_j), axis=1)
     return i_idx, j_idx, kl
-
-
-def combined_loss(log_probs, labels, alpha: float) -> LossBreakdown:
-    """Classification loss plus ``alpha`` times the posterior-alignment loss.
-
-    The sum is one node (:meth:`LossBreakdown.combine`); alpha == 0 skips the
-    alignment term entirely: the combined tensor IS the classification
-    tensor, so the graph is identical to one that never knew about alignment.
-    """
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    classification = cross_entropy(log_probs, labels)
-    hir = None if alpha == 0 else hir_kl(log_probs, labels)[0]
-    return LossBreakdown.combine(classification, hir, alpha)
 
 
 def _sq_dists(z: np.ndarray, w: np.ndarray | None = None, out=None, gram=None,
@@ -386,3 +364,32 @@ def domain_mmd_penalty(z, labels: BatchLabels) -> Tensor:
     if len(labels.segments("domains").spans) < 2:
         return _zero(z)
     return _mmd_sum((z,), labels)
+
+
+LOSS_KINDS = ("agg", "hir", "mmd", "ccsa")
+
+
+def combined_loss(log_probs, labels, alpha: float, kind: str = "hir", z=None,
+                  cross_domain_only: bool = False, normalize: bool = False) -> LossBreakdown:
+    """The step objective: cross-entropy plus ``alpha`` times the alignment term of ``kind``.
+
+    Loss kinds: "agg" is cross-entropy only; "hir" adds the pairwise
+    posterior-alignment term (:func:`hir_kl`, with ``cross_domain_only`` and
+    ``normalize``); "mmd" and "ccsa" add the corresponding feature-alignment
+    penalty on the latent ``z`` instead. The sum is one node. "agg", or
+    alpha == 0, skips the alignment term entirely: the combined tensor IS
+    the classification tensor, so the graph is identical to one that never
+    knew about alignment.
+    """
+    if alpha < 0:
+        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    classification = cross_entropy(log_probs, labels)
+    if kind == "agg" or alpha == 0:
+        return LossBreakdown(classification, None, classification)
+    if kind == "hir":
+        term = hir_kl(log_probs, labels, cross_domain_only, normalize)[0]
+    else:
+        term = (domain_mmd_penalty if kind == "mmd" else class_conditional_align)(z, labels)
+    return LossBreakdown(classification, term, ad.emit(
+        "combined", (classification, term), classification.data + term.data * alpha,
+        lambda up: (up, up * alpha)))

@@ -36,7 +36,7 @@ from hirnet.harness import (
     write_report_json,
     write_trace_csv,
 )
-from hirnet.losses import LossBreakdown, combined_loss, cross_entropy, pairwise_kl
+from hirnet.losses import combined_loss, cross_entropy, pairwise_kl
 from hirnet.models import MlpSpec, ModelParams, flatten, forward, init_params
 from hirnet.optim import NonFiniteGradient, adam_step, init_adam
 from tape_ops import scale
@@ -245,30 +245,40 @@ def test_step_tape_length_does_not_grow_with_batch_size(loss_kind, monkeypatch):
 
 
 @pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])
-def test_combined_node_gives_the_scale_and_add_bits(loss_kind, monkeypatch):
-    """The one combined node gives the loss and flat gradient of
-    ``classification + penalty * alpha`` recorded as a scale and an add."""
-    cfg = tiny_config(loss_kind=loss_kind, alpha=0.0 if loss_kind == "agg" else 0.3,
-                      paired=True, cross_domain_only=True)
+def test_combined_node_gives_the_scale_and_add_bits(loss_kind):
+    """The objective ``combined_loss`` builds for the config's kind gives the
+    loss and flat gradient of ``cross_entropy`` and the kind's term, with
+    HIR's two options, chained as a scale and an add: for "agg", of
+    ``cross_entropy`` alone."""
+    cfg = tiny_config(loss_kind=loss_kind, alpha=7.0, paired=True, cross_domain_only=True,
+                      normalize_hir=True)
     plan = BatchPlan(cfg.suite.build().drop(1), cfg.per_class_per_domain, cfg.paired)
     labels = plan.batch_labels
     x = np.stack([plan.draw([run, 0])[0] for run in range(3)])
     stack = ModelParams.stack([init_params(MlpSpec((2, 8, 2), seed=run)) for run in range(3)])
+    terms = {"hir": lambda z, log_probs: losses.hir_kl(log_probs, labels, True, True)[0],
+             "mmd": lambda z, log_probs: losses.domain_mmd_penalty(z, labels),
+             "ccsa": lambda z, log_probs: losses.class_conditional_align(z, labels)}
 
-    def step():
+    def built(z, log_probs):
+        return combined_loss(log_probs, labels, cfg.alpha, cfg.loss_kind, z,
+                             cfg.cross_domain_only, cfg.normalize_hir).combined
+
+    def chained(z, log_probs):
+        classification = cross_entropy(log_probs, labels)
+        if loss_kind == "agg":
+            return classification
+        return classification + scale(terms[loss_kind](z, log_probs), cfg.alpha)
+
+    def step(objective):
         graph = ad.Graph()
         z, logits = forward(stack, x, graph)
-        loss = harness._batch_breakdown(cfg, z, ad.log_softmax(logits), labels).combined
+        loss = objective(z, ad.log_softmax(logits))
         grads = graph.backward(loss)
         return loss.data, flatten([grads[i] for i in graph.param_ids])
 
-    def chain(classification, hir, alpha):
-        combined = classification if hir is None else classification + scale(hir, alpha)
-        return LossBreakdown(classification, hir, combined)
-
-    value, grad = step()
-    monkeypatch.setattr(LossBreakdown, "combine", staticmethod(chain))
-    chain_value, chain_grad = step()
+    value, grad = step(built)
+    chain_value, chain_grad = step(chained)
     assert value.tobytes() == chain_value.tobytes()
     assert grad.tobytes() == chain_grad.tobytes()
 
@@ -368,7 +378,7 @@ def test_loss_and_gradient_failures_at_one_step_fail_as_alone(monkeypatch):
     suite = cfg.suite.build().drop(1)
     n_batches = BatchPlan(suite, cfg.per_class_per_domain, cfg.paired).n_batches
     bad_step = n_batches + 1  # the second step of epoch 1
-    breakdown, backward, step = harness._batch_breakdown, ad.Graph.backward, harness.adam_step
+    breakdown, backward, step = harness.combined_loss, ad.Graph.backward, harness.adam_step
 
     def train_poisoned(run_ids):
         calls = []
@@ -391,7 +401,7 @@ def test_loss_and_gradient_failures_at_one_step_fail_as_alone(monkeypatch):
             calls.append("adam")
             return step(*args)
 
-        monkeypatch.setattr(harness, "_batch_breakdown", poisoned_breakdown)
+        monkeypatch.setattr(harness, "combined_loss", poisoned_breakdown)
         monkeypatch.setattr(ad.Graph, "backward", poisoned_backward)
         monkeypatch.setattr(harness, "adam_step", counted_step)
         runs = [init_params(MlpSpec((2, 6, 4, 2), seed=s)) for s in run_ids]
@@ -731,8 +741,9 @@ class TestStackedRuns:
                              suite.class_count)
         with pytest.warns(UserWarning, match="empty cell: domain 2"):
             plan, padded_plan = plans_of([suite, padded], cfg)
-        assert padded_plan.labels.tobytes() == plan.labels.tobytes()
-        assert padded_plan.domains.tobytes() == plan.domains.tobytes()
+        for name in ("labels", "domains"):
+            assert (getattr(padded_plan.batch_labels, name).tobytes()
+                    == getattr(plan.batch_labels, name).tobytes())
         assert padded_plan.n_batches == plan.n_batches
         assert padded_plan.layout_key != plan.layout_key
         with pytest.raises(ContractError, match="one batch layout"):
@@ -1016,7 +1027,8 @@ class TestRunExperiment:
                 calls = [pickle.loads(pickle.dumps(args)) for args in zip(*iterables)]
                 for _, _, rows, plans in calls:
                     self.jobs.append((sorted({ho for ho, _ in rows}), sorted(plans), all(
-                        not (p.labels.flags.writeable or p.domains.flags.writeable)
+                        not (p.batch_labels.labels.flags.writeable
+                             or p.batch_labels.domains.flags.writeable)
                         for p in plans.values())))
                 return [fn(*args) for args in calls]
 

@@ -9,7 +9,6 @@ from hirnet import autodiff as ad
 from hirnet.errors import ConfigError, ContractError
 from hirnet.losses import (
     BatchLabels,
-    LossBreakdown,
     _mmd_sum,
     _pair_sums,
     _sq_dists,
@@ -297,14 +296,18 @@ class TestCombinedLoss:
 
 
 class TestCombineRouting:
-    """``combine`` returns a gradient for each term; the tape drops a constant one's."""
+    """``combined_loss``'s sum returns a gradient for each term; the tape drops a
+    constant one's. The terms are the cross-entropy of the log-probs and the
+    CCSA penalty of z; one case keeps z constant, the other the log-probs."""
 
     def terms(self, attach):
         rng = np.random.default_rng(12)
         g = ad.Graph()
-        values = [rng.normal(size=(3, 1, 1)) for _ in range(2)]
-        leaves = [g.param(v) if on else ad.tensor(v) for v, on in zip(values, attach)]
-        return g, leaves, LossBreakdown.combine(*[scale(leaf, 1.0) for leaf in leaves], 0.3)
+        values = [ad.log_softmax(ad.tensor(rng.normal(size=(3, 6, 3)))).data,
+                  rng.normal(size=(3, 6, 2))]
+        log_probs, z = [g.param(v) if on else ad.tensor(v) for v, on in zip(values, attach)]
+        labels = BatchLabels([0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 2, 2])
+        return g, (log_probs, z), combined_loss(log_probs, labels, 0.3, "ccsa", z)
 
     @pytest.mark.parametrize("attach", [(True, False), (False, True)])
     def test_constant_term_gets_no_gradient(self, attach):

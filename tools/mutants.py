@@ -71,9 +71,21 @@ MUTANTS = {
     # The combined loss scaled by the reciprocal of alpha's reciprocal.
     "combined-over-reciprocal": Mutant(
         "src/hirnet/losses.py",
-        "classification.data + hir.data * alpha",
-        "classification.data + hir.data / (1 / alpha)",
+        "classification.data + term.data * alpha",
+        "classification.data + term.data / (1 / alpha)",
         ("tests/test_harness.py::test_combined_node_gives_the_scale_and_add_bits",)),
+    # An AGG objective that adds a term, here CCSA's, at a nonzero alpha.
+    "agg-builds-a-term": Mutant(
+        "src/hirnet/losses.py",
+        'if kind == "agg" or alpha == 0:',
+        "if alpha == 0:",
+        ("tests/test_harness.py::TestTrain::test_agg_hir_trace_is_zero",)),
+    # An objective at alpha 0 that adds 0 times its term, a second node, to cross-entropy.
+    "alpha-zero-builds-a-term": Mutant(
+        "src/hirnet/losses.py",
+        'if kind == "agg" or alpha == 0:',
+        'if kind == "agg":',
+        ("tests/test_losses.py::TestCombinedLoss::test_alpha_zero_is_classification_tensor",)),
     # The MMD penalty's domain count by a plain np.unique, which imports numpy.ma.
     "domain-count-plain-unique": Mutant(
         "src/hirnet/losses.py",
@@ -155,6 +167,13 @@ MUTANTS = {
         "if np.max(self.prior_shift) > 1.0:",
         "if False:",
         ("tests/test_data.py::TestManifest::test_mistyped_values_rejected[overrides21]",)),
+    # An unpickled plan that keeps the layout as numpy unpickles it: writeable, its caches full.
+    "unpickled-plan-keeps-stale-labels": Mutant(
+        "src/hirnet/data.py",
+        "\n        self.batch_labels = BatchLabels(self.batch_labels.labels, "
+        "self.batch_labels.domains)",
+        "",
+        ("tests/test_data.py::test_an_unpickled_plan_keeps_its_read_only_layout",)),
     # One worker per usable CPU, whatever the grid's size.
     "workers-ignore-grid-size": Mutant(
         "src/hirnet/harness.py",

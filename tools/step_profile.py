@@ -13,11 +13,11 @@ of the runs, and times each call made inside ``harness.train_runs``:
 - ``draw``: ``BatchPlan.draw``, one epoch of batches for one run;
 - ``forward``: ``models.forward``, as ``harness`` calls it;
 - ``log_softmax``: ``autodiff.log_softmax``;
-- ``loss``: ``harness._batch_breakdown``, the loss functions of the step,
-  less the penalty;
+- ``loss``: ``losses.combined_loss``, as ``harness`` calls it: the step's
+  objective, less the penalty;
 - ``penalty``: the alignment term inside it: ``hir_kl``,
-  ``domain_mmd_penalty`` or ``class_conditional_align``, as ``harness``
-  calls them;
+  ``domain_mmd_penalty`` or ``class_conditional_align``, in ``losses``,
+  where the objective's builder looks them up;
 - ``backward``: from the loss's return to the call of ``adam_step``, which
   is ``Graph.backward``, ``flatten`` and the finite check;
 - ``adam``: ``optim.adam_step``, as ``harness`` calls it;
@@ -42,6 +42,10 @@ To see which layer a change moved, run it against both checkouts:
 
     python3 tools/step_profile.py hir-full --src ../parent/src
     python3 tools/step_profile.py hir-full
+
+The phases wrap functions by their names in this tree. A tree whose step
+objective ``harness._batch_breakdown`` built, not ``losses.combined_loss``,
+needs its own copy of this tool.
 """
 
 from __future__ import annotations
@@ -155,16 +159,16 @@ def profile(workload: str, seed: int) -> tuple[dict[str, float], int, float | No
     """One run of the workload's experiment: µs per step by phase, the step
     count, ms per ``collect_bundle`` call (None if it probes nothing), and
     the ms of each writer of its outputs (:func:`write_outputs`)."""
-    from hirnet import autodiff, data, diagnostics, harness
+    from hirnet import autodiff, data, diagnostics, harness, losses
 
     timer = StepTimer()
     patches = [(harness, "train_runs", timer.training(harness.train_runs)),
                (diagnostics, "collect_bundle", timer.probing(diagnostics.collect_bundle))]
     patches += [(owner, name, timer.timed(phase, getattr(owner, name))) for owner, name, phase in (
         (data.BatchPlan, "draw", "draw"), (harness, "forward", "forward"),
-        (autodiff, "log_softmax", "log_softmax"), (harness, "_batch_breakdown", "loss"),
-        (harness, "hir_kl", "penalty"), (harness, "domain_mmd_penalty", "penalty"),
-        (harness, "class_conditional_align", "penalty"),
+        (autodiff, "log_softmax", "log_softmax"), (harness, "combined_loss", "loss"),
+        (losses, "hir_kl", "penalty"), (losses, "domain_mmd_penalty", "penalty"),
+        (losses, "class_conditional_align", "penalty"),
         (harness, "adam_step", "adam"), (harness, "_epoch_attributions", "attribution"))]
     originals = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
     for owner, name, wrapper in patches:
