@@ -2,46 +2,18 @@
 
 Learns classifiers over ordered synthetic domains while aligning per-class
 posterior predictions across domains (a pairwise asymmetric KL penalty),
-alongside feature-alignment baselines, with a hold-one-domain-out harness
-and invariance diagnostics. Built on a small self-contained reverse-mode
-autodiff core over float64 matrices, or stacks of them that train several
-seeds in one pass.
-"""
+against feature-alignment baselines. Import each name from the module that
+defines it:
 
-from .autodiff import Graph, Tensor, grad_check, log_softmax, matmul, relu
-from .data import (
-    DomainDataset,
-    DomainSuite,
-    SuiteSpec,
-    stratified_batches,
-)
-from .diagnostics import (
-    DiagnosticsBundle,
-    collect_bundle,
-    domain_alignment_matrix,
-    paired_vs_unpaired_kl,
-    posterior_kl_matrix,
-    prediction_agreement,
-)
-from .errors import ConfigError, ContractError, ShapeError
-from .harness import (
-    ExperimentConfig,
-    OptimizerConfig,
-    RunReport,
-    evaluate,
-    run_experiment,
-    train,
-)
-from .losses import (
-    BatchLabels,
-    LossBreakdown,
-    class_conditional_align,
-    combined_loss,
-    cross_entropy,
-    hir_kl,
-    mmd_rbf,
-)
-from .models import MlpSpec, ModelParams, forward, init_params, load_checkpoint, save_checkpoint
-from .optim import AdamState, adam_step, init_adam
+- ``harness``: hold-one-domain-out experiments, their configs, training, evaluation and reports
+- ``data``: suite manifests, synthetic domains and batch plans
+- ``losses``: cross-entropy, HIR's KL, the MMD and CCSA penalties, the step objective
+- ``models``: the MLP, its forward pass and checkpoints
+- ``diagnostics``: invariance probes and their output files
+- ``autodiff``: the reverse-mode tape over float64 matrices, or stacks of one per seed
+- ``optim``: Adam
+- ``errors``: exception types, config-value checks and the JSON codec
+- ``cli``: the ``hirnet run``, ``sweep`` and ``diag`` commands
+"""
 
 __version__ = "0.1.0"

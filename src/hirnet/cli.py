@@ -83,6 +83,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_diag(args) -> int:
     check_int("--probe-size", args.probe_size, 1)
     check_int("--seed", args.seed, 0)
+    check_int("--per-class-per-domain", args.per_class_per_domain, 1)
     if args.bandwidth is not None:
         check_real("--bandwidth", args.bandwidth)
     try:

@@ -263,5 +263,5 @@ def write_posterior_kl_csv(bundle: DiagnosticsBundle, path) -> None:
     write_lines(["i,j,class,value", *(f"{i},{j},{c},{v:.17g}" for i, j, c, v in rows)], path)
 
 
-def write_diag_summary(bundle: DiagnosticsBundle, path, extra: dict | None = None) -> None:
-    write_json({**_scalars(bundle), **(extra or {})}, path)
+def write_diag_summary(bundle: DiagnosticsBundle, path, extra: dict) -> None:
+    write_json({**_scalars(bundle), **extra}, path)

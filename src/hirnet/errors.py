@@ -24,11 +24,11 @@ class ConfigError(ValueError):
     """A configuration value is invalid or inconsistent."""
 
 
-def check_int(name: str, value, minimum: int | None = None) -> int:
+def check_int(name: str, value, minimum: int) -> int:
     """``value`` as an int if it is an integer (not a bool) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
@@ -43,7 +43,7 @@ def check_real(name: str, value, minimum: float | None = None) -> float:
     return float(value)
 
 
-def check_ints(name: str, values, minimum: int | None = None) -> tuple[int, ...]:
+def check_ints(name: str, values, minimum: int) -> tuple[int, ...]:
     """A list or tuple of integers, each checked by :func:`check_int`."""
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{name} must be a list of integers, got {values!r}")

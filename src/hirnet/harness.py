@@ -164,7 +164,8 @@ def _epoch_attributions(log_probs: np.ndarray, y: np.ndarray, member: np.ndarray
 
     KL(p_i || p_j) = h_i - p_i . log p_j with h_i = p_i . log p_i, so a
     run's sums K_ij over the epoch come from one matmul over its stacked
-    (batch, class) axis. U^T (M o K) U sums them by the domains of both
+    (batch, class) axis; like ``losses.hir_kl``, they are accurate in absolute
+    terms, not relative ones. U^T (M o K) U sums them by the domains of both
     ends; a domain's pairs are its row plus its column less the pairs with
     both ends in it. Since every batch has the same layout, the epoch mean
     of the batch means is the epoch's sum divided by the per-batch count

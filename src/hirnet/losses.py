@@ -189,6 +189,7 @@ def hir_kl(log_probs, labels, cross_domain_only: bool = False,
     summing log p_j over the c_i later same-class rows; its gradient in
     log p is p o (c log p - S + c) - P, P_i summing p_j over the earlier ones.
     S and P are running sums over ``labels``' class segments; the backward reuses c log p - S.
+    Accurate in absolute terms, not relative ones: a loss near 0 may have no correct digit.
 
     ``normalize`` divides by the term count so the scale is decoupled from
     batch size; ``cross_domain_only`` drops pairs drawn from a single

@@ -523,10 +523,13 @@ class TestDiagCommand:
     @pytest.mark.parametrize("flag", [["--probe-size", "-1"], ["--probe-size", "0"],
                                       ["--seed", "-1"], ["--bandwidth", "nan"],
                                       ["--bandwidth", "0"], ["--bandwidth", "-1"],
-                                      ["--bandwidth", "1e-160"], ["--bandwidth", "1e-300"]],
+                                      ["--bandwidth", "1e-160"], ["--bandwidth", "1e-300"],
+                                      ["--per-class-per-domain", "0"],
+                                      ["--per-class-per-domain", "-2"]],
                              ids=["probe-size-negative", "probe-size-zero", "seed-negative",
                                   "bandwidth-nan", "bandwidth-zero", "bandwidth-negative",
-                                  "bandwidth-1e-160", "bandwidth-1e-300"])
+                                  "bandwidth-1e-160", "bandwidth-1e-300",
+                                  "per-class-per-domain-zero", "per-class-per-domain-negative"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, flag):
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(init_params(MlpSpec((2, 6, 2), seed=4)), ckpt)
@@ -535,5 +538,8 @@ class TestDiagCommand:
         code = main(["diag", "--checkpoint", str(ckpt), "--suite", str(manifest),
                      "--out", str(tmp_path / "diag"), *flag])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        # The error names the flag; a bandwidth that rbf_gamma rejects is named without dashes.
+        assert (flag[0] if flag[0] != "--bandwidth" else "bandwidth") in err
         assert not (tmp_path / "diag").exists()

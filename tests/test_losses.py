@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from hirnet import autodiff as ad
@@ -71,6 +73,10 @@ def naive_mmd(a, b, bandwidth):
     """cdist-based reference for the biased V-statistic."""
     k = lambda u, v: np.exp(-cdist(u, v, "sqeuclidean") / (2 * bandwidth**2))
     return k(a, a).mean() + k(b, b).mean() - 2 * k(a, b).mean()
+
+
+# Deterministic, and no example database written next to the sources.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def random_log_posteriors(rng, n, m):
@@ -161,6 +167,24 @@ class TestHirKl:
             expected, expected_count = naive_hir_kl(lp, y)
             assert count == expected_count
             assert loss.item() == pytest.approx(expected, abs=1e-10)
+
+    @PROPERTY
+    @given(n=st.integers(2, 60), m=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+           spread=st.just(0.0) | st.floats(-12.0, -2.0).map(lambda e: 10.0 ** e))
+    def test_absolute_error_on_near_aligned_posteriors(self, n, m, seed, spread):
+        # Same-class posteriors that nearly agree: class centres at scale 3, and
+        # rows off theirs by ``spread`` times a standard normal. The KL sum is then
+        # near 0 and its O(n m) form has no relative accuracy, but stays within
+        # 1e-11 in absolute terms.
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, m, size=n)
+        logits = rng.normal(scale=3.0, size=(m, m))[y] + spread * rng.normal(size=(n, m))
+        lp = ad.log_softmax(ad.tensor(logits)).data
+        i, j = np.nonzero(np.triu(y[:, None] == y[None, :], k=1))
+        oracle = math.fsum((np.exp(lp[i]) * (lp[i] - lp[j])).ravel().tolist())
+        loss, count = hir_kl(lp, y)
+        assert count == len(i)
+        assert abs(loss.item() - oracle) <= 1e-11
 
     def test_cross_domain_only_drops_same_domain_pairs(self):
         rng = np.random.default_rng(1)
