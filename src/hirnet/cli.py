@@ -29,6 +29,7 @@ from . import diagnostics as diag
 from . import harness
 from .data import SuiteSpec
 from .errors import ConfigError, ContractError, check_int, check_real
+from .losses import rbf_gamma
 from .models import load_checkpoint
 
 
@@ -84,8 +85,8 @@ def _cmd_diag(args) -> int:
     check_int("--probe-size", args.probe_size, 1)
     check_int("--seed", args.seed, 0)
     check_int("--per-class-per-domain", args.per_class_per_domain, 1)
-    if args.bandwidth is not None:
-        check_real("--bandwidth", args.bandwidth)
+    if args.bandwidth is not None:  # finite, and a bandwidth the probes take
+        rbf_gamma(check_real("--bandwidth", args.bandwidth), 1, "--bandwidth")
     try:
         params = load_checkpoint(args.checkpoint)
     except OSError as exc:

@@ -20,8 +20,9 @@ seed. Every run gets the same bits as it would training alone.
 A grid of at least 2 * ``RUNS_PER_WORKER`` runs, on a process that may use
 more than one CPU, splits its groups into contiguous chunks of at least that
 many runs, one stack per worker process; a smaller grid trains in this
-process. The per-domain attribution traces are computed once per epoch, in
-one pass over the stack's detached (runs, batches, n, m) log-probs.
+process. Each step copies its detached log-probs into one rows buffer per
+call, (runs, n, batches * m), row i of a run holding its batches' rows i end
+to end; one pass per epoch reads it, unchanged, for the attribution traces.
 """
 
 from __future__ import annotations
@@ -152,15 +153,15 @@ class TrainTraces(JsonRecord):
     per_domain_kl: list[list[float]] = field(default_factory=list)
 
 
-def _epoch_attributions(log_probs: np.ndarray, y: np.ndarray, member: np.ndarray,
-                        same_class: np.ndarray, work: dict):
+def _epoch_attributions(rows: np.ndarray, kl: np.ndarray, n_batches: int, y: np.ndarray,
+                        member: np.ndarray, same_class: np.ndarray):
     """Per-domain mean cross-entropy and mean same-class posterior KL over an
     epoch, one (runs, domains) array each, from the stack's detached
-    (runs, batches, n, m) log-probs and the shared layout's labels ``y``,
-    row-to-domain indicator U and same-class i < j mask M; each run's row
-    has the bits of a call on that run alone. ``work`` keeps the pass's
-    large arrays from one call to the next of one shape: fresh ones each
-    epoch make malloc hand their pages back and fault them in again.
+    log-probs and the shared layout's labels ``y``, row-to-domain indicator
+    U and same-class i < j mask M; each run's row has the bits of a call on
+    that run alone. ``rows[0]`` holds the log-probs, (runs, n, n_batches * m):
+    row i of a run is its batches' rows i end to end. The call leaves them as
+    they are; ``rows[1]``, of that shape, and the (runs, n, n) ``kl`` are scratch.
 
     KL(p_i || p_j) = h_i - p_i . log p_j with h_i = p_i . log p_i, so a
     run's sums K_ij over the epoch come from one matmul over its stacked
@@ -171,23 +172,19 @@ def _epoch_attributions(log_probs: np.ndarray, y: np.ndarray, member: np.ndarray
     of the batch means is the epoch's sum divided by the per-batch count
     times the number of batches. A domain with no rows or no pairs gets 0.
     """
-    runs, n_batches, n, m = log_probs.shape
-    # A run's CE sums are one (n,) @ (n, D) product on a fresh sum, as alone: a
-    # stacked product, or one on a row of a stack, can round differently.
-    true_lp = log_probs.reshape(runs, n_batches, -1)[..., np.arange(n) * m + y]
-    ce_sums = [run.sum(axis=0) @ member for run in true_lp]
+    lp_rows, p_rows = rows
+    runs, n, width = lp_rows.shape
+    # Each row's true-class log-probs, row i's at i * width + b * m + y_i for batch b,
+    # along one contiguous axis, which sets the order the sum adds them in. A run's CE
+    # sums are one (n,) @ (n, D) product on a fresh sum, as alone: a stacked product,
+    # or one on a row of a stack, can round differently.
+    cols = np.arange(n)[:, None] * width + np.arange(0, width, width // n_batches) + y[:, None]
+    true_lp = np.take(lp_rows.reshape(runs, -1), cols, axis=-1)
+    ce_sums = [run.sum(axis=-1) @ member for run in true_lp]
     ce = _safe_mean(-np.stack(ce_sums), member.sum(axis=0) * n_batches)
-    if work.get("shape") != log_probs.shape:
-        work.update(shape=log_probs.shape, kl=np.empty((runs, n, n)),
-                    rows=np.empty((2, runs, n, n_batches * m)))
-    lp_rows, p_rows = work["rows"]
-    # Each row's batches end to end, copied as one item per row and batch: a
-    # copy of the transposed (..., m) view moves m values at a time, far slower.
-    cell = np.dtype((np.void, 8 * m))
-    np.copyto(lp_rows.view(cell), log_probs.view(cell)[..., 0].transpose(0, 2, 1))
-    kl = np.matmul(np.exp(lp_rows, out=p_rows), lp_rows.swapaxes(-1, -2), out=work["kl"])
-    lp_rows *= p_rows
-    np.subtract(lp_rows.sum(axis=-1)[..., None], kl, out=kl)
+    kl = np.matmul(np.exp(lp_rows, out=p_rows), lp_rows.swapaxes(-1, -2), out=kl)
+    p_rows *= lp_rows  # p log p, into the probs half, which the matmul is done with
+    np.subtract(p_rows.sum(axis=-1)[..., None], kl, out=kl)
     kl *= same_class
 
     def touching(pair_values):
@@ -238,24 +235,35 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
     results: list[TrainTraces | TrainingDiverged] = [
         TrainTraces(domain_params=list(plan.domain_params)) for plan in plans]
     alive, frozen = np.ones(len(runs), dtype=bool), False  # frozen: any row not alive
-    work: dict = {}  # the epoch attribution's arrays, reused
     stack = ModelParams.stack(runs)
     opt = init_adam([stack.flat], lr=config.optimizer.lr, beta1=config.optimizer.beta1,
                     beta2=config.optimizer.beta2, eps=config.optimizer.eps)
+    # The epoch's log-prob rows and the attribution's scratch. A step copies a
+    # row's m log-probs in as one item: m values at a time is far slower.
+    m = stack.layer_sizes[-1]
+    cell, rows = np.dtype((np.void, 8 * m)), np.empty((2, len(runs), y.size, n_batches * m))
+    kl, lp_cells = np.empty((len(runs), y.size, y.size)), rows[0].view(cell)
+
+    def fail(bad, message):
+        """Fail each alive run of the mask ``bad`` as alone, with ``message(row)``; freeze it."""
+        nonlocal frozen
+        for row in np.flatnonzero(alive & bad):
+            results[row] = TrainingDiverged(message(row))
+            alive[row], frozen = False, True
 
     for epoch in range(config.epochs):
         xs = np.stack([plan.draw([seed, epoch]) for plan, seed in zip(plans, batch_seeds)], axis=1)
-        epoch_lc, epoch_lh, epoch_lp = [], [], []
+        epoch_lc, epoch_lh = [], []
         for b in range(n_batches):
             graph = ad.Graph()
             z, logits = forward(stack, xs[b], graph)
             log_probs = ad.log_softmax(logits)
+            np.copyto(lp_cells[..., b], log_probs.data.view(cell)[..., 0])
             breakdown = combined_loss(log_probs, labels, config.alpha, config.loss_kind, z,
                                       config.cross_domain_only, config.normalize_hir)
             epoch_lc.append(breakdown.classification.data)
             if breakdown.hir is not None:
                 epoch_lh.append(breakdown.hir.data)
-            epoch_lp.append(log_probs.data)
             grads = graph.backward(breakdown.combined)
             grad = flatten([grads[i] for i in graph.param_ids])
             loss = breakdown.combined.data
@@ -265,29 +273,21 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
                     continue
                 except NonFiniteGradient:  # raised before adam_step changes anything
                     pass
-            # Fail each newly bad run as alone; its frozen row steps by 0.0.
-            loss_ok = np.isfinite(loss.reshape(-1))
-            ok = loss_ok & np.isfinite(grad).all(axis=(-2, -1))
-            for row in np.flatnonzero(alive & ~ok):
-                results[row] = TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}" if not loss_ok[row] else
-                    "non-finite gradient at parameter index "
-                    f"{stack.array_index(np.argmin(np.isfinite(grad[row, 0])))}")
-            alive &= ok
-            frozen = True
-            grad[~alive] = opt.m[0][~alive] = 0.0
+            fail(~np.isfinite(loss.reshape(-1)), lambda row: f"non-finite loss at epoch {epoch}")
+            fail(~np.isfinite(grad).all(axis=(-2, -1)), lambda row: "non-finite gradient at "
+                 f"parameter index {stack.array_index(np.argmin(np.isfinite(grad[row, 0])))}")
+            grad[~alive] = opt.m[0][~alive] = 0.0  # so a frozen row steps by 0.0
             adam_step(opt, [stack.flat], [grad])
         # Each run's step values lie along one contiguous row, reduced in
         # the order its own list of steps would be.
         l_c = np.concatenate(epoch_lc, axis=-1).mean(axis=-1)
         l_h = np.concatenate(epoch_lh, axis=-1).mean(axis=-1) if epoch_lh else np.zeros_like(l_c)
-        dom_ce, dom_kl = _epoch_attributions(np.stack(epoch_lp, axis=1), y, *masks, work)
+        dom_ce, dom_kl = _epoch_attributions(rows, kl, n_batches, y, *masks)
         # Finite steps can overflow an epoch's means and its attributions.
         for name, values in (("l_c epoch mean", l_c), ("l_h epoch mean", l_h),
                              ("per_domain_l_c", dom_ce), ("per_domain_kl", dom_kl)):
-            for row in np.flatnonzero(alive & ~np.isfinite(values).all(axis=-1)):
-                results[row] = TrainingDiverged(f"non-finite {name} at epoch {epoch}")
-                alive[row], frozen = False, True
+            fail(~np.isfinite(values).all(axis=-1),
+                 lambda row: f"non-finite {name} at epoch {epoch}")
         for row in np.flatnonzero(alive):
             traces = results[row]
             traces.l_c.append(float(l_c[row, 0]))
@@ -296,8 +296,7 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
             traces.per_domain_kl.append(dom_kl[row].tolist())
         if not alive.any():
             break
-        # Free the epoch's copies before the next epoch draws its own.
-        del xs, epoch_lp
+        del xs  # before the next epoch draws its own
     for row, params in enumerate(runs):
         stack.write_row(row, params)
     return results

@@ -239,10 +239,9 @@ def _sq_dists(z: np.ndarray, w: np.ndarray | None = None, out=None, gram=None,
               norms=None, w_norms=None) -> np.ndarray:
     """Squared Euclidean distances from every row of z to every row of w (default:
     z itself), (|z_i|^2 + |w_j|^2) - 2 z_i.w_j clipped at 0; into ``out`` and ``gram``
-    (the z.w products), and from the rows' squared ``norms`` and ``w_norms``, if given."""
-    w = z if w is None else w
+    (the z.w products) and from z's squared row ``norms``, if given; a w needs ``w_norms``."""
     norms = np.sum(z * z, axis=-1) if norms is None else norms
-    w_norms = (norms if w is z else np.sum(w * w, axis=-1)) if w_norms is None else w_norms
+    w, w_norms = (z, norms) if w is None else (w, w_norms)
     dists = np.empty(z.shape[:-1] + w.shape[-2:-1]) if out is None else out
     dists[...] = w_norms[..., None, :]  # a row copy, then one broadcast add
     dists += norms[..., :, None]
@@ -252,14 +251,14 @@ def _sq_dists(z: np.ndarray, w: np.ndarray | None = None, out=None, gram=None,
     return np.maximum(dists, 0.0, out=dists)
 
 
-def rbf_gamma(bandwidth, ndim: int) -> np.ndarray:
+def rbf_gamma(bandwidth, ndim: int, name: str = "bandwidth") -> np.ndarray:
     """gamma = -1 / (2 bandwidth^2), shaped to scale ``ndim``-dimensional distances: one value,
     or one per run of a stack, each computed as a Python float in numpy's order of operations.
-    Raises ConfigError unless each is positive with a finite gamma."""
+    Raises ConfigError, naming the value ``name``, unless each is positive with a finite gamma."""
     spreads = np.asarray(bandwidth, dtype=np.float64).reshape(-1).tolist()
     gammas = [-1.0 / (2.0 * s * s) if s > 0 and 2.0 * s * s > 0 else math.nan for s in spreads]
     if not all(map(math.isfinite, gammas)):
-        raise ConfigError(f"bandwidth must be positive with a finite 1 / (2 bandwidth^2), "
+        raise ConfigError(f"{name} must be positive with a finite 1 / (2 bandwidth^2), "
                           f"got {spreads}")
     return np.array(gammas).reshape((-1,) + (1,) * (ndim - 1))
 

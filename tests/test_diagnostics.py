@@ -254,15 +254,15 @@ def test_alignment_matrix_gives_the_per_block_bits(layout, per_class, bandwidth)
 @pytest.mark.parametrize("w_rows", [None, 9])
 def test_sq_dists_of_given_norms_and_buffers_gives_the_per_block_bits(w_rows):
     """On stacked (runs, n, d) MMD inputs, with z's own rows or another w:
-    _sq_dists computing its norms, _sq_dists given them and its output and
-    Gram buffers, and the per-block formula all agree bitwise."""
+    _sq_dists computing z's norms (given w's, which a w needs), _sq_dists given
+    both and its output and Gram buffers, and the per-block formula all agree bitwise."""
     rng = np.random.default_rng(48)
     z = rng.normal(size=(3, 12, 4))
     w = z if w_rows is None else rng.normal(size=(3, w_rows, 4))
     norms = np.sum(z * z, axis=-1)
     w_norms = norms if w is z else np.sum(w * w, axis=-1)
     out, gram = np.empty((2,) + z.shape[:-1] + w.shape[-2:-1])
-    own = losses._sq_dists(z, None if w is z else w)
+    own = losses._sq_dists(z) if w is z else losses._sq_dists(z, w, w_norms=w_norms)
     given = losses._sq_dists(z, w, out, gram, norms, w_norms)
     assert given is out
     assert own.tobytes() == given.tobytes() == per_block_sq_dists(z, w).tobytes()
@@ -289,7 +289,7 @@ def block_scan(domains, passes):
         passes.append(1)
         assert len(passes) < 200, "the selection made 200 passes"
         for a, b in itertools.combinations_with_replacement(range(len(domains)), 2):
-            d = losses._sq_dists(domains[a], domains[b])
+            d = per_block_sq_dists(domains[a], domains[b])
             yield d[np.triu_indices(len(d), 1)] if a == b else d.ravel()
     return scan
 

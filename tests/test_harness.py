@@ -602,7 +602,9 @@ class TestEpochAttributions:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_each_run_of_a_stack_gets_its_lone_bits(self, seed):
-        """Random runs R, batches B, domains D, rows per cell k and classes m."""
+        """Random runs R, batches B, domains D, rows per cell k and classes m.
+        The log-prob rows are laid out as train_runs writes them, row i of a run
+        holding its batches' rows i end to end, and no call changes them."""
         rng = np.random.default_rng(seed)
         runs, n_batches, n_domains, k, m = (int(rng.integers(lo, hi)) for lo, hi in
                                             ((2, 7), (1, 6), (1, 5), (1, 4), (2, 5)))
@@ -612,17 +614,28 @@ class TestEpochAttributions:
                  np.triu(y[:, None] == y[None, :], k=1).astype(np.float64))
         logits = rng.normal(scale=3.0, size=(runs, n_batches, y.size, m))
         log_probs = ad.log_softmax(ad.tensor(logits.reshape(-1, y.size, m))).data
-        log_probs = log_probs.reshape(logits.shape)
-        work = {}
-        ce, kl = harness._epoch_attributions(log_probs, y, *masks, work)
+        lp_rows = log_probs.reshape(logits.shape).transpose(0, 2, 1, 3).reshape(runs, y.size, -1)
+
+        def attributions(lp):
+            """The call on a fresh rows buffer holding ``lp``, which it must leave as it is."""
+            rows = np.stack((lp, np.full_like(lp, np.nan)))
+            kl_scratch = np.full((len(lp), y.size, y.size), np.nan)
+            out = harness._epoch_attributions(rows, kl_scratch, n_batches, y, *masks)
+            assert rows[0].tobytes() == lp.tobytes()
+            return out
+
+        ce, kl = attributions(lp_rows)
         assert ce.shape == kl.shape == (runs, n_domains)
         for run in range(runs):
-            lone_ce, lone_kl = harness._epoch_attributions(log_probs[run:run + 1], y, *masks, {})
+            lone_ce, lone_kl = attributions(lp_rows[run:run + 1])
             assert ce[run].tobytes() == lone_ce[0].tobytes()
             assert kl[run].tobytes() == lone_kl[0].tobytes()
-        # A second call reuses the first's arrays and gets the same bits.
-        again = harness._epoch_attributions(log_probs, y, *masks, work)
-        assert [a.tobytes() for a in again] == [ce.tobytes(), kl.tobytes()]
+        # A second call on the same buffers gets the same bits.
+        rows, kl_scratch = np.stack((lp_rows, lp_rows)), np.empty((runs, y.size, y.size))
+        first = harness._epoch_attributions(rows, kl_scratch, n_batches, y, *masks)
+        again = harness._epoch_attributions(rows, kl_scratch, n_batches, y, *masks)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in again] == [
+            ce.tobytes(), kl.tobytes()]
 
 
 @pytest.mark.parametrize("loss_kind", ["agg", "hir", "mmd", "ccsa"])

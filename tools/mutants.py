@@ -92,6 +92,13 @@ MUTANTS = {
         'if len(labels.segments("domains").spans) < 2:',
         "if np.unique(labels.domains).size < 2:",
         ("tests/test_cli.py::TestRunCommand::test_never_imports_numpy_ma",)),
+    # CCSA's backward divided by its upstream, which a seed of ones does not tell apart.
+    "ccsa-backward-divides-by-upstream": Mutant(
+        "src/hirnet/losses.py",
+        "2.0 * up / pair_count",
+        "2.0 / up / pair_count",
+        ("tests/test_vjp.py::test_backward_is_the_vjp_of_a_random_upstream"
+         "[class_conditional_align]",)),
     # Adam's update with the bias correction applied after the learning rate.
     "adam-undivided-first-moment": Mutant(
         "src/hirnet/optim.py",
@@ -107,17 +114,30 @@ MUTANTS = {
     # A failed run found by its loss only.
     "finite-mask-drops-gradient": Mutant(
         "src/hirnet/harness.py",
-        "ok = loss_ok & np.isfinite(grad).all(axis=(-2, -1))",
-        "ok = loss_ok",
+        "fail(~np.isfinite(grad).all(axis=(-2, -1)), ",
+        "fail(np.zeros_like(alive), ",
         ("tests/test_harness.py::test_gradient_failure_names_the_first_non_finite_array",)),
-    # Every failure named as a gradient's.
+    # A failed run found by its gradient only, and so named as a gradient's.
     "loss-message-dropped": Mutant(
         "src/hirnet/harness.py",
-        'f"non-finite loss at epoch {epoch}" if not loss_ok[row] else\n'
-        "                    ",
-        "",
+        "fail(~np.isfinite(loss.reshape(-1)), ",
+        "fail(np.zeros_like(alive), ",
         ("tests/test_harness.py::TestStackedRuns::"
          "test_diverging_run_fails_as_alone_and_the_others_go_on",)),
+    # A step's log-probs all written into the epoch's first batch slot.
+    "log-probs-wrong-batch-slot": Mutant(
+        "src/hirnet/harness.py",
+        "np.copyto(lp_cells[..., b], ",
+        "np.copyto(lp_cells[..., 0], ",
+        ("tests/test_harness.py::TestEpochAttributions::test_matches_pair_enumeration[False]",)),
+    # The epoch attribution's p log p products written over its log-prob rows.
+    "attribution-consumes-its-rows": Mutant(
+        "src/hirnet/harness.py",
+        "p_rows *= lp_rows  # p log p, into the probs half, which the matmul is done with\n"
+        "    np.subtract(p_rows.sum(axis=-1)",
+        "lp_rows *= p_rows\n    np.subtract(lp_rows.sum(axis=-1)",
+        ("tests/test_harness.py::TestEpochAttributions::"
+         "test_each_run_of_a_stack_gets_its_lone_bits[0]",)),
     # A frozen row that keeps its first moment, and so goes on stepping.
     "frozen-row-keeps-first-moment": Mutant(
         "src/hirnet/harness.py",

@@ -13,7 +13,8 @@ this repository's ``src``):
   no workload sets;
 - ``hirnet sweep`` of the ``hir-full`` config over three alpha values;
 - ``hirnet diag`` on one ``hir-full`` checkpoint against the workload suite,
-  at one and at three points per (domain, class) cell, and against three
+  at one and at three points per (domain, class) cell, at one with a given
+  kernel bandwidth (``--bandwidth``) in place of the median, and against three
   edge manifests: two domains whose class priors share no class, so no
   base_id is common to both, a single domain, and three domains of 10
   rows, whose odd count of pooled pairs puts the median on one pair;
@@ -83,6 +84,8 @@ HIR_OPTIONS_WORKLOAD, HIR_OPTIONS_CHANGES = "hir-full", {"cross_domain_only": Tr
                                                          "normalize_hir": True}
 # The config changes of the gradient overflow.
 GRADIENT_OVERFLOW_WORKLOAD, GRADIENT_OVERFLOW_CHANGES = "mmd-align", {"alpha": 1e308}
+# The kernel bandwidth of the workload suite's third diag run.
+DIAG_BANDWIDTH = "0.5"
 # Suite manifests besides the workload suite, each diagnosed at one point per cell.
 EDGE_SUITES = {
     "no_common_id": {"angles": [0.0, 15.0], "prior_shift": [[1.0, 0.0], [0.0, 1.0]]},
@@ -137,13 +140,14 @@ def write_commands(runner, out: str, seed: int) -> None:
     run("gradient_overflow", {**experiment_config(GRADIENT_OVERFLOW_WORKLOAD, seed),
                               **GRADIENT_OVERFLOW_CHANGES}, exit_code=3)
     checkpoint = os.path.join(out, "run", SWEEP_WORKLOAD, f"checkpoint_ho0_seed{seed}.ckpt")
-    cases = [("workload", {}, "1"), ("workload", {}, "3")]
-    cases += [(name, changes, "1") for name, changes in EDGE_SUITES.items()]
-    for name, changes, cells in cases:
+    # (output folder, suite manifest name, its changes, points per cell, further flags)
+    cases = [("diag_1", "workload", {}, "1", []), ("diag_3", "workload", {}, "3", []),
+             ("diag_bandwidth", "workload", {}, "1", ["--bandwidth", DIAG_BANDWIDTH])]
+    cases += [(f"diag_{name}", name, changes, "1", []) for name, changes in EDGE_SUITES.items()]
+    for folder, name, changes, cells, flags in cases:
         suite = config_file(f"suite_{name}", {**SUITE, "seed": seed, **changes})
-        folder = f"diag_{cells}" if name == "workload" else f"diag_{name}"
         runner("diag", "--checkpoint", checkpoint, "--suite", suite, "--seed", str(seed),
-               "--per-class-per-domain", cells, "--out", os.path.join(out, folder))
+               "--per-class-per-domain", cells, *flags, "--out", os.path.join(out, folder))
 
 
 def outputs(out: str) -> dict[str, bytes]:

@@ -22,8 +22,9 @@ of the runs, and times each call made inside ``harness.train_runs``:
   is ``Graph.backward``, ``flatten`` and the finite check;
 - ``adam``: ``optim.adam_step``, as ``harness`` calls it;
 - ``attribution``: ``harness._epoch_attributions``, once per epoch;
-- ``other``: the rest of ``train_runs``: the loop, the traces and the
-  stacking of the epoch's batches.
+- ``other``: the rest of ``train_runs``: the loop, the traces, the
+  stacking of the epoch's batches and each step's copy of its log-probs
+  into the epoch's rows, which falls between ``log_softmax`` and the loss.
 
 A step is one ``adam_step`` call, which serves every run of a stack. For
 each phase it prints the median over the repeats of the phase's time over
