@@ -82,7 +82,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    check_int("--probe-size", args.probe_size, 1)
     check_int("--seed", args.seed, 0)
     check_int("--per-class-per-domain", args.per_class_per_domain, 1)
     if args.bandwidth is not None:  # finite, and a bandwidth the probes take
@@ -104,8 +103,7 @@ def _cmd_diag(args) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             bundle = diag.collect_bundle(params, suite,
                                          per_class_per_domain=args.per_class_per_domain,
-                                         probe_size=args.probe_size, seed=args.seed,
-                                         bandwidth=args.bandwidth)
+                                         seed=args.seed, bandwidth=args.bandwidth)
     except FloatingPointError as exc:
         raise ConfigError(f"checkpoint gives non-finite values on the suite: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
@@ -113,7 +111,7 @@ def _cmd_diag(args) -> int:
                               os.path.join(args.out, "domain_mmd.csv"))
     diag.write_posterior_kl_csv(bundle, os.path.join(args.out, "posterior_kl.csv"))
     diag.write_diag_summary(bundle, os.path.join(args.out, "diag_summary.json"),
-                            extra={"probe_size": args.probe_size, "seed": args.seed})
+                            extra={"probe_size": diag.PROBE_SIZE, "seed": args.seed})
     print(f"wrote {args.out}/domain_mmd.csv, posterior_kl.csv, diag_summary.json")
     return 0
 
@@ -140,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--out", default=".", help="output directory")
     p_diag.add_argument("--bandwidth", type=float, default=None,
                         help="RBF bandwidth (default: median heuristic)")
-    p_diag.add_argument("--probe-size", type=int, default=100)
     p_diag.add_argument("--per-class-per-domain", type=int, default=1)
     p_diag.add_argument("--seed", type=int, default=0)
     p_diag.set_defaults(handler=_cmd_diag)

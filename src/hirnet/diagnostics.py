@@ -39,6 +39,7 @@ class DiagnosticsBundle:
 
 
 SAMPLE_PAIRS, BRACKET, GATHER_CAP = 4096, 0.02, 1 << 20  # the default bandwidth's selection
+PROBE_SIZE = 100  # base points that collect_bundle's agreement probe compares
 
 
 def _sample_sq_dists(z: np.ndarray) -> np.ndarray:
@@ -129,7 +130,7 @@ def domain_alignment_matrix(params: models.ModelParams, suite: DomainSuite,
 
 
 def prediction_agreement(params: models.ModelParams, suite: DomainSuite,
-                         probe_size: int = 100, seed: int = 0) -> float | None:
+                         probe_size: int = PROBE_SIZE, seed: int = 0) -> float | None:
     """Fraction of probed base points predicted identically in every domain.
 
     Probes base_ids present in all domains; None when no base_id is. Invariant
@@ -205,8 +206,8 @@ def paired_vs_unpaired_kl(params: models.ModelParams, suite: DomainSuite,
 
 
 def collect_bundle(params: models.ModelParams, suite: DomainSuite,
-                   per_class_per_domain: int = 1, probe_size: int = 100,
-                   seed: int = 0, bandwidth: float | None = None) -> DiagnosticsBundle:
+                   per_class_per_domain: int = 1, seed: int = 0,
+                   bandwidth: float | None = None) -> DiagnosticsBundle:
     """Run every probe once and package the results. Warns on a one-domain
     suite, where the cross-domain probes are vacuous."""
     if len(suite) < 2:
@@ -219,7 +220,7 @@ def collect_bundle(params: models.ModelParams, suite: DomainSuite,
     return DiagnosticsBundle(
         domain_mmd=domain_mmd,
         class_mmd=class_mmd,
-        agreement=prediction_agreement(params, suite, probe_size=probe_size, seed=seed),
+        agreement=prediction_agreement(params, suite, seed=seed),
         paired_kl_mean=paired_mean,
         unpaired_kl_mean=unpaired_mean,
         posterior_kl=posterior_kl_matrix(params, plan.draw(seed)[0], plan.batch_labels),

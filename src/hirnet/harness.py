@@ -72,18 +72,13 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig(JsonConfig):
-    lr: float = ROTATED_LR
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float = ROTATED_LR  # Adam's other constants are optim's
 
     def __post_init__(self):
-        for name, bounds in (("lr", "> 0"), ("beta1", "in [0, 1)"), ("beta2", "in [0, 1)"),
-                             ("eps", "> 0")):
-            value = check_real(f"optimizer {name}", getattr(self, name))
-            if not (0 < value if bounds == "> 0" else 0 <= value < 1):
-                raise ConfigError(f"optimizer {name} must be {bounds}, got {value}")
-            object.__setattr__(self, name, value)
+        lr = check_real("optimizer lr", self.lr)
+        if not 0 < lr:
+            raise ConfigError(f"optimizer lr must be > 0, got {lr}")
+        object.__setattr__(self, "lr", lr)
 
 
 @dataclass(frozen=True)
@@ -153,45 +148,57 @@ class TrainTraces(JsonRecord):
     per_domain_kl: list[list[float]] = field(default_factory=list)
 
 
-def _epoch_attributions(rows: np.ndarray, kl: np.ndarray, n_batches: int, y: np.ndarray,
-                        member: np.ndarray, same_class: np.ndarray):
+def _touching(pair_values: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Each domain's sum of the (..., n, n) ``pair_values`` over the pairs with an end in it:
+    its row plus its column of U^T P U, less the pairs with both ends in it."""
+    by_domains = member.T @ pair_values @ member
+    return by_domains.sum(axis=-1) + by_domains.sum(axis=-2) - by_domains.diagonal(0, -2, -1)
+
+
+def _attribution_layout(y: np.ndarray, domains: np.ndarray, n_domains: int, n_batches: int,
+                        m: int) -> tuple:
+    """What :func:`_epoch_attributions` reads of a layout with labels ``y`` and
+    ``domains``: each row's true-class columns in its run's rows, row i's at
+    (i * n_batches + b) * m + y_i for batch b; the row-to-domain indicator U and
+    its rows per domain in an epoch; the same-class i < j mask M and its pairs
+    per domain in an epoch."""
+    member = (domains[:, None] == np.arange(n_domains)).astype(np.float64)
+    same_class = np.triu(y[:, None] == y[None, :], k=1).astype(np.float64)
+    cols = np.arange(y.size * n_batches).reshape(-1, n_batches) * m + y[:, None]
+    return (cols, member, member.sum(axis=0) * n_batches, same_class,
+            _touching(same_class, member) * n_batches)
+
+
+def _epoch_attributions(rows: np.ndarray, kl: np.ndarray, cols: np.ndarray, member: np.ndarray,
+                        row_counts: np.ndarray, same_class: np.ndarray, pair_counts: np.ndarray):
     """Per-domain mean cross-entropy and mean same-class posterior KL over an
     epoch, one (runs, domains) array each, from the stack's detached
-    log-probs and the shared layout's labels ``y``, row-to-domain indicator
-    U and same-class i < j mask M; each run's row has the bits of a call on
-    that run alone. ``rows[0]`` holds the log-probs, (runs, n, n_batches * m):
-    row i of a run is its batches' rows i end to end. The call leaves them as
-    they are; ``rows[1]``, of that shape, and the (runs, n, n) ``kl`` are scratch.
+    log-probs and the layout of :func:`_attribution_layout`; each run's row
+    has the bits of a call on that run alone. ``rows[0]`` holds the log-probs,
+    (runs, n, n_batches * m): row i of a run is its batches' rows i end to
+    end. The call leaves them as they are; ``rows[1]``, of that shape, and
+    the (runs, n, n) ``kl`` are scratch.
 
     KL(p_i || p_j) = h_i - p_i . log p_j with h_i = p_i . log p_i, so a
     run's sums K_ij over the epoch come from one matmul over its stacked
     (batch, class) axis; like ``losses.hir_kl``, they are accurate in absolute
-    terms, not relative ones. U^T (M o K) U sums them by the domains of both
-    ends; a domain's pairs are its row plus its column less the pairs with
-    both ends in it. Since every batch has the same layout, the epoch mean
-    of the batch means is the epoch's sum divided by the per-batch count
-    times the number of batches. A domain with no rows or no pairs gets 0.
+    terms, not relative ones. :func:`_touching` sums M o K by domain. Since
+    every batch has the same layout, the epoch mean of the batch means is the
+    epoch's sum divided by the per-batch count times the number of batches.
+    A domain with no rows or no pairs gets 0.
     """
     lp_rows, p_rows = rows
-    runs, n, width = lp_rows.shape
-    # Each row's true-class log-probs, row i's at i * width + b * m + y_i for batch b,
-    # along one contiguous axis, which sets the order the sum adds them in. A run's CE
-    # sums are one (n,) @ (n, D) product on a fresh sum, as alone: a stacked product,
-    # or one on a row of a stack, can round differently.
-    cols = np.arange(n)[:, None] * width + np.arange(0, width, width // n_batches) + y[:, None]
-    true_lp = np.take(lp_rows.reshape(runs, -1), cols, axis=-1)
-    ce_sums = [run.sum(axis=-1) @ member for run in true_lp]
-    ce = _safe_mean(-np.stack(ce_sums), member.sum(axis=0) * n_batches)
+    # Each row's true-class log-probs along one contiguous axis, which sets the
+    # order the sum adds them in. A run's CE sums are one (n,) @ (n, D) product
+    # on a fresh sum, as alone: a stacked product, or one on a row of a stack,
+    # can round differently.
+    true_lp = np.take(lp_rows.reshape(len(lp_rows), -1), cols, axis=-1)
+    ce = _safe_mean(-np.stack([run.sum(axis=-1) @ member for run in true_lp]), row_counts)
     kl = np.matmul(np.exp(lp_rows, out=p_rows), lp_rows.swapaxes(-1, -2), out=kl)
     p_rows *= lp_rows  # p log p, into the probs half, which the matmul is done with
     np.subtract(p_rows.sum(axis=-1)[..., None], kl, out=kl)
     kl *= same_class
-
-    def touching(pair_values):
-        by_domains = member.T @ pair_values @ member
-        return by_domains.sum(axis=-1) + by_domains.sum(axis=-2) - by_domains.diagonal(0, -2, -1)
-
-    return ce, _safe_mean(touching(kl), touching(same_class) * n_batches)
+    return ce, _safe_mean(_touching(kl, member), pair_counts)
 
 
 def _safe_mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -229,20 +236,17 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
     if any(plan.layout_key != plans[0].layout_key for plan in plans):
         raise ContractError("runs of one stack must share one batch layout")
     labels = plans[0].batch_labels
-    y = labels.labels  # the layout's attribution masks, U and M
-    masks = ((labels.domains[:, None] == np.arange(n_domains)).astype(np.float64),
-             np.triu(y[:, None] == y[None, :], k=1).astype(np.float64))
     results: list[TrainTraces | TrainingDiverged] = [
         TrainTraces(domain_params=list(plan.domain_params)) for plan in plans]
     alive, frozen = np.ones(len(runs), dtype=bool), False  # frozen: any row not alive
     stack = ModelParams.stack(runs)
-    opt = init_adam([stack.flat], lr=config.optimizer.lr, beta1=config.optimizer.beta1,
-                    beta2=config.optimizer.beta2, eps=config.optimizer.eps)
+    opt = init_adam([stack.flat], lr=config.optimizer.lr)
     # The epoch's log-prob rows and the attribution's scratch. A step copies a
     # row's m log-probs in as one item: m values at a time is far slower.
-    m = stack.layer_sizes[-1]
-    cell, rows = np.dtype((np.void, 8 * m)), np.empty((2, len(runs), y.size, n_batches * m))
-    kl, lp_cells = np.empty((len(runs), y.size, y.size)), rows[0].view(cell)
+    m, n = stack.layer_sizes[-1], labels.labels.size
+    layout = _attribution_layout(labels.labels, labels.domains, n_domains, n_batches, m)
+    cell, rows = np.dtype((np.void, 8 * m)), np.empty((2, len(runs), n, n_batches * m))
+    kl, lp_cells = np.empty((len(runs), n, n)), rows[0].view(cell)
 
     def fail(bad, message):
         """Fail each alive run of the mask ``bad`` as alone, with ``message(row)``; freeze it."""
@@ -282,7 +286,7 @@ def train_runs(runs: list[ModelParams], plans: list[BatchPlan], config: Experime
         # the order its own list of steps would be.
         l_c = np.concatenate(epoch_lc, axis=-1).mean(axis=-1)
         l_h = np.concatenate(epoch_lh, axis=-1).mean(axis=-1) if epoch_lh else np.zeros_like(l_c)
-        dom_ce, dom_kl = _epoch_attributions(rows, kl, n_batches, y, *masks)
+        dom_ce, dom_kl = _epoch_attributions(rows, kl, *layout)
         # Finite steps can overflow an epoch's means and its attributions.
         for name, values in (("l_c epoch mean", l_c), ("l_h epoch mean", l_h),
                              ("per_domain_l_c", dom_ce), ("per_domain_kl", dom_kl)):

@@ -70,10 +70,8 @@ suite_objects = objects_of(SuiteSpec, {
     "prior_shift": st.none() | st.lists(prior_shift_rows, min_size=1, max_size=7),
     "prior_shift_seed": st.integers(0, 99),
 }, one_row_per_angle)
-# Valid values lie in (0, 1) for every field: lr and eps > 0, and 0 <= beta < 1.
 optimizer_objects = objects_of(OptimizerConfig, {
-    name: st.floats(0, 1, exclude_min=True, exclude_max=True)
-    for name in ("lr", "beta1", "beta2", "eps")})
+    "lr": st.floats(0, 1, exclude_min=True, exclude_max=True)})
 experiment_objects = objects_of(ExperimentConfig, {
     "suite": suite_objects,
     "hidden_sizes": st.lists(st.integers(1, 64), max_size=3),
@@ -133,7 +131,7 @@ def test_to_dict_writes_every_field_as_json_data():
     assert raw["seeds"] == [3, 4] and raw["hidden_sizes"] == [32]
     assert raw["suite"]["angles"] == [0.0, 15.0, 30.0, 45.0, 60.0, 75.0]
     assert raw["suite"]["prior_shift"] == [[1.0, 0.0]] * 6
-    assert raw["optimizer"] == {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+    assert raw["optimizer"] == {"lr": 1e-3}
 
 
 @pytest.mark.parametrize("raw", ["abc", [1], {"suite": "abc"}, {"optimizer": None}])

@@ -124,14 +124,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
 
-    @pytest.mark.parametrize("overrides", [{"lr": "x"}, {"eps": float("nan")}, {"beta1": None}])
+    @pytest.mark.parametrize("overrides", [{"lr": "x"}, {"lr": float("nan")}, {"lr": None}])
     def test_mistyped_optimizer_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
             OptimizerConfig(**overrides)
 
     def test_optimizer_range_ends_that_are_valid(self):
-        # Each beta may be 0 (no moving average); lr and eps need only be positive.
-        assert OptimizerConfig(lr=1e-300, beta1=0, beta2=0, eps=1e-300).beta1 == 0.0
+        # lr need only be positive.
+        assert OptimizerConfig(lr=1e-300).lr == 1e-300
 
     def test_held_out_all_expands(self):
         assert tiny_config(held_out="all").held_out_indices() == [0, 1, 2]
@@ -610,8 +610,7 @@ class TestEpochAttributions:
                                             ((2, 7), (1, 6), (1, 5), (1, 4), (2, 5)))
         domains = np.repeat(np.arange(n_domains), m * k)
         y = np.tile(np.repeat(np.arange(m), k), n_domains)
-        masks = ((domains[:, None] == np.arange(n_domains)).astype(np.float64),
-                 np.triu(y[:, None] == y[None, :], k=1).astype(np.float64))
+        layout = harness._attribution_layout(y, domains, n_domains, n_batches, m)
         logits = rng.normal(scale=3.0, size=(runs, n_batches, y.size, m))
         log_probs = ad.log_softmax(ad.tensor(logits.reshape(-1, y.size, m))).data
         lp_rows = log_probs.reshape(logits.shape).transpose(0, 2, 1, 3).reshape(runs, y.size, -1)
@@ -620,7 +619,7 @@ class TestEpochAttributions:
             """The call on a fresh rows buffer holding ``lp``, which it must leave as it is."""
             rows = np.stack((lp, np.full_like(lp, np.nan)))
             kl_scratch = np.full((len(lp), y.size, y.size), np.nan)
-            out = harness._epoch_attributions(rows, kl_scratch, n_batches, y, *masks)
+            out = harness._epoch_attributions(rows, kl_scratch, *layout)
             assert rows[0].tobytes() == lp.tobytes()
             return out
 
@@ -632,8 +631,8 @@ class TestEpochAttributions:
             assert kl[run].tobytes() == lone_kl[0].tobytes()
         # A second call on the same buffers gets the same bits.
         rows, kl_scratch = np.stack((lp_rows, lp_rows)), np.empty((runs, y.size, y.size))
-        first = harness._epoch_attributions(rows, kl_scratch, n_batches, y, *masks)
-        again = harness._epoch_attributions(rows, kl_scratch, n_batches, y, *masks)
+        first = harness._epoch_attributions(rows, kl_scratch, *layout)
+        again = harness._epoch_attributions(rows, kl_scratch, *layout)
         assert [a.tobytes() for a in first] == [a.tobytes() for a in again] == [
             ce.tobytes(), kl.tobytes()]
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from hirnet import optim
 from hirnet.errors import ContractError
-from hirnet.optim import AdamState, NonFiniteGradient, adam_step, init_adam
+from hirnet.optim import NonFiniteGradient, adam_step, init_adam
 
 
 def test_first_step_moves_by_lr_times_sign():
@@ -118,8 +119,7 @@ def test_stacked_step_equals_each_run_alone():
 
 
 def test_default_hyperparameters():
-    state = AdamState()
-    assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+    assert (optim.BETA1, optim.BETA2, optim.EPS) == (0.9, 0.999, 1e-8)
 
 
 def test_stacked_step_has_the_textbook_bits():
@@ -128,7 +128,7 @@ def test_stacked_step_has_the_textbook_bits():
     rng = np.random.default_rng(17)
     lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
     flat = rng.normal(size=(4, 1, 61))
-    state = init_adam([flat], lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    state = init_adam([flat], lr=lr)
     p, m, v = flat.copy(), np.zeros_like(flat), np.zeros_like(flat)
     for t in range(1, 6):
         g = rng.normal(size=flat.shape) * 10.0 ** rng.uniform(-6, 3, size=flat.shape)

@@ -3,7 +3,8 @@ the dunders, is named by a ``src/`` module, the acceptance tests or
 ``perfbench/``, and every defaulted parameter of those functions and methods
 is passed by a call outside the unit tests: code that only the unit tests
 reach belongs in the tests. The package's ``__init__.py`` is not a reader:
-an export is not a caller.
+an export is not a caller. Every field of a config class is set, and every
+``hirnet`` flag passed, outside the unit tests too.
 
 Names are matched, not resolved. So a method whose name matches a common
 attribute, such as ``write`` or ``read``, is not checked: any ``fh.write``
@@ -88,3 +89,56 @@ def test_every_defaulted_src_parameter_is_passed_outside_the_unit_tests():
         unpassed += [f"{qualified}({name})" for position, name in defaulted
                      if not any(passed(call, position, name) for call in calls.get(called, []))]
     assert not unpassed, f"defaulted parameters that only the unit tests pass, if any: {unpassed}"
+
+
+OUTSIDE = ("perfbench/*.py", "tools/*.py", "tests/test_acceptance.py")
+# Config fields that nothing outside the unit tests sets, each with its reason.
+UNSET = {"SuiteSpec.class_count": "only a gaussians suite reads it, and none is built outside "
+                                  "the unit tests since the 3-class run left the digest"}
+
+
+def outside_nodes() -> list[ast.AST]:
+    """Every node of ``perfbench/``, ``tools/`` and the acceptance tests. ``src/``
+    is no reader here: its checks name each field and flag in their messages."""
+    return [node for pattern in OUTSIDE for tree in parse(pattern).values()
+            for node in ast.walk(tree)]
+
+
+def add_argument_calls(nodes) -> list[ast.Call]:
+    return [node for node in nodes if isinstance(node, ast.Call) and node.args
+            and getattr(node.func, "attr", None) == "add_argument"]
+
+
+def test_every_config_field_is_set_outside_the_unit_tests():
+    """Each field of a ``JsonConfig`` class of ``src/hirnet`` is a dict key or
+    a keyword argument in ``perfbench/``, ``tools/`` or the acceptance tests,
+    but for the ``UNSET`` ones, which must still be unset there: a setting
+    that only the unit tests set is a second code path that nothing else runs."""
+    nodes = outside_nodes()
+    keys = {key.value for node in nodes if isinstance(node, ast.Dict)
+            for key in node.keys if isinstance(key, ast.Constant)}
+    keys |= {node.arg for node in nodes if isinstance(node, ast.keyword)}
+    fields = [(f"{top.name}.{item.target.id}", item.target.id)
+              for tree in parse("src/hirnet/*.py").values() for top in tree.body
+              if isinstance(top, ast.ClassDef)
+              and any(getattr(base, "id", None) == "JsonConfig" for base in top.bases)
+              for item in top.body if isinstance(item, ast.AnnAssign)]
+    unset = [qualified for qualified, name in fields if name not in keys]
+    assert sorted(unset) == sorted(UNSET), (
+        f"config fields set only by the unit tests, if at all: {sorted(set(unset) - set(UNSET))}; "
+        f"listed as unset but set: {sorted(set(UNSET) - set(unset))}")
+
+
+def test_every_cli_flag_is_passed_outside_the_unit_tests():
+    """Each flag of ``hirnet``'s parser is a string in ``perfbench/``,
+    ``tools/`` or the acceptance tests, less the flags the tools define for
+    themselves, the first arguments of their ``add_argument`` calls."""
+    nodes = outside_nodes()
+    own = {id(call.args[0]) for call in add_argument_calls(nodes)}
+    strings = {node.value for node in nodes if isinstance(node, ast.Constant)
+               and isinstance(node.value, str) and id(node) not in own}
+    cli = ast.parse((ROOT / "src" / "hirnet" / "cli.py").read_text())
+    flags = [call.args[0].value for call in add_argument_calls(ast.walk(cli))
+             if call.args[0].value.startswith("--")]
+    unpassed = [flag for flag in flags if flag not in strings]
+    assert not unpassed, f"hirnet flags that only the unit tests pass, if any: {unpassed}"

@@ -1,6 +1,7 @@
 """``tools/step_profile.py`` wraps the functions of the training step and
 the output writers by name; one in-process profile of a workload checks
-that every phase and every writer it times is still reached."""
+that every phase and every writer it times is still reached, and its call
+counts are positive and repeat from one run to the next."""
 
 import os
 import sys
@@ -19,3 +20,10 @@ def test_profile_times_every_phase_of_the_step():
     assert bundle_ms is None  # mmd-align probes nothing
     assert list(outputs_ms) == ["report", "accuracy", "traces", "checkpoints"]
     assert all(ms > 0 for ms in outputs_ms.values()), outputs_ms
+
+
+def test_call_counts_repeat_from_the_second_run_on():
+    _, second, third = (step_profile.count_calls("mmd-align", 7) for _ in range(3))
+    steps, python, c_function = second
+    assert steps > 0 and python > 0 and c_function > 0
+    assert second == third, (second, third)

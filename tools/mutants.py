@@ -102,8 +102,14 @@ MUTANTS = {
     # Adam's update with the bias correction applied after the learning rate.
     "adam-undivided-first-moment": Mutant(
         "src/hirnet/optim.py",
-        "p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)",
-        "p -= state.lr * m / correct1 / (np.sqrt(v / correct2) + state.eps)",
+        "p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + EPS)",
+        "p -= state.lr * m / correct1 / (np.sqrt(v / correct2) + EPS)",
+        ("tests/test_optim.py::test_stacked_step_has_the_textbook_bits",)),
+    # Adam's eps ten times the textbook value.
+    "adam-eps-constant": Mutant(
+        "src/hirnet/optim.py",
+        "BETA1, BETA2, EPS = 0.9, 0.999, 1e-8",
+        "BETA1, BETA2, EPS = 0.9, 0.999, 1e-7",
         ("tests/test_optim.py::test_stacked_step_has_the_textbook_bits",)),
     # The step's finite test reads the gradient only, in adam_step.
     "finite-test-drops-loss": Mutant(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Microseconds per training step, phase by phase, for one benchmark workload.
 
-    python3 tools/step_profile.py WORKLOAD [--seed N] [--repeats R] [--src DIR]
+    python3 tools/step_profile.py WORKLOAD [--seed N] [--repeats R] [--src DIR] [--counts]
 
 Builds the ``hirnet run`` config of WORKLOAD from ``perfbench/workloads.py``
 and runs its experiment R times (default 5) in this process, pinned to one
@@ -44,9 +44,15 @@ To see which layer a change moved, run it against both checkouts:
     python3 tools/step_profile.py hir-full --src ../parent/src
     python3 tools/step_profile.py hir-full
 
-The phases wrap functions by their names in this tree. A tree whose step
-objective ``harness._batch_breakdown`` built, not ``losses.combined_loss``,
-needs its own copy of this tool.
+With ``--counts`` it times nothing and wraps nothing but ``train_runs``:
+it runs the experiment R times under ``sys.setprofile``, switched on only
+inside ``harness.train_runs``, and prints the Python-level calls (``call``
+events, a generator's resumptions included) and C-function calls
+(``c_call`` events) per step of the last run, a step being one call of
+``optim.adam_step``. The counts do not depend on the machine's speed, and
+they repeat exactly from a second run in one process on; the first differs
+by a few calls for lazy caches. The profiler sees neither ufuncs nor
+operators, so numpy's dispatches are more than the C-function calls.
 """
 
 from __future__ import annotations
@@ -184,6 +190,47 @@ def profile(workload: str, seed: int) -> tuple[dict[str, float], int, float | No
     return timer.per_step_us(), timer.steps, bundle_ms, write_outputs(report)
 
 
+class CallCounter:
+    """A ``sys.setprofile`` function that counts Python and C-function calls,
+    and the calls of the code object ``step``."""
+
+    def __init__(self, step):
+        self.step, self.python, self.c_function, self.steps = step, 0, 0, 0
+
+    def __call__(self, frame, event, arg):
+        if event == "call":
+            self.python += 1
+            self.steps += frame.f_code is self.step
+        elif event == "c_call":
+            self.c_function += 1
+
+
+def count_calls(workload: str, seed: int) -> tuple[int, float, float]:
+    """One run of the workload's experiment with the profiler on inside
+    ``harness.train_runs``: its step count, and its Python and C-function
+    calls per step."""
+    from hirnet import harness, optim
+
+    counter, train_runs = CallCounter(optim.adam_step.__code__), harness.train_runs
+
+    def counted(*args, **kwargs):
+        previous = sys.getprofile()
+        sys.setprofile(counter)
+        try:
+            return train_runs(*args, **kwargs)
+        finally:
+            sys.setprofile(previous)
+
+    config = harness.ExperimentConfig.from_dict(experiment_config(workload, seed))
+    harness.train_runs = counted
+    try:
+        harness.run_experiment(config)
+    finally:
+        harness.train_runs = train_runs
+    steps = max(counter.steps, 1)
+    return counter.steps, counter.python / steps, counter.c_function / steps
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -191,6 +238,8 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory that holds the hirnet package to profile")
+    parser.add_argument("--counts", action="store_true",
+                        help="print calls per step, not times")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -199,6 +248,13 @@ def main() -> int:
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path.insert(0, os.path.abspath(args.src))
 
+    if args.counts:
+        steps, python, c_function = [count_calls(args.workload, args.seed)
+                                     for _ in range(args.repeats)][-1]
+        print(f"{args.workload}, seed {args.seed}: {steps} steps per run, calls per step "
+              f"of the last of {args.repeats} runs\npython     {python:9.2f}\n"
+              f"c_function {c_function:9.2f}")
+        return 0
     runs = [profile(args.workload, args.seed) for _ in range(args.repeats)]
     medians = {name: statistics.median(us[name] for us, _, _, _ in runs) for name in runs[0][0]}
     print(f"{args.workload}, seed {args.seed}: {runs[0][1]} steps per run, "
