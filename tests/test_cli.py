@@ -184,13 +184,16 @@ class TestRunCommand:
             capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["beta1", "beta2", "eps"])
-    def test_adam_constant_in_the_config_exits_2_before_training(self, tmp_path, capsys,
-                                                                 monkeypatch, field):
-        """Adam's beta1, beta2 and eps are constants of ``optim``, not settings."""
+    @pytest.mark.parametrize("field, value", [
+        ("eps", -1e-8), ("eps", 0.0), ("beta1", 1.0), ("beta1", -0.5), ("beta2", 1.5),
+    ], ids=["eps-negative", "eps-zero", "beta1-one", "beta1-negative", "beta2-above-one"])
+    def test_adam_constant_in_the_config_exits_2(self, tmp_path, capsys, monkeypatch, field,
+                                                 value):
+        """Adam's beta1, beta2 and eps are constants of ``optim``, not settings:
+        a config that names one fails as an unknown field, whatever its value."""
         monkeypatch.setattr(harness, "run_experiment", refuse("trained"))
         out = tmp_path / "out"
-        raw = small_config(optimizer={field: 0.9})
+        raw = small_config(optimizer={field: value})
         assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
         assert f"config error: unknown OptimizerConfig fields: ['{field}']" in \
             capsys.readouterr().err
@@ -555,12 +558,14 @@ class TestDiagCommand:
         assert flag[0] in err
         assert not (tmp_path / "diag").exists()
 
-    def test_probe_size_is_no_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["-1", "0", "5"],
+                             ids=["probe-size-negative", "probe-size-zero", "probe-size-five"])
+    def test_probe_size_is_no_flag(self, tmp_path, capsys, value):
         """The agreement probe's size is ``diagnostics.PROBE_SIZE``: argparse
         rejects the flag, with exit 2, before anything is read."""
         with pytest.raises(SystemExit) as caught:
             main(["diag", "--checkpoint", "no-such.ckpt", "--suite", "no-such.json",
-                  "--out", str(tmp_path / "diag"), "--probe-size", "5"])
+                  "--out", str(tmp_path / "diag"), "--probe-size", value])
         assert caught.value.code == 2
-        assert "unrecognized arguments: --probe-size 5" in capsys.readouterr().err
+        assert f"unrecognized arguments: --probe-size {value}" in capsys.readouterr().err
         assert not (tmp_path / "diag").exists()
